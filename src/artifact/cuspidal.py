@@ -18,9 +18,10 @@ of H^n; no ill-defined operations on invariant lists are involved.
 from dataclasses import dataclass, field
 
 from .coeffmod import PolynomialModule, cohomology, hom_complex
-from .errors import DegreeOutOfRange
+from .errors import CompositionNonzero, DegreeOutOfRange, NotInLattice
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
-                       column_span_basis, integer_kernel, solve_matrix)
+                       cokernel_invariants, column_span_basis, integer_kernel,
+                       kernel_with_left_inverse, solve_matrix)
 from .hecke import (EquivariantChainMap, HeckeMatrix, hecke_operator,
                     matrix_on_quotient)
 from .resolutions import (borel_serre_complex, restrict_resolution,
@@ -108,8 +109,8 @@ def cuspidal_cohomology(gamma, n, module=None, check=True):
     map through the ambient contracting homotopy, and intersects the
     degree-n cocycle lattice with the preimage of the boundary
     coboundaries.  With check=True the chain map is verified on all
-    generators and the cochain restriction is checked to commute with the
-    coboundaries.
+    generators, the cochain restriction is checked to commute with the
+    coboundaries, and the ambient coboundaries are checked to be cocycles.
     """
     if module is None:
         module = PolynomialModule(0)
@@ -126,14 +127,19 @@ def cuspidal_cohomology(gamma, n, module=None, check=True):
     CB = hom_complex(boundary, module)
     rho = _pullback_matrix(incl, n, ambient.rank(n), module)
     rho_next = _pullback_matrix(incl, n + 1, ambient.rank(n + 1), module)
-    if check:
-        assert CB.deltas[n] * rho == rho_next * CA.deltas[n], \
-            "restriction does not commute with the coboundaries"
+    if check and CB.deltas[n] * rho != rho_next * CA.deltas[n]:
+        raise CompositionNonzero(
+            "restriction does not commute with the coboundaries")
 
     din_a = CA.deltas[n - 1] if n >= 1 else IntMatrix.zeros(CA.ranks[0], 0)
     din_b = CB.deltas[n - 1] if n >= 1 else IntMatrix.zeros(CB.ranks[0], 0)
-    Z = integer_kernel(CA.deltas[n])
-    ambient_inv = QuotientLattice(Z, din_a).invariants()
+    # invariants are taken in the coordinates of the cocycle lattice Z,
+    # where the ambient coboundaries become the relations P din_a
+    Z, P = kernel_with_left_inverse(CA.deltas[n])
+    relations = P * din_a
+    if check and Z * relations != din_a:
+        raise CompositionNonzero("ambient coboundaries are not cocycles")
+    ambient_inv = cokernel_invariants(relations)
     boundary_inv = cohomology(CB, n)
 
     # v = Z u lies in the kernel lattice iff rho v is a boundary
@@ -143,7 +149,11 @@ def cuspidal_cohomology(gamma, n, module=None, check=True):
     W = integer_kernel(stacked)
     U = IntMatrix(Z.cols, W.cols, [list(W.data[i]) for i in range(Z.cols)])
     kernel_basis = column_span_basis(Z * U)
-    kernel_inv = QuotientLattice(kernel_basis, din_a).invariants()
+    in_kernel = solve_matrix(P * kernel_basis, relations)
+    if in_kernel is None:
+        raise NotInLattice(
+            "relations not in the span of the kernel lattice")
+    kernel_inv = cokernel_invariants(in_kernel)
     return CuspidalResult(gamma, n, module.k + 2, ambient_inv, boundary_inv,
                           kernel_inv, rho, rho_next, kernel_basis, CA, CB,
                           ambient, module)
@@ -167,8 +177,9 @@ def cuspidal_hecke_matrix(result, g, check=True):
     din_b = CB.deltas[n - 1] if n >= 1 else IntMatrix.zeros(CB.ranks[0], 0)
     if check:
         moved = result.restriction * (T.cochain * result.kernel_basis)
-        assert solve_matrix(din_b, moved) is not None, \
-            "operator does not preserve the cuspidal kernel"
+        if solve_matrix(din_b, moved) is None:
+            raise NotInLattice(
+                "operator does not preserve the cuspidal kernel")
     quot = QuotientLattice(result.kernel_basis, din_a)
     matrix, orders, basis = matrix_on_quotient(T.cochain, quot)
     return HeckeMatrix(result.group, T.g, n, result.weight, matrix, orders,

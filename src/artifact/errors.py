@@ -25,6 +25,10 @@ class NotInGroup(ArtifactError):
     """A matrix is not an element of the group where one is required."""
 
 
+class NotInLattice(ArtifactError):
+    """Vectors that must lie in a given integer lattice do not."""
+
+
 class WrongDegree(ArtifactError):
     """A chain was tagged with a degree other than the one expected."""
 

@@ -183,7 +183,8 @@ class SmithForm:
     next; rank counts the nonzero entries.  The inverse transforms are
     tracked during elimination (cheaper than inverting afterwards) because
     lattice computations need both directions.  U, V, Uinv, Vinv are None
-    when the form was computed without transforms.
+    when the form was computed without transforms, U and Uinv when it was
+    computed with column transforms only.
     """
     d: list
     rank: int
@@ -244,11 +245,12 @@ def smith_normal_form(M, transforms=True):
     """Smith normal form of an integer matrix.
 
     Returns a SmithForm; when transforms is true, U, V, Uinv, Vinv are
-    IntMatrix instances with U*M*V = diag(d).  Elimination is performed on
-    a sparse copy: pivots are chosen among +-1 entries by least fill-in
-    when any exist, otherwise by least absolute value, which keeps both
-    fill-in and entry growth tolerable on boundary matrices.  The result is
-    deterministic for a given input.
+    IntMatrix instances with U*M*V = diag(d).  transforms="columns" tracks
+    only V and Vinv, all that a kernel needs, and leaves U and Uinv None.
+    Elimination is performed on a sparse copy: pivots are chosen among +-1
+    entries by least fill-in when any exist, otherwise by least absolute
+    value, which keeps both fill-in and entry growth tolerable on boundary
+    matrices.  The result is deterministic for a given input.
     """
     m, n = M.rows, M.cols
     row = [dict() for _ in range(m)]       # row[i][j] = nonzero entry
@@ -262,9 +264,12 @@ def smith_normal_form(M, transforms=True):
                 ri[j] = v
                 colocc[j].add(i)
 
-    if transforms:
+    track_rows = transforms is True
+    track_cols = transforms in (True, "columns")
+    if track_rows:
         U = [[1 if a == b else 0 for b in range(m)] for a in range(m)]
         Ui = [r[:] for r in U]
+    if track_cols:
         V = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         Vi = [r[:] for r in V]
 
@@ -277,7 +282,7 @@ def smith_normal_form(M, transforms=True):
             ina, inb = j in row[a], j in row[b]
             occ.add(a) if ina else occ.discard(a)
             occ.add(b) if inb else occ.discard(b)
-        if transforms:
+        if track_rows:
             U[a], U[b] = U[b], U[a]
             for r in Ui:
                 r[a], r[b] = r[b], r[a]
@@ -293,7 +298,7 @@ def smith_normal_form(M, transforms=True):
             if va is not None:
                 ri[b] = va
         colocc[a], colocc[b] = colocc[b], colocc[a]
-        if transforms:
+        if track_cols:
             for r in V:
                 r[a], r[b] = r[b], r[a]
             Vi[a], Vi[b] = Vi[b], Vi[a]
@@ -311,7 +316,7 @@ def smith_normal_form(M, transforms=True):
             else:
                 del rd[j]
                 colocc[j].discard(dst)
-        if transforms:
+        if track_rows:
             U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
             for r in Ui:
                 r[src] -= q * r[dst]
@@ -329,7 +334,7 @@ def smith_normal_form(M, transforms=True):
             else:
                 del ri[dst]
                 colocc[dst].discard(i)
-        if transforms:
+        if track_cols:
             for r in V:
                 r[dst] += q * r[src]
             Vi[src] = [x - q * y for x, y in zip(Vi[src], Vi[dst])]
@@ -338,7 +343,7 @@ def smith_normal_form(M, transforms=True):
         ri = row[i]
         for j in ri:
             ri[j] = -ri[j]
-        if transforms:
+        if track_rows:
             U[i] = [-x for x in U[i]]
             for r in Ui:
                 r[i] = -r[i]
@@ -356,7 +361,7 @@ def smith_normal_form(M, transforms=True):
                 else:
                     ri.pop(col, None)
                     colocc[col].discard(i)
-        if transforms:
+        if track_cols:
             for rw in V:
                 va, vb = rw[a], rw[b]
                 rw[a], rw[b] = p * va + q * vb, r * va + s * vb
@@ -434,11 +439,12 @@ def smith_normal_form(M, transforms=True):
         if not fixed_any:
             i += 1
 
-    if transforms:
-        return SmithForm(d, rank,
-                         U=IntMatrix(m, m, U), V=IntMatrix(n, n, V),
-                         Uinv=IntMatrix(m, m, Ui), Vinv=IntMatrix(n, n, Vi))
-    return SmithForm(d, rank)
+    sf = SmithForm(d, rank)
+    if track_rows:
+        sf.U, sf.Uinv = IntMatrix(m, m, U), IntMatrix(m, m, Ui)
+    if track_cols:
+        sf.V, sf.Vinv = IntMatrix(n, n, V), IntMatrix(n, n, Vi)
+    return sf
 
 
 def rank(M):
@@ -472,18 +478,41 @@ def solve(M, b):
 
 
 def solve_matrix(M, B):
-    """Solve M*X = B column by column; X as IntMatrix, or None."""
+    """One integer solution X of M*X = B (IntMatrix), or None.
+
+    All columns are solved at once: with U*M*V = D, X = V*(D^-1*(U*B)).
+    None means some column has no integer solution, because an entry of
+    U*B in a row i < rank is not divisible by d_i or one in a row beyond
+    the rank is nonzero.
+    """
     if M.rows != B.rows:
         raise ShapeMismatch("solve %dx%d against %dx%d right-hand side"
                             % (M.rows, M.cols, B.rows, B.cols))
     sf = smith_normal_form(M)
-    cols = []
-    for j in range(B.cols):
-        x = solve_with_form(sf, B.col(j))
-        if x is None:
+    r = sf.rank
+    Y = (sf.U * B).data
+    if any(any(row) for row in Y[r:]):
+        return None
+    del Y[r:]
+    for i, d in enumerate(sf.d[:r]):
+        if any(v % d for v in Y[i]):
             return None
-        cols.append(x)
-    return IntMatrix(B.cols, M.cols, cols).transpose()
+        Y[i] = [v // d for v in Y[i]]
+    return sf.V.take_columns(range(r)) * IntMatrix(r, B.cols, Y)
+
+
+def kernel_with_left_inverse(M):
+    """Saturated integer kernel basis Z of M with a left inverse P.
+
+    With U*M*V = D and r = rank(M), Z is the columns r: of V and P the
+    rows r: of V^-1, so P*Z = I and P maps any vector of span(Z) to its
+    coordinates in that basis.  The transforms are released on return.
+    """
+    sf = smith_normal_form(M, transforms="columns")
+    r = sf.rank
+    Z = sf.V.take_columns(range(r, M.cols))
+    P = IntMatrix(M.cols - r, M.cols, sf.Vinv.data[r:])
+    return Z, P
 
 
 def integer_kernel(M):
@@ -493,8 +522,18 @@ def integer_kernel(M):
     the kernel; since V is unimodular the basis is automatically saturated
     (the quotient by the kernel is torsion free).
     """
-    sf = smith_normal_form(M)
-    return sf.V.take_columns(list(range(sf.rank, M.cols)))
+    return kernel_with_left_inverse(M)[0]
+
+
+def cokernel_invariants(Y):
+    """Abelian invariants of Z^rows / colspan(Y), without transforms.
+
+    The torsion is the invariant factors > 1 of Y and the free rank is
+    rows - rank(Y).
+    """
+    sf = smith_normal_form(Y, transforms=False)
+    return AbelianInvariants(torsion=[v for v in sf.d if v > 1],
+                             free_rank=Y.rows - sf.rank)
 
 
 def column_span_basis(M):
@@ -547,10 +586,10 @@ def homology_of_pair(d_n, d_next):
     if not (d_n * d_next).is_zero():
         raise CompositionNonzero("boundary maps do not compose to zero")
     r_n = rank(d_n)
-    sf = smith_normal_form(d_next, transforms=False)
-    free = d_n.cols - r_n - sf.rank
+    quotient = cokernel_invariants(d_next)
+    free = quotient.free_rank - r_n
     assert free >= 0
-    return AbelianInvariants(torsion=[v for v in sf.d if v > 1], free_rank=free)
+    return AbelianInvariants(torsion=quotient.torsion, free_rank=free)
 
 
 def determinant(M):

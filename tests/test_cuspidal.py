@@ -3,21 +3,28 @@
 The cuspidal part is the kernel of restriction to the boundary circles of
 the compactified quotient.  For weight 2 its free rank is twice the genus
 of the modular curve, and the classical genus and cusp counts for small
-levels are frozen here as oracles.  Hecke operators pushed down to the
+levels are frozen here as oracles; in weights 2 and 4 both free ranks are
+swept against the closed-form Eichler-Shimura counts of modforms_oracle.  Hecke operators pushed down to the
 kernel must reproduce newform eigenvalue data: scalar a_p at level 11 in
 weight 2, and the squared quadratic charpolys of the weight 4 pair whose
 eigenvalues live in Z[sqrt(3)].
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from artifact import cuspidal
+from artifact.cli import main
 from artifact.coeffmod import PolynomialModule
 from artifact.congruence import CongruenceSubgroup
 from artifact.cuspidal import cuspidal_cohomology, cuspidal_hecke_matrix
-from artifact.exactlin import charpoly, integer_roots, solve_matrix
+from artifact.errors import CompositionNonzero, NotInLattice
+from artifact.exactlin import (charpoly, integer_kernel, integer_roots,
+                               solve_matrix)
 from artifact.hecke import hecke_representative
+from modforms_oracle import dim_cusp_forms, h1_free_rank
 
 
 def test_full_level_has_no_cusp_forms():
@@ -100,3 +107,66 @@ def test_weight_four_level_eleven():
     assert integer_roots(charpoly(t2.matrix))[0] == []
     # torsion-free quotient, so plain matrix products must commute
     assert t2.matrix * t3.matrix == t3.matrix * t2.matrix
+
+
+# (module degree, level): weights 2 and 4, genus zero and positive genus
+ORACLE_SWEEP = ([(0, n) for n in (2, 4, 6, 9, 13, 16, 20, 21, 22, 23, 26,
+                                  27, 29, 31, 37)]
+                + [(2, n) for n in (1, 2, 3, 5, 6, 7, 9, 10, 13, 16)])
+
+
+@pytest.mark.parametrize("degree, level", ORACLE_SWEEP)
+def test_free_ranks_match_eichler_shimura(degree, level):
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(level), 1,
+                            PolynomialModule(degree))
+    k = degree + 2
+    assert r.cuspidal.free_rank == 2 * dim_cusp_forms(level, k)
+    assert r.ambient.free_rank == h1_free_rank(level, k)
+
+
+@pytest.mark.parametrize("level, degree, lines", [
+    (13, 4, ("ambient Z/12 + Z^12",
+             "boundary Z/26 + Z/26 + Z/156 + Z/156 + Z^2",
+             "cuspidal Z^10")),
+    (25, 2, ("ambient Z/2 + Z^16",
+             "boundary Z/2 + Z/2 + Z/2 + Z/2 + Z/50 + Z/50 + Z^6",
+             "cuspidal Z^10")),
+])
+def test_torsion_cases_frozen(capsys, level, degree, lines):
+    rc = main(["cuspidal", "--gamma0", str(level),
+               "--module-degree", str(degree)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == list(lines)
+
+
+def test_noncommuting_restriction_exits_three(capsys, monkeypatch):
+    pullback = cuspidal._pullback_matrix
+
+    def doubled_next(chain_map, k, target_rank, module):
+        out = pullback(chain_map, k, target_rank, module)
+        return out * 2 if k == 2 else out
+
+    monkeypatch.setattr(cuspidal, "_pullback_matrix", doubled_next)
+    with pytest.raises(CompositionNonzero, match="does not commute"):
+        cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    # the CLI reports it as a computation error, not a traceback
+    assert main(["cuspidal", "--gamma0", "11"]) == 3
+    assert "does not commute" in capsys.readouterr().err
+
+
+def test_kernel_lattice_missing_relations_raises(monkeypatch):
+    # a kernel basis of index 2^rank no longer contains the coboundaries
+    span_basis = cuspidal.column_span_basis
+    monkeypatch.setattr(cuspidal, "column_span_basis",
+                        lambda M: span_basis(M) * 2)
+    with pytest.raises(NotInLattice, match="span of the kernel lattice"):
+        cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+
+
+def test_operator_leaving_the_kernel_raises():
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    # all cocycles, Eisenstein ones included, in place of the kernel
+    cocycles = integer_kernel(r.ambient_complex.deltas[1])
+    bad = dataclasses.replace(r, kernel_basis=cocycles)
+    with pytest.raises(NotInLattice, match="does not preserve"):
+        cuspidal_hecke_matrix(bad, hecke_representative(2))

@@ -1,5 +1,8 @@
 """Tests for the exact integer linear algebra layer."""
 
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,15 +12,18 @@ from artifact.exactlin import (
     IntMatrix,
     QuotientLattice,
     charpoly,
+    cokernel_invariants,
     column_span_basis,
     determinant,
     homology_of_pair,
     integer_kernel,
     integer_roots,
+    kernel_with_left_inverse,
     rank,
     smith_normal_form,
     solve,
     solve_matrix,
+    solve_with_form,
 )
 
 
@@ -187,6 +193,66 @@ def test_quotient_lattice_rejects_outside():
         QuotientLattice(IntMatrix.from_rows([[2], [0]]), IntMatrix.from_rows([[1], [0]]))
 
 
+def test_solve_matrix_out_of_span():
+    # 1 is not divisible by the invariant factor 2
+    assert solve_matrix(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[1]])) is None
+    # a nonzero entry in a row beyond the rank
+    assert solve_matrix(IntMatrix.from_rows([[1], [0]]),
+                        IntMatrix.from_rows([[0], [1]])) is None
+    # one bad column spoils the whole solve
+    assert solve_matrix(IntMatrix.diagonal([2, 3]),
+                        IntMatrix.from_rows([[2, 4], [3, 1]])) is None
+
+
+def test_solve_matrix_no_columns():
+    x = solve_matrix(IntMatrix.from_rows([[1, 2, 3], [0, 4, 5]]),
+                     IntMatrix.zeros(2, 0))
+    assert (x.rows, x.cols) == (3, 0)
+
+
+def test_cokernel_invariants_examples():
+    # Z^3 / span{(2,0,0), (0,3,0)} = Z/6 + Z
+    inv = cokernel_invariants(IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]]))
+    assert inv.torsion == [6] and inv.free_rank == 1
+    assert str(cokernel_invariants(IntMatrix.zeros(2, 0))) == "Z^2"
+
+
+def _solve_by_columns(m, b):
+    """Reference: solve_with_form one column at a time."""
+    sf = smith_normal_form(m)
+    cols = [solve_with_form(sf, b.col(j)) for j in range(b.cols)]
+    if any(c is None for c in cols):
+        return None
+    return IntMatrix(m.cols, b.cols, [[c[i] for c in cols] for i in range(m.cols)])
+
+
+def _invariant_chain(values):
+    """Invariant factors of the diagonal group sum Z/v, v != 0."""
+    ds = sorted(abs(v) for v in values if v)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return ds
+
+
+def test_cokernel_invariants_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(20011)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        # a random scale per row makes torsion common
+        data = [[rng.randint(-6, 6) * scale for _ in range(cols)]
+                for scale in (rng.choice((1, 1, 2, 3, 6)) for _ in range(rows))]
+        snf = sympy_snf(sympy.Matrix(data), domain=sympy.ZZ)
+        diag = [int(snf[i, i]) for i in range(min(rows, cols))]
+        chain = _invariant_chain(diag)
+        inv = cokernel_invariants(IntMatrix.from_rows(data))
+        assert inv.torsion == [d for d in chain if d > 1], data
+        assert inv.free_rank == rows - len(chain), data
+
+
 # ---------------------------------------------------------------- properties
 
 
@@ -232,6 +298,35 @@ class TestSmithProperties:
             # equivalently all invariant factors are 1
             sf = smith_normal_form(k, transforms=False)
             assert sf.d[:k.cols] == [1] * k.cols
+
+    @given(small_matrix())
+    def test_column_transforms(self, m):
+        full = smith_normal_form(m)
+        cols = smith_normal_form(m, transforms="columns")
+        assert cols.U is None and cols.Uinv is None
+        assert (cols.d, cols.V, cols.Vinv) == (full.d, full.V, full.Vinv)
+
+    @given(small_matrix())
+    def test_kernel_with_left_inverse(self, m):
+        z, p = kernel_with_left_inverse(m)
+        assert (m * z).is_zero()
+        assert p * z == IntMatrix.identity(z.cols)
+        assert z == integer_kernel(m)
+
+    @given(small_matrix(max_dim=6, max_entry=5), st.data())
+    def test_solve_matrix_matches_columnwise(self, m, data):
+        ncols = data.draw(st.integers(0, 4))
+        entries = st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols)
+        x = IntMatrix(m.cols, ncols, data.draw(
+            st.lists(entries, min_size=m.cols, max_size=m.cols)))
+        noise = IntMatrix(m.rows, ncols, data.draw(
+            st.lists(entries, min_size=m.rows, max_size=m.rows)))
+        # a consistent right-hand side, and one that usually is not
+        for b in (m * x, m * x + noise):
+            got = solve_matrix(m, b)
+            assert got == _solve_by_columns(m, b)
+            if got is not None:
+                assert m * got == b
 
     @given(small_matrix(max_dim=8), st.lists(st.integers(-5, 5), min_size=8, max_size=8))
     def test_solve_consistent_system(self, m, xs):
