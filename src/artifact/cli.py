@@ -8,15 +8,10 @@ lattice normal forms are deterministic algorithms, so no seeds are
 involved).  Errors exit nonzero: 2 for configuration problems, 3 for
 computational ones, and in JSON mode the document carries a
 machine-readable error object instead of a result.
-
-The ARTIFACT_THREADS environment variable is validated and recorded in
-the configuration for forward compatibility; the computations here are
-single-threaded, so today it only caps what a batch driver may assume.
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -64,7 +59,6 @@ class RunConfig:
     do_contract: bool = False
     depth: int = None
     fmt: str = "plain"
-    threads: int = 1
 
     def group(self):
         return CongruenceSubgroup(self.kind, self.level)
@@ -102,8 +96,6 @@ class RunConfig:
             raise ConfigError("--contract only makes sense with homology")
         if self.depth is not None and self.depth < 1:
             raise ConfigError("depth must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("ARTIFACT_THREADS must be a positive integer")
         return self
 
 
@@ -200,12 +192,6 @@ def config_from_args(ns):
         kind, level = "gamma1", ns.gamma1
     elif getattr(ns, "gamma", None) is not None:
         kind, level = "principal", ns.gamma
-    threads_raw = os.environ.get("ARTIFACT_THREADS", "1")
-    try:
-        threads = int(threads_raw)
-    except ValueError:
-        raise ConfigError("ARTIFACT_THREADS must be an integer, got %r"
-                          % threads_raw)
     cfg = RunConfig(
         subcommand=ns.subcommand,
         kind=kind,
@@ -224,7 +210,6 @@ def config_from_args(ns):
         do_contract=getattr(ns, "contract", False),
         depth=getattr(ns, "depth", None),
         fmt=ns.format,
-        threads=threads,
     )
     return cfg.validate()
 

@@ -103,6 +103,25 @@ class PolynomialModule:
     def action(self, gamma):
         return action_matrix(gamma, self.k)
 
+    def ring_action(self, gre):
+        """Matrix of a group ring element: the sum of c * action(gamma).
+
+        This is the module-action block that every cochain-level matrix
+        (coboundaries, pullbacks, Hecke operators) places for one group
+        ring entry; each caller decides where the block goes.
+        """
+        m = self.rank
+        block = [[0] * m for _ in range(m)]
+        for gamma, c in gre.items():
+            act = self.action(gamma)
+            for r in range(m):
+                arow = act.data[r]
+                brow = block[r]
+                for s in range(m):
+                    if arow[s]:
+                        brow[s] += c * arow[s]
+        return IntMatrix(m, m, block)
+
     def __repr__(self):
         return "PolynomialModule(%d)" % self.k
 
@@ -160,15 +179,7 @@ def hom_complex(resolution, module):
         out = IntMatrix.zeros(ranks[n + 1], ranks[n])
         for j, row in enumerate(rows_zg):
             for i, gre in row.items():
-                block = [[0] * m for _ in range(m)]
-                for g, c in gre.items():
-                    act = module.action(g)
-                    for r in range(m):
-                        arow = act.data[r]
-                        brow = block[r]
-                        for s in range(m):
-                            if arow[s]:
-                                brow[s] += c * arow[s]
+                block = module.ring_action(gre).data
                 for r in range(m):
                     orow = out.data[j * m + r]
                     brow = block[r]

@@ -16,6 +16,7 @@ of H^n; no ill-defined operations on invariant lists are involved.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coeffmod import PolynomialModule, cohomology, hom_complex
 from .errors import CompositionNonzero, DegreeOutOfRange, NotInLattice
@@ -40,15 +41,7 @@ def _pullback_matrix(chain_map, k, target_rank, module):
     out = IntMatrix.zeros(nsrc * m, target_rank * m)
     for j in range(nsrc):
         for b, gre in chain_map.value(k, j).items():
-            block = [[0] * m for _ in range(m)]
-            for gam, c in gre.items():
-                act = module.action(gam)
-                for r in range(m):
-                    arow = act.data[r]
-                    brow = block[r]
-                    for s in range(m):
-                        if arow[s]:
-                            brow[s] += c * arow[s]
+            block = module.ring_action(gre).data
             for r in range(m):
                 orow = out.data[j * m + r]
                 brow = block[r]
@@ -69,7 +62,10 @@ class CuspidalResult:
     delta_ambient can be checked as a matrix identity.  kernel_basis
     columns are ambient cocycles spanning the preimage lattice of the
     boundary coboundaries; cuspidal is that lattice modulo the ambient
-    coboundaries.  The complexes and the ambient resolution ride along so
+    coboundaries.  cocycle_coordinates is the left inverse P of the cocycle
+    lattice basis, so P v are the coordinates of a cocycle v, and
+    kernel_relations are the ambient coboundaries in the coordinates of
+    kernel_basis.  The complexes and the ambient resolution ride along so
     follow-up computations (Hecke action on the kernel, for one) can stay
     in the same coordinates.
     """
@@ -87,6 +83,13 @@ class CuspidalResult:
     boundary_complex: object = field(repr=False)
     ambient_resolution: object = field(repr=False)
     module: object = field(repr=False)
+    cocycle_coordinates: IntMatrix = field(repr=False)
+    kernel_relations: IntMatrix = field(repr=False)
+
+    @cached_property
+    def presentation(self):
+        """The cuspidal quotient on kernel_basis, shared by all operators."""
+        return QuotientLattice(self.kernel_basis, self.kernel_relations)
 
     def descriptor(self):
         """JSON-friendly summary (invariants as strings)."""
@@ -156,7 +159,7 @@ def cuspidal_cohomology(gamma, n, module=None, check=True):
     kernel_inv = cokernel_invariants(in_kernel)
     return CuspidalResult(gamma, n, module.k + 2, ambient_inv, boundary_inv,
                           kernel_inv, rho, rho_next, kernel_basis, CA, CB,
-                          ambient, module)
+                          ambient, module, P, in_kernel)
 
 
 def cuspidal_hecke_matrix(result, g, check=True):
@@ -166,21 +169,22 @@ def cuspidal_hecke_matrix(result, g, check=True):
     with, checks (when check=True) that images of kernel cocycles restrict
     to boundary coboundaries, and presents the induced map on the cuspidal
     invariants in the same free-first coordinates the full cohomology
-    operators use.
+    operators use.  Images are put in kernel_basis coordinates by one
+    solve in the coordinates of the cocycle lattice.
     """
     n = result.degree
     T = hecke_operator(result.group, n, g, module=result.module,
                        resolution=result.ambient_resolution, check=check)
-    CA = result.ambient_complex
     CB = result.boundary_complex
-    din_a = CA.deltas[n - 1] if n >= 1 else IntMatrix.zeros(CA.ranks[0], 0)
     din_b = CB.deltas[n - 1] if n >= 1 else IntMatrix.zeros(CB.ranks[0], 0)
     if check:
         moved = result.restriction * (T.cochain * result.kernel_basis)
         if solve_matrix(din_b, moved) is None:
             raise NotInLattice(
                 "operator does not preserve the cuspidal kernel")
-    quot = QuotientLattice(result.kernel_basis, din_a)
-    matrix, orders, basis = matrix_on_quotient(T.cochain, quot)
+    P = result.cocycle_coordinates
+    PK = P * result.kernel_basis
+    matrix, orders, basis = matrix_on_quotient(
+        T.cochain, result.presentation, lambda V: solve_matrix(PK, P * V))
     return HeckeMatrix(result.group, T.g, n, result.weight, matrix, orders,
-                       basis, T.cochain, quot)
+                       basis, T.cochain)

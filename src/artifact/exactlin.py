@@ -456,6 +456,8 @@ def solve_with_form(M_form, b):
 
     b is a list; returns a list x with M*x = b, or None when no integer
     solution exists.  With U*M*V = D the system becomes D*y = U*b, x = V*y.
+    The pipeline solves whole matrices with solve_matrix; this one-column
+    form is the reference the tests compare solve_matrix against.
     """
     sf = M_form
     ub = sf.U.apply(b)
@@ -474,7 +476,8 @@ def solve_with_form(M_form, b):
 
 def solve(M, b):
     """One integer solution x of M*x = b (lists), or None."""
-    return solve_with_form(smith_normal_form(M), b)
+    x = solve_matrix(M, IntMatrix.column(b))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(M, B):
@@ -689,65 +692,31 @@ def integer_roots(poly):
 
 
 class QuotientLattice:
-    """A quotient Z/B of nested sublattices of Z^n, with coordinates.
+    """The quotient of a lattice L by relations, on an adapted basis.
 
-    Z and B are matrices whose columns are bases of the two lattices, with
-    span(B) contained in span(Z).  The constructor computes an adapted
-    basis of Z in which B is diagonal, which exhibits the quotient as a
-    direct sum of cyclic groups; project/lift translate between ambient
-    vectors and coordinates on the nontrivial cyclic components.  This is
-    how operators acting on cocycles are pushed down to cohomology.
+    Z has full column rank, so its columns are a basis of L, and the
+    columns of Y are relations written in Z's coordinates.  One Smith form
+    U*Y*V = D gives the adapted basis Z*U^-1 of L, in which the relations
+    are diagonal: component i is cyclic of order orders[i] (0 for free, 1
+    for trivial).  U turns Z-coordinates into adapted ones, so a vector
+    Z*u of L has adapted coordinates U*u.  This is how operators acting on
+    cocycles are pushed down to cohomology.
     """
 
-    def __init__(self, Z, B):
-        if Z.rows != B.rows:
-            raise ShapeMismatch("lattices live in different ambient dimensions")
-        Y = solve_matrix(Z, B)
-        if Y is None:
-            raise ValueError("columns of B do not lie in the span of Z")
+    def __init__(self, Z, Y):
+        if Z.cols != Y.rows:
+            raise ShapeMismatch("lattice of rank %d, relations in %d coordinates"
+                                % (Z.cols, Y.rows))
         sf = smith_normal_form(Y)
-        # with U Y V = D: new basis Z' = Z U^-1 satisfies B V = Z' D,
-        # so span(B) = span(Z' D) and the component orders are the d_i
-        self.ambient_dim = Z.rows
         self.basis = Z * sf.Uinv
-        orders = list(sf.d) + [0] * (Z.cols - len(sf.d))
-        self.orders_full = orders
-        # components of order 1 are trivial and dropped from coordinates
-        self.components = [(i, orders[i]) for i in range(Z.cols) if orders[i] != 1]
-        self._solve_form = smith_normal_form(self.basis)
+        self.U = sf.U
+        self.orders = list(sf.d) + [0] * (Y.rows - len(sf.d))
+
+    def presented(self):
+        """Indices of the nontrivial components, free first, then torsion."""
+        return ([i for i, o in enumerate(self.orders) if o == 0]
+                + [i for i, o in enumerate(self.orders) if o > 1])
 
     def invariants(self):
-        torsion = sorted(o for _, o in self.components if o > 1)
-        free = sum(1 for _, o in self.components if o == 0)
-        return AbelianInvariants(torsion=torsion, free_rank=free)
-
-    def rank(self):
-        return len(self.components)
-
-    def project(self, vector):
-        """Coordinates of an ambient vector on the nontrivial components.
-
-        The vector must lie in span(Z); torsion coordinates are reduced to
-        canonical residues.
-        """
-        c = solve_with_form(self._solve_form, vector)
-        if c is None:
-            raise ValueError("vector does not lie in the lattice")
-        out = []
-        for i, o in self.components:
-            out.append(c[i] % o if o > 1 else c[i])
-        return tuple(out)
-
-    def lift(self, coords):
-        """An ambient representative of the class with the given coordinates."""
-        if len(coords) != len(self.components):
-            raise ShapeMismatch("expected %d coordinates" % len(self.components))
-        v = [0] * self.ambient_dim
-        for (i, _), c in zip(self.components, coords):
-            if c:
-                col = self.basis.col(i)
-                v = [x + c * y for x, y in zip(v, col)]
-        return v
-
-    def zero_class(self):
-        return tuple([0] * len(self.components))
+        return AbelianInvariants(torsion=[o for o in self.orders if o > 1],
+                                 free_rank=self.orders.count(0))

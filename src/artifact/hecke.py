@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 
 from .coeffmod import PolynomialModule, hom_complex
 from .congruence import generators
-from .errors import (DegreeOutOfRange, FormatError, InfiniteIndex,
-                     MissingPrime, NotInGroup)
-from .exactlin import (IntMatrix, QuotientLattice, integer_kernel,
-                       charpoly, integer_roots, solve_matrix)
+from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
+                     InfiniteIndex, MissingPrime, NotInGroup, NotInLattice,
+                     ShapeMismatch)
+from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
+                       charpoly, integer_roots, kernel_with_left_inverse,
+                       solve_matrix)
 from .resolutions import (FreeZGResolution, GroupRingElement, chain_add,
                           chain_scale, chains_equal, restrict_resolution,
                           sl2z_resolution)
@@ -199,8 +201,8 @@ class EquivariantChainMap:
     and extended semilinearly, f(gamma x) = phi(gamma) f(x).  With
     check=True the defining equations d f_n = f_{n-1} d_n (plus
     augmentation preservation in degree 0) are verified on every source
-    generator up to degree_max.  Raises MissingHomotopy when the target
-    carries no homotopy.
+    generator up to degree_max, and a failure raises CompositionNonzero.
+    Raises MissingHomotopy when the target carries no homotopy.
     """
 
     def __init__(self, source, target, phi, degree_max, check=True):
@@ -249,15 +251,17 @@ class EquivariantChainMap:
     def _verify(self):
         for j in range(self.source.rank(0)):
             gen = {j: GroupRingElement.unit(IDENT)}
-            assert self.target.aug(self.values[0][j]) == self.source.aug(gen), \
-                "augmentation not preserved on degree-0 generator %d" % j
+            if self.target.aug(self.values[0][j]) != self.source.aug(gen):
+                raise CompositionNonzero(
+                    "augmentation not preserved on degree-0 generator %d" % j)
         for n in range(1, self.degree_max + 1):
             for j in range(self.source.rank(n)):
                 gen = {j: GroupRingElement.unit(IDENT)}
                 left = self.target.d(n, self.values[n][j])
                 right = self.apply(n - 1, self.source.d(n, gen))
-                assert chains_equal(left, right), \
-                    "d f != f d in degree %d on generator %d" % (n, j)
+                if not chains_equal(left, right):
+                    raise CompositionNonzero(
+                        "d f != f d in degree %d on generator %d" % (n, j))
 
 
 def equivariant_chain_map(source, target, phi, degree_max, check=True):
@@ -274,7 +278,9 @@ def _truncated(resolution, top):
     Shares boundary rows and augmentation/section with the original but
     carries no homotopy; enough to serve as the source of a chain map.
     """
-    assert top <= resolution.top_degree()
+    if top > resolution.top_degree():
+        raise DegreeOutOfRange("resolution has top degree %d < %d"
+                               % (resolution.top_degree(), top))
     boundaries = [[]] + [resolution.boundary_rows(k) for k in range(1, top + 1)]
     return FreeZGResolution(resolution.group,
                             [resolution.rank(k) for k in range(top + 1)],
@@ -282,21 +288,6 @@ def _truncated(resolution, top):
                             homotopy_basis=None,
                             augmentation=resolution.aug,
                             section=resolution.section)
-
-
-def _group_ring_action(module, gre):
-    """Module matrix of a group ring element: sum of c * action(gamma)."""
-    m = module.rank
-    data = [[0] * m for _ in range(m)]
-    for gam, c in gre.items():
-        act = module.action(gam)
-        for r in range(m):
-            arow = act.data[r]
-            drow = data[r]
-            for s in range(m):
-                if arow[s]:
-                    drow[s] += c * arow[s]
-    return IntMatrix(m, m, data)
 
 
 @dataclass
@@ -319,7 +310,6 @@ class HeckeMatrix:
     orders: tuple
     basis: list
     cochain: IntMatrix = field(repr=False)
-    lattice: QuotientLattice = field(repr=False)
 
     def rank(self):
         return len(self.orders)
@@ -334,7 +324,8 @@ class HeckeMatrix:
         return IntMatrix(r, r, data)
 
     def invariants(self):
-        return self.lattice.invariants()
+        return AbelianInvariants(torsion=[o for o in self.orders if o > 1],
+                                 free_rank=self.free_rank())
 
     def compose(self, other):
         """Matrix of self applied after other, on the shared basis.
@@ -343,10 +334,11 @@ class HeckeMatrix:
         from one shared resolution).  A plain matrix product is not
         canonical when torsion is present, so entries in torsion rows are
         re-reduced to canonical residues; two operators commute on
-        cohomology exactly when compose agrees both ways.
+        cohomology exactly when compose agrees both ways.  Raises
+        ShapeMismatch when the orders differ.
         """
-        assert self.orders == other.orders, \
-            "operators presented on different bases"
+        if self.orders != other.orders:
+            raise ShapeMismatch("operators presented on different bases")
         prod = self.matrix * other.matrix
         data = [list(row) for row in prod.data]
         for r, o in enumerate(self.orders):
@@ -376,8 +368,9 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
     the cohomology basis identical, so returned matrices compose and
     compare directly.  With check=True the construction is verified on
     the spot: the chain map satisfies d f = f d on every generator, and
-    the cochain operator maps the full cocycle lattice to cocycles and
-    coboundaries to coboundaries before descending to cohomology.
+    the cochain operator maps the full cocycle lattice to cocycles
+    (CompositionNonzero otherwise) and coboundaries to coboundaries
+    (NotInLattice otherwise) before descending to cohomology.
     """
     if module is None:
         module = PolynomialModule(0)
@@ -406,7 +399,7 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
         pre = module.action(t) * act_g
         for b in range(rank_n):
             for b2, gre in lift.value(n, b * nt + i).items():
-                block = pre * _group_ring_action(module, gre)
+                block = pre * module.ring_action(gre)
                 for r in range(m):
                     brow = block.data[r]
                     drow = data[b * m + r]
@@ -421,45 +414,46 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
         delta_in = C.deltas[n - 1]
     else:
         delta_in = IntMatrix.zeros(C.ranks[0], 0)
-    Z = integer_kernel(delta_out)
+    # P maps a cocycle to its coordinates in the cocycle lattice Z, so the
+    # coboundaries become the relations P delta_in
+    Z, P = kernel_with_left_inverse(delta_out)
     if check:
-        assert (delta_out * (cochain * Z)).is_zero(), \
-            "image of a cocycle is not a cocycle"
-        if delta_in.cols:
-            assert solve_matrix(delta_in, cochain * delta_in) is not None, \
-                "image of a coboundary is not a coboundary"
+        if not (delta_out * (cochain * Z)).is_zero():
+            raise CompositionNonzero("image of a cocycle is not a cocycle")
+        if delta_in.cols and solve_matrix(delta_in, cochain * delta_in) is None:
+            raise NotInLattice("image of a coboundary is not a coboundary")
 
-    quotient = QuotientLattice(Z, delta_in)
-    matrix, orders, basis = matrix_on_quotient(cochain, quotient)
+    quotient = QuotientLattice(Z, P * delta_in)
+    matrix, orders, basis = matrix_on_quotient(cochain, quotient,
+                                               lambda V: P * V)
     return HeckeMatrix(gamma, desc.g, n, module.k + 2, matrix, orders,
-                       basis, cochain, quotient)
+                       basis, cochain)
 
 
-def matrix_on_quotient(cochain, quotient):
+def matrix_on_quotient(cochain, quotient, coordinates):
     """Present a cochain-level operator on a quotient lattice it preserves.
 
-    Rows and columns run over the nontrivial cyclic components with the
-    free ones first and torsion after, the order every operator matrix in
-    this module uses.  Returns (matrix, orders, basis) where basis[i] is
-    an ambient lift of the i-th presented generator.  project raises if
-    the operator moves the numerator lattice out of itself.
+    coordinates maps a matrix whose columns lie in the quotient's lattice
+    to their coordinates in the lattice basis the quotient was built on,
+    or to None when some column lies outside.  Rows and columns run over
+    the nontrivial cyclic components with the free ones first and torsion
+    after, the order every operator matrix in this module uses; entries in
+    torsion rows are canonical residues.  Returns (matrix, orders, basis)
+    where basis[i] is an ambient lift of the i-th presented generator.
+    Raises NotInLattice if the operator moves the lattice out of itself.
     """
-    comps = quotient.components
-    perm = ([k for k, (_, o) in enumerate(comps) if o == 0]
-            + [k for k, (_, o) in enumerate(comps) if o > 1])
-    r = len(comps)
-    basis = []
-    cols = []
-    for k in perm:
-        coords = [0] * r
-        coords[k] = 1
-        vec = quotient.lift(coords)
-        basis.append(list(vec))
-        cols.append(quotient.project(cochain.apply(vec)))
-    data_h = [[cols[c][perm[rw]] for c in range(r)] for rw in range(r)]
-    matrix = IntMatrix(r, r, data_h)
-    orders = tuple(comps[k][1] for k in perm)
-    return matrix, orders, basis
+    gens = quotient.presented()
+    lifts = quotient.basis.take_columns(gens)
+    coords = coordinates(cochain * lifts)
+    if coords is None:
+        raise NotInLattice("operator moves the lattice out of itself")
+    orders = tuple(quotient.orders[i] for i in gens)
+    image = IntMatrix(len(gens), coords.rows,
+                      [quotient.U.data[i] for i in gens]) * coords
+    data = [[x % o for x in row] if o > 1 else row
+            for row, o in zip(image.data, orders)]
+    return (IntMatrix(len(gens), len(gens), data), orders,
+            lifts.transpose().data)
 
 
 @dataclass

@@ -177,18 +177,6 @@ def test_computation_error_exit_three(capsys):
     assert doc["error"]["type"] == "FormatError"
 
 
-def test_thread_env_var_validated(capsys, monkeypatch):
-    monkeypatch.setenv("ARTIFACT_THREADS", "not-a-number")
-    assert main(["index", "--gamma0", "11"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("ARTIFACT_THREADS", "0")
-    assert main(["index", "--gamma0", "11"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("ARTIFACT_THREADS", "4")
-    assert main(["index", "--gamma0", "11"]) == 0
-    assert capsys.readouterr().out == "12\n"
-
-
 def test_runconfig_round_trip():
     ns = build_parser().parse_args(
         ["cuspidal", "--gamma0", "39", "--degree", "1",

@@ -12,6 +12,7 @@ eigenvalues live in Z[sqrt(3)].
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from artifact.exactlin import (charpoly, integer_kernel, integer_roots,
                                solve_matrix)
 from artifact.hecke import hecke_representative
 from modforms_oracle import dim_cusp_forms, h1_free_rank
+
+FROZEN = Path(__file__).resolve().parent / "frozen"
 
 
 def test_full_level_has_no_cusp_forms():
@@ -107,6 +110,26 @@ def test_weight_four_level_eleven():
     assert integer_roots(charpoly(t2.matrix))[0] == []
     # torsion-free quotient, so plain matrix products must commute
     assert t2.matrix * t3.matrix == t3.matrix * t2.matrix
+
+
+def test_weight_four_level_eleven_presentation_frozen(monkeypatch):
+    built = []
+    lattice = cuspidal.QuotientLattice
+
+    def counted(*args):
+        built.append(args)
+        return lattice(*args)
+
+    monkeypatch.setattr(cuspidal, "QuotientLattice", counted)
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11),
+                            1, PolynomialModule(2))
+    docs = [cuspidal_hecke_matrix(r, hecke_representative(p)).descriptor()
+            for p in (2, 3)]
+    # matrices, orders and cocycle bases, byte for byte
+    expected = (FROZEN / "cuspidal_gamma0_11_k2_t2_t3.json").read_text()
+    assert json.dumps(docs, sort_keys=True) + "\n" == expected
+    # one presentation of the cuspidal quotient serves every operator
+    assert len(built) == 1
 
 
 # (module degree, level): weights 2 and 4, genus zero and positive genus

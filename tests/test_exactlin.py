@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.errors import CompositionNonzero, FormatError, ShapeMismatch
+from artifact.errors import (CompositionNonzero, FormatError, NotInLattice,
+                             ShapeMismatch)
 from artifact.exactlin import (
     AbelianInvariants,
     IntMatrix,
@@ -25,6 +26,7 @@ from artifact.exactlin import (
     solve_matrix,
     solve_with_form,
 )
+from artifact.hecke import matrix_on_quotient
 
 
 def small_matrix(max_dim=12, max_entry=9):
@@ -173,24 +175,43 @@ def test_quotient_lattice_diag():
     q = QuotientLattice(IntMatrix.identity(2), IntMatrix.diagonal([2, 3]))
     inv = q.invariants()
     assert inv.torsion == [6] and inv.free_rank == 0
+    assert q.orders == [1, 6] and q.presented() == [1]
+    # one SNF: the adapted basis is Z U^-1, and U undoes it
+    assert q.U * q.basis == IntMatrix.identity(2)
 
 
 def test_quotient_lattice_with_free_part():
-    # Z^3 / span{(2,0,0)} = Z/2 + Z^2
-    q = QuotientLattice(IntMatrix.identity(3), IntMatrix.from_rows([[2], [0], [0]]))
+    # L = span{(2,0,0), (0,1,0), (0,0,1)} modulo 2(2,0,0): Z/2 + Z^2
+    Z = IntMatrix.diagonal([2, 1, 1])
+    q = QuotientLattice(Z, IntMatrix.from_rows([[2], [0], [0]]))
     inv = q.invariants()
     assert inv.torsion == [2] and inv.free_rank == 2
-    # projecting a lattice vector and lifting back lands in the same class
-    v = [3, 1, -4]
-    assert q.project(q.lift(q.project(v))) == q.project(v)
+    assert [q.orders[i] for i in q.presented()] == [0, 0, 2]
+    # adapted coordinates of a lattice vector: U times its Z-coordinates,
+    # torsion reduced; the adapted basis lifts them back into the class
+    def project(v):
+        return [x % o if o > 1 else x
+                for x, o in zip(q.U.apply(solve(Z, v)), q.orders)]
+
+    v = [6, 1, -4]
+    assert q.basis.apply(q.U.apply(solve(Z, v))) == v
+    assert project(q.basis.apply(project(v))) == project(v)
 
 
 def test_quotient_lattice_rejects_outside():
-    q = QuotientLattice(IntMatrix.from_rows([[2], [0]]), IntMatrix.from_rows([[4], [0]]))
-    with pytest.raises(ValueError):
-        q.project([1, 0])
-    with pytest.raises(ValueError):
-        QuotientLattice(IntMatrix.from_rows([[2], [0]]), IntMatrix.from_rows([[1], [0]]))
+    # L = 2Z x 0; the operator below sends (2, 0) to (2, 2), outside L
+    Z = IntMatrix.from_rows([[2], [0]])
+    q = QuotientLattice(Z, IntMatrix.from_rows([[2]]))
+    leaves = IntMatrix.from_rows([[1, 0], [1, 0]])
+    with pytest.raises(NotInLattice):
+        matrix_on_quotient(leaves, q, lambda V: solve_matrix(Z, V))
+    matrix, orders, basis = matrix_on_quotient(
+        IntMatrix.from_rows([[3, 0], [0, 0]]), q, lambda V: solve_matrix(Z, V))
+    assert orders == (2,) and basis == [[2, 0]]
+    assert matrix == IntMatrix.from_rows([[1]])
+    # relations must be written in the lattice's coordinates
+    with pytest.raises(ShapeMismatch):
+        QuotientLattice(Z, IntMatrix.from_rows([[4], [0]]))
 
 
 def test_solve_matrix_out_of_span():

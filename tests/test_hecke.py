@@ -6,12 +6,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact.coeffmod import PolynomialModule
+from pathlib import Path
+
+from artifact import hecke
+from artifact.cli import main
+from artifact.coeffmod import CochainComplexZ, PolynomialModule
 from artifact.congruence import CongruenceSubgroup
-from artifact.errors import (DegreeOutOfRange, FormatError, InfiniteIndex,
-                             MissingPrime)
+from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
+                             FormatError, InfiniteIndex, MissingPrime,
+                             NotInLattice, ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
-from artifact.hecke import (EquivariantChainMap, equivariant_chain_map,
+from artifact.hecke import (EquivariantChainMap, _truncated,
+                            equivariant_chain_map,
                             expand_eigenform, gamma_prime_data,
                             hecke_eigenvalues, hecke_operator,
                             hecke_representative)
@@ -23,6 +29,7 @@ from artifact.sl2z import I, S, T
 
 GAMMA0_11 = CongruenceSubgroup.gamma0(11)
 GAMMA_6 = CongruenceSubgroup.principal(6)
+FROZEN = Path(__file__).resolve().parent / "frozen"
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +116,7 @@ def test_identity_chain_map_on_base_resolution():
 
 def test_chain_map_commuting_squares_checked(res11):
     desc = gamma_prime_data(GAMMA0_11, (2, 0, 0, 1))
-    from artifact.hecke import _SubgroupTransversal, _truncated
+    from artifact.hecke import _SubgroupTransversal
     source = restrict_resolution(_truncated(res11, 1), desc,
                                  trans=_SubgroupTransversal(desc))
     # check=True verifies d f = f d on every generator; reaching here is the test
@@ -212,6 +219,82 @@ def test_cochain_level_preservation(res11):
         u = [rng.randint(-3, 3) for _ in range(C.ranks[0])]
         w = H.cochain.apply(C.deltas[0].apply(u))
         assert solve_matrix(C.deltas[0], IntMatrix.column(w)) is not None
+
+
+# ---------------------------------------------------------------------------
+# corrupted inputs raise ArtifactErrors, not asserts
+
+
+def test_chain_map_verify_rejects_corrupted_values(res11):
+    f = equivariant_chain_map(res11, res11, lambda g: g, degree_max=1)
+    good = f.values[0][0]
+    f.values[0][0] = chain_scale(good, 2)
+    with pytest.raises(CompositionNonzero, match="augmentation"):
+        f._verify()
+    f.values[0][0] = good
+    f.values[1][0] = chain_scale(f.values[1][0], 2)
+    with pytest.raises(CompositionNonzero, match="d f != f d"):
+        f._verify()
+
+
+def test_truncation_beyond_top_degree_raises(res11):
+    with pytest.raises(DegreeOutOfRange):
+        _truncated(res11, res11.top_degree() + 1)
+
+
+def test_compose_on_different_bases_raises(res11):
+    a = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), resolution=res11)
+    b = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), module=PolynomialModule(2),
+                       resolution=res11)
+    with pytest.raises(ShapeMismatch):
+        a.compose(b)
+
+
+def test_coboundaries_not_preserved_raise(res11, monkeypatch):
+    # keep only the coboundaries of the first degree-0 coordinate, a
+    # lattice the operator does not preserve
+    real = hecke.hom_complex
+
+    def thinned(resolution, module):
+        C = real(resolution, module)
+        D = IntMatrix.diagonal([1] + [0] * (C.ranks[0] - 1))
+        return CochainComplexZ(C.ranks, [C.deltas[0] * D] + C.deltas[1:])
+
+    monkeypatch.setattr(hecke, "hom_complex", thinned)
+    with pytest.raises(NotInLattice, match="coboundary"):
+        hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), module=PolynomialModule(2),
+                       resolution=res11)
+
+
+def test_cocycles_not_preserved_exit_three(capsys, monkeypatch):
+    # every cochain passed off as a cocycle: the operator's images are
+    # not cocycles, and the CLI reports that as a computation error
+    def all_cochains(M):
+        return IntMatrix.identity(M.cols), IntMatrix.identity(M.cols)
+
+    monkeypatch.setattr(hecke, "kernel_with_left_inverse", all_cochains)
+    rc = main(["hecke", "--gamma0", "11", "--weight", "2", "--ops", "2",
+               "--emit", "matrix", "--format", "json"])
+    assert rc == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["subcommand"] == "hecke"
+    assert doc["error"] == {"type": "CompositionNonzero",
+                            "message": "image of a cocycle is not a cocycle"}
+
+
+# ---------------------------------------------------------------------------
+# presentations frozen byte for byte
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("hecke --gamma0 11 --weight 4 --ops 2,3 --emit matrix --format json",
+     "hecke_gamma0_11_w4_t2_t3.json"),
+    ("hecke --gamma 4 --weight 2 --ops 3,5 --emit matrix --format json",
+     "hecke_gamma4_w2_t3_t5.json"),
+])
+def test_hecke_matrix_output_frozen(capsys, argv, name):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == (FROZEN / name).read_text()
 
 
 # ---------------------------------------------------------------------------
