@@ -29,6 +29,14 @@ class NotInLattice(ArtifactError):
     """Vectors that must lie in a given integer lattice do not."""
 
 
+class EliminationError(ArtifactError):
+    """Exact elimination reached a state that its own invariants rule out."""
+
+
+class NotMonic(ArtifactError):
+    """A polynomial that must be monic is empty or has leading coefficient != 1."""
+
+
 class WrongDegree(ArtifactError):
     """A chain was tagged with a degree other than the one expected."""
 

@@ -9,13 +9,18 @@ The Smith normal form is the workhorse behind every homology computation in
 the package, so its elimination runs on a sparse dictionary representation
 with a pivot strategy that prefers unit entries of low fill-in and otherwise
 entries of minimal absolute value (integer entry growth, not asymptotics, is
-the dominant cost on boundary matrices).
+the dominant cost on boundary matrices).  Each row caches its best pivot key
+in a heap, and a pivot search recomputes only the rows that the previous
+elimination step touched, instead of rescanning the whole active block.
+It tracks only the unimodular transforms its caller names.
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd
 
-from .errors import CompositionNonzero, FormatError, ShapeMismatch
+from .errors import (CompositionNonzero, EliminationError, FormatError,
+                     NotMonic, ShapeMismatch)
 
 
 class IntMatrix:
@@ -182,9 +187,8 @@ class SmithForm:
     d has length min(rows, cols), entries nonnegative, each dividing the
     next; rank counts the nonzero entries.  The inverse transforms are
     tracked during elimination (cheaper than inverting afterwards) because
-    lattice computations need both directions.  U, V, Uinv, Vinv are None
-    when the form was computed without transforms, U and Uinv when it was
-    computed with column transforms only.
+    lattice computations need both directions.  A transform the form was
+    not asked to track is None.
     """
     d: list
     rank: int
@@ -241,37 +245,45 @@ def _sym_div(a, b):
     return q
 
 
-def smith_normal_form(M, transforms=True):
+TRANSFORMS = ("U", "V", "Uinv", "Vinv")
+
+
+def smith_normal_form(M, transforms=TRANSFORMS):
     """Smith normal form of an integer matrix.
 
-    Returns a SmithForm; when transforms is true, U, V, Uinv, Vinv are
-    IntMatrix instances with U*M*V = diag(d).  transforms="columns" tracks
-    only V and Vinv, all that a kernel needs, and leaves U and Uinv None.
+    Returns a SmithForm with U*M*V = diag(d).  transforms names the
+    transforms to track, any of "U", "V", "Uinv", "Vinv" (all four by
+    default); the others are left None.  Each one costs a dense square
+    matrix updated on every elementary operation, so callers ask only for
+    what they read.
+
     Elimination is performed on a sparse copy: pivots are chosen among +-1
     entries by least fill-in when any exist, otherwise by least absolute
     value, which keeps both fill-in and entry growth tolerable on boundary
-    matrices.  The result is deterministic for a given input.
+    matrices.  Each row caches its best pivot key and the keys sit in a
+    heap, so a pivot search recomputes only the rows touched since the last
+    one: rows whose entries changed or moved, and rows with an entry in a
+    column whose occupancy changed.  The chosen pivots are those of a full
+    scan of the active block.  The result is deterministic for a given
+    input.
     """
     m, n = M.rows, M.cols
-    row = [dict() for _ in range(m)]       # row[i][j] = nonzero entry
-    colocc = [set() for _ in range(n)]     # colocc[j] = rows with entry in column j
-    for i in range(m):
-        src = M.data[i]
-        ri = row[i]
-        for j in range(n):
-            v = src[j]
-            if v:
-                ri[j] = v
-                colocc[j].add(i)
+    # row[i][j] = nonzero entry, colocc[j] = rows with an entry in column j
+    row = [{j: v for j, v in enumerate(r) if v} for r in M.data]
+    colocc = [set() for _ in range(n)]
+    for i, ri in enumerate(row):
+        for j in ri:
+            colocc[j].add(i)
 
-    track_rows = transforms is True
-    track_cols = transforms in (True, "columns")
-    if track_rows:
-        U = [[1 if a == b else 0 for b in range(m)] for a in range(m)]
-        Ui = [r[:] for r in U]
-    if track_cols:
-        V = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        Vi = [r[:] for r in V]
+    U = IntMatrix.identity(m).data if "U" in transforms else None
+    Ui = IntMatrix.identity(m).data if "Uinv" in transforms else None
+    V = IntMatrix.identity(n).data if "V" in transforms else None
+    Vi = IntMatrix.identity(n).data if "Vinv" in transforms else None
+
+    # rows whose cached pivot key is out of date, and columns whose rows
+    # all need a new key (the column's occupancy or index changed)
+    dirty = set(range(m))
+    dirtycols = set()
 
     def row_swap(a, b):
         if a == b:
@@ -282,8 +294,10 @@ def smith_normal_form(M, transforms=True):
             ina, inb = j in row[a], j in row[b]
             occ.add(a) if ina else occ.discard(a)
             occ.add(b) if inb else occ.discard(b)
-        if track_rows:
+        dirty.update((a, b))
+        if U is not None:
             U[a], U[b] = U[b], U[a]
+        if Ui is not None:
             for r in Ui:
                 r[a], r[b] = r[b], r[a]
 
@@ -298,9 +312,11 @@ def smith_normal_form(M, transforms=True):
             if va is not None:
                 ri[b] = va
         colocc[a], colocc[b] = colocc[b], colocc[a]
-        if track_cols:
+        dirtycols.update((a, b))
+        if V is not None:
             for r in V:
                 r[a], r[b] = r[b], r[a]
+        if Vi is not None:
             Vi[a], Vi[b] = Vi[b], Vi[a]
 
     def row_addmul(dst, src, q):
@@ -309,15 +325,23 @@ def smith_normal_form(M, transforms=True):
             return
         rd = row[dst]
         for j, v in row[src].items():
-            w = rd.get(j, 0) + q * v
+            old = rd.get(j)
+            if old is None:
+                rd[j] = q * v
+                colocc[j].add(dst)
+                dirtycols.add(j)
+                continue
+            w = old + q * v
             if w:
                 rd[j] = w
-                colocc[j].add(dst)
             else:
                 del rd[j]
                 colocc[j].discard(dst)
-        if track_rows:
+                dirtycols.add(j)
+        dirty.add(dst)
+        if U is not None:
             U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+        if Ui is not None:
             for r in Ui:
                 r[src] -= q * r[dst]
 
@@ -325,32 +349,45 @@ def smith_normal_form(M, transforms=True):
         # C_dst += q * C_src
         if q == 0:
             return
-        for i in list(colocc[src]):
+        occ = colocc[dst]
+        for i in colocc[src]:
             ri = row[i]
-            w = ri.get(dst, 0) + q * ri[src]
+            old = ri.get(dst)
+            if old is None:
+                ri[dst] = q * ri[src]
+                occ.add(i)
+                dirtycols.add(dst)
+                continue
+            w = old + q * ri[src]
             if w:
                 ri[dst] = w
-                colocc[dst].add(i)
             else:
                 del ri[dst]
-                colocc[dst].discard(i)
-        if track_cols:
+                occ.discard(i)
+                dirtycols.add(dst)
+        dirty.update(colocc[src])
+        if V is not None:
             for r in V:
                 r[dst] += q * r[src]
+        if Vi is not None:
             Vi[src] = [x - q * y for x, y in zip(Vi[src], Vi[dst])]
 
     def row_negate(i):
+        # absolute values are unchanged, and so is the row's pivot key
         ri = row[i]
         for j in ri:
             ri[j] = -ri[j]
-        if track_rows:
+        if U is not None:
             U[i] = [-x for x in U[i]]
+        if Ui is not None:
             for r in Ui:
                 r[i] = -r[i]
 
     def col_transform2(a, b, p, q, r, s):
         # (C_a, C_b) <- (p*C_a + q*C_b, r*C_a + s*C_b), with p*s - q*r = 1
-        assert p * s - q * r == 1
+        if p * s - q * r != 1:
+            raise EliminationError("column transform of determinant %d"
+                                   % (p * s - q * r))
         for i in list(colocc[a] | colocc[b]):
             ri = row[i]
             va, vb = ri.get(a, 0), ri.get(b, 0)
@@ -361,31 +398,55 @@ def smith_normal_form(M, transforms=True):
                 else:
                     ri.pop(col, None)
                     colocc[col].discard(i)
-        if track_cols:
+        dirtycols.update((a, b))
+        if V is not None:
             for rw in V:
                 va, vb = rw[a], rw[b]
                 rw[a], rw[b] = p * va + q * vb, r * va + s * vb
+        if Vi is not None:
             ra = [s * x - r * y for x, y in zip(Vi[a], Vi[b])]
             rb = [-q * x + p * y for x, y in zip(Vi[a], Vi[b])]
             Vi[a], Vi[b] = ra, rb
 
+    def row_key(i):
+        # least key over the row's entries: (0, fill-in, i, j) for a unit,
+        # (1, |a|, i, j) otherwise
+        ri = row[i]
+        fill = len(ri) - 1
+        best = None
+        for j, v in ri.items():
+            if v == 1 or v == -1:
+                key = (0, fill * (len(colocc[j]) - 1), i, j)
+            else:
+                key = (1, -v if v < 0 else v, i, j)
+            if best is None or key < best:
+                best = key
+        return best
+
+    rowkey = [None] * m
+    heap = []
     limit = min(m, n)
     k = 0
     while k < limit:
         # pivot search over the active block (rows >= k; cleared columns
-        # < k hold no entries in those rows)
-        best = None
-        for i in range(k, m):
-            for j, v in row[i].items():
-                a = -v if v < 0 else v
-                if a == 1:
-                    key = (0, (len(row[i]) - 1) * (len(colocc[j]) - 1), i, j)
-                else:
-                    key = (1, a, i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        # < k hold no entries in those rows): refresh the stale row keys,
+        # then drop heap entries that are no longer some active row's key
+        for j in dirtycols:
+            dirty.update(colocc[j])
+        dirtycols.clear()
+        for i in dirty:
+            if i >= k:
+                key = row_key(i)
+                if key != rowkey[i]:
+                    rowkey[i] = key
+                    if key is not None:
+                        heappush(heap, key)
+        dirty.clear()
+        while heap and (heap[0][2] < k or rowkey[heap[0][2]] != heap[0]):
+            heappop(heap)
+        if not heap:
             break
+        best = heap[0]
         row_swap(k, best[2])
         col_swap(k, best[3])
 
@@ -411,7 +472,9 @@ def smith_normal_form(M, transforms=True):
 
     rank = k
     d = [row[i].get(i, 0) for i in range(limit)]
-    assert all(v > 0 for v in d[:rank]) and not any(d[rank:])
+    if not all(v > 0 for v in d[:rank]) or any(d[rank:]):
+        raise EliminationError("Smith diagonal of rank %d is not positive "
+                               "then zero" % rank)
 
     # enforce the divisibility chain d_i | d_j for i < j on the diagonal
     i = 0
@@ -428,27 +491,28 @@ def smith_normal_form(M, transforms=True):
                     p0, p1 = p1, p0 - t * p1
                     q0, q1 = q1, q0 - t * q1
                 pp, qq = p0, q0
-                assert pp * a + qq * b == g
+                if pp * a + qq * b != g:
+                    raise EliminationError("extended gcd of %d and %d" % (a, b))
                 row_addmul(i, j, 1)
                 col_transform2(i, j, pp, qq, -b // g, a // g)
                 row_addmul(j, i, -(qq * b) // g)
                 d[i], d[j] = g, a * b // g
-                assert row[i].get(i) == d[i] and row[j].get(j) == d[j]
-                assert len(row[i]) == 1 and len(row[j]) == 1
+                if row[i] != {i: d[i]} or row[j] != {j: d[j]}:
+                    raise EliminationError("divisibility fix-up left rows %d, %d "
+                                           "off the diagonal" % (i, j))
                 fixed_any = True
         if not fixed_any:
             i += 1
 
-    sf = SmithForm(d, rank)
-    if track_rows:
-        sf.U, sf.Uinv = IntMatrix(m, m, U), IntMatrix(m, m, Ui)
-    if track_cols:
-        sf.V, sf.Vinv = IntMatrix(n, n, V), IntMatrix(n, n, Vi)
-    return sf
+    return SmithForm(d, rank,
+                     U=None if U is None else IntMatrix(m, m, U),
+                     V=None if V is None else IntMatrix(n, n, V),
+                     Uinv=None if Ui is None else IntMatrix(m, m, Ui),
+                     Vinv=None if Vi is None else IntMatrix(n, n, Vi))
 
 
 def rank(M):
-    return smith_normal_form(M, transforms=False).rank
+    return smith_normal_form(M, transforms=()).rank
 
 
 def solve_with_form(M_form, b):
@@ -491,7 +555,7 @@ def solve_matrix(M, B):
     if M.rows != B.rows:
         raise ShapeMismatch("solve %dx%d against %dx%d right-hand side"
                             % (M.rows, M.cols, B.rows, B.cols))
-    sf = smith_normal_form(M)
+    sf = smith_normal_form(M, transforms=("U", "V"))
     r = sf.rank
     Y = (sf.U * B).data
     if any(any(row) for row in Y[r:]):
@@ -511,7 +575,7 @@ def kernel_with_left_inverse(M):
     rows r: of V^-1, so P*Z = I and P maps any vector of span(Z) to its
     coordinates in that basis.  The transforms are released on return.
     """
-    sf = smith_normal_form(M, transforms="columns")
+    sf = smith_normal_form(M, transforms=("V", "Vinv"))
     r = sf.rank
     Z = sf.V.take_columns(range(r, M.cols))
     P = IntMatrix(M.cols - r, M.cols, sf.Vinv.data[r:])
@@ -534,7 +598,7 @@ def cokernel_invariants(Y):
     The torsion is the invariant factors > 1 of Y and the free rank is
     rows - rank(Y).
     """
-    sf = smith_normal_form(Y, transforms=False)
+    sf = smith_normal_form(Y, transforms=())
     return AbelianInvariants(torsion=[v for v in sf.d if v > 1],
                              free_rank=Y.rows - sf.rank)
 
@@ -570,6 +634,20 @@ def column_span_basis(M):
         else IntMatrix.zeros(M.rows, 0)
 
 
+def _composes_to_zero(A, B):
+    """Whether A*B = 0, summing products of nonzero entries only."""
+    brows = [[(j, v) for j, v in enumerate(r) if v] for r in B.data]
+    for arow in A.data:
+        acc = {}
+        for k, a in enumerate(arow):
+            if a:
+                for j, v in brows[k]:
+                    acc[j] = acc.get(j, 0) + a * v
+        if any(acc.values()):
+            return False
+    return True
+
+
 def homology_of_pair(d_n, d_next):
     """Abelian invariants of ker(d_n) / im(d_next).
 
@@ -586,12 +664,15 @@ def homology_of_pair(d_n, d_next):
     if d_n.cols != d_next.rows:
         raise ShapeMismatch("chain group has dimension %d as source, %d as target"
                             % (d_n.cols, d_next.rows))
-    if not (d_n * d_next).is_zero():
+    if not _composes_to_zero(d_n, d_next):
         raise CompositionNonzero("boundary maps do not compose to zero")
     r_n = rank(d_n)
     quotient = cokernel_invariants(d_next)
     free = quotient.free_rank - r_n
-    assert free >= 0
+    if free < 0:
+        raise CompositionNonzero("ranks %d and %d exceed the chain group "
+                                 "dimension %d" % (r_n, d_n.cols - quotient.free_rank,
+                                                   d_n.cols))
     return AbelianInvariants(torsion=quotient.torsion, free_rank=free)
 
 
@@ -657,8 +738,17 @@ def integer_roots(poly):
     where residual is the monic factor with no integer roots; for a monic
     polynomial every rational root is an integer, so the residual has no
     rational roots either.  Roots are returned in ascending order.
+
+    A root divides the constant term c0 and, by Fujiwara's bound, has
+    absolute value at most 2*max_i |a_(n-i)|^(1/i).  The candidates are the
+    divisors k of c0 with k <= min(|c0|, B), B = 2*max_i 2^ceil(bits(a_(n-i))/i)
+    being that bound rounded up in exact integers, so the trial division
+    no longer scales with |c0|.  It still scales with B: a polynomial with
+    huge real roots, or huge coefficients, keeps the search long.
     """
-    assert poly and poly[0] == 1
+    if not poly or poly[0] != 1:
+        raise NotMonic("integer_roots needs a monic polynomial, got leading "
+                       "coefficient %r" % (poly[0] if poly else None))
     coeffs = list(poly)
     roots = []
     while len(coeffs) > 1:
@@ -668,7 +758,9 @@ def integer_roots(poly):
             coeffs = coeffs[:-1]
             continue
         c0 = abs(coeffs[-1])
-        divisors = [k for k in range(1, c0 + 1) if c0 % k == 0]
+        bound = 2 * max(1 << -(-abs(c).bit_length() // i)
+                        for i, c in enumerate(coeffs[1:], 1))
+        divisors = [k for k in range(1, min(c0, bound) + 1) if c0 % k == 0]
         candidates = sorted({s * k for k in divisors for s in (1, -1)})
         found = None
         for r in candidates:
@@ -707,7 +799,7 @@ class QuotientLattice:
         if Z.cols != Y.rows:
             raise ShapeMismatch("lattice of rank %d, relations in %d coordinates"
                                 % (Z.cols, Y.rows))
-        sf = smith_normal_form(Y)
+        sf = smith_normal_form(Y, transforms=("U", "Uinv"))
         self.basis = Z * sf.Uinv
         self.U = sf.U
         self.orders = list(sf.d) + [0] * (Y.rows - len(sf.d))

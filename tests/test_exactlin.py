@@ -1,14 +1,16 @@
 """Tests for the exact integer linear algebra layer."""
 
 import random
+import time
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.errors import (CompositionNonzero, FormatError, NotInLattice,
-                             ShapeMismatch)
+                             NotMonic, ShapeMismatch)
 from artifact.exactlin import (
+    TRANSFORMS,
     AbelianInvariants,
     IntMatrix,
     QuotientLattice,
@@ -25,6 +27,7 @@ from artifact.exactlin import (
     solve,
     solve_matrix,
     solve_with_form,
+    _sym_div,
 )
 from artifact.hecke import matrix_on_quotient
 
@@ -306,8 +309,8 @@ class TestSmithProperties:
     def test_invariant_under_unimodular(self, m, ops1, ops2):
         a = random_unimodular(m.rows, ops1)
         b = random_unimodular(m.cols, ops2)
-        assert smith_normal_form(a * m * b, transforms=False).d == \
-            smith_normal_form(m, transforms=False).d
+        assert smith_normal_form(a * m * b, transforms=()).d == \
+            smith_normal_form(m, transforms=()).d
 
     @given(small_matrix())
     def test_kernel(self, m):
@@ -317,15 +320,26 @@ class TestSmithProperties:
         if k.cols:
             # saturation: the basis extends to a basis of the ambient lattice,
             # equivalently all invariant factors are 1
-            sf = smith_normal_form(k, transforms=False)
+            sf = smith_normal_form(k, transforms=())
             assert sf.d[:k.cols] == [1] * k.cols
 
     @given(small_matrix())
     def test_column_transforms(self, m):
         full = smith_normal_form(m)
-        cols = smith_normal_form(m, transforms="columns")
+        cols = smith_normal_form(m, transforms=("V", "Vinv"))
         assert cols.U is None and cols.Uinv is None
         assert (cols.d, cols.V, cols.Vinv) == (full.d, full.V, full.Vinv)
+
+    @given(small_matrix(), st.sets(st.sampled_from(TRANSFORMS)))
+    def test_named_transforms(self, m, names):
+        # each named transform is the full form's, entry for entry; the
+        # others are not tracked
+        full = smith_normal_form(m)
+        part = smith_normal_form(m, transforms=tuple(names))
+        assert (part.d, part.rank) == (full.d, full.rank)
+        for name in TRANSFORMS:
+            expected = getattr(full, name) if name in names else None
+            assert getattr(part, name) == expected, name
 
     @given(small_matrix())
     def test_kernel_with_left_inverse(self, m):
@@ -396,3 +410,297 @@ def test_exact_shifted_identity_trivial(k):
     # trivial homology in both middle degrees
     assert homology_of_pair(IntMatrix.identity(k), IntMatrix.zeros(k, k)).is_trivial()
     assert homology_of_pair(IntMatrix.zeros(k, k), IntMatrix.identity(k)).is_trivial()
+
+
+# ------------------------------------------------ pivot search reference
+
+
+def _full_scan_snf(M, hits):
+    """Smith form whose pivot search rescans the whole active block.
+
+    The elimination of smith_normal_form as it was before its row pivot
+    keys were cached, with all four transforms; the cached search must
+    choose the same pivots, so every output agrees with this one.  hits
+    counts the remainder swap-ins and the divisibility fix-ups, so a test
+    can show that its matrices reach them.
+    """
+    m, n = M.rows, M.cols
+    row = [dict() for _ in range(m)]
+    colocc = [set() for _ in range(n)]
+    for i in range(m):
+        for j in range(n):
+            if M.data[i][j]:
+                row[i][j] = M.data[i][j]
+                colocc[j].add(i)
+    U = [[int(a == b) for b in range(m)] for a in range(m)]
+    Ui = [r[:] for r in U]
+    V = [[int(a == b) for b in range(n)] for a in range(n)]
+    Vi = [r[:] for r in V]
+
+    def row_swap(a, b):
+        if a == b:
+            return
+        row[a], row[b] = row[b], row[a]
+        for j in set(row[a]) | set(row[b]):
+            occ = colocc[j]
+            occ.add(a) if j in row[a] else occ.discard(a)
+            occ.add(b) if j in row[b] else occ.discard(b)
+        U[a], U[b] = U[b], U[a]
+        for r in Ui:
+            r[a], r[b] = r[b], r[a]
+
+    def col_swap(a, b):
+        if a == b:
+            return
+        for i in colocc[a] | colocc[b]:
+            ri = row[i]
+            va, vb = ri.pop(a, None), ri.pop(b, None)
+            if vb is not None:
+                ri[a] = vb
+            if va is not None:
+                ri[b] = va
+        colocc[a], colocc[b] = colocc[b], colocc[a]
+        for r in V:
+            r[a], r[b] = r[b], r[a]
+        Vi[a], Vi[b] = Vi[b], Vi[a]
+
+    def row_addmul(dst, src, q):
+        if q == 0:
+            return
+        rd = row[dst]
+        for j, v in row[src].items():
+            w = rd.get(j, 0) + q * v
+            if w:
+                rd[j] = w
+                colocc[j].add(dst)
+            else:
+                del rd[j]
+                colocc[j].discard(dst)
+        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+        for r in Ui:
+            r[src] -= q * r[dst]
+
+    def col_addmul(dst, src, q):
+        if q == 0:
+            return
+        for i in list(colocc[src]):
+            ri = row[i]
+            w = ri.get(dst, 0) + q * ri[src]
+            if w:
+                ri[dst] = w
+                colocc[dst].add(i)
+            else:
+                del ri[dst]
+                colocc[dst].discard(i)
+        for r in V:
+            r[dst] += q * r[src]
+        Vi[src] = [x - q * y for x, y in zip(Vi[src], Vi[dst])]
+
+    def row_negate(i):
+        for j in row[i]:
+            row[i][j] = -row[i][j]
+        U[i] = [-x for x in U[i]]
+        for r in Ui:
+            r[i] = -r[i]
+
+    def col_transform2(a, b, p, q, r, s):
+        for i in list(colocc[a] | colocc[b]):
+            ri = row[i]
+            va, vb = ri.get(a, 0), ri.get(b, 0)
+            for col, w in ((a, p * va + q * vb), (b, r * va + s * vb)):
+                if w:
+                    ri[col] = w
+                    colocc[col].add(i)
+                else:
+                    ri.pop(col, None)
+                    colocc[col].discard(i)
+        for rw in V:
+            va, vb = rw[a], rw[b]
+            rw[a], rw[b] = p * va + q * vb, r * va + s * vb
+        ra = [s * x - r * y for x, y in zip(Vi[a], Vi[b])]
+        rb = [-q * x + p * y for x, y in zip(Vi[a], Vi[b])]
+        Vi[a], Vi[b] = ra, rb
+
+    limit = min(m, n)
+    k = 0
+    while k < limit:
+        best = None
+        for i in range(k, m):
+            for j, v in row[i].items():
+                if abs(v) == 1:
+                    key = (0, (len(row[i]) - 1) * (len(colocc[j]) - 1), i, j)
+                else:
+                    key = (1, abs(v), i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        row_swap(k, best[2])
+        col_swap(k, best[3])
+        while True:
+            if row[k][k] < 0:
+                row_negate(k)
+            p = row[k][k]
+            for i in [i for i in colocc[k] if i != k]:
+                row_addmul(i, k, -_sym_div(row[i][k], p))
+            leftover = [i for i in colocc[k] if i != k]
+            if leftover:
+                hits["row remainder"] += 1
+                row_swap(k, min(leftover, key=lambda i: (abs(row[i][k]), i)))
+                continue
+            for j in [j for j in row[k] if j != k]:
+                col_addmul(j, k, -_sym_div(row[k][j], p))
+            leftover = [j for j in row[k] if j != k]
+            if leftover:
+                hits["column remainder"] += 1
+                col_swap(k, min(leftover, key=lambda j: (abs(row[k][j]), j)))
+                continue
+            break
+        k += 1
+
+    d = [row[i].get(i, 0) for i in range(limit)]
+    i = 0
+    while i < k:
+        fixed_any = False
+        for j in range(i + 1, k):
+            if d[j] % d[i]:
+                hits["divisibility fix-up"] += 1
+                a, b = d[i], d[j]
+                g = gcd(a, b)
+                p0, p1, q0, q1, x, y = 1, 0, 0, 1, a, b
+                while y:
+                    t, x, y = x // y, y, x % y
+                    p0, p1 = p1, p0 - t * p1
+                    q0, q1 = q1, q0 - t * q1
+                row_addmul(i, j, 1)
+                col_transform2(i, j, p0, q0, -b // g, a // g)
+                row_addmul(j, i, -(q0 * b) // g)
+                d[i], d[j] = g, a * b // g
+                fixed_any = True
+        if not fixed_any:
+            i += 1
+    return d, U, V, Ui, Vi
+
+
+def _sparse_test_matrix(rng, rows, cols):
+    """Sparse random matrix with some zero rows and columns.
+
+    Half of the matrices have entries +-1 among others, half have none, so
+    that both kinds of pivot key occur; entries with common factors make
+    remainders and out-of-order diagonals likely.
+    """
+    values = rng.choice(((1, -1, 2, 3, -4), (2, -3, 4, 6, -9, 10, 15)))
+    density = rng.choice((0.15, 0.3, 0.5))
+    dead_rows = set(rng.sample(range(rows), rows // 5))
+    dead_cols = set(rng.sample(range(cols), cols // 5))
+    return IntMatrix(rows, cols, [
+        [rng.choice(values) if i not in dead_rows and j not in dead_cols
+         and rng.random() < density else 0 for j in range(cols)]
+        for i in range(rows)])
+
+
+def test_pivot_sequence_matches_full_scan():
+    # cached row keys choose the pivots a full scan chooses, so the whole
+    # form, transforms included, is unchanged
+    rng = random.Random(20260)
+    hits = {"row remainder": 0, "column remainder": 0, "divisibility fix-up": 0}
+    shapes = []
+    for t in range(72):
+        small, large = rng.randint(1, 9), rng.randint(10, 16)
+        shapes.append(((large, large), (small, large), (large, small))[t % 3])
+    for rows, cols in shapes:
+        m = _sparse_test_matrix(rng, rows, cols)
+        d, U, V, Ui, Vi = _full_scan_snf(m, hits)
+        sf = smith_normal_form(m)
+        assert sf.d == d, m
+        assert (sf.U.data, sf.V.data, sf.Uinv.data, sf.Vinv.data) == (U, V, Ui, Vi), m
+    assert all(hits.values()), hits
+
+
+# ------------------------------------------------ sparse d.d check
+
+
+def test_composition_check_sees_last_entry():
+    # d_n * d_next has one nonzero entry, in its last row and last column
+    d_n, d_next = IntMatrix.zeros(4, 5), IntMatrix.zeros(5, 6)
+    d_n.data[3][4] = 2
+    d_next.data[4][5] = 3
+    d_n.data[0][0] = d_next.data[1][2] = 1
+    with pytest.raises(CompositionNonzero):
+        homology_of_pair(d_n, d_next)
+
+
+def test_composition_check_lets_cancelling_terms_pass():
+    # every entry of d_n * d_next is a sum of nonzero terms that cancel
+    d_n = IntMatrix.from_rows([[1, 1, 0], [2, 2, 0]])
+    d_next = IntMatrix.from_rows([[1, 3], [-1, -3], [0, 0]])
+    inv = homology_of_pair(d_n, d_next)
+    assert inv.torsion == [] and inv.free_rank == 1
+
+
+# ------------------------------------------------ integer roots
+
+
+def _roots_by_all_divisors(poly):
+    """integer_roots as a trial division over every divisor of c0."""
+    coeffs, roots = list(poly), []
+    while len(coeffs) > 1:
+        if coeffs[-1] == 0:
+            roots.append(0)
+            coeffs.pop()
+            continue
+        c0 = abs(coeffs[-1])
+        found = None
+        for r in sorted(s * k for k in range(1, c0 + 1) if c0 % k == 0
+                        for s in (1, -1)):
+            acc = 0
+            for c in coeffs:
+                acc = acc * r + c
+            if acc == 0:
+                found = r
+                break
+        if found is None:
+            break
+        roots.append(found)
+        out, acc = [], 0
+        for c in coeffs[:-1]:
+            acc = acc * found + c
+            out.append(acc)
+        coeffs = out
+    return sorted(roots), coeffs
+
+
+def _times_linear(poly, r):
+    """poly * (x - r), coefficients highest degree first."""
+    return [a - r * b for a, b in zip(poly + [0], [0] + poly)]
+
+
+def test_integer_roots_match_all_divisors():
+    rng = random.Random(7741)
+    for _ in range(120):
+        poly = [1] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 4)):
+            poly = _times_linear(poly, rng.randint(-9, 9))
+        assert integer_roots(poly) == _roots_by_all_divisors(poly), poly
+
+
+def test_integer_roots_large_constant_term():
+    # trial division over every divisor of a 100-bit constant term would
+    # never finish; the root bound keeps the search to small divisors
+    rng = random.Random(4040)
+    roots = sorted(rng.choice((-12, -11, -7, -6, -5, 5, 6, 7, 11, 12))
+                   for _ in range(42))
+    poly = [1, 1, 1]
+    for r in roots:
+        poly = _times_linear(poly, r)
+    assert len(poly) - 1 >= 40 and abs(poly[-1]).bit_length() >= 100
+    start = time.perf_counter()
+    assert integer_roots(poly) == (roots, [1, 1, 1])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_integer_roots_needs_monic():
+    with pytest.raises(NotMonic):
+        integer_roots([2, 1])
+    with pytest.raises(NotMonic):
+        integer_roots([])
