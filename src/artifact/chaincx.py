@@ -19,8 +19,10 @@ Serialization format (used by the CLI and fixtures):
 import heapq
 from dataclasses import dataclass
 
-from .errors import CompositionNonzero, DegreeOutOfRange, FormatError, ShapeMismatch
-from .exactlin import IntMatrix, homology_of_pair
+from .errors import (CompositionNonzero, DegreeOutOfRange, EliminationError,
+                     FormatError, ShapeMismatch)
+from .exactlin import (SparseIntMatrix, homology_from_forms, homology_of_pair,
+                       smith_normal_form)
 
 
 @dataclass
@@ -36,14 +38,16 @@ class CollapseStep:
 class FreeChainComplexZ:
     """A chain complex of finitely generated free Z-modules.
 
-    ranks[n] is the rank of C_n; diffs[n] (1 <= n <= top_degree) is the
-    boundary C_n -> C_{n-1} acting on column vectors.  The constructor
-    checks shapes only; use verify_complex for the d.d = 0 check, which
-    costs a matrix product per degree.
+    ranks[n] is the rank of C_n; diffs[n - 1] (1 <= n <= top_degree) is the
+    boundary C_n -> C_{n-1} acting on column vectors, as a SparseIntMatrix
+    (boundaries given as dense IntMatrix are stored sparse).  The
+    constructor checks shapes only; use verify_complex for the d.d = 0
+    check, which costs a sparse matrix product per degree.
     """
 
     def __init__(self, ranks, diffs, trace=None):
         ranks = list(ranks)
+        diffs = [SparseIntMatrix.of(d) for d in diffs]
         if not ranks:
             raise ShapeMismatch("a complex needs at least one degree")
         if len(diffs) != len(ranks) - 1:
@@ -70,10 +74,9 @@ class FreeChainComplexZ:
         if 1 <= n <= self.top_degree:
             return self.diffs[n - 1]
         if n <= 0:
-            return IntMatrix.zeros(0, self.rank(0)) if n == 0 \
-                else IntMatrix.zeros(0, 0)
+            return SparseIntMatrix(0, self.rank(0) if n == 0 else 0)
         # n > top_degree: source is zero
-        return IntMatrix.zeros(self.rank(n - 1), 0)
+        return SparseIntMatrix(self.rank(n - 1), 0)
 
     def __eq__(self, other):
         return (isinstance(other, FreeChainComplexZ)
@@ -108,7 +111,7 @@ class FreeChainComplexZ:
                 raise FormatError("bad matrix header %r" % lines[pos])
             nrows = int(header[0])
             chunk = "\n".join(lines[pos:pos + 1 + nrows])
-            diffs.append(IntMatrix.from_text(chunk))
+            diffs.append(SparseIntMatrix.from_text(chunk))
             pos += 1 + nrows
         return cls(ranks, diffs)
 
@@ -132,7 +135,12 @@ def homology(C, n):
 
 
 def all_homology(C):
-    return [homology(C, n) for n in range(C.top_degree + 1)]
+    """H_n(C) in every degree, from one Smith form per boundary."""
+    verify_complex(C)
+    forms = [smith_normal_form(C.boundary(n), transforms=())
+             for n in range(C.top_degree + 2)]
+    return [homology_from_forms(forms[n], forms[n + 1], C.rank(n))
+            for n in range(C.top_degree + 1)]
 
 
 def contract(C):
@@ -148,20 +156,17 @@ def contract(C):
     generator labelling.
     """
     top = C.top_degree
-    # sparse mutable copy: bnd[n][src][tgt] = coeff, cob[n][tgt] = sources
+    # mutable copy of the columns: bnd[n][src][tgt] = coeff, cob[n][tgt] =
+    # sources
     bnd = {}
     cob = {}
     for n in range(1, top + 1):
         d = C.boundary(n)
-        bn = {s: {} for s in range(d.cols)}
+        bnd[n] = {s: dict(col) for s, col in enumerate(d.columns)}
         cn = {t: set() for t in range(d.rows)}
-        for t in range(d.rows):
-            row = d.data[t]
-            for s in range(d.cols):
-                if row[s]:
-                    bn[s][t] = row[s]
-                    cn[t].add(s)
-        bnd[n] = bn
+        for s, col in enumerate(d.columns):
+            for t in col:
+                cn[t].add(s)
         cob[n] = cn
     alive = [set(range(C.rank(n))) for n in range(top + 1)]
     trace = []
@@ -207,7 +212,10 @@ def contract(C):
                     else:
                         row_s.pop(t, None)
                         cob[n][t].discard(s)
-                assert b not in row_s
+                if b in row_s:
+                    raise EliminationError("collapse of (%d, %d) in degree %d "
+                                           "left an entry in its column"
+                                           % (a, b, n))
                 touched.append(s)
 
             # delete a (degree n) and b (degree n-1)
@@ -237,10 +245,8 @@ def contract(C):
     ranks = [len(alive[n]) for n in range(top + 1)]
     diffs = []
     for n in range(1, top + 1):
-        m = IntMatrix.zeros(ranks[n - 1], ranks[n])
-        for s in alive[n]:
-            js = index[n][s]
-            for t, v in bnd[n].get(s, {}).items():
-                m.data[index[n - 1][t]][js] = v
-        diffs.append(m)
+        tgt = index[n - 1]
+        diffs.append(SparseIntMatrix(
+            ranks[n - 1], ranks[n],
+            [{tgt[t]: v for t, v in bnd[n][s].items()} for s in sorted(alive[n])]))
     return FreeChainComplexZ(ranks, diffs, trace=trace)

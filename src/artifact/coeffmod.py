@@ -29,7 +29,7 @@ from .errors import (
     DegreeOutOfRange,
     FormatError,
 )
-from .exactlin import AbelianInvariants, IntMatrix, homology_of_pair
+from .exactlin import IntMatrix, SparseIntMatrix, homology_of_pair
 from .sl2z import SL2ZMatrix
 
 
@@ -130,11 +130,13 @@ class CochainComplexZ:
     """A finite cochain complex of free Z-modules.
 
     deltas[n] maps degree n to degree n + 1 (acting on column vectors of
-    stacked module coordinates).  as_chain_complex reverses the grading so
-    the chain-complex tooling applies.
+    stacked module coordinates), as a SparseIntMatrix (coboundaries given
+    as dense IntMatrix are stored sparse).  as_chain_complex reverses the
+    grading so the chain-complex tooling applies.
     """
 
     def __init__(self, ranks, deltas):
+        deltas = [SparseIntMatrix.of(d) for d in deltas]
         if len(deltas) != max(len(ranks) - 1, 0):
             raise FormatError("expected %d coboundaries, got %d"
                               % (max(len(ranks) - 1, 0), len(deltas)))
@@ -175,18 +177,17 @@ def hom_complex(resolution, module):
     ranks = [resolution.rank(n) * m for n in range(top + 1)]
     deltas = []
     for n in range(top):
-        rows_zg = resolution.boundary_rows(n + 1)
-        out = IntMatrix.zeros(ranks[n + 1], ranks[n])
-        for j, row in enumerate(rows_zg):
+        # the block of generator j's row entry at i lands in rows j*m.. and
+        # columns i*m..
+        columns = [{} for _ in range(ranks[n])]
+        for j, row in enumerate(resolution.boundary_rows(n + 1)):
             for i, gre in row.items():
                 block = module.ring_action(gre).data
                 for r in range(m):
-                    orow = out.data[j * m + r]
-                    brow = block[r]
-                    for s in range(m):
-                        if brow[s]:
-                            orow[i * m + s] = brow[s]
-        deltas.append(out)
+                    for s, v in enumerate(block[r]):
+                        if v:
+                            columns[i * m + s][j * m + r] = v
+        deltas.append(SparseIntMatrix(ranks[n + 1], ranks[n], columns))
     C = CochainComplexZ(ranks, deltas)
     _spot_check_squares(C)
     return C
@@ -214,6 +215,6 @@ def cohomology(C, n):
     top = C.top_degree()
     if not 0 <= n <= top:
         raise DegreeOutOfRange("degree %d outside 0..%d" % (n, top))
-    dout = C.deltas[n] if n < top else IntMatrix.zeros(0, C.ranks[top])
-    din = C.deltas[n - 1] if n >= 1 else IntMatrix.zeros(C.ranks[0], 0)
+    dout = C.deltas[n] if n < top else SparseIntMatrix(0, C.ranks[top])
+    din = C.deltas[n - 1] if n >= 1 else SparseIntMatrix(C.ranks[0], 0)
     return homology_of_pair(dout, din)

@@ -43,7 +43,7 @@ from importlib import resources
 from .chaincx import FreeChainComplexZ, verify_complex
 from .errors import (CompositionNonzero, FormatError, MalformedArrow,
                      NotAdmissible, NotContracting)
-from .exactlin import IntMatrix
+from .exactlin import SparseIntMatrix
 
 
 def _chain_sub(a, b):
@@ -171,14 +171,11 @@ class RegularCWComplex:
         return out
 
     def as_chain_complex(self):
-        """The cellular chain complex, as dense integer boundary matrices."""
-        diffs = []
-        for n in range(1, self.dimension + 1):
-            d = IntMatrix.zeros(self.counts[n - 1], self.counts[n])
-            for j, cell in enumerate(self.faces[n]):
-                for f, s in cell:
-                    d.data[f][j] = s
-            diffs.append(d)
+        """The cellular chain complex: column j of d_n is the boundary of
+        n-cell j."""
+        diffs = [SparseIntMatrix(self.counts[n - 1], self.counts[n],
+                                 [dict(cell) for cell in self.faces[n]])
+                 for n in range(1, self.dimension + 1)]
         return FreeChainComplexZ(self.counts, diffs)
 
     def to_text(self):
@@ -626,14 +623,13 @@ def critical_complex(X, V):
     position = [{i: p for p, i in enumerate(level)} for level in crit]
     diffs = []
     for n in range(1, X.dimension + 1):
-        d = IntMatrix.zeros(ranks[n - 1], ranks[n])
-        for col, i in enumerate(crit[n]):
+        columns = []
+        for i in crit[n]:
             z = _flow_stabilize(X, ev, n, {i: 1})
-            for f, c in X.boundary_chain(n, z).items():
-                row = position[n - 1].get(f)
-                if row is not None:
-                    d.data[row][col] = c
-        diffs.append(d)
+            columns.append({position[n - 1][f]: c
+                            for f, c in X.boundary_chain(n, z).items()
+                            if f in position[n - 1]})
+        diffs.append(SparseIntMatrix(ranks[n - 1], ranks[n], columns))
     C = FreeChainComplexZ(ranks, diffs)
     verify_complex(C)
     return C

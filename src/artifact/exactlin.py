@@ -1,18 +1,20 @@
 """Exact integer linear algebra.
 
-Arbitrary-precision integer matrices, Smith normal form with unimodular
+Arbitrary-precision integer matrices (sparse for boundary and coboundary
+maps, dense for everything else), Smith normal form with unimodular
 transforms, integer kernels and linear solving, characteristic polynomials,
 and abelian-invariant extraction for pairs of boundary maps.  Everything is
 exact: no floating point, no modular shortcuts.
 
 The Smith normal form is the workhorse behind every homology computation in
-the package, so its elimination runs on a sparse dictionary representation
-with a pivot strategy that prefers unit entries of low fill-in and otherwise
-entries of minimal absolute value (integer entry growth, not asymptotics, is
-the dominant cost on boundary matrices).  Each row caches its best pivot key
-in a heap, and a pivot search recomputes only the rows that the previous
-elimination step touched, instead of rescanning the whole active block.
-It tracks only the unimodular transforms its caller names.
+the package, so its elimination runs on the nonzero entries only, one dict
+per row, with a pivot strategy that prefers unit entries of low fill-in and
+otherwise entries of minimal absolute value (integer entry growth, not
+asymptotics, is the dominant cost on boundary matrices).  Each row caches
+its best pivot key in a heap, and a pivot search recomputes only the rows
+that the previous elimination step touched, instead of rescanning the
+whole active block.  It tracks only the unimodular transforms its caller
+names.
 """
 
 from dataclasses import dataclass
@@ -27,8 +29,8 @@ class IntMatrix:
     """Dense integer matrix, stored row-major as lists of Python ints.
 
     Row and column counts are kept explicitly so 0xN and Nx0 matrices
-    compose correctly; such matrices occur naturally as boundary maps at
-    the ends of a chain complex.
+    compose correctly.  Dense matrices carry the Smith transforms, lattice
+    bases and Hecke operators; boundary maps are SparseIntMatrix.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -90,9 +92,15 @@ class IntMatrix:
     def nonzero_count(self):
         return sum(1 for row in self.data for v in row if v)
 
+    def row_dicts(self):
+        """The nonzero entries as one dict {column: entry} per row."""
+        return [{j: v for j, v in enumerate(r) if v} for r in self.data]
+
     def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.data == other.data)
 
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
@@ -115,6 +123,8 @@ class IntMatrix:
         if isinstance(other, int):
             return IntMatrix(self.rows, self.cols,
                              [[other * v for v in row] for row in self.data])
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ShapeMismatch("multiply %dx%d by %dx%d" % (self.rows, self.cols,
                                                              other.rows, other.cols))
@@ -142,10 +152,14 @@ class IntMatrix:
         return [sum(a * x for a, x in zip(row, vector) if a) for row in self.data]
 
     def hstack(self, other):
+        """[self | other]; other may be sparse, the result is dense."""
         if self.rows != other.rows:
             raise ShapeMismatch("hstack with different row counts")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        data = [r + [0] * other.cols for r in self.data]
+        for row, entries in zip(data, other.row_dicts()):
+            for j, v in entries.items():
+                row[self.cols + j] = v
+        return IntMatrix(self.rows, self.cols + other.cols, data)
 
     def take_columns(self, indices):
         return IntMatrix(self.rows, len(indices),
@@ -178,6 +192,143 @@ class IntMatrix:
             return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
         return "IntMatrix(%d, %d, <%d nonzero>)" % (self.rows, self.cols,
                                                     self.nonzero_count())
+
+
+class SparseIntMatrix:
+    """Sparse integer matrix: one dict {row: nonzero entry} per column.
+
+    This is the type of every boundary and coboundary map.  Those are
+    about 0.1% dense, and column j is the image of basis vector j, which
+    is the form in which resolutions produce them and in which contract
+    collapses them.  Products with a dense operand return an IntMatrix;
+    the product of two sparse matrices is sparse.  Zero entries are never
+    stored.  The text format is the dense one of IntMatrix.
+    """
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows, cols, columns=None):
+        if columns is None:
+            columns = [{} for _ in range(cols)]
+        if len(columns) != cols:
+            raise ShapeMismatch("expected %d columns, got %d" % (cols, len(columns)))
+        self.rows = rows
+        self.cols = cols
+        self.columns = columns
+
+    @classmethod
+    def of(cls, M):
+        """M itself if it is sparse, else the nonzero entries of the IntMatrix M."""
+        if isinstance(M, SparseIntMatrix):
+            return M
+        columns = [{} for _ in range(M.cols)]
+        for i, row in enumerate(M.data):
+            for j, v in enumerate(row):
+                if v:
+                    columns[j][i] = v
+        return cls(M.rows, M.cols, columns)
+
+    def copy(self):
+        return SparseIntMatrix(self.rows, self.cols, [dict(c) for c in self.columns])
+
+    def row_dicts(self):
+        """The nonzero entries as one dict {column: entry} per row, each
+        in ascending column order."""
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out[i][j] = v
+        return out
+
+    def transpose(self):
+        return SparseIntMatrix(self.cols, self.rows, self.row_dicts())
+
+    def is_zero(self):
+        return not any(self.columns)
+
+    def nonzero_count(self):
+        return sum(len(c) for c in self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, SparseIntMatrix):
+            return (self.rows == other.rows and self.cols == other.cols
+                    and self.columns == other.columns)
+        if isinstance(other, IntMatrix):
+            return (self.rows == other.rows and self.cols == other.cols
+                    and self.row_dicts() == other.row_dicts())
+        return NotImplemented
+
+    __hash__ = None
+
+    def __mul__(self, other):
+        if self.cols != other.rows:
+            raise ShapeMismatch("multiply %dx%d by %dx%d" % (self.rows, self.cols,
+                                                             other.rows, other.cols))
+        if isinstance(other, IntMatrix):
+            # IntMatrix.__mul__ over the nonzero entries of each row
+            out = []
+            odata = other.data
+            for entries in self.row_dicts():
+                acc = [0] * other.cols
+                for k, a in entries.items():
+                    acc = [x + a * y for x, y in zip(acc, odata[k])]
+                out.append(acc)
+            return IntMatrix(self.rows, other.cols, out)
+        columns = []
+        mine = self.columns
+        for col in other.columns:
+            acc = {}
+            for k, b in col.items():
+                for i, a in mine[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+            columns.append({i: v for i, v in acc.items() if v})
+        return SparseIntMatrix(self.rows, other.cols, columns)
+
+    def __rmul__(self, other):
+        # other * self with other a dense IntMatrix
+        if other.cols != self.rows:
+            raise ShapeMismatch("multiply %dx%d by %dx%d" % (other.rows, other.cols,
+                                                             self.rows, self.cols))
+        rows = self.row_dicts()
+        out = []
+        for arow in other.data:
+            acc = [0] * self.cols
+            for k, a in enumerate(arow):
+                if a:
+                    for j, v in rows[k].items():
+                        acc[j] += a * v
+            out.append(acc)
+        return IntMatrix(other.rows, self.cols, out)
+
+    def apply(self, vector):
+        """Matrix times column vector, both as plain lists."""
+        if len(vector) != self.cols:
+            raise ShapeMismatch("apply %dx%d to vector of length %d"
+                                % (self.rows, self.cols, len(vector)))
+        out = [0] * self.rows
+        for x, col in zip(vector, self.columns):
+            if x:
+                for i, v in col.items():
+                    out[i] += v * x
+        return out
+
+    def to_text(self):
+        """Serialize in the dense 'rows cols' text format of IntMatrix."""
+        lines = ["%d %d" % (self.rows, self.cols)]
+        for entries in self.row_dicts():
+            row = [0] * self.cols
+            for j, v in entries.items():
+                row[j] = v
+            lines.append(" ".join(str(v) for v in row))
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text):
+        return cls.of(IntMatrix.from_text(text))
+
+    def __repr__(self):
+        return "SparseIntMatrix(%d, %d, <%d nonzero>)" % (self.rows, self.cols,
+                                                          self.nonzero_count())
 
 
 @dataclass
@@ -257,7 +408,9 @@ def smith_normal_form(M, transforms=TRANSFORMS):
     matrix updated on every elementary operation, so callers ask only for
     what they read.
 
-    Elimination is performed on a sparse copy: pivots are chosen among +-1
+    Elimination runs on the nonzero entries of M, one dict per row in
+    ascending column order (M.row_dicts(), which a SparseIntMatrix builds
+    from its columns without a dense scan): pivots are chosen among +-1
     entries by least fill-in when any exist, otherwise by least absolute
     value, which keeps both fill-in and entry growth tolerable on boundary
     matrices.  Each row caches its best pivot key and the keys sit in a
@@ -269,7 +422,7 @@ def smith_normal_form(M, transforms=TRANSFORMS):
     """
     m, n = M.rows, M.cols
     # row[i][j] = nonzero entry, colocc[j] = rows with an entry in column j
-    row = [{j: v for j, v in enumerate(r) if v} for r in M.data]
+    row = M.row_dicts()
     colocc = [set() for _ in range(n)]
     for i, ri in enumerate(row):
         for j in ri:
@@ -634,46 +787,38 @@ def column_span_basis(M):
         else IntMatrix.zeros(M.rows, 0)
 
 
-def _composes_to_zero(A, B):
-    """Whether A*B = 0, summing products of nonzero entries only."""
-    brows = [[(j, v) for j, v in enumerate(r) if v] for r in B.data]
-    for arow in A.data:
-        acc = {}
-        for k, a in enumerate(arow):
-            if a:
-                for j, v in brows[k]:
-                    acc[j] = acc.get(j, 0) + a * v
-        if any(acc.values()):
-            return False
-    return True
-
-
 def homology_of_pair(d_n, d_next):
     """Abelian invariants of ker(d_n) / im(d_next).
 
     Convention: d_n maps degree n to degree n-1 and d_next maps degree n+1
     to degree n, both acting on column vectors, so composability means
     d_n.cols == d_next.rows and the product d_n * d_next must vanish.
-
-    The kernel of d_n is a saturated sublattice (the quotient embeds into
-    the codomain, hence is torsion free), so the invariant factors of
-    d_next are unchanged by viewing it as a map into that kernel.  The
-    torsion of the quotient is therefore the set of invariant factors > 1
-    of d_next, and the free rank is nullity(d_n) - rank(d_next).
     """
     if d_n.cols != d_next.rows:
         raise ShapeMismatch("chain group has dimension %d as source, %d as target"
                             % (d_n.cols, d_next.rows))
-    if not _composes_to_zero(d_n, d_next):
+    if not (d_n * d_next).is_zero():
         raise CompositionNonzero("boundary maps do not compose to zero")
-    r_n = rank(d_n)
-    quotient = cokernel_invariants(d_next)
-    free = quotient.free_rank - r_n
+    return homology_from_forms(smith_normal_form(d_n, transforms=()),
+                               smith_normal_form(d_next, transforms=()), d_n.cols)
+
+
+def homology_from_forms(form_n, form_next, dim):
+    """ker(d_n) / im(d_next) from the Smith forms of d_n and d_next.
+
+    dim is the rank of the chain group between them.  The kernel of d_n
+    is a saturated sublattice (the quotient embeds into the codomain,
+    hence is torsion free), so the invariant factors of d_next are
+    unchanged by viewing it as a map into that kernel.  The torsion of the
+    quotient is therefore the set of invariant factors > 1 of d_next, and
+    the free rank is nullity(d_n) - rank(d_next).
+    """
+    free = dim - form_n.rank - form_next.rank
     if free < 0:
         raise CompositionNonzero("ranks %d and %d exceed the chain group "
-                                 "dimension %d" % (r_n, d_n.cols - quotient.free_rank,
-                                                   d_n.cols))
-    return AbelianInvariants(torsion=quotient.torsion, free_rank=free)
+                                 "dimension %d" % (form_n.rank, form_next.rank, dim))
+    return AbelianInvariants(torsion=[v for v in form_next.d if v > 1],
+                             free_rank=free)
 
 
 def determinant(M):

@@ -28,8 +28,8 @@ from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      InfiniteIndex, MissingPrime, NotInGroup, NotInLattice,
                      ShapeMismatch)
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
-                       charpoly, integer_roots, kernel_with_left_inverse,
-                       solve_matrix)
+                       SparseIntMatrix, charpoly, integer_roots,
+                       kernel_with_left_inverse, solve_matrix)
 from .resolutions import (FreeZGResolution, GroupRingElement, chain_add,
                           chain_scale, chains_equal, restrict_resolution,
                           sl2z_resolution)
@@ -413,7 +413,7 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
     if n >= 1:
         delta_in = C.deltas[n - 1]
     else:
-        delta_in = IntMatrix.zeros(C.ranks[0], 0)
+        delta_in = SparseIntMatrix(C.ranks[0], 0)
     # P maps a cocycle to its coordinates in the cocycle lattice Z, so the
     # coboundaries become the relations P delta_in
     Z, P = kernel_with_left_inverse(delta_out)

@@ -49,9 +49,11 @@ from .errors import (
     DegreeOutOfRange,
     FormatError,
     MissingHomotopy,
+    NotInGroup,
     ShapeMismatch,
+    WrongDegree,
 )
-from .exactlin import IntMatrix
+from .exactlin import SparseIntMatrix
 from .sl2z import (
     I,
     S,
@@ -227,12 +229,15 @@ class CyclicElement:
     __slots__ = ("order", "power")
 
     def __init__(self, order, power):
-        assert order >= 1
+        if order < 1:
+            raise FormatError("cyclic order must be positive, got %r" % (order,))
         self.order = order
         self.power = power % order
 
     def __mul__(self, other):
-        assert self.order == other.order
+        if self.order != other.order:
+            raise NotInGroup("product of elements of cyclic groups of orders "
+                             "%d and %d" % (self.order, other.order))
         return CyclicElement(self.order, self.power + other.power)
 
     def inverse(self):
@@ -310,8 +315,11 @@ class FreeZGResolution:
 
     def __init__(self, group, ranks, boundaries, homotopy_basis=None,
                  augmentation=None, section=None):
-        assert len(boundaries) == len(ranks), "one boundary table per degree"
-        assert boundaries[0] == [] or boundaries[0] == [{}] * ranks[0]
+        if len(boundaries) != len(ranks):
+            raise ShapeMismatch("%d boundary tables for %d degrees; need one "
+                                "per degree" % (len(boundaries), len(ranks)))
+        if boundaries[0] != [] and boundaries[0] != [{}] * ranks[0]:
+            raise ShapeMismatch("the degree-0 boundary table must be empty")
         self.group = group
         self.ranks = list(ranks)
         self._rows = boundaries
@@ -390,7 +398,9 @@ def _cyclic_powers(x):
     while cur != ident:
         powers.append(cur)
         cur = cur * x
-        assert len(powers) <= 10000, "element does not look finite order"
+        if len(powers) > 10000:
+            raise FormatError("element does not look finite order: no "
+                              "power up to 10000 is the identity")
     return powers
 
 
@@ -574,7 +584,8 @@ def sl2z_resolution(max_degree):
     for q in range(1, max_degree):
         w = edge_col.mult(q) * v[q - 1]
         vq = vert_col.hv(q - 1, w)
-        assert vq * vert_col.mult(q) == w, "column intertwiner failed at %d" % q
+        if vq * vert_col.mult(q) != w:
+            raise CompositionNonzero("column intertwiner failed at %d" % q)
         v.append(vq)
 
     ranks = [1] + [2] * max_degree
@@ -685,7 +696,10 @@ class CellChain:
         return sum(self.terms.values())
 
     def __add__(self, other):
-        assert self.cx is other.cx and self.dim == other.dim
+        if self.cx is not other.cx or self.dim != other.dim:
+            raise WrongDegree("adding a %d-chain to a %d-chain%s"
+                              % (other.dim, self.dim, "" if self.cx is other.cx
+                                 else " of another complex"))
         out = CellChain(self.cx, self.dim)
         out.terms = dict(self.terms)
         for (orbit, rep), c in other.terms.items():
@@ -1302,14 +1316,16 @@ def tensor_with_z(resolution):
     ranks = [resolution.rank(n) for n in range(top + 1)]
     diffs = []
     for n in range(1, top + 1):
-        rows = resolution.boundary_rows(n)
-        mat = IntMatrix.zeros(ranks[n - 1], ranks[n])
-        for j, row in enumerate(rows):
+        # the row of source generator j is column j of the boundary
+        columns = []
+        for row in resolution.boundary_rows(n):
+            col = {}
             for i, gre in row.items():
                 val = gre.augmentation()
                 if val:
-                    mat.data[i][j] = val
-        diffs.append(mat)
+                    col[i] = val
+            columns.append(col)
+        diffs.append(SparseIntMatrix(ranks[n - 1], ranks[n], columns))
     return FreeChainComplexZ(ranks, diffs)
 
 

@@ -41,6 +41,15 @@ def invariant_factors(orders):
     return sorted(out)
 
 
+def dense(M):
+    """The entries of a SparseIntMatrix as an IntMatrix (test-side reference)."""
+    out = IntMatrix.zeros(M.rows, M.cols)
+    for j, col in enumerate(M.columns):
+        for i, v in col.items():
+            out.data[i][j] = v
+    return out
+
+
 def base_complex(rng, max_top=2):
     """Block sum of free summands and torsion blocks; returns (C, oracle).
 
@@ -87,7 +96,7 @@ def expand_once(C, rng):
     """
     n = rng.randint(1, C.top_degree + 1)
     ranks = list(C.ranks)
-    diffs = [d.copy() for d in C.diffs]
+    diffs = [dense(d) for d in C.diffs]
     if n == len(ranks):
         ranks.append(0)
         diffs.append(IntMatrix.zeros(ranks[n - 1], 0))

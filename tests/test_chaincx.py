@@ -1,10 +1,13 @@
 """Tests for chain complexes and simple homotopy collapse reduction."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import artifact.chaincx
 from artifact.chaincx import (
     FreeChainComplexZ,
     all_homology,
@@ -16,6 +19,8 @@ from artifact.errors import CompositionNonzero, DegreeOutOfRange, FormatError
 from artifact.exactlin import IntMatrix
 
 from genhelpers import random_complex
+
+FROZEN = Path(__file__).resolve().parent / "frozen" / "chaincx_fixtures.json"
 
 
 def circle():
@@ -127,7 +132,7 @@ class TestContractProperties:
         assert contract(d).ranks == d.ranks
         # nothing collapsible remains: no unit entries at all
         for mat in d.diffs:
-            assert not any(v in (1, -1) for row in mat.data for v in row)
+            assert not any(v in (1, -1) for col in mat.columns for v in col.values())
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 9))
@@ -138,3 +143,55 @@ class TestContractProperties:
         degs = [step.degree for step in d.trace]
         assert degs == sorted(degs)
         assert len(d.trace) * 2 == sum(c.ranks) - sum(d.ranks)
+
+
+def _frozen_fixtures():
+    # the complexes of this file, plus twelve seeded random ones
+    yield "circle", circle()
+    yield "torus", torus()
+    yield "two_term", FreeChainComplexZ([1, 1], [IntMatrix.from_rows([[1]])])
+    yield "no_units", FreeChainComplexZ([1, 1], [IntMatrix.from_rows([[2]])])
+    yield "projective_plane", FreeChainComplexZ(
+        [1, 1, 1], [IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2]])])
+    yield "text_roundtrip", FreeChainComplexZ(
+        [2, 3, 1], [IntMatrix.from_rows([[0, 1, -1], [0, -1, 1]]),
+                    IntMatrix.from_rows([[2], [1], [1]])])
+    for seed in range(12):
+        yield "random_%d" % seed, random_complex(random.Random(seed))[0]
+
+
+def test_text_and_contraction_frozen():
+    # recorded when boundaries were dense matrices: the serialization, the
+    # contracted ranks and the collapse trace are unchanged byte for byte
+    frozen = json.loads(FROZEN.read_text())
+    got = {}
+    for name, c in _frozen_fixtures():
+        d = contract(c)
+        got[name] = {"text": c.to_text(), "contracted_ranks": d.ranks,
+                     "trace": [[s.degree, s.source, s.target] for s in d.trace],
+                     "contracted_text": d.to_text()}
+        assert FreeChainComplexZ.from_text(got[name]["text"]) == c
+    assert got == frozen
+
+
+def test_all_homology_one_form_per_boundary(monkeypatch):
+    # every boundary, the zero maps off both ends included, is factored
+    # once, and the groups are those of the degree-by-degree computation
+    rng = random.Random(7)
+    complexes = [random_complex(rng)[0] for _ in range(20)]
+    want = [[homology(c, n) for n in range(c.top_degree + 1)] for c in complexes]
+    calls = []
+    snf = artifact.chaincx.smith_normal_form
+    monkeypatch.setattr(artifact.chaincx, "smith_normal_form",
+                        lambda M, **kw: calls.append(M) or snf(M, **kw))
+    for c, w in zip(complexes, want):
+        calls.clear()
+        assert all_homology(c) == w
+        assert len(calls) == c.top_degree + 2
+
+
+def test_all_homology_checks_composition():
+    c = FreeChainComplexZ([1, 1, 1],
+                          [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])])
+    with pytest.raises(CompositionNonzero):
+        all_homology(c)

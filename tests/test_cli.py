@@ -7,6 +7,7 @@ published session values stable across refactors.
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,7 +16,8 @@ import pytest
 
 from artifact.cli import build_parser, config_from_args, main
 
-REPRO = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "reproductions"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+REPRO = ROOT / "scripts" / "reproductions"
 
 
 def run_cli(capsys, *args):
@@ -202,3 +204,37 @@ def test_reproduction_scripts_match_recorded_output(name):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+# Starts the command given in argv, waits for it with os.wait4 and prints its
+# exit code, stdout and ru_maxrss (kilobytes on Linux) as JSON.  Linux keeps
+# a process's peak RSS across exec, and a child spawned by the test process
+# itself would report the test process's own peak; this small launcher
+# makes the figure the command's alone.
+_RSS_LAUNCHER = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = proc.stdout.read()
+proc.stdout.close()
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps({"exit": proc.returncode, "stdout": out.decode(),
+                  "maxrss_kb": usage.ru_maxrss}))
+"""
+
+
+def test_c04_contracted_homology_peak_rss_under_100_mb():
+    # memory guard: the level-1000 boundaries stay sparse from tensor_with_z
+    # through contract (as dense matrices this run peaked at 596 MB)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "artifact.cli",
+         "homology", "--gamma0", "1000", "--degree", "5", "--contract"],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["exit"] == 0
+    assert run["stdout"] == "Z/2\n"
+    peak_mb = run["maxrss_kb"] / 1024
+    assert peak_mb < 100, "peak RSS %.0f MB" % peak_mb

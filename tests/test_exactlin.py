@@ -14,6 +14,7 @@ from artifact.exactlin import (
     AbelianInvariants,
     IntMatrix,
     QuotientLattice,
+    SparseIntMatrix,
     charpoly,
     cokernel_invariants,
     column_span_basis,
@@ -30,6 +31,8 @@ from artifact.exactlin import (
     _sym_div,
 )
 from artifact.hecke import matrix_on_quotient
+
+from genhelpers import dense
 
 
 def small_matrix(max_dim=12, max_entry=9):
@@ -704,3 +707,88 @@ def test_integer_roots_needs_monic():
         integer_roots([2, 1])
     with pytest.raises(NotMonic):
         integer_roots([])
+
+
+# ------------------------------------------------ sparse matrices
+
+
+def _mostly_zero(rows, cols):
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: IntMatrix(rows, cols, data))
+
+
+# three chained shapes r x k x c, 0 included on every side
+_chain = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(_mostly_zero(s[0], s[1]), _mostly_zero(s[1], s[2]),
+                        _mostly_zero(s[0], s[1]), _mostly_zero(s[2], s[0])))
+
+
+class TestSparseAgainstDense:
+    @settings(max_examples=150, deadline=None)
+    @given(_chain, st.lists(st.integers(-5, 5), min_size=6, max_size=6))
+    def test_matches_dense(self, mats, vec):
+        A, B, A2, Bt = mats
+        S, T = SparseIntMatrix.of(A), SparseIntMatrix.of(B)
+        assert dense(S) == A and (S.rows, S.cols) == (A.rows, A.cols)
+        assert not any(0 in col.values() for col in S.columns)
+        assert all(list(r) == sorted(r) for r in S.row_dicts())
+        assert S.row_dicts() == A.row_dicts()
+        # products: sparse with dense in both orders, and sparse with sparse
+        for got, want in ((S * B, A * B), (Bt * S, Bt * A), (A2 * T, A2 * B)):
+            assert type(got) is IntMatrix and got == want
+        ST = S * T
+        assert type(ST) is SparseIntMatrix and dense(ST) == A * B
+        assert S.apply(vec[:A.cols]) == A.apply(vec[:A.cols])
+        assert dense(S.transpose()) == A.transpose()
+        assert S.is_zero() == A.is_zero()
+        assert S.nonzero_count() == A.nonzero_count()
+        # equality, within the type and against dense matrices
+        assert S == A and A == S and not S != A
+        assert (S == SparseIntMatrix.of(A2)) == (A == A2)
+        assert (S == A2) == (A == A2)
+        assert S != SparseIntMatrix(A.rows + 1, A.cols)
+        # text is the dense format, both ways
+        assert S.to_text() == A.to_text()
+        assert SparseIntMatrix.from_text(A.to_text()) == S
+        # copies are independent
+        C = S.copy()
+        assert C == S
+        for col in C.columns:
+            col.clear()
+        assert dense(S) == A
+
+    def test_empty_shapes(self):
+        for r, c in ((0, 3), (3, 0), (0, 0)):
+            S = SparseIntMatrix(r, c)
+            assert S.is_zero() and S.nonzero_count() == 0
+            assert S == IntMatrix.zeros(r, c)
+            assert S.to_text() == IntMatrix.zeros(r, c).to_text()
+            assert S.apply([0] * c) == [0] * r
+            assert (S * IntMatrix.zeros(c, 2)) == IntMatrix.zeros(r, 2)
+            assert (IntMatrix.zeros(2, r) * S) == IntMatrix.zeros(2, c)
+
+    def test_shape_checks(self):
+        S = SparseIntMatrix(2, 3)
+        with pytest.raises(ShapeMismatch):
+            S * IntMatrix.zeros(2, 2)
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.zeros(2, 3) * S
+        with pytest.raises(ShapeMismatch):
+            S * SparseIntMatrix(2, 2)
+        with pytest.raises(ShapeMismatch):
+            S.apply([1, 2])
+        with pytest.raises(ShapeMismatch):
+            SparseIntMatrix(2, 3, [{}])
+        with pytest.raises(FormatError):
+            SparseIntMatrix.from_text("2 2\n1 2 3")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_chain)
+    def test_smith_form_reads_sparse_input(self, mats):
+        A = mats[0]
+        full = smith_normal_form(A)
+        got = smith_normal_form(SparseIntMatrix.of(A))
+        assert (got.d, got.rank) == (full.d, full.rank)
+        assert (got.U, got.V, got.Uinv, got.Vinv) == (full.U, full.V, full.Uinv, full.Vinv)

@@ -21,11 +21,15 @@ from artifact.errors import (
     DegreeOutOfRange,
     FormatError,
     MissingHomotopy,
+    NotInGroup,
+    ShapeMismatch,
+    WrongDegree,
 )
 from artifact.resolutions import (
     CellOrbit,
     CyclicElement,
     EquivariantCellComplex,
+    FreeZGResolution,
     GroupRingElement,
     borel_serre_complex,
     boundary_components,
@@ -538,3 +542,22 @@ def test_borel_serre_homotopy_is_contraction_on_cells(letters):
         c.add(orbit, g, 1)
         lhs = X.boundary_chain(X.homotopy(c)) + X.homotopy(X.boundary_chain(c))
         assert lhs == c
+
+
+def test_invariant_checks_raise():
+    # former asserts: each raises an ArtifactError, also under python -O
+    with pytest.raises(FormatError):
+        CyclicElement(0, 1)
+    with pytest.raises(NotInGroup):
+        CyclicElement(4, 1) * CyclicElement(6, 1)
+    with pytest.raises(FormatError, match="finite order"):
+        cyclic_resolution(4, generator=T)
+    with pytest.raises(ShapeMismatch):
+        FreeZGResolution("G", [1, 1], [[]])
+    with pytest.raises(ShapeMismatch):
+        FreeZGResolution("G", [1, 1], [[{0: GroupRingElement.unit(I)}], [{}]])
+    cx = borel_serre_complex()
+    with pytest.raises(WrongDegree):
+        cx.chain(1) + cx.chain(0)
+    with pytest.raises(WrongDegree):
+        cx.chain(1) + tree_cell_complex().chain(1)
