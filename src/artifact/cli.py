@@ -13,19 +13,12 @@ machine-readable error object instead of a result.
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from .chaincx import all_homology, contract, homology as chain_homology
-from .coeffmod import PolynomialModule, cohomology, hom_complex
+# Only the layers every subcommand needs load here; each runner imports
+# the rest, so a run loads (and compiles) just the modules it uses.
 from .congruence import CongruenceSubgroup, generators, index
-from .cuspidal import cuspidal_cohomology
-from .cwdvf import bing_house, critical_complex, load_complex, maximal_dvf
 from .errors import ArtifactError, ConfigError
-from .exactlin import charpoly
-from .hecke import hecke_eigenvalues, hecke_operator, hecke_representative
-from .quadring import (ideal_from_generators, gamma0_index, l_ratio,
-                       parse_quad, torsion_ratio)
-from .resolutions import restrict_resolution, sl2z_resolution, tensor_with_z
 
 SCHEMA = "artifact-report/1"
 
@@ -231,11 +224,13 @@ def _run_generators(cfg):
 
 
 def _group_chain_complex(cfg, depth):
+    from .resolutions import restrict_resolution, sl2z_resolution, tensor_with_z
     res = restrict_resolution(sl2z_resolution(depth), cfg.group())
     return tensor_with_z(res)
 
 
 def _run_homology(cfg):
+    from .chaincx import contract, homology as chain_homology
     n = cfg.degree
     depth = cfg.depth if cfg.depth is not None else n + 1
     if depth < n + 1:
@@ -255,19 +250,27 @@ def _run_homology(cfg):
 
 
 def _run_cohomology(cfg):
+    from .coeffmod import PolynomialModule, cohomology, hom_complex
+    from .resolutions import restrict_resolution, sl2z_resolution
     n = cfg.degree
     depth = cfg.depth if cfg.depth is not None else n + 1
     if depth < n + 1:
         raise ConfigError("depth %d cannot reach degree %d" % (depth, n))
     module = PolynomialModule(cfg.weight - 2)
-    res = restrict_resolution(sl2z_resolution(depth), cfg.group())
-    inv = cohomology(hom_complex(res, module), n)
+    # the resolution is released before the Smith form of the coboundaries
+    C = hom_complex(restrict_resolution(sl2z_resolution(depth), cfg.group()),
+                    module)
+    inv = cohomology(C, n)
     return {"group": str(cfg.group()), "degree": n, "weight": cfg.weight,
             "invariants": str(inv), "torsion": list(inv.torsion),
             "free_rank": inv.free_rank}, [str(inv)]
 
 
 def _run_hecke(cfg):
+    from .coeffmod import PolynomialModule
+    from .exactlin import charpoly
+    from .hecke import hecke_eigenvalues, hecke_operator, hecke_representative
+    from .resolutions import restrict_resolution, sl2z_resolution
     gamma = cfg.group()
     n = cfg.degree
     module = PolynomialModule(cfg.weight - 2)
@@ -303,6 +306,8 @@ def _run_hecke(cfg):
 
 
 def _run_cuspidal(cfg):
+    from .coeffmod import PolynomialModule
+    from .cuspidal import cuspidal_cohomology
     module = PolynomialModule(cfg.module_degree)
     r = cuspidal_cohomology(cfg.group(), cfg.degree, module)
     doc = r.descriptor()
@@ -313,6 +318,8 @@ def _run_cuspidal(cfg):
 
 
 def _run_dvf(cfg):
+    from .chaincx import all_homology
+    from .cwdvf import bing_house, critical_complex, load_complex, maximal_dvf
     if cfg.complex_path:
         X = load_complex(cfg.complex_path)
     else:
@@ -329,6 +336,8 @@ def _run_dvf(cfg):
 
 
 def _run_quad(cfg):
+    from .quadring import (ideal_from_generators, gamma0_index, l_ratio,
+                           parse_quad, torsion_ratio)
     x = parse_quad(cfg.ideal, cfg.d)
     a = ideal_from_generators([x])
     result = {"d": cfg.d, "ideal": cfg.ideal, "element_norm": x.norm()}
@@ -359,6 +368,8 @@ def _run_quad(cfg):
 
 
 def _run_contract(cfg):
+    from .chaincx import all_homology, contract
+    from .cwdvf import load_complex
     if cfg.complex_path and cfg.kind:
         raise ConfigError("give either --complex or a group, not both")
     if cfg.complex_path:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import FormatError
+from .errors import EliminationError, FormatError, NotInGroup
 from .sl2z import I, S, S_POWERS, U, U_POWERS, SL2ZMatrix
 
 
@@ -116,7 +116,9 @@ class _P1System:
             return (1, (pow(c, -1, n) * d) % n)
         if c1 == n:
             # the point (0 : unit); gcd(d, n) = 1 by primitivity
-            assert gcd(d, n) == 1
+            if gcd(d, n) != 1:
+                raise NotInGroup("(%d : %d) is not a point of P^1(Z_%d)"
+                                 % (c, d, n))
             return (0, 1)
         m = n // c1
         u = pow((c // c1) % m, -1, m)
@@ -177,7 +179,9 @@ class Transversal:
         """(index, gamma) with g = gamma * rep and gamma in Gamma."""
         i = self._table[self._key(g)]
         gamma = g * self.reps[i].inverse()
-        assert self.group.member(gamma)
+        if not self.group.member(gamma):
+            raise NotInGroup("%r times the inverse of representative %d is "
+                             "not in %s" % (g, i, self.group))
         return i, gamma
 
 
@@ -308,7 +312,7 @@ def generator_data(gamma):
                     if gamma.member(cand):
                         break
                 else:
-                    raise AssertionError("double coset mismatch in tree BFS")
+                    raise EliminationError("double coset mismatch in tree BFS")
                 raw.append(cand)
                 schreier_count += 1
 
@@ -335,20 +339,27 @@ def generator_data(gamma):
 
 
 def _short_expression(g, retained):
-    """Expression of g as a word of length <= 2 in retained gens, or None."""
+    """Expression of g as a word of length <= 2 in retained gens, or None.
+
+    A word [ta, tb] pairs the first table entry a for which a^-1 * g is in
+    the table with the first occurrence of a^-1 * g.
+    """
     if g == I:
         return []
     table = []
     for idx, r in enumerate(retained):
         table.append((r, (idx, 1)))
         table.append((r.inverse(), (idx, -1)))
+    first = {}
     for a, ta in table:
-        if a == g:
-            return [ta]
+        first.setdefault(a, ta)
+    hit = first.get(g)
+    if hit is not None:
+        return [hit]
     for a, ta in table:
-        for b, tb in table:
-            if a * b == g:
-                return [ta, tb]
+        tb = first.get(a.inverse() * g)
+        if tb is not None:
+            return [ta, tb]
     return None
 
 

@@ -949,6 +949,13 @@ class QuotientLattice:
         self.U = sf.U
         self.orders = list(sf.d) + [0] * (Y.rows - len(sf.d))
 
+    def is_relation(self, C):
+        """Whether every column of C, written in Z's coordinates, lies in
+        the span of the relations: row i of U*C is divisible by orders[i],
+        and zero where orders[i] is 0 (a free component)."""
+        return all(not any(row) if o == 0 else not any(v % o for v in row)
+                   for row, o in zip((self.U * C).data, self.orders))
+
     def presented(self):
         """Indices of the nontrivial components, free first, then torsion."""
         return ([i for i, o in enumerate(self.orders) if o == 0]

@@ -29,7 +29,7 @@ from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      ShapeMismatch)
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        SparseIntMatrix, charpoly, integer_roots,
-                       kernel_with_left_inverse, solve_matrix)
+                       kernel_with_left_inverse)
 from .resolutions import (FreeZGResolution, GroupRingElement, chain_add,
                           chain_scale, chains_equal, restrict_resolution,
                           sl2z_resolution)
@@ -407,6 +407,9 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
                         if brow[s]:
                             drow[b2 * m + s] += brow[s]
     cochain = IntMatrix(dim, dim, data)
+    # the lifted chain map is the largest object here; free it before the
+    # checks and the quotient allocate theirs
+    del source, lift
 
     C = hom_complex(resolution, module)
     delta_out = C.deltas[n]
@@ -417,13 +420,19 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
     # P maps a cocycle to its coordinates in the cocycle lattice Z, so the
     # coboundaries become the relations P delta_in
     Z, P = kernel_with_left_inverse(delta_out)
+    relations = P * delta_in
+    quotient = QuotientLattice(Z, relations)
     if check:
         if not (delta_out * (cochain * Z)).is_zero():
             raise CompositionNonzero("image of a cocycle is not a cocycle")
-        if delta_in.cols and solve_matrix(delta_in, cochain * delta_in) is None:
+        # Z P is the identity on span Z, so once the coboundaries lie in
+        # span Z, an image cocycle is a coboundary exactly when its
+        # coordinates are a relation
+        if Z * relations != delta_in:
+            raise CompositionNonzero("coboundaries are not cocycles")
+        if not quotient.is_relation(P * (cochain * delta_in)):
             raise NotInLattice("image of a coboundary is not a coboundary")
 
-    quotient = QuotientLattice(Z, P * delta_in)
     matrix, orders, basis = matrix_on_quotient(cochain, quotient,
                                                lambda V: P * V)
     return HeckeMatrix(gamma, desc.g, n, module.k + 2, matrix, orders,

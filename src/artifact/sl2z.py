@@ -14,7 +14,7 @@ with the trailing stabilizer power after the bar.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import FormatError, NotInGroup, WrongDegree
+from .errors import EliminationError, FormatError, NotInGroup, WrongDegree
 
 
 class SL2ZMatrix:
@@ -98,7 +98,8 @@ U = S * T  # [[0,-1],[1,1]], order 6
 
 U_POWERS = [I, U, U * U, -I, -U, -(U * U)]
 S_POWERS = [I, S, -I, -S]
-assert U ** 6 == I and S ** 4 == I and U ** 3 == S ** 2 == -I
+if not (U ** 6 == I and S ** 4 == I and U ** 3 == S ** 2 == -I):
+    raise EliminationError("S and U do not satisfy S^4 = U^6 = I, S^2 = U^3")
 
 _U_SET = frozenset(U_POWERS)
 
@@ -108,7 +109,8 @@ _U_SET = frozenset(U_POWERS)
 _X = [S, S * U, S * (U * U)]
 _X_INV = [x.inverse() for x in _X]
 for _x in _X_INV:
-    assert _x * T in _U_SET
+    if _x * T not in _U_SET:
+        raise EliminationError("X^-1 * T is outside <U> for X^-1 = %r" % _x)
 
 
 def in_unit_stabilizer(g):
@@ -228,7 +230,9 @@ def decompose(A):
     for c in reversed(cs[1:]):
         # interior letters always carry a nonzero U-power: stepping to the
         # plain S-neighbor would walk straight back to the previous vertex
-        assert c in (1, 2)
+        if c not in (1, 2):
+            raise EliminationError("interior letter S U^%d of %r walks back"
+                                   % (c, A))
         letters.extend(("S", "U" if c == 1 else "U2"))
     letters.append("S")
     word = GeneratorWord(tuple(letters), (cs[0] + 3 * (j // 3)) % 6)

@@ -223,6 +223,22 @@ print(json.dumps({"exit": proc.returncode, "stdout": out.decode(),
 """
 
 
+def test_cli_import_leaves_the_heavy_layers_unloaded():
+    # every subcommand imports its own layers, so starting the CLI loads
+    # only the congruence layer and what it needs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, artifact.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('artifact')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "artifact.congruence" in loaded
+    for name in ("hecke", "cuspidal", "cwdvf", "quadring", "resolutions"):
+        assert "artifact." + name not in loaded
+
+
 def test_c04_contracted_homology_peak_rss_under_100_mb():
     # memory guard: the level-1000 boundaries stay sparse from tensor_with_z
     # through contract (as dense matrices this run peaked at 596 MB)

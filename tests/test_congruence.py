@@ -1,13 +1,19 @@
 """Tests for congruence subgroups: membership, transversals, generators."""
 
+import copy
 import random
+import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact import congruence
+from artifact.cli import main
 from artifact.congruence import (
     CongruenceSubgroup,
+    _p1_system,
     _short_expression,
     generator_data,
     generators,
@@ -17,10 +23,12 @@ from artifact.congruence import (
     p1_transversal,
     transversal,
 )
-from artifact.errors import FormatError
+from artifact.errors import FormatError, NotInGroup
 from artifact.sl2z import I, S, T, U, SL2ZMatrix
 
 from coset_enum import enumerated_index
+
+FROZEN = Path(__file__).resolve().parent / "frozen"
 
 
 def gamma0(n):
@@ -286,3 +294,109 @@ def test_lookup_agrees_with_membership(seed, n):
     h = random_element(rng, 12)
     same = tr.index_of(g) == tr.index_of(h)
     assert same == gamma.member(g * h.inverse())
+
+
+def test_lookup_with_tampered_rep_raises():
+    # a representative swapped for one of another coset: the table still
+    # names coset 1, but g * rep^-1 is no longer in the group
+    tr = copy.copy(transversal(gamma0(11)))
+    tr.reps = list(tr.reps)
+    tr.reps[1] = tr.reps[2]
+    with pytest.raises(NotInGroup):
+        tr.lookup(transversal(gamma0(11)).rep(1))
+
+
+def test_p1_canon_rejects_imprimitive_point():
+    with pytest.raises(NotInGroup):
+        _p1_system(6).canon(0, 2)
+
+
+# ---------------------------------------------------------------------------
+# generator elimination against the all-pairs word search it replaced
+
+
+def short_expression_all_pairs(g, retained):
+    """The quadratic word search, kept as the reference."""
+    if g == I:
+        return []
+    table = []
+    for idx, r in enumerate(retained):
+        table.append((r, (idx, 1)))
+        table.append((r.inverse(), (idx, -1)))
+    for a, ta in table:
+        if a == g:
+            return [ta]
+    for a, ta in table:
+        for b, tb in table:
+            if a * b == g:
+                return [ta, tb]
+    return None
+
+
+TORSION = [I, -I, S, S.inverse(), U, U * U, U.inverse()]
+
+
+def random_table(rng):
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        pick = rng.random()
+        if out and pick < 0.25:
+            out.append(rng.choice(out))
+        elif pick < 0.55:
+            # +-I or a conjugate of an element of order 4, 3 or 6
+            h = random_element(rng, rng.randint(0, 6))
+            out.append(h * rng.choice(TORSION) * h.inverse())
+        else:
+            out.append(random_element(rng, rng.randint(1, 10)))
+    return out
+
+
+def random_target(rng, retained):
+    signed = retained + [r.inverse() for r in retained]
+    pick = rng.randrange(4)
+    if signed and pick == 0:
+        return rng.choice(signed)
+    if signed and pick == 1:
+        return rng.choice(signed) * rng.choice(signed)
+    if pick == 2:
+        return rng.choice(TORSION)
+    return random_element(rng, rng.randint(1, 12))
+
+
+def test_short_expression_matches_all_pairs():
+    rng = random.Random(2024)
+    lengths = {None: 0, 0: 0, 1: 0, 2: 0}
+    for _ in range(200):
+        retained = random_table(rng)
+        for _ in range(6):
+            g = random_target(rng, retained)
+            want = short_expression_all_pairs(g, retained)
+            assert _short_expression(g, retained) == want
+            lengths[None if want is None else len(want)] += 1
+    # every branch of the search is exercised
+    assert all(lengths.values()), lengths
+
+
+SWEEP = ([gamma0(n) for n in range(1, 101)] + [gamma1(n) for n in range(1, 33)]
+         + [principal(n) for n in range(1, 9)])
+
+
+def test_generator_data_matches_all_pairs_reference(monkeypatch):
+    got = [generator_data(gamma) for gamma in SWEEP]
+    monkeypatch.setattr(congruence, "_short_expression", short_expression_all_pairs)
+    for gamma, data in zip(SWEEP, got):
+        # generators, dropped and the four counts
+        assert data == generator_data(gamma), gamma
+
+
+def test_large_generating_sets_frozen(capsys):
+    # output captured before the word search became a lookup, when these
+    # two runs took about 41 s and 9 s
+    start = time.perf_counter()
+    for argv, name in [("generators --gamma0 1000 --format json",
+                        "generators_gamma0_1000.json"),
+                       ("generators --gamma1 60 --format json",
+                        "generators_gamma1_60.json")]:
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == (FROZEN / name).read_text()
+    assert time.perf_counter() - start < 5

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
-CLEARED = ("hecke.py", "cuspidal.py", "exactlin.py", "chaincx.py", "resolutions.py")
+CLEARED = ("hecke.py", "cuspidal.py", "exactlin.py", "chaincx.py", "resolutions.py",
+           "congruence.py", "sl2z.py")
 
 
 @pytest.mark.parametrize("name", CLEARED)
