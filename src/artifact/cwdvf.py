@@ -41,8 +41,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .chaincx import FreeChainComplexZ, verify_complex
-from .errors import (CompositionNonzero, FormatError, MalformedArrow,
-                     NotAdmissible, NotContracting)
+from .errors import (CompositionNonzero, EliminationError, FormatError,
+                     MalformedArrow, NotAdmissible, NotContracting)
 from .exactlin import SparseIntMatrix
 
 
@@ -483,7 +483,8 @@ def maximal_dvf(X):
                 if status[k - 1][f] == FREE:
                     source = f
                     break
-            assert source is not None
+            if source is None:
+                raise EliminationError("cell (%d, %d) has no free face left" % (k, j))
             status[k][j] = MATCHED
             status[k - 1][source] = MATCHED
             free_left -= 2
@@ -519,7 +520,8 @@ def maximal_dvf(X):
                         critical.discard((k, f))
                         critical.discard((k + 1, t))
                         break
-    assert is_admissible(X, field)
+    if not is_admissible(X, field):
+        raise NotAdmissible("maximal vector field has a circuit")
     return field
 
 

@@ -12,11 +12,9 @@ Constructions provided:
   * cyclic_resolution     -- the periodic resolution for a finite cyclic
                              group, optionally twisted by the order-2
                              character on an even cyclic group;
-  * sl2z_resolution       -- a resolution for SL2(Z) built from its action
-                             on the trivalent tree, assembled by hand as
-                             the total complex of a two-column double
-                             complex (edge stabilizer <S>, vertex
-                             stabilizer <U>);
+  * sl2z_resolution       -- the resolution for SL2(Z): wall_resolution
+                             on tree_cell_complex, relabelled to a fixed
+                             basis;
   * wall_resolution       -- the general assembly for a group acting on a
                              contractible cell complex with finitely many
                              orbits and finite cyclic stabilizers;
@@ -24,9 +22,8 @@ Constructions provided:
                              compactified upper half plane whose quotient
                              is the compactified modular curve, with its
                              horocycle boundary marked;
-  * tree_cell_complex     -- the tree itself as a one-dimensional cell
-                             complex (a small cross-check input for
-                             wall_resolution);
+  * tree_cell_complex     -- the trivalent tree as a one-dimensional cell
+                             complex with its geodesic contraction;
   * restrict_resolution   -- restriction of a ZG-resolution to a finite
                              index subgroup, along a chosen transversal;
   * tensor_with_z         -- the integral chain complex Z tensor_ZG R.
@@ -39,8 +36,6 @@ coefficients multiply the stored row from the left.  Homotopies are only
 Z-linear; they are evaluated termwise through canonical coset
 representatives, which is what makes them effective.
 """
-
-from functools import lru_cache
 
 from .chaincx import FreeChainComplexZ
 from .congruence import CongruenceSubgroup, transversal
@@ -195,29 +190,6 @@ class GroupRingElement:
         parts = sorted((repr(g), c) for g, c in self.terms.items())
         return " + ".join("%d*%s" % (c, gs) for gs, c in parts)
 
-    @classmethod
-    def from_str(cls, text):
-        """Inverse of to_str for matrix-supported elements."""
-        text = text.strip()
-        if text == "0":
-            return cls()
-        out = cls()
-        for part in text.split(" + "):
-            coeff, _, mat = part.partition("*")
-            try:
-                c = int(coeff)
-            except ValueError:
-                raise FormatError("bad coefficient in %r" % part)
-            if not _:
-                raise FormatError("missing '*' in %r" % part)
-            g = SL2ZMatrix.from_str(mat)
-            new = out.terms.get(g, 0) + c
-            if new:
-                out.terms[g] = new
-            else:
-                out.terms.pop(g, None)
-        return out
-
 
 class CyclicElement:
     """An element of an abstract cyclic group of given order.
@@ -293,10 +265,6 @@ def chain_is_zero(a):
 
 def chains_equal(a, b):
     return chain_is_zero(chain_sub(a, b))
-
-
-def _chain_clean(a):
-    return {i: gre for i, gre in a.items() if not gre.is_zero()}
 
 
 class FreeZGResolution:
@@ -505,14 +473,11 @@ class _InducedColumn:
     ZG; the vertical boundary is right multiplication by the stabilizer
     resolution's multiplier, and the contracting homotopy extends the
     subgroup one termwise through canonical coset representatives
-    g = t * s^k.  cell_sign exposes the character sign picked up at the
-    augmentation-to-cells level.
+    g = t * s^k.  The column serves vertical degrees up to max_degree:
+    mult(m) for m <= max_degree and hv(m) for m < max_degree.
     """
 
-    def __init__(self, s, order, twisted, res=None, max_degree=14):
-        self.s = s
-        self.order = order
-        self.twisted = twisted
+    def __init__(self, s, order, twisted, res, max_degree):
         self.powers = tuple(_cyclic_powers(s))
         if len(self.powers) != order:
             raise FormatError("stabilizer generator order mismatch")
@@ -521,6 +486,11 @@ class _InducedColumn:
                                     max_degree=max_degree)
         if any(res.rank(n) > 1 for n in range(res.top_degree() + 1)):
             raise ShapeMismatch("stabilizer resolution must have rank one")
+        if res._homotopy_basis is None:
+            raise MissingHomotopy("stabilizer resolution carries no homotopy")
+        if res.top_degree() < max_degree:
+            raise DegreeOutOfRange("stabilizer resolution stops at degree %d,"
+                                   " %d needed" % (res.top_degree(), max_degree))
         self.res = res
 
     def mult(self, m):
@@ -536,21 +506,13 @@ class _InducedColumn:
 
     def hv(self, m, gre):
         """Induced contracting homotopy, vertical degree m -> m + 1."""
-        out = GroupRingElement.zero()
+        terms = []
         for g, c in gre.items():
             t, k = self.decompose(g)
-            piece = self.res.h(m, {0: GroupRingElement.unit(self.powers[k], c)})
+            piece = self.res._homotopy_basis(m, 0, self.powers[k])
             if piece:
-                out = out + piece[0].left_mul(t)
-        return out
-
-    def cell_sign(self, k):
-        return -1 if (self.twisted and k % 2) else 1
-
-    def canon(self, g):
-        """Canonical cell representative and character sign: g H = sign * t H."""
-        t, k = self.decompose(g)
-        return t, self.cell_sign(k)
+                terms.extend((t * x, cx * c) for x, cx in piece[0].items())
+        return GroupRingElement(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -560,80 +522,41 @@ class _InducedColumn:
 def sl2z_resolution(max_degree):
     """A free resolution of Z over Z[SL2(Z)] with contracting homotopy.
 
-    Built from the action on the trivalent tree: the quotient is a single
-    edge, so the resolution is the total complex of a two-column double
-    complex, one column induced from the edge stabilizer <S> (order 4,
-    with the orientation character) and one from the vertex stabilizer
-    <U> (order 6, untwisted).  Ranks are (1, 2, 2, 2, ...): in degree
-    n >= 1 generator 0 sits over the edge and generator 1 over the
-    vertex.
-
-    The horizontal boundary over the edge column is transported up degree
-    by degree with the vertex column's homotopy; the contracting homotopy
-    combines the tree's geodesic contraction with the columns' periodic
-    homotopies.
+    wall_resolution on the trivalent tree (tree_cell_complex), whose
+    quotient is one edge (stabilizer <S> of order 4, which reverses it)
+    on one vertex (stabilizer <U> of order 6).  Ranks are
+    (1, 2, 2, 2, ...).  The basis is relabelled so that in degree n >= 1
+    generator 0 sits over the edge and generator 1 over the vertex, and
+    the edge generator is negated; Hecke bases downstream are stated in
+    this basis.
     """
     if max_degree < 1:
         raise DegreeOutOfRange("need max_degree >= 1")
-    edge_col = _InducedColumn(S, 4, True, max_degree=max_degree + 2)
-    vert_col = _InducedColumn(U, 6, False, max_degree=max_degree + 2)
+    W = wall_resolution(tree_cell_complex(), max_degree)
+    wall_h = W._homotopy_basis
 
-    v0 = GroupRingElement([(T, 1), (I, -1)])
-    # v[q] intertwines the columns: v[q] * u_mult(q) == s_mult(q) * v[q-1].
-    v = [v0]
-    for q in range(1, max_degree):
-        w = edge_col.mult(q) * v[q - 1]
-        vq = vert_col.hv(q - 1, w)
-        if vq * vert_col.mult(q) != w:
-            raise CompositionNonzero("column intertwiner failed at %d" % q)
-        v.append(vq)
+    def relabel(n, chain, sign=1):
+        """sign times a degree-n Wall chain, in the relabelled basis.
 
-    ranks = [1] + [2] * max_degree
+        Wall's generator 1 (edge) becomes -e_0, generator 0 (vertex) e_1.
+        """
+        if n == 0:
+            return chain if sign == 1 else chain_neg(chain)
+        return {1 - k: chain[k] if s == 1 else -chain[k]
+                for k, s in ((1, -sign), (0, sign)) if k in chain}
+
     boundaries = [[]]
     for n in range(1, max_degree + 1):
-        if n == 1:
-            row_edge = {0: -v[0]}
-            row_vert = {0: vert_col.mult(1)}
-        else:
-            sign = 1 if n % 2 == 0 else -1
-            row_edge = {0: edge_col.mult(n - 1), 1: v[n - 1] * sign}
-            row_vert = {1: vert_col.mult(n)}
-        boundaries.append([_chain_clean(row_edge), _chain_clean(row_vert)])
-
-    def tree_part(g):
-        """Geodesic contraction of the vertex g<U>, as edge-column terms."""
-        walk = tree_homotopy(TreeChain.vertex(g))
-        return GroupRingElement(walk.items())
+        rows = W.boundary_rows(n)
+        boundaries.append([relabel(n - 1, rows[1], -1), relabel(n - 1, rows[0])])
 
     def homotopy_basis(n, j, g):
-        one = GroupRingElement.unit(g)
         if n == 0:
-            hh = tree_part(g)
-            x_part = -hh
-            y_part = vert_col.hv(0, one) - vert_col.hv(0, hh * v[0])
-            return _chain_clean({0: x_part, 1: y_part})
-        if j == 0:
-            p = edge_col.hv(n - 1, one)
-            if p.is_zero():
-                return {}
-            q_part = vert_col.hv(n, p * v[n])
-            if n % 2:
-                q_part = -q_part
-            return _chain_clean({0: p, 1: q_part})
-        return _chain_clean({1: vert_col.hv(n, one)})
+            return relabel(1, wall_h(0, 0, g))
+        return relabel(n + 1, wall_h(n, 1 - j, g), 1 if j else -1)
 
-    def augmentation(chain):
-        total = 0
-        for gre in chain.values():
-            total += gre.augmentation()
-        return total
-
-    def section(c=1):
-        return {0: GroupRingElement.unit(I, c)}
-
-    group = CongruenceSubgroup.gamma0(1)
-    return FreeZGResolution(group, ranks, boundaries, homotopy_basis,
-                            augmentation, section)
+    return FreeZGResolution(W.group, W.ranks, boundaries, homotopy_basis,
+                            W._augmentation, W._section)
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +614,6 @@ class CellChain:
 
     def is_zero(self):
         return not self.terms
-
-    def coefficient_sum(self):
-        return sum(self.terms.values())
 
     def __add__(self, other):
         if self.cx is not other.cx or self.dim != other.dim:
@@ -753,6 +673,11 @@ class EquivariantCellComplex:
                                       % orb.name)
                 if orb.twisted and orb.stabilizer_order % 2:
                     raise FormatError("orientation character needs even order")
+                if orb.twisted and p == 0:
+                    # a point has no orientation to reverse, and the
+                    # augmentation must be invariant
+                    raise FormatError("0-cell orbit %s cannot be twisted"
+                                      % orb.name)
                 self._powers[(p, i)] = powers
 
     def dim(self):
@@ -919,9 +844,9 @@ def borel_serre_complex():
 def tree_cell_complex():
     """The trivalent tree as a G-cell complex: one vertex and one edge orbit.
 
-    A minimal contractible input for wall_resolution; the assembled
-    resolution has ranks (1, 2, 2, ...) and the same homology as
-    sl2z_resolution.
+    Its contraction walks each vertex along the geodesic to the base
+    vertex, so wall_resolution assembles from it a resolution of ranks
+    (1, 2, 2, ...) with homotopy: sl2z_resolution is that one, relabelled.
     """
     vertex = CellOrbit("vertex", U, 6, False, [])
     edge = CellOrbit("edge", S, 4, True,
@@ -931,10 +856,9 @@ def tree_cell_complex():
     def homotopy(x):
         out = cx.chain(x.dim + 1)
         if x.dim == 0:
-            for (i, rep), c in x.items():
-                walk = tree_homotopy(TreeChain.vertex(rep, c))
-                for g, cc in walk.items():
-                    out.add(0, g, cc)
+            # the walk's edges are canonical already: no second canon pass
+            walk = tree_homotopy(TreeChain(0, ((rep, c) for (_, rep), c in x.items())))
+            out.terms = {(0, g): c for g, c in walk.items()}
         return out
 
     cx.homotopy = homotopy
@@ -944,12 +868,6 @@ def tree_cell_complex():
 
 # ---------------------------------------------------------------------------
 # the assembly: resolution from a contractible cell complex
-
-
-# The correction series of the transferred contraction alternates sign:
-# tail term k is (-H delta)^k applied to the leading part.  Verified
-# degree by degree against d h + h d = 1 in the test suite.
-_PERTURBATION_SIGN = -1
 
 
 def wall_resolution(X, max_degree, stabilizers=None, check=True):
@@ -975,11 +893,13 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
     dim = X.dim()
     cols = {}
     for p in range(dim + 1):
+        # columns two below a cell lift its d2 terms up to degree max_degree
+        top = max_degree + 1 if p + 2 <= dim else max_degree
         for i, orb in enumerate(X.cells[p]):
             res = None if stabilizers is None else stabilizers.get((p, i))
             cols[(p, i)] = _InducedColumn(
                 orb.stabilizer_generator, orb.stabilizer_order, orb.twisted,
-                res=res, max_degree=max_degree + 2)
+                res=res, max_degree=top)
 
     # generator tables: degree n lists (p, i) with q = n - p implied
     gens = []
@@ -1086,13 +1006,10 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
         return out
 
     def apply_I(cell_chain):
-        out = {}
+        terms = {}
         for (i, rep), c in cell_chain.items():
-            key = (cell_chain.dim, i)
-            cur = out.get(key)
-            term = GroupRingElement.unit(rep, c)
-            out[key] = term if cur is None else cur + term
-        return out
+            terms.setdefault((cell_chain.dim, i), []).append((rep, c))
+        return {key: GroupRingElement(t) for key, t in terms.items()}
 
     def apply_delta(chain, deg):
         """The d1 + d2 part of the boundary on a pq-chain."""
@@ -1130,9 +1047,8 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
         total = dict(base)
         z = base
         for _ in range(dim + 2):
-            z = apply_H(apply_delta(z, n + 1), n)
-            if _PERTURBATION_SIGN != 1:
-                z = {k: gre * _PERTURBATION_SIGN for k, gre in z.items()}
+            # tail term k is (-H delta)^k applied to the leading part
+            z = {k: -gre for k, gre in apply_H(apply_delta(z, n + 1), n).items()}
             if not z:
                 break
             for key, gre in z.items():
@@ -1151,8 +1067,8 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
         return out
 
     def augmentation(chain):
-        pq = {gens[0][idx]: gre for idx, gre in chain.items()}
-        return apply_P(pq, 0).coefficient_sum()
+        # 0-cells are never twisted, so each column augments to its point
+        return sum(gre.augmentation() for gre in chain.values())
 
     base_idx = index[0][(0, X.basepoint)]
 
@@ -1328,18 +1244,3 @@ def tensor_with_z(resolution):
         diffs.append(SparseIntMatrix(ranks[n - 1], ranks[n], columns))
     return FreeChainComplexZ(ranks, diffs)
 
-
-def dump_resolution(resolution, out):
-    """Write ranks and boundary rows in a stable text form.
-
-    One line per (degree, source, target) triple carrying the group ring
-    entry in GroupRingElement.to_str form; suitable for diffing runs
-    against each other.
-    """
-    out.write("ranks %s\n" % " ".join(
-        str(resolution.rank(n)) for n in range(resolution.top_degree() + 1)))
-    for n in range(1, resolution.top_degree() + 1):
-        rows = resolution.boundary_rows(n)
-        for j, row in enumerate(rows):
-            for i in sorted(row):
-                out.write("d %d %d %d %s\n" % (n, j, i, row[i].to_str()))

@@ -7,14 +7,14 @@ vertex through exact integer geometry and yields a reduced word in S, U,
 U^2; the same walk drives the contracting homotopy of the tree complex,
 which is what makes every resolution in this package computable.
 
-Text formats: matrices as "[[a,b],[c,d]]"; words as "S U2 S U ... | U^k"
+Printed forms: matrices as "[[a,b],[c,d]]"; words as "S U2 S U ... | U^k"
 with the trailing stabilizer power after the bar.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EliminationError, FormatError, NotInGroup, WrongDegree
+from .errors import EliminationError, NotInGroup, WrongDegree
 
 
 class SL2ZMatrix:
@@ -63,24 +63,6 @@ class SL2ZMatrix:
 
     def __repr__(self):
         return "[[%d,%d],[%d,%d]]" % (self.a, self.b, self.c, self.d)
-
-    def to_str(self):
-        return repr(self)
-
-    @classmethod
-    def from_str(cls, text):
-        s = "".join(text.split())
-        if not (s.startswith("[[") and s.endswith("]]")):
-            raise FormatError("matrix must look like [[a,b],[c,d]]: %r" % text)
-        body = s[2:-2].replace("],[", ",")
-        parts = body.split(",")
-        if len(parts) != 4:
-            raise FormatError("matrix must have four entries: %r" % text)
-        try:
-            a, b, c, d = (int(p) for p in parts)
-        except ValueError:
-            raise FormatError("non-integer matrix entry in %r" % text) from None
-        return cls(a, b, c, d)
 
 
 def _mk(a, b, c, d):
@@ -182,26 +164,6 @@ class GeneratorWord:
 
     def __str__(self):
         return ("%s | U^%d" % (" ".join(self.letters), self.u_power)).strip()
-
-    @classmethod
-    def from_str(cls, text):
-        if "|" not in text:
-            raise FormatError("word needs a '|' before the trailing power: %r" % text)
-        left, right = text.split("|", 1)
-        letters = tuple(left.split())
-        for letter in letters:
-            if letter not in _LETTER:
-                raise FormatError("unknown letter %r" % letter)
-        right = right.strip()
-        if not right.startswith("U^"):
-            raise FormatError("trailing power must look like U^k: %r" % text)
-        try:
-            k = int(right[2:])
-        except ValueError:
-            raise FormatError("bad trailing power in %r" % text) from None
-        if not 0 <= k <= 5:
-            raise FormatError("trailing power %d out of range 0..5" % k)
-        return cls(letters, k)
 
 
 _LETTER = {"S": S, "U": U, "U2": U * U}

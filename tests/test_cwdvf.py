@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact import cwdvf
 from artifact.chaincx import all_homology
 from artifact.cwdvf import (
     DiscreteVectorField,
@@ -239,6 +240,13 @@ def test_cubic_tree_one_critical(depth):
 def test_maximal_dvf_deterministic():
     Y = bing_house()
     assert maximal_dvf(Y).arrows == maximal_dvf(Y).arrows
+
+
+def test_maximal_dvf_checks_its_result(monkeypatch):
+    # the final admissibility check raises, also under python -O
+    monkeypatch.setattr(cwdvf, "is_admissible", lambda X, V: False)
+    with pytest.raises(NotAdmissible):
+        maximal_dvf(circle())
 
 
 def test_maximal_dvf_readmissible():

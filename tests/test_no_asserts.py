@@ -12,7 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 CLEARED = ("hecke.py", "cuspidal.py", "exactlin.py", "chaincx.py", "resolutions.py",
-           "congruence.py", "sl2z.py")
+           "congruence.py", "sl2z.py", "cwdvf.py")
 
 
 @pytest.mark.parametrize("name", CLEARED)
