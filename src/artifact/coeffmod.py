@@ -151,6 +151,15 @@ class CochainComplexZ:
     def top_degree(self):
         return len(self.ranks) - 1
 
+    def delta(self, n):
+        """delta_n as a matrix, including the zero maps off both ends."""
+        if 0 <= n < len(self.deltas):
+            return self.deltas[n]
+
+        def rank(k):
+            return self.ranks[k] if 0 <= k < len(self.ranks) else 0
+        return SparseIntMatrix(rank(n + 1), rank(n))
+
     def as_chain_complex(self):
         """The same maps with the grading reversed (degree n -> top - n)."""
         return FreeChainComplexZ(list(reversed(self.ranks)),
@@ -215,6 +224,4 @@ def cohomology(C, n):
     top = C.top_degree()
     if not 0 <= n <= top:
         raise DegreeOutOfRange("degree %d outside 0..%d" % (n, top))
-    dout = C.deltas[n] if n < top else SparseIntMatrix(0, C.ranks[top])
-    din = C.deltas[n - 1] if n >= 1 else SparseIntMatrix(C.ranks[0], 0)
-    return homology_of_pair(dout, din)
+    return homology_of_pair(C.delta(n), C.delta(n - 1))

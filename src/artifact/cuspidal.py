@@ -21,8 +21,8 @@ from functools import cached_property
 from .coeffmod import PolynomialModule, cohomology, hom_complex
 from .errors import CompositionNonzero, DegreeOutOfRange, NotInLattice
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
-                       SparseIntMatrix, cokernel_invariants, column_span_basis,
-                       integer_kernel, kernel_with_left_inverse, solve_matrix)
+                       cokernel_invariants, column_span_basis, integer_kernel,
+                       kernel_with_left_inverse, solve_matrix)
 from .hecke import (EquivariantChainMap, HeckeMatrix, hecke_operator,
                     matrix_on_quotient)
 from .resolutions import (borel_serre_complex, restrict_resolution,
@@ -134,8 +134,8 @@ def cuspidal_cohomology(gamma, n, module=None, check=True):
         raise CompositionNonzero(
             "restriction does not commute with the coboundaries")
 
-    din_a = CA.deltas[n - 1] if n >= 1 else SparseIntMatrix(CA.ranks[0], 0)
-    din_b = CB.deltas[n - 1] if n >= 1 else SparseIntMatrix(CB.ranks[0], 0)
+    din_a = CA.delta(n - 1)
+    din_b = CB.delta(n - 1)
     # invariants are taken in the coordinates of the cocycle lattice Z,
     # where the ambient coboundaries become the relations P din_a
     Z, P = kernel_with_left_inverse(CA.deltas[n])
@@ -176,7 +176,7 @@ def cuspidal_hecke_matrix(result, g, check=True):
     T = hecke_operator(result.group, n, g, module=result.module,
                        resolution=result.ambient_resolution, check=check)
     CB = result.boundary_complex
-    din_b = CB.deltas[n - 1] if n >= 1 else SparseIntMatrix(CB.ranks[0], 0)
+    din_b = CB.delta(n - 1)
     if check:
         moved = result.restriction * (T.cochain * result.kernel_basis)
         if solve_matrix(din_b, moved) is None:

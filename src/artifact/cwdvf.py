@@ -606,7 +606,7 @@ def _flow_stabilize(X, ev, n, chain):
         if nxt == z:
             return z
         z = nxt
-    raise AssertionError("Morse flow failed to stabilize")
+    raise EliminationError("Morse flow failed to stabilize")
 
 
 def critical_complex(X, V):

@@ -28,11 +28,9 @@ from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      InfiniteIndex, MissingPrime, NotInGroup, NotInLattice,
                      ShapeMismatch)
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
-                       SparseIntMatrix, charpoly, integer_roots,
-                       kernel_with_left_inverse)
-from .resolutions import (FreeZGResolution, GroupRingElement, chain_add,
-                          chain_scale, chains_equal, restrict_resolution,
-                          sl2z_resolution)
+                       charpoly, integer_roots, kernel_with_left_inverse)
+from .resolutions import (FreeZGResolution, GroupRingElement, _accumulate,
+                          chains_equal, restrict_resolution, sl2z_resolution)
 from .sl2z import I as IDENT, SL2ZMatrix
 
 
@@ -242,10 +240,9 @@ class EquivariantChainMap:
             base = self.values[n][j]
             for gam, c in gre.items():
                 img = self.phi(gam)
-                moved = {i: val.left_mul(img) for i, val in base.items()}
-                if c != 1:
-                    moved = chain_scale(moved, c)
-                out = chain_add(out, moved)
+                for i, val in base.items():
+                    moved = val.left_mul(img)
+                    _accumulate(out, i, moved if c == 1 else moved * c)
         return out
 
     def _verify(self):
@@ -262,14 +259,6 @@ class EquivariantChainMap:
                 if not chains_equal(left, right):
                     raise CompositionNonzero(
                         "d f != f d in degree %d on generator %d" % (n, j))
-
-
-def equivariant_chain_map(source, target, phi, degree_max, check=True):
-    """The phi-semilinear chain map source -> target through target's homotopy.
-
-    See EquivariantChainMap; this is the construction entry point.
-    """
-    return EquivariantChainMap(source, target, phi, degree_max, check=check)
 
 
 def _truncated(resolution, top):
@@ -412,11 +401,8 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
     del source, lift
 
     C = hom_complex(resolution, module)
-    delta_out = C.deltas[n]
-    if n >= 1:
-        delta_in = C.deltas[n - 1]
-    else:
-        delta_in = SparseIntMatrix(C.ranks[0], 0)
+    delta_out = C.delta(n)
+    delta_in = C.delta(n - 1)
     # P maps a cocycle to its coordinates in the cocycle lattice Z, so the
     # coboundaries become the relations P delta_in
     Z, P = kernel_with_left_inverse(delta_out)

@@ -13,7 +13,7 @@ abelianizations is conjectured to approach.
 import math
 import re
 
-from .errors import FormatError, MixedField, ZeroIdeal
+from .errors import EliminationError, FormatError, MixedField, ZeroIdeal
 
 
 def _squarefree(d):
@@ -36,7 +36,9 @@ class QuadInt:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        assert _squarefree(d), "d must be square-free and not 0 or 1"
+        if not _squarefree(d):
+            raise FormatError("d must be square-free and not 0 or 1, got %r"
+                              % (d,))
         self.a = a
         self.b = b
         self.d = d
@@ -180,13 +182,15 @@ def _hnf_rows(rows):
             piv[1] -= t * r[1]
             piv, r = r, piv
         rest.append(r)
-    assert piv is not None and piv[0] != 0, "lattice has rank < 2"
+    if piv is None:
+        raise EliminationError("lattice has rank < 2")
     if piv[0] < 0:
         piv = [-piv[0], -piv[1]]
     s = 0
     for r in rest:
         s = math.gcd(s, r[1])
-    assert s != 0, "lattice has rank < 2"
+    if s == 0:
+        raise EliminationError("lattice has rank < 2")
     return (piv[0], piv[1] % s), (0, s)
 
 
@@ -203,14 +207,15 @@ class QuadIdeal:
 
     def __init__(self, d, basis):
         (p, q), (z, s) = basis
-        assert z == 0 and p > 0 and s > 0 and 0 <= q < s, \
-            "basis is not in normal form"
+        if not (z == 0 and p > 0 and s > 0 and 0 <= q < s):
+            raise FormatError("basis %r is not in normal form" % (basis,))
         self.d = d
         self.basis = ((p, q), (0, s))
         for x, y in self.basis:
             w = QuadInt(0, 1, d) * QuadInt(x, y, d)
-            assert self._contains(w.a, w.b), \
-                "lattice is not closed under omega"
+            if not self._contains(w.a, w.b):
+                raise FormatError("basis %r is not an ideal: the lattice is "
+                                  "not closed under omega" % (basis,))
 
     def _contains(self, a, b):
         (p, q), (_, s) = self.basis
@@ -285,10 +290,11 @@ def ideal_from_generators(gens):
     Since the ring is Z + Z*omega, the ideal is the Z-span of the
     generators together with their omega-multiples; one stacking pass
     therefore suffices before reducing to the canonical normal form.
-    Raises ZeroIdeal if every generator is zero.
+    Raises ZeroIdeal if there is no generator or every generator is zero.
     """
     gens = list(gens)
-    assert gens, "need at least one generator"
+    if not gens:
+        raise ZeroIdeal("no generators")
     d = gens[0].d
     rows = []
     for g in gens:
@@ -320,8 +326,10 @@ def quad_character(d, n):
     to whether the prime splits or stays inert.  Computed by the
     reciprocity cascade, no factoring involved.
     """
-    assert _squarefree(d)
-    assert n >= 1
+    if not _squarefree(d):
+        raise FormatError("d must be square-free and not 0 or 1, got %r" % (d,))
+    if n < 1:
+        raise FormatError("the character is evaluated at n >= 1, got %r" % (n,))
     D = d if d % 4 == 1 else 4 * d
     a, m = D, n
     s = 1
@@ -351,7 +359,9 @@ def l_ratio(d, pi_multiple=18, tail=1e-8):
     periods cancel), so by partial summation the tail after M terms is at
     most |D|/M^2; M is chosen to push that below the requested bound.
     """
-    assert d < 0 and _squarefree(d)
+    if not (d < 0 and _squarefree(d)):
+        raise FormatError("l_ratio needs a negative square-free d, got %r"
+                          % (d,))
     D = d if d % 4 == 1 else 4 * d
     M = max(20000, math.isqrt(int(abs(D) / tail)) + 1)
     total = 0.0
@@ -377,13 +387,16 @@ def torsion_ratio(orders, a, natural=False, exact=False):
     exact natural-log ratio the limit statement itself uses.
     """
     orders = list(orders)
-    assert orders, "need at least one order"
+    if not orders:
+        raise FormatError("need at least one torsion order")
     prod = 1
     for o in orders:
-        assert o >= 1, "torsion orders are positive"
+        if o < 1:
+            raise FormatError("torsion orders are positive, got %r" % (o,))
         prod *= o
     n = a.norm() if isinstance(a, QuadIdeal) else int(a)
-    assert n >= 1
+    if n < 1:
+        raise FormatError("the norm must be positive, got %r" % (n,))
     if natural:
         return math.log(prod) / n
     if exact:
@@ -445,10 +458,12 @@ def gamma0_index(a, method="auto"):
     if n == 1:
         return 1
     if method == "auto" and a.is_prime():
+        one = (1 % ring.p, 0) if ring.p > 1 else ring.reduce(1, 0)
         count = 0
         for v in ring.elements():
-            assert ring.unimodular((1 % ring.p, 0) if ring.p > 1
-                                   else ring.reduce(1, 0), v)
+            if not ring.unimodular(one, v):
+                raise EliminationError("(1, %r) is not unimodular modulo %r"
+                                       % (v, a))
             count += 1
         return count + 1
     elements = ring.elements()

@@ -23,7 +23,8 @@ Constructions provided:
                              is the compactified modular curve, with its
                              horocycle boundary marked;
   * tree_cell_complex     -- the trivalent tree as a one-dimensional cell
-                             complex with its geodesic contraction;
+                             complex, contracted by summing the edges of
+                             sl2z.tree_walk;
   * restrict_resolution   -- restriction of a ZG-resolution to a finite
                              index subgroup, along a chosen transversal;
   * tensor_with_z         -- the integral chain complex Z tensor_ZG R.
@@ -49,16 +50,7 @@ from .errors import (
     WrongDegree,
 )
 from .exactlin import SparseIntMatrix
-from .sl2z import (
-    I,
-    S,
-    SL2ZMatrix,
-    T,
-    TreeChain,
-    U,
-    coset_normal_form,
-    tree_homotopy,
-)
+from .sl2z import I, S, SL2ZMatrix, T, U, coset_normal_form, tree_walk
 
 
 class GroupRingElement:
@@ -233,15 +225,24 @@ class CyclicElement:
 # chains: dict {generator index: GroupRingElement}
 
 
+def _accumulate(out, key, x):
+    """out[key] += x in a dict of GroupRingElements, dropping a zero sum.
+
+    Stored values are never mutated (they may be shared with boundary
+    rows or homotopy values), so a sum is a new element.
+    """
+    cur = out.get(key)
+    new = x if cur is None else cur + x
+    if new.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = new
+
+
 def chain_add(a, b):
     out = dict(a)
     for i, gre in b.items():
-        cur = out.get(i)
-        new = gre if cur is None else cur + gre
-        if new.is_zero():
-            out.pop(i, None)
-        else:
-            out[i] = new
+        _accumulate(out, i, gre)
     return out
 
 
@@ -318,13 +319,7 @@ class FreeZGResolution:
             if xi.is_zero():
                 continue
             for i, row in rows[j].items():
-                term = xi * row
-                cur = out.get(i)
-                new = term if cur is None else cur + term
-                if new.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = new
+                _accumulate(out, i, xi * row)
         return out
 
     def h(self, n, chain):
@@ -337,10 +332,8 @@ class FreeZGResolution:
         out = {}
         for j, xi in chain.items():
             for g, c in xi.items():
-                piece = self._homotopy_basis(n, j, g)
-                if c != 1:
-                    piece = chain_scale(piece, c)
-                out = chain_add(out, piece)
+                for i, gre in self._homotopy_basis(n, j, g).items():
+                    _accumulate(out, i, gre if c == 1 else gre * c)
         return out
 
     def aug(self, chain):
@@ -492,6 +485,7 @@ class _InducedColumn:
             raise DegreeOutOfRange("stabilizer resolution stops at degree %d,"
                                    " %d needed" % (res.top_degree(), max_degree))
         self.res = res
+        self.normal_form = coset_normal_form(self.powers)
 
     def mult(self, m):
         """Right multiplier of the vertical boundary out of degree m >= 1."""
@@ -500,15 +494,12 @@ class _InducedColumn:
             return GroupRingElement.zero()
         return rows[0].get(0, GroupRingElement.zero())
 
-    def decompose(self, g):
-        """g = t * s^k with t the canonical coset representative."""
-        return coset_normal_form(g, self.powers)
-
     def hv(self, m, gre):
         """Induced contracting homotopy, vertical degree m -> m + 1."""
         terms = []
         for g, c in gre.items():
-            t, k = self.decompose(g)
+            # g = t * s^k with t the canonical coset representative
+            t, k = self.normal_form(g)
             piece = self.res._homotopy_basis(m, 0, self.powers[k])
             if piece:
                 terms.extend((t * x, cx * c) for x, cx in piece[0].items())
@@ -665,6 +656,7 @@ class EquivariantCellComplex:
         self.basepoint = basepoint  # orbit index among 0-cells
         self.boundary_orbits = boundary_orbits or {}
         self._powers = {}
+        self._normal_forms = {}
         for p, orbits in enumerate(cells):
             for i, orb in enumerate(orbits):
                 powers = tuple(_cyclic_powers(orb.stabilizer_generator))
@@ -679,6 +671,7 @@ class EquivariantCellComplex:
                     raise FormatError("0-cell orbit %s cannot be twisted"
                                       % orb.name)
                 self._powers[(p, i)] = powers
+                self._normal_forms[(p, i)] = coset_normal_form(powers)
 
     def dim(self):
         return len(self.cells) - 1
@@ -691,10 +684,8 @@ class EquivariantCellComplex:
 
     def canon(self, p, i, g):
         """Canonical representative and orientation sign of the cell g.e."""
-        powers = self._powers[(p, i)]
-        rep, k = coset_normal_form(g, powers)
-        orb = self.cells[p][i]
-        sign = -1 if (orb.twisted and k % 2) else 1
+        rep, k = self._normal_forms[(p, i)](g)
+        sign = -1 if (self.cells[p][i].twisted and k % 2) else 1
         return rep, sign
 
     def chain(self, dim):
@@ -724,15 +715,11 @@ class EquivariantCellComplex:
                 acc = {}
                 for j, word in orb.boundary:
                     for k, word2 in self.cells[p - 1][j].boundary:
-                        term = word * word2
-                        cur = acc.get(k)
-                        new = term if cur is None else cur + term
-                        acc[k] = new
-                for k, gre in acc.items():
-                    if not gre.is_zero():
-                        raise CompositionNonzero(
-                            "attaching words of %s do not compose to zero"
-                            % orb.name)
+                        _accumulate(acc, k, word * word2)
+                if acc:
+                    raise CompositionNonzero(
+                        "attaching words of %s do not compose to zero"
+                        % orb.name)
         for p in range(1, self.dim() + 1):
             for i, orb in enumerate(self.cells[p]):
                 s = orb.stabilizer_generator
@@ -813,13 +800,6 @@ def borel_serre_complex():
     cx = EquivariantCellComplex(cells, basepoint=0,
                                 boundary_orbits={0: [1], 1: [2]})
 
-    def add_tree_part(out, rep, c):
-        # geodesic contraction of the corner vertex rep<U> to the base
-        # corner, written in arc cells
-        walk = tree_homotopy(TreeChain.vertex(rep, c))
-        for g, cc in walk.items():
-            out.add(0, g, cc)
-
     def homotopy(x):
         out = cx.chain(x.dim + 1)
         if x.dim == 0:
@@ -828,7 +808,10 @@ def borel_serre_complex():
                     # slide the horocycle vertex down its vertical, then
                     # contract the corner below it
                     out.add(1, rep, c)
-                add_tree_part(out, rep, c)
+                # geodesic contraction of the corner vertex rep<U> to the
+                # base corner, written in arc cells
+                for step in tree_walk(rep):
+                    out.add(0, step, c)
         elif x.dim == 1:
             for (i, rep), c in x.items():
                 if i == 2:
@@ -856,9 +839,9 @@ def tree_cell_complex():
     def homotopy(x):
         out = cx.chain(x.dim + 1)
         if x.dim == 0:
-            # the walk's edges are canonical already: no second canon pass
-            walk = tree_homotopy(TreeChain(0, ((rep, c) for (_, rep), c in x.items())))
-            out.terms = {(0, g): c for g, c in walk.items()}
+            for (_, rep), c in x.items():
+                for step in tree_walk(rep):
+                    out.add(0, step, c)
         return out
 
     cx.homotopy = homotopy
@@ -922,10 +905,8 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
                 if q == 0:
                     row = {}
                     for j, word in orb.boundary:
-                        cur = row.get(j)
-                        row[j] = word if cur is None else cur + word
-                    d1[(p, i, 0)] = {j: w for j, w in row.items()
-                                     if not w.is_zero()}
+                        _accumulate(row, j, word)
+                    d1[(p, i, 0)] = row
                 else:
                     m = cols[(p, i)].mult(q)
                     acc = {}
@@ -942,22 +923,13 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
         for p in range(2, dim + 1):
             for i, orb in enumerate(X.cells[p]):
                 acc = {}
-
-                def accum(j, gre):
-                    cur = acc.get(j)
-                    new = gre if cur is None else cur + gre
-                    if new.is_zero():
-                        acc.pop(j, None)
-                    else:
-                        acc[j] = new
-
                 for j, a in d1[(p, i, q)].items():
                     for k, b in d1[(p - 1, j, q)].items():
-                        accum(k, a * b)
+                        _accumulate(acc, k, a * b)
                 if q > 0:
                     m = cols[(p, i)].mult(q)
                     for k, b in d2[(p, i, q - 1)].items():
-                        accum(k, m * b)
+                        _accumulate(acc, k, m * b)
                 row = {}
                 for k, w in acc.items():
                     lifted = -cols[(p - 2, k)].hv(q, w)
@@ -1014,21 +986,12 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
     def apply_delta(chain, deg):
         """The d1 + d2 part of the boundary on a pq-chain."""
         out = {}
-
-        def accum(key, gre):
-            cur = out.get(key)
-            new = gre if cur is None else cur + gre
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
-
         for (p, i), xi in chain.items():
             q = deg - p
             for j, w in d1.get((p, i, q), {}).items():
-                accum((p - 1, j), xi * w)
+                _accumulate(out, (p - 1, j), xi * w)
             for k, w in d2.get((p, i, q), {}).items():
-                accum((p - 2, k), xi * w)
+                _accumulate(out, (p - 2, k), xi * w)
         return out
 
     def homotopy_basis(n, gen_idx, g):
@@ -1038,12 +1001,7 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
         start = {(p, i): GroupRingElement.unit(g)}
         base = apply_H(start, n)
         for key, gre in apply_I(X.homotopy(apply_P(start, n))).items():
-            cur = base.get(key)
-            new = gre if cur is None else cur + gre
-            if new.is_zero():
-                base.pop(key, None)
-            else:
-                base[key] = new
+            _accumulate(base, key, gre)
         total = dict(base)
         z = base
         for _ in range(dim + 2):
@@ -1052,12 +1010,7 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
             if not z:
                 break
             for key, gre in z.items():
-                cur = total.get(key)
-                new = gre if cur is None else cur + gre
-                if new.is_zero():
-                    total.pop(key, None)
-                else:
-                    total[key] = new
+                _accumulate(total, key, gre)
         else:
             raise CompositionNonzero("homotopy tail failed to terminate")
         out = {}
@@ -1161,14 +1114,8 @@ def restrict_resolution(resolution, gamma, trans=None):
                 for i, gre in base_row.items():
                     for g, c in gre.items():
                         ti, gam = trans.lookup(rep * g)
-                        key = i * nt + ti
-                        cur = row.get(key)
-                        term = GroupRingElement.unit(gam, c)
-                        new = term if cur is None else cur + term
-                        if new.is_zero():
-                            row.pop(key, None)
-                        else:
-                            row[key] = new
+                        _accumulate(row, i * nt + ti,
+                                    GroupRingElement.unit(gam, c))
                 rows.append(row)
         boundaries.append(rows)
 
@@ -1176,14 +1123,7 @@ def restrict_resolution(resolution, gamma, trans=None):
         out = {}
         for idx, gre in chain.items():
             b, t = divmod(idx, nt)
-            rep = trans.rep(t)
-            cur = out.get(b)
-            moved = gre * rep
-            new = moved if cur is None else cur + moved
-            if new.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = new
+            _accumulate(out, b, gre * trans.rep(t))
         return out
 
     def refold(chain):
@@ -1191,14 +1131,7 @@ def restrict_resolution(resolution, gamma, trans=None):
         for b, gre in chain.items():
             for g, c in gre.items():
                 ti, gam = trans.lookup(g)
-                key = b * nt + ti
-                cur = out.get(key)
-                term = GroupRingElement.unit(gam, c)
-                new = term if cur is None else cur + term
-                if new.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+                _accumulate(out, b * nt + ti, GroupRingElement.unit(gam, c))
         return out
 
     def homotopy_basis(n, gen_idx, g):

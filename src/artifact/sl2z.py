@@ -1,11 +1,12 @@
-"""Exact SL2(Z) arithmetic, the cubic tree, and its chain complex.
+"""Exact SL2(Z) arithmetic and the walk on the cubic tree.
 
 The group is generated by S (order 4) and U = S*T (order 6); the vertices
 of the tree are the cosets g<U>, the edges the cosets g<S>, and the edge e1
 joins the vertices <U> and T<U>.  decompose() walks a matrix to the base
 vertex through exact integer geometry and yields a reduced word in S, U,
-U^2; the same walk drives the contracting homotopy of the tree complex,
-which is what makes every resolution in this package computable.
+U^2; tree_walk() yields the edges of the same walk, which is the
+contracting homotopy of the tree (resolutions.tree_cell_complex) and what
+makes every resolution in this package computable.
 
 Printed forms: matrices as "[[a,b],[c,d]]"; words as "S U2 S U ... | U^k"
 with the trailing stabilizer power after the bar.
@@ -14,7 +15,7 @@ with the trailing stabilizer power after the bar.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import EliminationError, NotInGroup, WrongDegree
+from .errors import EliminationError, NotInGroup
 
 
 class SL2ZMatrix:
@@ -93,11 +94,6 @@ _X_INV = [x.inverse() for x in _X]
 for _x in _X_INV:
     if _x * T not in _U_SET:
         raise EliminationError("X^-1 * T is outside <U> for X^-1 = %r" % _x)
-
-
-def in_unit_stabilizer(g):
-    """Whether g lies in <U> = {+-I, +-U, +-U^2} (the base vertex)."""
-    return g in _U_SET
 
 
 @lru_cache(maxsize=1 << 18)
@@ -210,171 +206,36 @@ def _coset_key(g):
             (g.a, g.b, g.c, g.d))
 
 
-@lru_cache(maxsize=1 << 18)
-def canon_vertex(g):
-    """Canonical representative of the coset g<U>."""
-    return min((g * u for u in U_POWERS), key=_coset_key)
+@lru_cache(maxsize=None)
+def coset_normal_form(powers):
+    """The normal form g -> (rep, k) with g = rep * powers[k].
 
-
-@lru_cache(maxsize=1 << 18)
-def canon_edge(g):
-    """Canonical representative of g<S> with the orientation sign.
-
-    Returns (rep, sign) where g . e1 = sign . rep . e1: S reverses the
-    edge, so rep = g * S^k contributes (-1)^k.
+    powers is the tuple (s^0, s^1, ..., s^(q-1)) of a finite cyclic
+    subgroup; rep is the element of g<s> of least _coset_key.  The returned
+    function is cached on g, and one function serves each subgroup.
     """
-    best = None
-    for k, s in enumerate(S_POWERS):
-        cand = g * s
-        key = _coset_key(cand)
-        if best is None or key < best[0]:
-            best = (key, cand, k)
-    return best[1], (-1) ** best[2]
+    inverses = tuple(p.inverse() for p in powers)
+
+    @lru_cache(maxsize=1 << 18)
+    def normal_form(g):
+        best = None
+        for k, pinv in enumerate(inverses):
+            cand = g * pinv
+            key = _coset_key(cand)
+            if best is None or key < best[0]:
+                best = (key, cand, k)
+        return best[1], best[2]
+
+    return normal_form
 
 
-def tree_neighbors(g):
-    """The three neighboring vertices of g<U>, as canonical representatives."""
-    return [canon_vertex(g * xinv) for xinv in _X_INV]
+def tree_walk(g):
+    """The parent edges B.e1 on the walk from the vertex g<U> to the base.
 
-
-@lru_cache(maxsize=1 << 18)
-def coset_normal_form(g, powers):
-    """Canonical decomposition g = rep * powers[k] for a finite cyclic list.
-
-    powers is the tuple (s^0, s^1, ..., s^(q-1)) of a finite subgroup; the
-    representative minimizes the same key as canon_vertex/canon_edge, so
-    the three agree where they overlap.  Returns (rep, k).
+    Each B.e1 joins B<U> to the vertex before it (B*T<U>), so the
+    boundaries telescope to g.e0 - e0: summed, the edges are the tree's
+    geodesic contraction of g.e0.
     """
-    best = None
-    for k, p in enumerate(powers):
-        cand = g * p.inverse()
-        key = _coset_key(cand)
-        if best is None or key < best[0]:
-            best = (key, cand, k)
-    return best[1], best[2]
-
-
-# ----------------------------------------------------------- tree chains
-
-class TreeChain:
-    """Formal Z-linear combination of translated cells of the tree.
-
-    Degree 0 terms are vertices g.e0 keyed by the canonical <U>-coset
-    representative (the stabilizer acts trivially); degree 1 terms are
-    edges g.e1 keyed by the canonical <S>-representative with the
-    orientation sign folded into the coefficient.
-    """
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree, terms=None):
-        if degree not in (0, 1):
-            raise WrongDegree("tree chains live in degrees 0 and 1")
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for g, c in terms:
-                self.add_term(g, c)
-
-    def add_term(self, g, coeff):
-        if coeff == 0:
-            return
-        if self.degree == 0:
-            key = canon_vertex(g)
-        else:
-            key, sign = canon_edge(g)
-            coeff = coeff * sign
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-
-    @classmethod
-    def vertex(cls, g, coeff=1):
-        x = cls(0)
-        x.add_term(g, coeff)
-        return x
-
-    @classmethod
-    def edge(cls, g, coeff=1):
-        x = cls(1)
-        x.add_term(g, coeff)
-        return x
-
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def coefficient_sum(self):
-        return sum(self.terms.values())
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise WrongDegree("cannot add chains of degrees %d and %d"
-                              % (self.degree, other.degree))
-        out = TreeChain(self.degree)
-        out.terms = dict(self.terms)
-        for g, c in other.terms.items():
-            new = out.terms.get(g, 0) + c
-            if new:
-                out.terms[g] = new
-            else:
-                out.terms.pop(g, None)
-        return out
-
-    def __neg__(self):
-        out = TreeChain(self.degree)
-        out.terms = {g: -c for g, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (isinstance(other, TreeChain) and self.degree == other.degree
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        cell = "e0" if self.degree == 0 else "e1"
-        if not self.terms:
-            return "0.%s" % cell
-        return " + ".join("%d*%r.%s" % (c, g, cell) for g, c in self.terms.items())
-
-
-def tree_boundary(x):
-    """d1(g.e1) = g(T-1).e0, extended linearly."""
-    if x.degree != 1:
-        raise WrongDegree("tree_boundary acts on degree-1 chains")
-    out = TreeChain(0)
-    for g, c in x.terms.items():
-        out.add_term(g * T, c)
-        out.add_term(g, -c)
-    return out
-
-
-def tree_homotopy(x):
-    """Contracting homotopy h0: d1 h0 = 1 - eps, h0 d1 = 1.
-
-    For a vertex A.e0, h0 accumulates the parent edge B.e1 along the walk
-    from A<U> to the base vertex; the telescoping of d1 along the path is
-    exact because B*T and the previous vertex span the same coset.
-    """
-    if x.degree != 0:
-        raise WrongDegree("tree_homotopy acts on degree-0 chains")
-    out = TreeChain(1)
-    for g, coeff in x.terms.items():
-        M = g
-        while M not in _U_SET:
-            M, _ = _parent(M)
-            out.add_term(M, coeff)
-    return out
-
-
-def tree_augmentation(x):
-    """eps: degree-0 chains to multiples of the base vertex e0."""
-    if x.degree != 0:
-        raise WrongDegree("augmentation acts on degree-0 chains")
-    return TreeChain.vertex(I, x.coefficient_sum()) if x.terms else TreeChain(0)
+    while g not in _U_SET:
+        g, _ = _parent(g)
+        yield g

@@ -179,6 +179,22 @@ def test_computation_error_exit_three(capsys):
     assert doc["error"]["type"] == "FormatError"
 
 
+def test_quad_non_squarefree_d_exits_three():
+    # Z[sqrt(4)] is no ring of integers: a FormatError line, no traceback,
+    # and the check survives python -O
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "artifact.cli", "quad", "--d", "4",
+             "--ideal", "3"], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 3, (flags, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error FormatError: ")
+        assert "Traceback" not in proc.stderr
+
+
 def test_runconfig_round_trip():
     ns = build_parser().parse_args(
         ["cuspidal", "--gamma0", "39", "--degree", "1",

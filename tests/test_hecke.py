@@ -17,7 +17,6 @@ from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              NotInLattice, ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
 from artifact.hecke import (EquivariantChainMap, _truncated,
-                            equivariant_chain_map,
                             expand_eigenform, gamma_prime_data,
                             hecke_eigenvalues, hecke_operator,
                             hecke_representative)
@@ -109,7 +108,7 @@ def test_representative_shapes():
 
 def test_identity_chain_map_on_base_resolution():
     res = sl2z_resolution(3)
-    f = equivariant_chain_map(res, res, lambda g: g, degree_max=2)
+    f = EquivariantChainMap(res, res, lambda g: g, degree_max=2)
     # rank 1 in degree 0 forces the literal identity there
     assert chains_equal(f.value(0, 0), {0: GroupRingElement.unit(I)})
 
@@ -132,7 +131,7 @@ def test_chain_map_commuting_squares_checked(res11):
 
 def test_chain_map_degree_cap(res11):
     with pytest.raises(DegreeOutOfRange):
-        equivariant_chain_map(res11, res11, lambda g: g, degree_max=9)
+        EquivariantChainMap(res11, res11, lambda g: g, degree_max=9)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def test_cochain_level_preservation(res11):
 
 
 def test_chain_map_verify_rejects_corrupted_values(res11):
-    f = equivariant_chain_map(res11, res11, lambda g: g, degree_max=1)
+    f = EquivariantChainMap(res11, res11, lambda g: g, degree_max=1)
     good = f.values[0][0]
     f.values[0][0] = chain_scale(good, 2)
     with pytest.raises(CompositionNonzero, match="augmentation"):

@@ -1,8 +1,10 @@
 """Lint guard: invariant checks in these modules raise ArtifactErrors.
 
 An assert is stripped by python -O, so a check of a mathematical
-invariant written as one silently disappears.  The modules listed here
-have been cleared of asserts; a module joins the list once it is cleared.
+invariant written as one silently disappears; a raised AssertionError
+survives -O but is no ArtifactError, so the CLI shows it as a traceback.
+The modules listed here have been cleared of both; a module joins the
+list once it is cleared.
 """
 
 import ast
@@ -12,7 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 CLEARED = ("hecke.py", "cuspidal.py", "exactlin.py", "chaincx.py", "resolutions.py",
-           "congruence.py", "sl2z.py", "cwdvf.py")
+           "congruence.py", "sl2z.py", "cwdvf.py", "quadring.py")
 
 
 @pytest.mark.parametrize("name", CLEARED)
@@ -20,5 +22,13 @@ def test_module_has_no_asserts(name):
     path = SRC / name
     tree = ast.parse(path.read_text(), filename=str(path))
     found = ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-             if isinstance(node, ast.Assert)]
-    assert not found, "assert statements in cleared modules: " + ", ".join(found)
+             if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
+    assert not found, ("assert statements or raised AssertionErrors in "
+                       "cleared modules: " + ", ".join(found))
+
+
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"

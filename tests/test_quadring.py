@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.errors import FormatError, MixedField, ZeroIdeal
-from artifact.quadring import (QuadInt, gamma0_index, ideal_from_generators,
-                               ideal_product, l_ratio, parse_quad,
-                               quad_arith, quad_character, torsion_ratio)
+from artifact.quadring import (QuadIdeal, QuadInt, gamma0_index,
+                               ideal_from_generators, ideal_product, l_ratio,
+                               parse_quad, quad_arith, quad_character,
+                               torsion_ratio)
 
 # square-free parameters covering both congruence classes mod 4 and signs
 DS = [-1, -2, -3, -5, -7, 2, 5, 13]
@@ -198,6 +199,25 @@ def test_mixed_field_rejected():
 def test_zero_ideal_rejected():
     with pytest.raises(ZeroIdeal):
         ideal_from_generators([gaussian(0, 0)])
+    with pytest.raises(ZeroIdeal):
+        ideal_from_generators([])
+
+
+def test_invalid_input_raises_format_error():
+    # former asserts: each raises, also under python -O
+    bad = [lambda: QuadInt(1, 0, 4),                      # d not square-free
+           lambda: QuadInt(1, 0, 1),
+           lambda: quad_character(12, 5),
+           lambda: quad_character(-1, 0),
+           lambda: l_ratio(5),                            # d must be negative
+           lambda: torsion_ratio([], 5),
+           lambda: torsion_ratio([2, 0], 5),
+           lambda: torsion_ratio([2], 0),
+           lambda: QuadIdeal(-1, ((2, 3), (0, 2))),       # q >= s
+           lambda: QuadIdeal(-1, ((2, 0), (0, 1)))]       # i * i = -1 outside
+    for call in bad:
+        with pytest.raises(FormatError):
+            call()
 
 
 def test_parsing():

@@ -1,4 +1,8 @@
-"""Tests for SL2(Z) arithmetic, word decomposition, and the tree complex."""
+"""Tests for SL2(Z) arithmetic, word decomposition, and the tree complex.
+
+The tree's chain complex is resolutions.tree_cell_complex(), whose
+contraction adds up the edges of sl2z.tree_walk.
+"""
 
 import ast
 import random
@@ -7,21 +11,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.errors import NotInGroup, WrongDegree
+from artifact.resolutions import tree_cell_complex
 from artifact.sl2z import (
     GeneratorWord,
     I, S, T, U,
     SL2ZMatrix,
-    TreeChain,
     U_POWERS,
-    canon_edge,
-    canon_vertex,
     decompose,
-    in_unit_stabilizer,
-    tree_augmentation,
-    tree_boundary,
-    tree_homotopy,
-    tree_neighbors,
+    tree_walk,
 )
+
+TREE = tree_cell_complex()
+
+
+def vertex(g, coeff=1):
+    return TREE.chain(0).add(0, g, coeff)
+
+
+def edge(g, coeff=1):
+    return TREE.chain(1).add(0, g, coeff)
+
+
+def augmentation(x):
+    """eps(x) . e0: the coefficient sum of a 0-chain on the base vertex."""
+    return vertex(I, sum(c for _, c in x.items()))
+
+
+def neighbors(v):
+    """The other endpoints of the three edges v U^k . e1 at the vertex v<U>."""
+    out = []
+    for u in U_POWERS[:3]:
+        ends = [rep for (_, rep), _ in TREE.boundary_chain(edge(v * u)).items()]
+        assert len(ends) == 2 and v in ends
+        out.extend(w for w in ends if w != v)
+    return out
 
 
 def random_element(rng, steps=20):
@@ -103,58 +126,55 @@ def test_word_str_roundtrip():
 
 
 def test_tree_boundary_edge():
-    d = tree_boundary(TreeChain.edge(I))
-    expected = TreeChain(0)
-    expected.add_term(T, 1)
-    expected.add_term(I, -1)
-    assert d == expected
+    assert TREE.boundary_chain(edge(I)) == vertex(T) + vertex(I, -1)
 
 
 def test_tree_boundary_linearity():
-    x = TreeChain.edge(S) - TreeChain.edge(I)
-    d = tree_boundary(x)
-    lhs = tree_boundary(TreeChain.edge(S)) - tree_boundary(TreeChain.edge(I))
-    assert d == lhs
+    d = TREE.boundary_chain(edge(S) - edge(I))
+    assert d == TREE.boundary_chain(edge(S)) - TREE.boundary_chain(edge(I))
 
 
 def test_tree_boundary_zero():
-    assert tree_boundary(TreeChain(1)).is_zero()
+    assert TREE.boundary_chain(TREE.chain(1)).is_zero()
 
 
 def test_wrong_degree_errors():
+    # vertex and edge chains of the tree do not mix
     with pytest.raises(WrongDegree):
-        tree_boundary(TreeChain(0))
+        TREE.chain(0) + TREE.chain(1)
     with pytest.raises(WrongDegree):
-        tree_homotopy(TreeChain(1))
-    with pytest.raises(WrongDegree):
-        TreeChain(2)
+        edge(I) - vertex(I)
 
 
 def test_homotopy_base_cases():
-    assert tree_homotopy(TreeChain.vertex(I)).is_zero()
-    h = tree_homotopy(TreeChain.vertex(T))
-    assert tree_boundary(h) == TreeChain.vertex(T) - TreeChain.vertex(I)
+    assert list(tree_walk(I)) == []
+    assert TREE.homotopy(vertex(I)).is_zero()
+    h = TREE.homotopy(vertex(T))
+    assert TREE.boundary_chain(h) == vertex(T) - vertex(I)
+    # the walk is the geodesic: T^100<U> lies 100 edges from the base
+    assert len(list(tree_walk(T ** 100))) == 100
 
 
 def test_stabilizer_invariance_of_cells():
     # vertices absorb <U>, edges absorb <S> with a sign
-    assert TreeChain.vertex(T * U) == TreeChain.vertex(T)
-    assert TreeChain.edge(T * S) == TreeChain.edge(T, -1)
-    assert TreeChain.edge(T * S * S) == TreeChain.edge(T)
+    assert vertex(T * U) == vertex(T)
+    assert edge(T * S) == edge(T, -1)
+    assert edge(T * S * S) == edge(T)
 
 
 def test_vertex_degree_three():
     # BFS ball around the base vertex: every vertex has 3 distinct
     # neighbors, and neighborhood is symmetric
-    seen = {canon_vertex(I)}
-    frontier = [canon_vertex(I)]
+    base, _ = TREE.canon(0, 0, I)
+    seen = {base}
+    frontier = [base]
     for _ in range(4):
         nxt = []
         for v in frontier:
-            nbrs = tree_neighbors(v)
+            nbrs = neighbors(v)
             assert len(set(nbrs)) == 3
             for w in nbrs:
-                assert v in tree_neighbors(w)
+                assert v in neighbors(w)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -174,15 +194,15 @@ class TestDecomposeProperties:
     @settings(max_examples=150, deadline=None)
     @given(sl2z_strategy())
     def test_homotopy_identity_deg0(self, g):
-        x = TreeChain.vertex(g)
-        lhs = tree_boundary(tree_homotopy(x))
-        assert lhs == x - tree_augmentation(x)
+        x = vertex(g)
+        lhs = TREE.boundary_chain(TREE.homotopy(x))
+        assert lhs == x - augmentation(x)
 
     @settings(max_examples=150, deadline=None)
     @given(sl2z_strategy())
     def test_homotopy_identity_deg1(self, g):
-        y = TreeChain.edge(g)
-        assert tree_homotopy(tree_boundary(y)) == y
+        y = edge(g)
+        assert TREE.homotopy(TREE.boundary_chain(y)) == y
 
 
 def test_large_entries_roundtrip():
@@ -199,13 +219,13 @@ def test_large_entries_roundtrip():
 def test_homotopy_on_combinations():
     rng = random.Random(11)
     for _ in range(20):
-        x = TreeChain(0)
+        x = TREE.chain(0)
         for _ in range(rng.randint(1, 5)):
-            x.add_term(random_element(rng), rng.choice([-2, -1, 1, 2, 3]))
-        lhs = tree_boundary(tree_homotopy(x))
-        assert lhs == x - tree_augmentation(x)
+            x.add(0, random_element(rng), rng.choice([-2, -1, 1, 2, 3]))
+        lhs = TREE.boundary_chain(TREE.homotopy(x))
+        assert lhs == x - augmentation(x)
     for _ in range(20):
-        y = TreeChain(1)
+        y = TREE.chain(1)
         for _ in range(rng.randint(1, 5)):
-            y.add_term(random_element(rng), rng.choice([-2, -1, 1, 2]))
-        assert tree_homotopy(tree_boundary(y)) == y
+            y.add(0, random_element(rng), rng.choice([-2, -1, 1, 2]))
+        assert TREE.homotopy(TREE.boundary_chain(y)) == y
