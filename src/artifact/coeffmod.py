@@ -40,7 +40,8 @@ def _entries(gamma):
     if isinstance(gamma, (tuple, list)):
         if len(gamma) == 4:
             a, b, c, d = gamma
-        elif len(gamma) == 2 and len(gamma[0]) == 2 and len(gamma[1]) == 2:
+        elif len(gamma) == 2 and all(isinstance(row, (tuple, list))
+                                     and len(row) == 2 for row in gamma):
             (a, b), (c, d) = gamma
         else:
             raise FormatError("expected a 2x2 integer matrix")
@@ -84,17 +85,15 @@ def action_matrix(gamma, k):
 class PolynomialModule:
     """Degree-k integral forms with the substitution action.
 
-    group, when set, restricts which resolutions the module may be paired
-    with in hom_complex; None accepts any matrix group.  For even k the
-    central -1 acts trivially, for odd k it acts by -1 (so odd-k
+    The module pairs with a resolution over any matrix group.  For even k
+    the central -1 acts trivially, for odd k it acts by -1 (so odd-k
     cohomology of a group containing -1 is all torsion).
     """
 
-    def __init__(self, k, group=None):
+    def __init__(self, k):
         if k < 0:
             raise FormatError("form degree must be nonnegative")
         self.k = k
-        self.group = group
 
     @property
     def rank(self):
@@ -172,15 +171,11 @@ def hom_complex(resolution, module):
     A ZG-map out of a rank-r free module is determined by the images of
     the r generators, so the degree-n cochains are M^(r_n); the coboundary
     substitutes action matrices for group elements in the boundary rows.
-    Raises ActionMismatch when the resolution is not over a matrix group
-    or the module is pinned to a different group.
+    Raises ActionMismatch when the resolution is not over a matrix group.
     """
     if not isinstance(resolution.group, CongruenceSubgroup):
         raise ActionMismatch("resolution is not over a matrix group: %r"
                              % (resolution.group,))
-    if module.group is not None and module.group != resolution.group:
-        raise ActionMismatch("module is pinned to %s, resolution is over %s"
-                             % (module.group, resolution.group))
     m = module.rank
     top = resolution.top_degree()
     ranks = [resolution.rank(n) * m for n in range(top + 1)]

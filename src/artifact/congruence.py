@@ -67,11 +67,6 @@ class CongruenceSubgroup:
         return "%s(%d)" % (name, self.level)
 
 
-def member(gamma, A):
-    """Whether A lies in the congruence subgroup."""
-    return gamma.member(A)
-
-
 # ----------------------------------------------------------- P^1(Z_N)
 
 @dataclass(frozen=True)
@@ -210,11 +205,6 @@ def transversal(gamma):
 def index(gamma):
     """The index of Gamma in SL2(Z)."""
     return len(transversal(gamma))
-
-
-def p1_transversal(n):
-    """Transversal of Gamma_0(n) indexed by canonical P^1(Z_n) points."""
-    return transversal(CongruenceSubgroup.gamma0(n))
 
 
 # ----------------------------------------------------------- generators

@@ -104,16 +104,16 @@ class CuspidalResult:
         }
 
 
-def cuspidal_cohomology(gamma, n, module=None, check=True):
+def cuspidal_cohomology(gamma, n, module=None):
     """Cuspidal cohomology of gamma in degree n with the given module.
 
     Assembles resolutions of the compactified complex and of its boundary
     subcomplex, restricts both to gamma, lifts the inclusion to a chain
     map through the ambient contracting homotopy, and intersects the
     degree-n cocycle lattice with the preimage of the boundary
-    coboundaries.  With check=True the chain map is verified on all
-    generators, the cochain restriction is checked to commute with the
-    coboundaries, and the ambient coboundaries are checked to be cocycles.
+    coboundaries.  The chain map is verified on all generators, the
+    cochain restriction is checked to commute with the coboundaries, and
+    the ambient coboundaries are checked to be cocycles.
     """
     if module is None:
         module = PolynomialModule(0)
@@ -124,13 +124,12 @@ def cuspidal_cohomology(gamma, n, module=None, check=True):
     ambient = restrict_resolution(wall_resolution(X, top), gamma)
     boundary = restrict_resolution(
         wall_resolution(X.boundary_subcomplex(), top), gamma)
-    incl = EquivariantChainMap(boundary, ambient, lambda g: g,
-                               degree_max=top, check=check)
+    incl = EquivariantChainMap(boundary, ambient, lambda g: g, degree_max=top)
     CA = hom_complex(ambient, module)
     CB = hom_complex(boundary, module)
     rho = _pullback_matrix(incl, n, ambient.rank(n), module)
     rho_next = _pullback_matrix(incl, n + 1, ambient.rank(n + 1), module)
-    if check and CB.deltas[n] * rho != rho_next * CA.deltas[n]:
+    if CB.deltas[n] * rho != rho_next * CA.deltas[n]:
         raise CompositionNonzero(
             "restriction does not commute with the coboundaries")
 
@@ -140,7 +139,7 @@ def cuspidal_cohomology(gamma, n, module=None, check=True):
     # where the ambient coboundaries become the relations P din_a
     Z, P = kernel_with_left_inverse(CA.deltas[n])
     relations = P * din_a
-    if check and Z * relations != din_a:
+    if Z * relations != din_a:
         raise CompositionNonzero("ambient coboundaries are not cocycles")
     ambient_inv = cokernel_invariants(relations)
     boundary_inv = cohomology(CB, n)
@@ -162,26 +161,24 @@ def cuspidal_cohomology(gamma, n, module=None, check=True):
                           ambient, module, P, in_kernel)
 
 
-def cuspidal_hecke_matrix(result, g, check=True):
+def cuspidal_hecke_matrix(result, g):
     """A Hecke operator pushed down to the cuspidal quotient.
 
     Builds the operator on the ambient resolution the result was computed
-    with, checks (when check=True) that images of kernel cocycles restrict
-    to boundary coboundaries, and presents the induced map on the cuspidal
+    with, checks that images of kernel cocycles restrict to boundary
+    coboundaries, and presents the induced map on the cuspidal
     invariants in the same free-first coordinates the full cohomology
     operators use.  Images are put in kernel_basis coordinates by one
     solve in the coordinates of the cocycle lattice.
     """
     n = result.degree
     T = hecke_operator(result.group, n, g, module=result.module,
-                       resolution=result.ambient_resolution, check=check)
+                       resolution=result.ambient_resolution)
     CB = result.boundary_complex
     din_b = CB.delta(n - 1)
-    if check:
-        moved = result.restriction * (T.cochain * result.kernel_basis)
-        if solve_matrix(din_b, moved) is None:
-            raise NotInLattice(
-                "operator does not preserve the cuspidal kernel")
+    moved = result.restriction * (T.cochain * result.kernel_basis)
+    if solve_matrix(din_b, moved) is None:
+        raise NotInLattice("operator does not preserve the cuspidal kernel")
     P = result.cocycle_coordinates
     PK = P * result.kernel_basis
     matrix, orders, basis = matrix_on_quotient(

@@ -64,11 +64,12 @@ class RegularCWComplex:
     counts[k] is the number of k-cells.  boundaries[k][i] lists the faces
     of the i-th k-cell as (face_index, sign) pairs; the vertex entry
     boundaries[0] may be omitted by passing one list per positive
-    dimension.  Complexes are treated as read-only once built, so they can
-    be shared freely between consumers and threads.
+    dimension.  Construction runs validate().  Complexes are treated as
+    read-only once built, so they can be shared freely between consumers
+    and threads.
     """
 
-    def __init__(self, counts, boundaries, check=True):
+    def __init__(self, counts, boundaries):
         self.counts = [int(c) for c in counts]
         boundaries = list(boundaries)
         if len(boundaries) == len(self.counts) - 1:
@@ -80,8 +81,7 @@ class RegularCWComplex:
         self.faces = [[tuple((int(f), int(s)) for f, s in cell)
                        for cell in level] for level in boundaries]
         self._cofaces = None
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def dimension(self):
@@ -188,7 +188,7 @@ class RegularCWComplex:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text, check=True):
+    def from_text(cls, text):
         """Parse the complex file format; FormatError on malformed input."""
         counts = None
         boundaries = None
@@ -238,7 +238,7 @@ class RegularCWComplex:
             boundaries[k][i] = cell
         if counts is None:
             raise FormatError("no 'cells' header line")
-        return cls(counts, boundaries, check=check)
+        return cls(counts, boundaries)
 
 
 def save_complex(X, path):

@@ -668,29 +668,6 @@ def rank(M):
     return smith_normal_form(M, transforms=()).rank
 
 
-def solve_with_form(M_form, b):
-    """Solve M*x = b given the SmithForm of M (with transforms).
-
-    b is a list; returns a list x with M*x = b, or None when no integer
-    solution exists.  With U*M*V = D the system becomes D*y = U*b, x = V*y.
-    The pipeline solves whole matrices with solve_matrix; this one-column
-    form is the reference the tests compare solve_matrix against.
-    """
-    sf = M_form
-    ub = sf.U.apply(b)
-    n = sf.V.rows
-    y = [0] * n
-    for i, v in enumerate(ub):
-        di = sf.d[i] if i < len(sf.d) else 0
-        if di:
-            if v % di:
-                return None
-            y[i] = v // di
-        elif v:
-            return None
-    return sf.V.apply(y)
-
-
 def solve(M, b):
     """One integer solution x of M*x = b (lists), or None."""
     x = solve_matrix(M, IntMatrix.column(b))

@@ -22,7 +22,7 @@ integrality) are normalization independent.
 from collections import deque
 from dataclasses import dataclass, field
 
-from .coeffmod import PolynomialModule, hom_complex
+from .coeffmod import PolynomialModule, _entries, hom_complex
 from .congruence import generators
 from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      InfiniteIndex, MissingPrime, NotInGroup, NotInLattice,
@@ -32,22 +32,6 @@ from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
 from .resolutions import (FreeZGResolution, GroupRingElement, _accumulate,
                           chains_equal, restrict_resolution, sl2z_resolution)
 from .sl2z import I as IDENT, SL2ZMatrix
-
-
-def _gl2_entries(g):
-    """Normalize a 2x2 integer matrix given as SL2ZMatrix, flat 4-tuple,
-    or nested rows to a flat (a, b, c, d) tuple."""
-    if isinstance(g, SL2ZMatrix):
-        return g.entries()
-    flat = []
-    for part in g:
-        if isinstance(part, (list, tuple)):
-            flat.extend(part)
-        else:
-            flat.append(part)
-    if len(flat) != 4:
-        raise FormatError("expected a 2x2 integer matrix, got %r" % (g,))
-    return tuple(int(x) for x in flat)
 
 
 def _conjugated(gent, A):
@@ -129,7 +113,7 @@ def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
     Raises FormatError when det(g) <= 0 and InfiniteIndex when more than
     max_cosets cosets appear before the search closes.
     """
-    gent = _gl2_entries(g)
+    gent = _entries(g)
     det = gent[0] * gent[3] - gent[1] * gent[2]
     if det <= 0:
         raise FormatError("determinant must be positive, got %d" % det)
@@ -196,14 +180,14 @@ class EquivariantChainMap:
 
         f_0(e) = section(aug(e)),    f_n(e) = h_{n-1}(f_{n-1}(d_n e)),
 
-    and extended semilinearly, f(gamma x) = phi(gamma) f(x).  With
-    check=True the defining equations d f_n = f_{n-1} d_n (plus
-    augmentation preservation in degree 0) are verified on every source
-    generator up to degree_max, and a failure raises CompositionNonzero.
+    and extended semilinearly, f(gamma x) = phi(gamma) f(x).  The
+    defining equations d f_n = f_{n-1} d_n (plus augmentation
+    preservation in degree 0) are verified on every source generator up
+    to degree_max, and a failure raises CompositionNonzero.
     Raises MissingHomotopy when the target carries no homotopy.
     """
 
-    def __init__(self, source, target, phi, degree_max, check=True):
+    def __init__(self, source, target, phi, degree_max):
         if degree_max > source.top_degree():
             raise DegreeOutOfRange("source has top degree %d < %d"
                                    % (source.top_degree(), degree_max))
@@ -226,8 +210,7 @@ class EquivariantChainMap:
                     n - 1, source.d(n, {j: GroupRingElement.unit(IDENT)}))
                 vals.append(target.h(n - 1, below))
             self.values.append(vals)
-        if check:
-            self._verify()
+        self._verify()
 
     def value(self, n, j):
         """Image of the degree-n source generator j, as a target chain."""
@@ -348,18 +331,18 @@ class HeckeMatrix:
         }
 
 
-def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
+def hecke_operator(gamma, n, g, module=None, resolution=None):
     """Matrix of the Hecke operator of g on H^n(gamma, module).
 
     module defaults to the trivial module (weight 2).  resolution, when
     given, must be over gamma, carry a contracting homotopy, and have top
     degree at least n + 1; passing the same resolution across calls keeps
     the cohomology basis identical, so returned matrices compose and
-    compare directly.  With check=True the construction is verified on
-    the spot: the chain map satisfies d f = f d on every generator, and
-    the cochain operator maps the full cocycle lattice to cocycles
-    (CompositionNonzero otherwise) and coboundaries to coboundaries
-    (NotInLattice otherwise) before descending to cohomology.
+    compare directly.  The construction is verified on the spot: the
+    chain map satisfies d f = f d on every generator, and the cochain
+    operator maps the full cocycle lattice to cocycles (CompositionNonzero
+    otherwise) and coboundaries to coboundaries (NotInLattice otherwise)
+    before descending to cohomology.
     """
     if module is None:
         module = PolynomialModule(0)
@@ -373,7 +356,7 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
     trans = _SubgroupTransversal(desc)
     source = restrict_resolution(_truncated(resolution, n), desc, trans=trans)
     lift = EquivariantChainMap(source, resolution, desc.conjugate,
-                               degree_max=n, check=check)
+                               degree_max=n)
 
     # assemble the cochain operator: the image cochain evaluated on the
     # generator e_b is sum_i M(t_i) M(g) c(f(t_i^{-1} e_b)), and
@@ -408,16 +391,15 @@ def hecke_operator(gamma, n, g, module=None, resolution=None, check=True):
     Z, P = kernel_with_left_inverse(delta_out)
     relations = P * delta_in
     quotient = QuotientLattice(Z, relations)
-    if check:
-        if not (delta_out * (cochain * Z)).is_zero():
-            raise CompositionNonzero("image of a cocycle is not a cocycle")
-        # Z P is the identity on span Z, so once the coboundaries lie in
-        # span Z, an image cocycle is a coboundary exactly when its
-        # coordinates are a relation
-        if Z * relations != delta_in:
-            raise CompositionNonzero("coboundaries are not cocycles")
-        if not quotient.is_relation(P * (cochain * delta_in)):
-            raise NotInLattice("image of a coboundary is not a coboundary")
+    if not (delta_out * (cochain * Z)).is_zero():
+        raise CompositionNonzero("image of a cocycle is not a cocycle")
+    # Z P is the identity on span Z, so once the coboundaries lie in
+    # span Z, an image cocycle is a coboundary exactly when its
+    # coordinates are a relation
+    if Z * relations != delta_in:
+        raise CompositionNonzero("coboundaries are not cocycles")
+    if not quotient.is_relation(P * (cochain * delta_in)):
+        raise NotInLattice("image of a coboundary is not a coboundary")
 
     matrix, orders, basis = matrix_on_quotient(cochain, quotient,
                                                lambda V: P * V)
@@ -467,7 +449,7 @@ class EigenvalueReport:
     operator: HeckeMatrix = field(repr=False)
 
 
-def hecke_eigenvalues(gamma, n, ps, module=None, resolution=None, check=True):
+def hecke_eigenvalues(gamma, n, ps, module=None, resolution=None):
     """Eigenvalue reports of T_p on H^n(gamma, module), keyed by p in ps.
 
     All operators are computed on one shared resolution, so the
@@ -480,7 +462,7 @@ def hecke_eigenvalues(gamma, n, ps, module=None, resolution=None, check=True):
     out = {}
     for p in ps:
         op = hecke_operator(gamma, n, hecke_representative(p), module,
-                            resolution=resolution, check=check)
+                            resolution=resolution)
         roots, residual = integer_roots(charpoly(op.free_block()))
         out[p] = EigenvalueReport(int(p), tuple(roots), tuple(residual), op)
     return out

@@ -108,25 +108,6 @@ class QuadInt:
         return "QuadInt(%d, %d, d=%d)" % (self.a, self.b, self.d)
 
 
-def quad_arith(x, y, op):
-    """Dispatch arithmetic on quadratic integers by operation name.
-
-    op is one of '+', '*', 'conj', 'norm', 'trace'; the unary operations
-    ignore y.  Raises MixedField when x and y carry different d.
-    """
-    if op == "+":
-        return x + y
-    if op == "*":
-        return x * y
-    if op == "conj":
-        return x.conj()
-    if op == "norm":
-        return x.norm()
-    if op == "trace":
-        return x.trace()
-    raise FormatError("unknown operation %r" % (op,))
-
-
 _QUAD_RE = re.compile(r"""
     (?:(?P<a>[+-]?\d+)(?![0-9iIwW]))?       # optional rational part
     (?:(?P<b>[+-]?\d*)\s*[iIwW])?           # optional omega part
@@ -352,18 +333,18 @@ def quad_character(d, n):
     return s if m == 1 else 0
 
 
-def l_ratio(d, pi_multiple=18, tail=1e-8):
+def l_ratio(d, pi_multiple=18):
     """Partial sum of L(2, chi)/(pi_multiple * pi) with a certified tail.
 
     Character sums over any interval are bounded by the period |D| (full
     periods cancel), so by partial summation the tail after M terms is at
-    most |D|/M^2; M is chosen to push that below the requested bound.
+    most |D|/M^2; M is chosen to push that below 1e-8.
     """
     if not (d < 0 and _squarefree(d)):
         raise FormatError("l_ratio needs a negative square-free d, got %r"
                           % (d,))
     D = d if d % 4 == 1 else 4 * d
-    M = max(20000, math.isqrt(int(abs(D) / tail)) + 1)
+    M = max(20000, math.isqrt(int(abs(D) / 1e-8)) + 1)
     total = 0.0
     for n in range(1, M + 1):
         c = quad_character(d, n)
@@ -444,28 +425,25 @@ class _QuotientRing:
         return ideal_from_generators(gens).norm() == 1
 
 
-def gamma0_index(a, method="auto"):
+def gamma0_index(a):
     """Index of the Hecke congruence subgroup of level a: #P^1(O/a).
 
     For a prime ideal the quotient is a field with N elements and the
-    projective line has N + 1 points, enumerated as (1, v) plus (0, 1).
-    For general a the points are orbits of unit scaling on unimodular
-    pairs, counted by sweeping each fresh orbit; method='orbits' forces
-    that path even on primes (the two must agree, and tests do).
+    projective line has N + 1 points: (1, v) for every residue v, which
+    are all unimodular, plus (0, 1).  For general a the points are orbits
+    of unit scaling on unimodular pairs, counted by _orbit_count.
     """
-    ring = _QuotientRing(a)
     n = a.norm()
     if n == 1:
         return 1
-    if method == "auto" and a.is_prime():
-        one = (1 % ring.p, 0) if ring.p > 1 else ring.reduce(1, 0)
-        count = 0
-        for v in ring.elements():
-            if not ring.unimodular(one, v):
-                raise EliminationError("(1, %r) is not unimodular modulo %r"
-                                       % (v, a))
-            count += 1
-        return count + 1
+    if a.is_prime():
+        return n + 1
+    return _orbit_count(a)
+
+
+def _orbit_count(a):
+    """#P^1(O/a) as the number of unit-scaling orbits of unimodular pairs."""
+    ring = _QuotientRing(a)
     elements = ring.elements()
     units = [u for u in elements if ring.is_unit(u)]
     seen = set()

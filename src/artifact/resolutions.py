@@ -470,21 +470,12 @@ class _InducedColumn:
     mult(m) for m <= max_degree and hv(m) for m < max_degree.
     """
 
-    def __init__(self, s, order, twisted, res, max_degree):
+    def __init__(self, s, order, twisted, max_degree):
         self.powers = tuple(_cyclic_powers(s))
         if len(self.powers) != order:
             raise FormatError("stabilizer generator order mismatch")
-        if res is None:
-            res = cyclic_resolution(order, twisted=twisted, generator=s,
-                                    max_degree=max_degree)
-        if any(res.rank(n) > 1 for n in range(res.top_degree() + 1)):
-            raise ShapeMismatch("stabilizer resolution must have rank one")
-        if res._homotopy_basis is None:
-            raise MissingHomotopy("stabilizer resolution carries no homotopy")
-        if res.top_degree() < max_degree:
-            raise DegreeOutOfRange("stabilizer resolution stops at degree %d,"
-                                   " %d needed" % (res.top_degree(), max_degree))
-        self.res = res
+        self.res = cyclic_resolution(order, twisted=twisted, generator=s,
+                                     max_degree=max_degree)
         self.normal_form = coset_normal_form(self.powers)
 
     def mult(self, m):
@@ -641,19 +632,18 @@ class CellChain:
 class EquivariantCellComplex:
     """A finite-orbit G-cell complex with cyclic stabilizers.
 
-    cells[p] lists the CellOrbits of dimension p.  homotopy, when present,
-    is a Z-linear map CellChain -> CellChain raising dimension by one and
-    contracting the complex to the basepoint 0-cell orbit: it must satisfy
-    d h + h d = 1 - (coefficient sum) . basepoint.  boundary_orbits marks
-    a subcomplex (dimension -> orbit indices), used for the horocycle
-    boundary of the compactified complex.
+    cells[p] lists the CellOrbits of dimension p.  homotopy is None until
+    a construction assigns it; it is a Z-linear map CellChain -> CellChain
+    raising dimension by one and contracting the complex to 0-cell orbit
+    0, the base point: d h + h d = 1 - (coefficient sum) . e, with e that
+    orbit's representative cell.  boundary_orbits marks a subcomplex
+    (dimension -> orbit indices), used for the horocycle boundary of the
+    compactified complex.
     """
 
-    def __init__(self, cells, homotopy=None, basepoint=0,
-                 boundary_orbits=None):
+    def __init__(self, cells, boundary_orbits=None):
         self.cells = cells
-        self.homotopy = homotopy
-        self.basepoint = basepoint  # orbit index among 0-cells
+        self.homotopy = None
         self.boundary_orbits = boundary_orbits or {}
         self._powers = {}
         self._normal_forms = {}
@@ -737,8 +727,8 @@ class EquivariantCellComplex:
     def sub_complex(self, keep):
         """The subcomplex spanned by keep = {dim: [orbit indices]}.
 
-        Orbits are reindexed; no homotopy or basepoint carries over (the
-        subcomplex is usually not contractible).
+        Orbits are reindexed; no homotopy carries over (the subcomplex is
+        usually not contractible).
         """
         top = max(keep) if keep else 0
         new_cells = []
@@ -797,8 +787,7 @@ def borel_serre_complex():
                       [(0, one), (1, t_minus_1), (2, -one)])
 
     cells = [[corner, horo_v], [arc, vertical, horo_e], [strip]]
-    cx = EquivariantCellComplex(cells, basepoint=0,
-                                boundary_orbits={0: [1], 1: [2]})
+    cx = EquivariantCellComplex(cells, boundary_orbits={0: [1], 1: [2]})
 
     def homotopy(x):
         out = cx.chain(x.dim + 1)
@@ -834,7 +823,7 @@ def tree_cell_complex():
     vertex = CellOrbit("vertex", U, 6, False, [])
     edge = CellOrbit("edge", S, 4, True,
                      [(0, GroupRingElement([(T, 1), (I, -1)]))])
-    cx = EquivariantCellComplex([[vertex], [edge]], basepoint=0)
+    cx = EquivariantCellComplex([[vertex], [edge]])
 
     def homotopy(x):
         out = cx.chain(x.dim + 1)
@@ -853,7 +842,7 @@ def tree_cell_complex():
 # the assembly: resolution from a contractible cell complex
 
 
-def wall_resolution(X, max_degree, stabilizers=None, check=True):
+def wall_resolution(X, max_degree):
     """Assemble a free ZG-resolution from a contractible G-cell complex.
 
     X is an EquivariantCellComplex with finite cyclic stabilizers; the
@@ -864,25 +853,22 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
     columns, and d2 is the correction making the square zero; both are
     produced degree by degree with the column homotopies.
 
-    stabilizers may override the per-orbit stabilizer resolutions as a
-    dict {(p, i): FreeZGResolution}.  The contracting homotopy needs
-    X.homotopy; without one the resolution is still built, but calling
-    h() raises MissingHomotopy.
-
-    check=True verifies the assembly preconditions on X first.
+    Each column is the periodic resolution (cyclic_resolution) of its
+    orbit's stabilizer.  The assembly preconditions on X are verified
+    first (X.verify).  The contracting homotopy needs X.homotopy; without
+    one the resolution is still built, but calling h() raises
+    MissingHomotopy.
     """
-    if check:
-        X.verify()
+    X.verify()
     dim = X.dim()
     cols = {}
     for p in range(dim + 1):
         # columns two below a cell lift its d2 terms up to degree max_degree
         top = max_degree + 1 if p + 2 <= dim else max_degree
         for i, orb in enumerate(X.cells[p]):
-            res = None if stabilizers is None else stabilizers.get((p, i))
             cols[(p, i)] = _InducedColumn(
                 orb.stabilizer_generator, orb.stabilizer_order, orb.twisted,
-                res=res, max_degree=top)
+                max_degree=top)
 
     # generator tables: degree n lists (p, i) with q = n - p implied
     gens = []
@@ -1023,10 +1009,9 @@ def wall_resolution(X, max_degree, stabilizers=None, check=True):
         # 0-cells are never twisted, so each column augments to its point
         return sum(gre.augmentation() for gre in chain.values())
 
-    base_idx = index[0][(0, X.basepoint)]
-
     def section(c=1):
-        return {base_idx: GroupRingElement.unit(ident, c)}
+        # generator 0 of degree 0 sits over 0-cell orbit 0, the base point
+        return {0: GroupRingElement.unit(ident, c)}
 
     group = (CongruenceSubgroup.gamma0(1)
              if isinstance(ident, SL2ZMatrix) else ("cell", id(X)))

@@ -54,7 +54,7 @@ def test_level_eleven_weight_two_kernel():
 
 
 def test_restriction_is_a_chain_map():
-    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(14), 1, check=False)
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(14), 1)
     CA, CB = r.ambient_complex, r.boundary_complex
     assert CB.deltas[1] * r.restriction == r.restriction_next * CA.deltas[1]
     # ambient coboundaries restrict to boundary coboundaries

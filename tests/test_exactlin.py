@@ -27,7 +27,6 @@ from artifact.exactlin import (
     smith_normal_form,
     solve,
     solve_matrix,
-    solve_with_form,
     _sym_div,
 )
 from artifact.hecke import matrix_on_quotient
@@ -244,10 +243,32 @@ def test_cokernel_invariants_examples():
     assert str(cokernel_invariants(IntMatrix.zeros(2, 0))) == "Z^2"
 
 
+def _solve_with_form(M_form, b):
+    """Solve M*x = b given the SmithForm of M (with transforms).
+
+    b is a list; returns a list x with M*x = b, or None when no integer
+    solution exists.  With U*M*V = D the system becomes D*y = U*b, x = V*y.
+    This one-column form is the reference solve_matrix is compared against.
+    """
+    sf = M_form
+    ub = sf.U.apply(b)
+    n = sf.V.rows
+    y = [0] * n
+    for i, v in enumerate(ub):
+        di = sf.d[i] if i < len(sf.d) else 0
+        if di:
+            if v % di:
+                return None
+            y[i] = v // di
+        elif v:
+            return None
+    return sf.V.apply(y)
+
+
 def _solve_by_columns(m, b):
-    """Reference: solve_with_form one column at a time."""
+    """Reference: _solve_with_form one column at a time."""
     sf = smith_normal_form(m)
-    cols = [solve_with_form(sf, b.col(j)) for j in range(b.cols)]
+    cols = [_solve_with_form(sf, b.col(j)) for j in range(b.cols)]
     if any(c is None for c in cols):
         return None
     return IntMatrix(m.cols, b.cols, [[c[i] for c in cols] for i in range(m.cols)])

@@ -118,7 +118,7 @@ def test_chain_map_commuting_squares_checked(res11):
     from artifact.hecke import _SubgroupTransversal
     source = restrict_resolution(_truncated(res11, 1), desc,
                                  trans=_SubgroupTransversal(desc))
-    # check=True verifies d f = f d on every generator; reaching here is the test
+    # construction verifies d f = f d per generator; reaching here is the test
     f = EquivariantChainMap(source, res11, desc.conjugate, degree_max=1)
     # semilinearity: f(gamma x) = phi(gamma) f(x) for gamma in Gamma'
     gam = T * T

@@ -3,8 +3,9 @@
 An assert is stripped by python -O, so a check of a mathematical
 invariant written as one silently disappears; a raised AssertionError
 survives -O but is no ArtifactError, so the CLI shows it as a traceback.
-The modules listed here have been cleared of both; a module joins the
-list once it is cleared.
+A parameter named check lets a caller switch a verification off, which
+is python -O for one call.  The modules listed here have been cleared of
+all three; a module joins the list once it is cleared.
 """
 
 import ast
@@ -32,3 +33,19 @@ def _raises_assertion_error(node):
         return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+@pytest.mark.parametrize("name", CLEARED)
+def test_module_has_no_check_parameters(name):
+    path = SRC / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = ["%s:%d %s" % (name, node.lineno, node.name)
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and "check" in _parameter_names(node.args)]
+    assert not found, ("functions with a check parameter in cleared "
+                       "modules: " + ", ".join(found))
+
+
+def _parameter_names(args):
+    return {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}

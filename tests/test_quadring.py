@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.errors import FormatError, MixedField, ZeroIdeal
-from artifact.quadring import (QuadIdeal, QuadInt, gamma0_index,
+from artifact.quadring import (QuadIdeal, QuadInt, _orbit_count,
+                               _QuotientRing, gamma0_index,
                                ideal_from_generators, ideal_product, l_ratio,
-                               parse_quad, quad_arith, quad_character,
-                               torsion_ratio)
+                               parse_quad, quad_character, torsion_ratio)
 
 # square-free parameters covering both congruence classes mod 4 and signs
 DS = [-1, -2, -3, -5, -7, 2, 5, 13]
@@ -41,6 +41,16 @@ def test_norm_of_the_headline_element():
 
 
 def test_headline_index():
+    a = ideal_from_generators([gaussian(41, 56)])
+    assert gamma0_index(a) == 4818
+
+
+def test_prime_index_needs_no_unimodularity_test(monkeypatch):
+    # every pair (1, v) is unimodular over a field, so a prime level is
+    # counted as N + 1 without one ideal HNF per residue
+    def unreachable(self, u, v):
+        raise RuntimeError("unimodular called on a prime level")
+    monkeypatch.setattr(_QuotientRing, "unimodular", unreachable)
     a = ideal_from_generators([gaussian(41, 56)])
     assert gamma0_index(a) == 4818
 
@@ -77,7 +87,7 @@ def test_prime_index_is_norm_plus_one(gens, d, norm):
     assert a.norm() == norm and a.is_prime()
     # the generic orbit count must agree with the field-case shortcut
     assert gamma0_index(a) == norm + 1
-    assert gamma0_index(a, method="orbits") == norm + 1
+    assert _orbit_count(a) == norm + 1
 
 
 def test_two_generator_presentations_collapse():
@@ -173,13 +183,11 @@ def test_conjugation_conventions():
 
 def test_quad_arith_dispatch():
     x, y = gaussian(2, 1), gaussian(1, -1)
-    assert quad_arith(x, y, "+") == gaussian(3, 0)
-    assert quad_arith(x, y, "*") == gaussian(3, -1)
-    assert quad_arith(x, None, "conj") == gaussian(2, -1)
-    assert quad_arith(x, None, "norm") == 5
-    assert quad_arith(x, None, "trace") == 4
-    with pytest.raises(FormatError):
-        quad_arith(x, y, "/")
+    assert x + y == gaussian(3, 0)
+    assert x * y == gaussian(3, -1)
+    assert x.conj() == gaussian(2, -1)
+    assert x.norm() == 5
+    assert x.trace() == 4
 
 
 def test_mixed_field_rejected():

@@ -321,7 +321,7 @@ def test_single_point_wall_degenerates_to_cyclic():
     # one orbit of 0-cells with stabilizer <U>: the assembly must hand
     # back the periodic resolution of the stabilizer
     point = CellOrbit("pt", U, 6, False, [])
-    cx = EquivariantCellComplex([[point]], basepoint=0)
+    cx = EquivariantCellComplex([[point]])
     cx.homotopy = lambda x: cx.chain(x.dim + 1)
     W = wall_resolution(cx, 5)
     R = cyclic_resolution(6, generator=U, max_degree=5)
@@ -336,31 +336,12 @@ def test_wall_without_cell_homotopy_raises():
     vertex = CellOrbit("vertex", U, 6, False, [])
     edge = CellOrbit("edge", S, 4, True,
                      [(0, GroupRingElement([(T, 1), (I, -1)]))])
-    cx = EquivariantCellComplex([[vertex], [edge]], basepoint=0)
+    cx = EquivariantCellComplex([[vertex], [edge]])
     W = wall_resolution(cx, 4)
     # boundaries exist and square to zero without any contraction
     assert_d_squared_zero(W)
     with pytest.raises(MissingHomotopy):
         W.h(0, {0: GroupRingElement.unit(T)})
-
-
-def test_wall_needs_stabilizer_homotopies():
-    R = cyclic_resolution(6, generator=U, max_degree=5)
-    bare = FreeZGResolution(R.group, R.ranks,
-                            [[]] + [R.boundary_rows(n) for n in range(1, 6)])
-    with pytest.raises(MissingHomotopy):
-        wall_resolution(tree_cell_complex(), 3, stabilizers={(0, 0): bare})
-
-
-def test_wall_needs_long_enough_stabilizer_resolutions():
-    short = cyclic_resolution(6, generator=U, max_degree=3)
-    with pytest.raises(DegreeOutOfRange):
-        wall_resolution(tree_cell_complex(), 4, stabilizers={(0, 0): short})
-    # the tree's vertex column serves degrees up to max_degree only
-    W = wall_resolution(tree_cell_complex(), 3, stabilizers={(0, 0): short})
-    assert_d_squared_zero(W)
-    rng = random.Random(7)
-    assert_contracting(W, [random_matrix(rng) for _ in range(10)])
 
 
 def test_twisted_point_rejected():
@@ -397,18 +378,6 @@ def test_cell_chain_canonicalizes():
     c.add(0, S, 1)  # S stabilizes the arc and reverses it
     c.add(0, I, 1)
     assert c.is_zero()
-
-
-def test_explicit_stabilizer_resolutions_accepted():
-    X = tree_cell_complex()
-    stabs = {(0, 0): cyclic_resolution(6, generator=U, max_degree=8),
-             (1, 0): cyclic_resolution(4, twisted=True, generator=S,
-                                       max_degree=8)}
-    W = wall_resolution(X, 4, stabilizers=stabs)
-    assert W.ranks == [1, 2, 2, 2, 2]
-    assert_d_squared_zero(W)
-    rng = random.Random(31)
-    assert_contracting(W, [random_matrix(rng) for _ in range(15)])
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +513,7 @@ def test_sl2z_homotopy_identity_property(n, letters):
 @settings(deadline=None, max_examples=25)
 @given(st.lists(st.sampled_from(GENS), min_size=1, max_size=10))
 def test_borel_serre_homotopy_is_contraction_on_cells(letters):
-    # d h + h d = 1 - basepoint on the cell complex itself
+    # d h + h d = 1 - base point (orbit 0) on the cell complex itself
     X = borel_serre_complex()
     g = I
     for m in letters:
@@ -554,7 +523,7 @@ def test_borel_serre_homotopy_is_contraction_on_cells(letters):
         c.add(orbit, g, 1)
         lhs = X.boundary_chain(X.homotopy(c))
         base = X.chain(0)
-        base.add(X.basepoint, I, sum(coeff for _, coeff in c.items()))
+        base.add(0, I, sum(coeff for _, coeff in c.items()))
         assert lhs + base == c
     for orbit in (0, 1, 2):
         c = X.chain(1)
