@@ -29,7 +29,7 @@ from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      ShapeMismatch)
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        charpoly, integer_roots, kernel_with_left_inverse)
-from .resolutions import (FreeZGResolution, GroupRingElement, _accumulate,
+from .resolutions import (ChainSum, FreeZGResolution, GroupRingElement,
                           chains_equal, restrict_resolution, sl2z_resolution)
 from .sl2z import I as IDENT, SL2ZMatrix
 
@@ -141,14 +141,13 @@ class _SubgroupTransversal:
     restrict_resolution wants decompositions x = gamma' * rep_i.  The reps
     here are the inverses of the descriptor's left reps, so the index i
     names the same coset on both sides, and lookups scan the (small) list
-    with the membership test, caching by matrix entries.
+    with the membership test.
     """
 
     def __init__(self, desc):
         self.desc = desc
         self.lefts = list(desc.reps)
         self.reps_ = [t.inverse() for t in desc.reps]
-        self._cache = {}
 
     def __len__(self):
         return len(self.reps_)
@@ -158,14 +157,9 @@ class _SubgroupTransversal:
 
     def lookup(self, x):
         """(i, gamma') with x = gamma' * rep(i)."""
-        key = x.entries()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         for i, left in enumerate(self.lefts):
             gam = x * left  # x * rep(i)^{-1}
             if self.desc.member(gam):
-                self._cache[key] = (i, gam)
                 return (i, gam)
         raise NotInGroup("element lies in no enumerated coset")
 
@@ -202,15 +196,22 @@ class EquivariantChainMap:
         for j in range(source.rank(0)):
             c = source.aug({j: GroupRingElement.unit(IDENT)})
             vals0.append(target.section(c))
+            if target.aug(vals0[j]) != c:
+                raise CompositionNonzero(
+                    "augmentation not preserved on degree-0 generator %d" % j)
         self.values = [vals0]
         for n in range(1, degree_max + 1):
             vals = []
             for j in range(source.rank(n)):
                 below = self.apply(
                     n - 1, source.d(n, {j: GroupRingElement.unit(IDENT)}))
-                vals.append(target.h(n - 1, below))
+                val = target.h(n - 1, below)
+                # below is f d on the generator, so this checks d f = f d
+                if not chains_equal(target.d(n, val), below):
+                    raise CompositionNonzero(
+                        "d f != f d in degree %d on generator %d" % (n, j))
+                vals.append(val)
             self.values.append(vals)
-        self._verify()
 
     def value(self, n, j):
         """Image of the degree-n source generator j, as a target chain."""
@@ -218,30 +219,14 @@ class EquivariantChainMap:
 
     def apply(self, n, chain):
         """Image of a degree-n source chain {index: GroupRingElement}."""
-        out = {}
+        out = ChainSum()
         for j, gre in chain.items():
             base = self.values[n][j]
             for gam, c in gre.items():
                 img = self.phi(gam)
                 for i, val in base.items():
-                    moved = val.left_mul(img)
-                    _accumulate(out, i, moved if c == 1 else moved * c)
-        return out
-
-    def _verify(self):
-        for j in range(self.source.rank(0)):
-            gen = {j: GroupRingElement.unit(IDENT)}
-            if self.target.aug(self.values[0][j]) != self.source.aug(gen):
-                raise CompositionNonzero(
-                    "augmentation not preserved on degree-0 generator %d" % j)
-        for n in range(1, self.degree_max + 1):
-            for j in range(self.source.rank(n)):
-                gen = {j: GroupRingElement.unit(IDENT)}
-                left = self.target.d(n, self.values[n][j])
-                right = self.apply(n - 1, self.source.d(n, gen))
-                if not chains_equal(left, right):
-                    raise CompositionNonzero(
-                        "d f != f d in degree %d on generator %d" % (n, j))
+                    out.add(i, ((img * k, e * c) for k, e in val.terms.items()))
+        return out.chain()
 
 
 def _truncated(resolution, top):

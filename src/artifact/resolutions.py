@@ -92,6 +92,17 @@ class GroupRingElement:
     def zero(cls):
         return cls()
 
+    @classmethod
+    def wrap(cls, terms):
+        """The element with the term dict terms, taken over uncopied.
+
+        terms must hold no zero coefficient, and its owner must not
+        change it afterwards.
+        """
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
     def items(self):
         return self.terms.items()
 
@@ -225,25 +236,74 @@ class CyclicElement:
 # chains: dict {generator index: GroupRingElement}
 
 
-def _accumulate(out, key, x):
-    """out[key] += x in a dict of GroupRingElements, dropping a zero sum.
+class ChainSum:
+    """A chain {key: GroupRingElement} summed in place and built once.
 
-    Stored values are never mutated (they may be shared with boundary
-    rows or homotopy values), so a sum is a new element.
+    add(key, terms) adds at key the group-ring element whose (g, c) terms
+    are given: distinct g and nonzero c, as the items of one element or
+    of its translate or nonzero multiple.  The sums live in term dicts
+    that this object owns.  No group-ring element is ever mutated: one
+    handed in is only read, since stored values are shared between
+    boundary rows, homotopy values and chains.  chain() wraps each dict
+    as a GroupRingElement once and spends the sum.
+
+    Key and term order are those of summing the elements one by one into
+    a dict of elements with +: a key enters at the end, stays in place
+    while its sum is nonzero and leaves the moment an add brings it to
+    zero, so a later add puts it at the end again; within a sum a new
+    group element enters at the end and a cancelled one leaves.
     """
-    cur = out.get(key)
-    new = x if cur is None else cur + x
-    if new.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = new
+
+    __slots__ = ("sums",)
+
+    def __init__(self):
+        self.sums = {}
+
+    def add(self, key, terms):
+        sums = self.sums
+        acc = sums.get(key)
+        if acc is None:
+            acc = dict(terms)
+            if acc:
+                sums[key] = acc
+            return
+        for g, c in terms:
+            new = acc.get(g, 0) + c
+            if new:
+                acc[g] = new
+            else:
+                del acc[g]
+        if not acc:
+            del sums[key]
+
+    def add_product(self, key, x, y):
+        """Add the product x * y of two group-ring elements at key."""
+        if len(y.terms) == 1:
+            (h, e), = y.terms.items()
+            self.add(key, ((g * h, c * e) for g, c in x.terms.items()))
+        elif len(x.terms) == 1:
+            (h, e), = x.terms.items()
+            self.add(key, ((h * g, e * c) for g, c in y.terms.items()))
+        else:
+            # a convolution can cancel within itself: add it as one element
+            self.add(key, (x * y).terms.items())
+
+    def add_chain(self, chain):
+        for key, gre in chain.items():
+            self.add(key, gre.terms.items())
+
+    def chain(self):
+        out = {key: GroupRingElement.wrap(acc)
+               for key, acc in self.sums.items()}
+        self.sums = None
+        return out
 
 
 def chain_add(a, b):
-    out = dict(a)
-    for i, gre in b.items():
-        _accumulate(out, i, gre)
-    return out
+    out = ChainSum()
+    out.add_chain(a)
+    out.add_chain(b)
+    return out.chain()
 
 
 def chain_neg(a):
@@ -314,13 +374,13 @@ class FreeZGResolution:
         if n == 0:
             return {}
         rows = self.boundary_rows(n)
-        out = {}
+        out = ChainSum()
         for j, xi in chain.items():
             if xi.is_zero():
                 continue
             for i, row in rows[j].items():
-                _accumulate(out, i, xi * row)
-        return out
+                out.add_product(i, xi, row)
+        return out.chain()
 
     def h(self, n, chain):
         """Contracting homotopy on a degree-n chain, termwise Z-linear."""
@@ -329,12 +389,13 @@ class FreeZGResolution:
         if not 0 <= n < self.top_degree():
             raise DegreeOutOfRange("homotopy defined in degrees 0..%d"
                                    % (self.top_degree() - 1))
-        out = {}
+        out = ChainSum()
         for j, xi in chain.items():
             for g, c in xi.items():
                 for i, gre in self._homotopy_basis(n, j, g).items():
-                    _accumulate(out, i, gre if c == 1 else gre * c)
-        return out
+                    out.add(i, gre.terms.items() if c == 1 else
+                            ((k, e * c) for k, e in gre.terms.items()))
+        return out.chain()
 
     def aug(self, chain):
         if self._augmentation is None:
@@ -702,11 +763,11 @@ class EquivariantCellComplex:
         """
         for p in range(2, self.dim() + 1):
             for i, orb in enumerate(self.cells[p]):
-                acc = {}
+                acc = ChainSum()
                 for j, word in orb.boundary:
                     for k, word2 in self.cells[p - 1][j].boundary:
-                        _accumulate(acc, k, word * word2)
-                if acc:
+                        acc.add_product(k, word, word2)
+                if acc.chain():
                     raise CompositionNonzero(
                         "attaching words of %s do not compose to zero"
                         % orb.name)
@@ -889,10 +950,10 @@ def wall_resolution(X, max_degree):
         for p in range(1, dim + 1):
             for i, orb in enumerate(X.cells[p]):
                 if q == 0:
-                    row = {}
+                    row = ChainSum()
                     for j, word in orb.boundary:
-                        _accumulate(row, j, word)
-                    d1[(p, i, 0)] = row
+                        row.add(j, word.terms.items())
+                    d1[(p, i, 0)] = row.chain()
                 else:
                     m = cols[(p, i)].mult(q)
                     acc = {}
@@ -908,16 +969,16 @@ def wall_resolution(X, max_degree):
                     d1[(p, i, q)] = row
         for p in range(2, dim + 1):
             for i, orb in enumerate(X.cells[p]):
-                acc = {}
+                acc = ChainSum()
                 for j, a in d1[(p, i, q)].items():
                     for k, b in d1[(p - 1, j, q)].items():
-                        _accumulate(acc, k, a * b)
+                        acc.add_product(k, a, b)
                 if q > 0:
                     m = cols[(p, i)].mult(q)
                     for k, b in d2[(p, i, q - 1)].items():
-                        _accumulate(acc, k, m * b)
+                        acc.add_product(k, m, b)
                 row = {}
-                for k, w in acc.items():
+                for k, w in acc.chain().items():
                     lifted = -cols[(p - 2, k)].hv(q, w)
                     if not lifted.is_zero():
                         row[k] = lifted
@@ -971,39 +1032,35 @@ def wall_resolution(X, max_degree):
 
     def apply_delta(chain, deg):
         """The d1 + d2 part of the boundary on a pq-chain."""
-        out = {}
+        out = ChainSum()
         for (p, i), xi in chain.items():
             q = deg - p
             for j, w in d1.get((p, i, q), {}).items():
-                _accumulate(out, (p - 1, j), xi * w)
+                out.add_product((p - 1, j), xi, w)
             for k, w in d2.get((p, i, q), {}).items():
-                _accumulate(out, (p - 2, k), xi * w)
-        return out
+                out.add_product((p - 2, k), xi, w)
+        return out.chain()
 
     def homotopy_basis(n, gen_idx, g):
         if X.homotopy is None:
             raise MissingHomotopy("cell complex carries no contraction")
         p, i = gens[n][gen_idx]
         start = {(p, i): GroupRingElement.unit(g)}
-        base = apply_H(start, n)
-        for key, gre in apply_I(X.homotopy(apply_P(start, n))).items():
-            _accumulate(base, key, gre)
-        total = dict(base)
-        z = base
+        base = ChainSum()
+        base.add_chain(apply_H(start, n))
+        base.add_chain(apply_I(X.homotopy(apply_P(start, n))))
+        z = base.chain()
+        total = ChainSum()
+        total.add_chain(z)
         for _ in range(dim + 2):
             # tail term k is (-H delta)^k applied to the leading part
             z = {k: -gre for k, gre in apply_H(apply_delta(z, n + 1), n).items()}
             if not z:
                 break
-            for key, gre in z.items():
-                _accumulate(total, key, gre)
+            total.add_chain(z)
         else:
             raise CompositionNonzero("homotopy tail failed to terminate")
-        out = {}
-        for (p2, i2), gre in total.items():
-            if not gre.is_zero():
-                out[index[n + 1][(p2, i2)]] = gre
-        return out
+        return {index[n + 1][key]: gre for key, gre in total.chain().items()}
 
     def augmentation(chain):
         # 0-cells are never twisted, so each column augments to its point
@@ -1077,9 +1134,14 @@ def restrict_resolution(resolution, gamma, trans=None):
 
     Each rank-r module restricts to rank r * [G : gamma]; the generator
     (b, t) corresponds to e_b tensored with the t-th coset representative.
-    Boundary entries are rewritten through the transversal's lookup, and
-    the homotopy is conjugated through the same unfolding, so the
-    restricted resolution again carries d, h, augmentation and section.
+    Boundary entries are rewritten through the transversal: rep(t) * g =
+    gam * rep(ti) for every group element g of a boundary entry and every
+    coset t, from one coset table per distinct g.  Each distinct entry
+    object is restricted once per coset, and the rows that use it share
+    the restricted elements, which is safe because no group-ring element
+    is ever mutated (ChainSum).  The homotopy is conjugated through the
+    same unfolding, so the restricted resolution again carries d, h,
+    augmentation and section.
     """
     if trans is None:
         trans = transversal(gamma)
@@ -1087,37 +1149,49 @@ def restrict_resolution(resolution, gamma, trans=None):
     top = resolution.top_degree()
     ranks = [resolution.rank(n) * nt for n in range(top + 1)]
 
+    tables = {}      # g -> [(ti, gam) for each coset t]
+    restricted = {}  # id(entry) -> [{ti: gre} for each coset t]
     boundaries = [[]]
     for n in range(1, top + 1):
         rows_g = resolution.boundary_rows(n)
+        for base_row in rows_g:
+            for gre in base_row.values():
+                if id(gre) in restricted:
+                    continue
+                sums = [ChainSum() for _ in range(nt)]
+                for g, c in gre.items():
+                    table = tables.get(g)
+                    if table is None:
+                        table = tables[g] = [trans.lookup(trans.rep(t) * g)
+                                             for t in range(nt)]
+                    for acc, (ti, gam) in zip(sums, table):
+                        acc.add(ti, ((gam, c),))
+                restricted[id(gre)] = [acc.chain() for acc in sums]
         rows = []
-        for b in range(resolution.rank(n)):
-            base_row = rows_g[b]
+        for base_row in rows_g:
             for t in range(nt):
-                rep = trans.rep(t)
                 row = {}
                 for i, gre in base_row.items():
-                    for g, c in gre.items():
-                        ti, gam = trans.lookup(rep * g)
-                        _accumulate(row, i * nt + ti,
-                                    GroupRingElement.unit(gam, c))
+                    off = i * nt
+                    for ti, val in restricted[id(gre)][t].items():
+                        row[off + ti] = val
                 rows.append(row)
         boundaries.append(rows)
 
     def unfold(n, chain):
-        out = {}
+        out = ChainSum()
         for idx, gre in chain.items():
             b, t = divmod(idx, nt)
-            _accumulate(out, b, gre * trans.rep(t))
-        return out
+            out.add(b, (gre * trans.rep(t)).terms.items())
+        return out.chain()
 
     def refold(chain):
-        out = {}
+        out = ChainSum()
         for b, gre in chain.items():
             for g, c in gre.items():
                 ti, gam = trans.lookup(g)
-                _accumulate(out, b * nt + ti, GroupRingElement.unit(gam, c))
-        return out
+                out.add(b * nt + ti, ((gam, c),))
+        return out.chain()
 
     def homotopy_basis(n, gen_idx, g):
         b, t = divmod(gen_idx, nt)

@@ -225,15 +225,20 @@ def test_cochain_level_preservation(res11):
 
 
 def test_chain_map_verify_rejects_corrupted_values(res11):
-    f = EquivariantChainMap(res11, res11, lambda g: g, degree_max=1)
-    good = f.values[0][0]
-    f.values[0][0] = chain_scale(good, 2)
+    # each value is checked as it is lifted, so corrupt what lifts it: a
+    # doubled section breaks the augmentation, a doubled homotopy d f = f d
+    def target(section, homotopy_basis):
+        return FreeZGResolution(res11.group, res11.ranks, res11._rows,
+                                homotopy_basis, res11._augmentation, section)
+
+    bad_section = target(lambda c=1: chain_scale(res11.section(c), 2),
+                         res11._homotopy_basis)
     with pytest.raises(CompositionNonzero, match="augmentation"):
-        f._verify()
-    f.values[0][0] = good
-    f.values[1][0] = chain_scale(f.values[1][0], 2)
+        EquivariantChainMap(res11, bad_section, lambda g: g, degree_max=1)
+    bad_h = target(res11._section, lambda n, j, g: chain_scale(
+        res11._homotopy_basis(n, j, g), 2))
     with pytest.raises(CompositionNonzero, match="d f != f d"):
-        f._verify()
+        EquivariantChainMap(res11, bad_h, lambda g: g, degree_max=1)
 
 
 def test_truncation_beyond_top_degree_raises(res11):

@@ -1,0 +1,178 @@
+"""Restricted boundary rows and the chain accumulator, against references.
+
+restrict_resolution reads one coset table per group element and shares
+each restricted boundary entry among the rows that use it; ChainSum adds
+in place into dicts it owns.  Both must give exactly what the plain
+per-term constructions give: the same values, and the same key order
+and term order, because downstream assembly iterates rows and chains in
+dict order.  The references here are those plain constructions.
+"""
+
+import random
+
+from hypothesis import example, given, settings, strategies as st
+
+from artifact.congruence import CongruenceSubgroup, transversal
+from artifact.hecke import (_SubgroupTransversal, _truncated,
+                            gamma_prime_data)
+from artifact.resolutions import (ChainSum, GroupRingElement,
+                                  borel_serre_complex, restrict_resolution,
+                                  sl2z_resolution, wall_resolution)
+from artifact.sl2z import I, S, T, U
+
+
+def _accumulate(out, key, x):
+    """out[key] += x, a new element per add; a zero sum drops the key."""
+    cur = out.get(key)
+    new = x if cur is None else cur + x
+    if new.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = new
+
+
+def reference_rows(resolution, trans, n):
+    """The restricted degree-n rows, one transversal lookup per term."""
+    nt = len(trans)
+    rows = []
+    for base_row in resolution.boundary_rows(n):
+        for t in range(nt):
+            rep = trans.rep(t)
+            row = {}
+            for i, gre in base_row.items():
+                for g, c in gre.items():
+                    ti, gam = trans.lookup(rep * g)
+                    _accumulate(row, i * nt + ti,
+                                GroupRingElement.unit(gam, c))
+            rows.append(row)
+    return rows
+
+
+def ordered(chain):
+    """A chain as nested lists, so == also compares key and term order."""
+    return [(k, list(v.terms.items())) for k, v in chain.items()]
+
+
+def assert_rows_match(resolution, gamma, trans):
+    W = restrict_resolution(resolution, gamma, trans=trans)
+    for n in range(1, resolution.top_degree() + 1):
+        got = W.boundary_rows(n)
+        want = reference_rows(resolution, trans, n)
+        assert len(got) == len(want)
+        for r, (a, b) in enumerate(zip(got, want)):
+            assert ordered(a) == ordered(b), (n, r)
+
+
+def test_restricted_rows_gamma0_300():
+    gamma = CongruenceSubgroup.gamma0(300)
+    assert_rows_match(sl2z_resolution(3), gamma, transversal(gamma))
+
+
+def test_restricted_rows_gamma1_12():
+    gamma = CongruenceSubgroup.gamma1(12)
+    assert_rows_match(sl2z_resolution(3), gamma, transversal(gamma))
+
+
+def test_restricted_rows_principal_4():
+    gamma = CongruenceSubgroup.principal(4)
+    assert_rows_match(sl2z_resolution(3), gamma, transversal(gamma))
+
+
+def test_restricted_rows_borel_serre_gamma0_11():
+    gamma = CongruenceSubgroup.gamma0(11)
+    assert_rows_match(wall_resolution(borel_serre_complex(), 3), gamma,
+                      transversal(gamma))
+
+
+def test_restricted_rows_hecke_subgroup():
+    gamma = CongruenceSubgroup.gamma0(11)
+    res = restrict_resolution(sl2z_resolution(2), gamma)
+    desc = gamma_prime_data(gamma, (2, 0, 0, 1))
+    assert_rows_match(_truncated(res, 1), desc, _SubgroupTransversal(desc))
+
+
+def test_shared_entries_survive_d_and_h():
+    # rows share restricted entries, so a mutation by d or h would show
+    # in every row that uses the entry
+    gamma = CongruenceSubgroup.gamma0(11)
+    R = sl2z_resolution(3)
+    W = restrict_resolution(R, gamma)
+    rng = random.Random(11)
+    gens = [S, S.inverse(), T, T.inverse(), U, U.inverse()]
+    for n in range(W.top_degree()):
+        for j in range(0, W.rank(n), 5):
+            g = I
+            for _ in range(rng.randrange(1, 10)):
+                g = g * rng.choice(gens)
+            c = {j: GroupRingElement([(g, 2), (I, -1)])}
+            W.d(n + 1, W.h(n, c))
+            if n:
+                W.h(n - 1, W.d(n, c))
+    fresh = restrict_resolution(R, gamma)
+    for n in range(1, W.top_degree() + 1):
+        for a, b in zip(W.boundary_rows(n), fresh.boundary_rows(n)):
+            assert ordered(a) == ordered(b)
+
+
+# ---------------------------------------------------------------------------
+# ChainSum against a left fold of the old accumulator
+
+# S^2 = U^3 = -I, so sums of translates of these meet and cancel often
+GROUP = [S ** k for k in range(4)] + [U ** k for k in range(1, 6)]
+ELEMENTS = st.lists(st.tuples(st.sampled_from(GROUP), st.integers(-2, 2)),
+                    max_size=4).map(GroupRingElement)
+# each add: key, element x, and the translate g * x * h scaled by c that
+# callers stream in (h and homotopy values scaled, Hecke values moved on
+# the left, unfolded chains on the right)
+OPS = st.lists(st.tuples(st.integers(0, 3), ELEMENTS, st.sampled_from(GROUP),
+                         st.sampled_from(GROUP),
+                         st.sampled_from([1, -1, 2, -2])), max_size=30)
+X = GroupRingElement([(S, 1), (U, 2)])
+Y = GroupRingElement.unit(T)
+
+
+@settings(deadline=None, max_examples=200)
+@given(OPS)
+# cancel key 0 to zero, then re-add it behind key 1
+@example([(0, X, I, I, 1), (1, Y, I, I, 1), (0, X, I, I, -1),
+          (0, Y, I, I, 1)])
+# one add that cancels key 0 on its way to a nonzero sum keeps its place
+@example([(0, GroupRingElement.unit(S), I, I, 1), (1, Y, I, I, 1),
+          (0, GroupRingElement([(S, -1), (U, 1)]), I, I, 1)])
+# cancel one term of a sum, then re-add it at the end of the sum
+@example([(0, X, I, I, 1), (0, GroupRingElement.unit(S), I, I, -1),
+          (0, GroupRingElement.unit(S), I, I, 1)])
+def test_chain_sum_matches_fold_of_old_accumulator(ops):
+    ref = {}
+    acc = ChainSum()
+    for key, x, g, h, c in ops:
+        _accumulate(ref, key, x.left_mul(g) * h * c)
+        acc.add(key, ((g * k * h, e * c) for k, e in x.terms.items()))
+    got = acc.chain()
+    assert ordered(got) == ordered(ref)
+    assert all(not v.is_zero() for v in got.values())
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 3), ELEMENTS, ELEMENTS), max_size=20))
+def test_chain_sum_products_match_fold_of_old_accumulator(ops):
+    # add_product adds a product with a one-term factor term by term
+    ref = {}
+    acc = ChainSum()
+    for key, x, y in ops:
+        _accumulate(ref, key, x * y)
+        acc.add_product(key, x, y)
+    assert ordered(acc.chain()) == ordered(ref)
+
+
+def test_chain_sum_leaves_added_elements_alone():
+    x = GroupRingElement([(S, 1), (U, 2)])
+    acc = ChainSum()
+    acc.add(0, x.terms.items())
+    acc.add(0, x.terms.items())
+    acc.add_chain({1: x, 2: x})
+    acc.add_product(3, x, Y)
+    acc.add_product(3, Y, x)
+    out = acc.chain()
+    assert ordered({0: x}) == [(0, [(S, 1), (U, 2)])]
+    assert out == {0: x * 2, 1: x, 2: x, 3: x * Y + Y * x}
