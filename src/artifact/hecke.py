@@ -19,7 +19,7 @@ normalization, and structural facts (commutativity, cocycle preservation,
 integrality) are normalization independent.
 """
 
-from collections import deque
+import heapq
 from dataclasses import dataclass, field
 
 from .coeffmod import PolynomialModule, _entries, hom_complex
@@ -107,31 +107,47 @@ class HeckeDescriptor:
 def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
     """Coset data for Gamma' = Gamma intersect g Gamma g^{-1} inside Gamma.
 
-    Left coset representatives are enumerated by breadth-first search from
-    the identity over the generators of gamma and their inverses; x and y
-    represent the same left coset exactly when x^{-1} y lies in Gamma'.
-    Raises FormatError when det(g) <= 0 and InfiniteIndex when more than
-    max_cosets cosets appear before the search closes.
+    Left coset representatives are found by a best-first search from the
+    identity: the products s * t of a generator of gamma (or its inverse)
+    with a representative t wait in a heap ordered by |a|+|b|+|c|+|d|,
+    then by the entries, and each new coset takes the first element
+    popped for it, the smallest the walk reaches; x and y represent the
+    same left coset exactly when x^{-1} y lies in Gamma'.  The sizes
+    matter downstream: the chain map of hecke_operator is lifted through
+    the tree homotopy, whose walk takes one edge per unit of partial
+    quotient of the conjugated boundary elements.  Raises FormatError
+    when det(g) <= 0 and InfiniteIndex when more than max_cosets cosets
+    appear before the search closes.
     """
     gent = _entries(g)
     det = gent[0] * gent[3] - gent[1] * gent[2]
     if det <= 0:
         raise FormatError("determinant must be positive, got %d" % det)
     desc = HeckeDescriptor(gamma, gent, det, [IDENT])
+    inverses = [IDENT]
     gens = generators(gamma)
     gens = gens + [s.inverse() for s in gens]
-    queue = deque([IDENT])
-    while queue:
-        t = queue.popleft()
+    # keys are unique per matrix, so ties never compare SL2ZMatrix objects
+    heap, seen, fresh = [], {IDENT.entries()}, [IDENT]
+    while fresh:
+        t = fresh.pop()
         for s in gens:
             x = s * t
-            if any(desc.member(r.inverse() * x) for r in desc.reps):
+            key = x.entries()
+            if key not in seen:
+                seen.add(key)
+                heapq.heappush(heap, (sum(map(abs, key)), key, x))
+        while heap:
+            x = heapq.heappop(heap)[2]
+            if any(desc.member(r * x) for r in inverses):
                 continue
             if len(desc.reps) >= max_cosets:
                 raise InfiniteIndex("more than %d cosets of Gamma' in Gamma"
                                     % max_cosets)
             desc.reps.append(x)
-            queue.append(x)
+            inverses.append(x.inverse())
+            fresh.append(x)
+            break
     return desc
 
 
@@ -256,7 +272,9 @@ class HeckeMatrix:
     entry > 1, ascending); entries in torsion rows are canonical residues.
     basis[j] is an ambient cocycle vector representing the j-th basis
     class, so the presentation is reproducible run to run.  cochain is the
-    operator on all degree-n cochains, before descending to cohomology.
+    operator on all degree-n cochains, before descending to cohomology; it
+    depends on the coset representatives gamma_prime_data picks, while
+    the transfer, and so matrix, does not.
     """
 
     group: object

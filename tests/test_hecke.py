@@ -23,7 +23,7 @@ from artifact.hecke import (EquivariantChainMap, _truncated,
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   chain_add, chain_scale, chains_equal,
                                   restrict_resolution, sl2z_resolution)
-from artifact.sl2z import I, S, T
+from artifact.sl2z import I, S, SL2ZMatrix, T
 
 
 GAMMA0_11 = CongruenceSubgroup.gamma0(11)
@@ -100,6 +100,56 @@ def test_representative_shapes():
     desc = gamma_prime_data(GAMMA0_11, [[2, 0], [0, 1]])
     assert desc.g == (2, 0, 0, 1)
     assert gamma_prime_data(GAMMA0_11, T).index == 1
+
+
+@pytest.mark.parametrize("level, p", [(1, 7), (11, 2), (11, 11), (38, 2),
+                                      (38, 11), (38, 19), (50, 3), (50, 5),
+                                      (100, 3)])
+def test_representatives_smallest_first(level, p):
+    desc = gamma_prime_data(CongruenceSubgroup.gamma0(level), (p, 0, 0, 1))
+    # Gamma' is Gamma0(N) cap Gamma^0(p), a conjugate of Gamma0(pN), so
+    # its index in Gamma0(N) is p + 1, or p when p | N
+    assert desc.index == (p if level % p == 0 else p + 1)
+    assert desc.reps[0] == I
+    for i, a in enumerate(desc.reps):
+        for j, b in enumerate(desc.reps):
+            assert (i == j) == desc.member(a.inverse() * b)
+    sizes = [sum(map(abs, r.entries())) for r in desc.reps]
+    assert sizes == sorted(sizes)
+
+
+def test_representatives_stay_small_at_level_38():
+    # the chain-map lift walks the tree once per unit of partial quotient,
+    # so these entries bound its cost
+    desc = gamma_prime_data(CongruenceSubgroup.gamma0(38), (11, 0, 0, 1))
+    assert max(abs(x) for r in desc.reps for x in r.entries()) <= 38
+
+
+@pytest.mark.parametrize("group, p, weight", [
+    (GAMMA0_11, 2, 4),
+    (CongruenceSubgroup.gamma0(38), 11, 2),
+    (CongruenceSubgroup.gamma1(13), 2, 2),
+])
+def test_matrix_independent_of_representatives(monkeypatch, group, p, weight):
+    # right-multiplying a representative by an element of Gamma' keeps its
+    # coset, so the transfer, and with it the matrix on H^1, is unchanged
+    moved = T ** p
+    real = hecke.gamma_prime_data
+
+    def shifted(gamma, g):
+        desc = real(gamma, g)
+        assert desc.member(moved)
+        desc.reps[1:] = [r * moved for r in desc.reps[1:]]
+        return desc
+
+    module = PolynomialModule(weight - 2)
+    res = restrict_resolution(sl2z_resolution(2), group)
+    g = hecke_representative(p)
+    a = hecke_operator(group, 1, g, module=module, resolution=res)
+    monkeypatch.setattr(hecke, "gamma_prime_data", shifted)
+    b = hecke_operator(group, 1, g, module=module, resolution=res)
+    assert (a.matrix, a.orders, a.basis) == (b.matrix, b.orders, b.basis)
+    assert a.cochain != b.cochain
 
 
 # ---------------------------------------------------------------------------

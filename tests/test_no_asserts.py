@@ -1,11 +1,11 @@
-"""Lint guard: invariant checks in these modules raise ArtifactErrors.
+"""Lint guard: invariant checks in every module raise ArtifactErrors.
 
 An assert is stripped by python -O, so a check of a mathematical
 invariant written as one silently disappears; a raised AssertionError
 survives -O but is no ArtifactError, so the CLI shows it as a traceback.
 A parameter named check lets a caller switch a verification off, which
-is python -O for one call.  The modules listed here have been cleared of
-all three; a module joins the list once it is cleared.
+is python -O for one call.  Every module of the package is held to all
+three, so a new module is checked from its first line.
 """
 
 import ast
@@ -14,18 +14,17 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
-CLEARED = ("hecke.py", "cuspidal.py", "exactlin.py", "chaincx.py", "resolutions.py",
-           "congruence.py", "sl2z.py", "cwdvf.py", "quadring.py")
+MODULES = [path.name for path in sorted(SRC.glob("*.py"))]
 
 
-@pytest.mark.parametrize("name", CLEARED)
+@pytest.mark.parametrize("name", MODULES)
 def test_module_has_no_asserts(name):
     path = SRC / name
     tree = ast.parse(path.read_text(), filename=str(path))
     found = ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
              if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
-    assert not found, ("assert statements or raised AssertionErrors in "
-                       "cleared modules: " + ", ".join(found))
+    assert not found, ("assert statements or raised AssertionErrors: "
+                       + ", ".join(found))
 
 
 def _raises_assertion_error(node):
@@ -35,7 +34,7 @@ def _raises_assertion_error(node):
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
-@pytest.mark.parametrize("name", CLEARED)
+@pytest.mark.parametrize("name", MODULES)
 def test_module_has_no_check_parameters(name):
     path = SRC / name
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -43,8 +42,8 @@ def test_module_has_no_check_parameters(name):
              for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and "check" in _parameter_names(node.args)]
-    assert not found, ("functions with a check parameter in cleared "
-                       "modules: " + ", ".join(found))
+    assert not found, ("functions with a check parameter: "
+                       + ", ".join(found))
 
 
 def _parameter_names(args):
