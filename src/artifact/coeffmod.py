@@ -107,18 +107,15 @@ class PolynomialModule:
 
         This is the module-action block that every cochain-level matrix
         (coboundaries, pullbacks, Hecke operators) places for one group
-        ring entry; each caller decides where the block goes.
+        ring entry, by block_matrix.
         """
         m = self.rank
         block = [[0] * m for _ in range(m)]
         for gamma, c in gre.items():
-            act = self.action(gamma)
-            for r in range(m):
-                arow = act.data[r]
-                brow = block[r]
-                for s in range(m):
-                    if arow[s]:
-                        brow[s] += c * arow[s]
+            for brow, arow in zip(block, self.action(gamma).data):
+                for s, a in enumerate(arow):
+                    if a:
+                        brow[s] += c * a
         return IntMatrix(m, m, block)
 
     def __repr__(self):
@@ -165,6 +162,27 @@ class CochainComplexZ:
                                  list(reversed(self.deltas)))
 
 
+def block_matrix(m, nrows, ncols, blocks):
+    """The (nrows*m) x (ncols*m) SparseIntMatrix of a sum of m x m blocks.
+
+    blocks yields triples (j, i, B), B an m x m IntMatrix added at rows
+    j*m.. and columns i*m..: the layout of every cochain-level matrix.
+    """
+    columns = [{} for _ in range(ncols * m)]
+    for j, i, block in blocks:
+        for r, brow in enumerate(block.data):
+            row = j * m + r
+            for s, v in enumerate(brow):
+                if v:
+                    col = columns[i * m + s]
+                    v += col.get(row, 0)
+                    if v:
+                        col[row] = v
+                    else:
+                        del col[row]
+    return SparseIntMatrix(nrows * m, ncols * m, columns)
+
+
 def hom_complex(resolution, module):
     """Hom over the group ring from a free resolution into P(k).
 
@@ -179,19 +197,11 @@ def hom_complex(resolution, module):
     m = module.rank
     top = resolution.top_degree()
     ranks = [resolution.rank(n) * m for n in range(top + 1)]
-    deltas = []
-    for n in range(top):
-        # the block of generator j's row entry at i lands in rows j*m.. and
-        # columns i*m..
-        columns = [{} for _ in range(ranks[n])]
-        for j, row in enumerate(resolution.boundary_rows(n + 1)):
-            for i, gre in row.items():
-                block = module.ring_action(gre).data
-                for r in range(m):
-                    for s, v in enumerate(block[r]):
-                        if v:
-                            columns[i * m + s][j * m + r] = v
-        deltas.append(SparseIntMatrix(ranks[n + 1], ranks[n], columns))
+    deltas = [block_matrix(m, resolution.rank(n + 1), resolution.rank(n),
+                           ((j, i, module.ring_action(gre))
+                            for j, row in enumerate(resolution.boundary_rows(n + 1))
+                            for i, gre in row.items()))
+              for n in range(top)]
     C = CochainComplexZ(ranks, deltas)
     _spot_check_squares(C)
     return C

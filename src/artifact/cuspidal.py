@@ -18,11 +18,11 @@ of H^n; no ill-defined operations on invariant lists are involved.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .coeffmod import PolynomialModule, cohomology, hom_complex
+from .coeffmod import PolynomialModule, block_matrix, cohomology, hom_complex
 from .errors import CompositionNonzero, DegreeOutOfRange, NotInLattice
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
-                       cokernel_invariants, column_span_basis, integer_kernel,
-                       kernel_with_left_inverse, solve_matrix)
+                       SparseIntMatrix, cokernel_invariants, column_span_basis,
+                       integer_kernel, kernel_with_left_inverse, solve_echelon)
 from .hecke import (EquivariantChainMap, HeckeMatrix, hecke_operator,
                     matrix_on_quotient)
 from .resolutions import (borel_serre_complex, restrict_resolution,
@@ -36,38 +36,27 @@ def _pullback_matrix(chain_map, k, target_rank, module):
     ones; the (j, b) block is the module matrix of the group ring entry
     of the chain map's value at generator j on target generator b.
     """
-    m = module.rank
     nsrc = chain_map.source.rank(k)
-    out = IntMatrix.zeros(nsrc * m, target_rank * m)
-    for j in range(nsrc):
-        for b, gre in chain_map.value(k, j).items():
-            block = module.ring_action(gre).data
-            for r in range(m):
-                orow = out.data[j * m + r]
-                brow = block[r]
-                for s in range(m):
-                    if brow[s]:
-                        orow[b * m + s] += brow[s]
-    return out
+    return block_matrix(module.rank, nsrc, target_rank,
+                        ((j, b, module.ring_action(gre)) for j in range(nsrc)
+                         for b, gre in chain_map.value(k, j).items()))
 
 
 @dataclass
 class CuspidalResult:
     """Ambient, boundary, and cuspidal cohomology of one degree.
 
-    restriction is the cochain-level matrix of the pullback along the
-    boundary inclusion (rows: boundary cochain coordinates, columns:
+    restriction is the sparse cochain-level matrix of the pullback along
+    the boundary inclusion (rows: boundary cochain coordinates, columns:
     ambient ones), and restriction_next the same one degree up, so the
     chain-map identity delta_boundary . restriction = restriction_next .
     delta_ambient can be checked as a matrix identity.  kernel_basis
-    columns are ambient cocycles spanning the preimage lattice of the
-    boundary coboundaries; cuspidal is that lattice modulo the ambient
-    coboundaries.  cocycle_coordinates is the left inverse P of the cocycle
-    lattice basis, so P v are the coordinates of a cocycle v, and
-    kernel_relations are the ambient coboundaries in the coordinates of
-    kernel_basis.  The complexes and the ambient resolution ride along so
-    follow-up computations (Hecke action on the kernel, for one) can stay
-    in the same coordinates.
+    columns, in column echelon form, are ambient cocycles spanning the
+    preimage lattice of the boundary coboundaries; cuspidal is that
+    lattice modulo the ambient coboundaries, which kernel_relations
+    writes in the coordinates of kernel_basis.  The complexes and the
+    ambient resolution ride along so follow-up computations (Hecke
+    action on the kernel, for one) stay in the same coordinates.
     """
 
     group: object
@@ -76,14 +65,13 @@ class CuspidalResult:
     ambient: AbelianInvariants
     boundary: AbelianInvariants
     cuspidal: AbelianInvariants
-    restriction: IntMatrix
-    restriction_next: IntMatrix = field(repr=False)
+    restriction: SparseIntMatrix
+    restriction_next: SparseIntMatrix = field(repr=False)
     kernel_basis: IntMatrix = field(repr=False)
     ambient_complex: object = field(repr=False)
     boundary_complex: object = field(repr=False)
     ambient_resolution: object = field(repr=False)
     module: object = field(repr=False)
-    cocycle_coordinates: IntMatrix = field(repr=False)
     kernel_relations: IntMatrix = field(repr=False)
 
     @cached_property
@@ -151,14 +139,14 @@ def cuspidal_cohomology(gamma, n, module=None):
     W = integer_kernel(stacked)
     U = IntMatrix(Z.cols, W.cols, [list(W.data[i]) for i in range(Z.cols)])
     kernel_basis = column_span_basis(Z * U)
-    in_kernel = solve_matrix(P * kernel_basis, relations)
+    in_kernel = solve_echelon(kernel_basis, din_a)
     if in_kernel is None:
         raise NotInLattice(
             "relations not in the span of the kernel lattice")
     kernel_inv = cokernel_invariants(in_kernel)
     return CuspidalResult(gamma, n, module.k + 2, ambient_inv, boundary_inv,
                           kernel_inv, rho, rho_next, kernel_basis, CA, CB,
-                          ambient, module, P, in_kernel)
+                          ambient, module, in_kernel)
 
 
 def cuspidal_hecke_matrix(result, g):
@@ -168,20 +156,18 @@ def cuspidal_hecke_matrix(result, g):
     with, checks that images of kernel cocycles restrict to boundary
     coboundaries, and presents the induced map on the cuspidal
     invariants in the same free-first coordinates the full cohomology
-    operators use.  Images are put in kernel_basis coordinates by one
-    solve in the coordinates of the cocycle lattice.
+    operators use.  The preservation check and the kernel_basis
+    coordinates of images are both solve_echelon triangular solves.
     """
     n = result.degree
     T = hecke_operator(result.group, n, g, module=result.module,
                        resolution=result.ambient_resolution)
-    CB = result.boundary_complex
-    din_b = CB.delta(n - 1)
+    din_b = result.boundary_complex.delta(n - 1)
     moved = result.restriction * (T.cochain * result.kernel_basis)
-    if solve_matrix(din_b, moved) is None:
+    if solve_echelon(column_span_basis(din_b), moved) is None:
         raise NotInLattice("operator does not preserve the cuspidal kernel")
-    P = result.cocycle_coordinates
-    PK = P * result.kernel_basis
     matrix, orders, basis = matrix_on_quotient(
-        T.cochain, result.presentation, lambda V: solve_matrix(PK, P * V))
+        T.cochain, result.presentation,
+        lambda V: solve_echelon(result.kernel_basis, V))
     return HeckeMatrix(result.group, T.g, n, result.weight, matrix, orders,
                        basis, T.cochain)

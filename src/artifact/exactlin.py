@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
-Arbitrary-precision integer matrices (sparse for boundary and coboundary
-maps, dense for everything else), Smith normal form with unimodular
-transforms, integer kernels and linear solving, characteristic polynomials,
-and abelian-invariant extraction for pairs of boundary maps.  Everything is
+Arbitrary-precision integer matrices (sparse for boundary, coboundary and
+other cochain-level maps, dense for everything else), Smith normal form
+with unimodular transforms, integer kernels, column echelon lattice bases
+with triangular solves against them, characteristic polynomials, and
+abelian-invariant extraction for pairs of boundary maps.  Everything is
 exact: no floating point, no modular shortcuts.
 
 The Smith normal form is the workhorse behind every homology computation in
@@ -30,7 +31,8 @@ class IntMatrix:
 
     Row and column counts are kept explicitly so 0xN and Nx0 matrices
     compose correctly.  Dense matrices carry the Smith transforms, lattice
-    bases and Hecke operators; boundary maps are SparseIntMatrix.
+    bases, solutions of solve_echelon and Hecke matrices; boundary maps and
+    the other cochain-level matrices are SparseIntMatrix.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -197,12 +199,13 @@ class IntMatrix:
 class SparseIntMatrix:
     """Sparse integer matrix: one dict {row: nonzero entry} per column.
 
-    This is the type of every boundary and coboundary map.  Those are
-    about 0.1% dense, and column j is the image of basis vector j, which
-    is the form in which resolutions produce them and in which contract
-    collapses them.  Products with a dense operand return an IntMatrix;
-    the product of two sparse matrices is sparse.  Zero entries are never
-    stored.  The text format is the dense one of IntMatrix.
+    This is the type of every boundary, coboundary and other cochain-level
+    map.  Those are about 0.1% dense, and column j is the image of basis
+    vector j, which is the form in which resolutions produce them and in
+    which contract collapses them.  Products with a dense operand return
+    an IntMatrix; a product with a sparse matrix or an int is sparse.
+    Zero entries are never stored.  The text format is the dense one of
+    IntMatrix.
     """
 
     __slots__ = ("rows", "cols", "columns")
@@ -261,6 +264,10 @@ class SparseIntMatrix:
     __hash__ = None
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            columns = [{i: other * v for i, v in c.items()}
+                       for c in self.columns] if other else None
+            return SparseIntMatrix(self.rows, self.cols, columns)
         if self.cols != other.rows:
             raise ShapeMismatch("multiply %dx%d by %dx%d" % (self.rows, self.cols,
                                                              other.rows, other.cols))
@@ -668,36 +675,6 @@ def rank(M):
     return smith_normal_form(M, transforms=()).rank
 
 
-def solve(M, b):
-    """One integer solution x of M*x = b (lists), or None."""
-    x = solve_matrix(M, IntMatrix.column(b))
-    return None if x is None else x.col(0)
-
-
-def solve_matrix(M, B):
-    """One integer solution X of M*X = B (IntMatrix), or None.
-
-    All columns are solved at once: with U*M*V = D, X = V*(D^-1*(U*B)).
-    None means some column has no integer solution, because an entry of
-    U*B in a row i < rank is not divisible by d_i or one in a row beyond
-    the rank is nonzero.
-    """
-    if M.rows != B.rows:
-        raise ShapeMismatch("solve %dx%d against %dx%d right-hand side"
-                            % (M.rows, M.cols, B.rows, B.cols))
-    sf = smith_normal_form(M, transforms=("U", "V"))
-    r = sf.rank
-    Y = (sf.U * B).data
-    if any(any(row) for row in Y[r:]):
-        return None
-    del Y[r:]
-    for i, d in enumerate(sf.d[:r]):
-        if any(v % d for v in Y[i]):
-            return None
-        Y[i] = [v // d for v in Y[i]]
-    return sf.V.take_columns(range(r)) * IntMatrix(r, B.cols, Y)
-
-
 def kernel_with_left_inverse(M):
     """Saturated integer kernel basis Z of M with a left inverse P.
 
@@ -738,9 +715,11 @@ def column_span_basis(M):
 
     Column-operations-only echelon reduction, so the span is preserved
     exactly; used to extract honest bases from redundant generating sets.
+    M may be dense or sparse; the basis is in column echelon form.
     """
     n = M.cols
-    cols = [[M.data[i][j] for i in range(M.rows)] for j in range(n)]
+    cols = [[c.get(i, 0) for i in range(M.rows)]
+            for c in SparseIntMatrix.of(M).columns]
     lead = 0
     for i in range(M.rows):
         # gcd-reduce all active columns against each other in row i
@@ -762,6 +741,39 @@ def column_span_basis(M):
     basis = cols[:lead]
     return IntMatrix(len(basis), M.rows, basis).transpose() if basis \
         else IntMatrix.zeros(M.rows, 0)
+
+
+def solve_echelon(E, B):
+    """The unique integer X with E*X = B, or None when there is none.
+
+    E is in column echelon form, as column_span_basis returns it: the
+    first nonzero of column j is in row r_j, and r_j strictly increases.
+    Forward substitution on the rows r_j solves each column of B (dense
+    or sparse); a nonzero left at the end, such as the remainder of an
+    entry its pivot does not divide, means None.  Raises ShapeMismatch on
+    a row count mismatch or an E that is not in column echelon form.
+    """
+    if E.rows != B.rows:
+        raise ShapeMismatch("solve %dx%d against %dx%d right-hand side"
+                            % (E.rows, E.cols, B.rows, B.cols))
+    pivots = []
+    for col in SparseIntMatrix.of(E).columns:
+        r = min(col, default=-1)
+        if r <= (pivots[-1][0] if pivots else -1):
+            raise ShapeMismatch("matrix is not in column echelon form")
+        pivots.append((r, col[r], col))
+    X = [[0] * B.cols for _ in pivots]
+    for c, b in enumerate(SparseIntMatrix.of(B).columns):
+        res = dict(b)
+        for xrow, (r, p, col) in zip(X, pivots):
+            if res.get(r):
+                # a remainder stays in row r, which no later column reaches
+                q = xrow[c] = res[r] // p
+                for i, e in col.items():
+                    res[i] = res.get(i, 0) - q * e
+        if any(res.values()):
+            return None
+    return IntMatrix(len(pivots), B.cols, X)
 
 
 def homology_of_pair(d_n, d_next):

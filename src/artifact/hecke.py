@@ -22,13 +22,14 @@ integrality) are normalization independent.
 import heapq
 from dataclasses import dataclass, field
 
-from .coeffmod import PolynomialModule, _entries, hom_complex
+from .coeffmod import PolynomialModule, _entries, block_matrix, hom_complex
 from .congruence import generators
 from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      InfiniteIndex, MissingPrime, NotInGroup, NotInLattice,
                      ShapeMismatch)
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
-                       charpoly, integer_roots, kernel_with_left_inverse)
+                       SparseIntMatrix, charpoly, integer_roots,
+                       kernel_with_left_inverse)
 from .resolutions import (ChainSum, FreeZGResolution, GroupRingElement,
                           chains_equal, restrict_resolution, sl2z_resolution)
 from .sl2z import I as IDENT, SL2ZMatrix
@@ -272,9 +273,9 @@ class HeckeMatrix:
     entry > 1, ascending); entries in torsion rows are canonical residues.
     basis[j] is an ambient cocycle vector representing the j-th basis
     class, so the presentation is reproducible run to run.  cochain is the
-    operator on all degree-n cochains, before descending to cohomology; it
-    depends on the coset representatives gamma_prime_data picks, while
-    the transfer, and so matrix, does not.
+    sparse operator on all degree-n cochains, before descending to
+    cohomology; it depends on the coset representatives gamma_prime_data
+    picks, while the transfer, and so matrix, does not.
     """
 
     group: object
@@ -284,7 +285,7 @@ class HeckeMatrix:
     matrix: IntMatrix
     orders: tuple
     basis: list
-    cochain: IntMatrix = field(repr=False)
+    cochain: SparseIntMatrix = field(repr=False)
 
     def rank(self):
         return len(self.orders)
@@ -365,23 +366,12 @@ def hecke_operator(gamma, n, g, module=None, resolution=None):
     # generator e_b is sum_i M(t_i) M(g) c(f(t_i^{-1} e_b)), and
     # t_i^{-1} e_b is exactly source generator (b, i)
     nt = desc.index
-    m = module.rank
     rank_n = resolution.rank(n)
-    dim = rank_n * m
-    act_g = module.action(desc.g)
-    data = [[0] * dim for _ in range(dim)]
-    for i, t in enumerate(desc.reps):
-        pre = module.action(t) * act_g
-        for b in range(rank_n):
-            for b2, gre in lift.value(n, b * nt + i).items():
-                block = pre * module.ring_action(gre)
-                for r in range(m):
-                    brow = block.data[r]
-                    drow = data[b * m + r]
-                    for s in range(m):
-                        if brow[s]:
-                            drow[b2 * m + s] += brow[s]
-    cochain = IntMatrix(dim, dim, data)
+    pre = [module.action(t) * module.action(desc.g) for t in desc.reps]
+    cochain = block_matrix(module.rank, rank_n, rank_n,
+                           ((b, b2, pre[i] * module.ring_action(gre))
+                            for i in range(nt) for b in range(rank_n)
+                            for b2, gre in lift.value(n, b * nt + i).items()))
     # the lifted chain map is the largest object here; free it before the
     # checks and the quotient allocate theirs
     del source, lift

@@ -11,6 +11,7 @@ eigenvalues live in Z[sqrt(3)].
 """
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -22,8 +23,8 @@ from artifact.coeffmod import PolynomialModule
 from artifact.congruence import CongruenceSubgroup
 from artifact.cuspidal import cuspidal_cohomology, cuspidal_hecke_matrix
 from artifact.errors import CompositionNonzero, NotInLattice
-from artifact.exactlin import (charpoly, integer_kernel, integer_roots,
-                               solve_matrix)
+from artifact.exactlin import (charpoly, column_span_basis, integer_kernel,
+                               integer_roots, solve_echelon)
 from artifact.hecke import hecke_representative
 from modforms_oracle import dim_cusp_forms, h1_free_rank
 
@@ -49,7 +50,8 @@ def test_level_eleven_weight_two_kernel():
     assert (r.ambient_complex.deltas[1] * r.kernel_basis).is_zero()
     # and their restrictions really are boundary coboundaries
     moved = r.restriction * r.kernel_basis
-    assert solve_matrix(r.boundary_complex.deltas[0], moved) is not None
+    boundaries = column_span_basis(r.boundary_complex.deltas[0])
+    assert solve_echelon(boundaries, moved) is not None
     json.dumps(r.descriptor())
 
 
@@ -58,7 +60,8 @@ def test_restriction_is_a_chain_map():
     CA, CB = r.ambient_complex, r.boundary_complex
     assert CB.deltas[1] * r.restriction == r.restriction_next * CA.deltas[1]
     # ambient coboundaries restrict to boundary coboundaries
-    assert solve_matrix(CB.deltas[0], r.restriction * CA.deltas[0]) is not None
+    assert solve_echelon(column_span_basis(CB.deltas[0]),
+                         r.restriction * CA.deltas[0]) is not None
 
 
 # (level, genus of X_0(level), number of cusps), from the classical tables
@@ -135,7 +138,7 @@ def test_weight_four_level_eleven_presentation_frozen(monkeypatch):
 # (module degree, level): weights 2 and 4, genus zero and positive genus
 ORACLE_SWEEP = ([(0, n) for n in (2, 4, 6, 9, 13, 16, 20, 21, 22, 23, 26,
                                   27, 29, 31, 37)]
-                + [(2, n) for n in (1, 2, 3, 5, 6, 7, 9, 10, 13, 16)])
+                + [(2, n) for n in (1, 2, 3, 5, 6, 7, 9, 10, 13, 16, 50)])
 
 
 @pytest.mark.parametrize("degree, level", ORACLE_SWEEP)
@@ -160,6 +163,59 @@ def test_torsion_cases_frozen(capsys, level, degree, lines):
                "--module-degree", str(degree)])
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == list(lines)
+
+
+def _rank_mod(M, p):
+    """Rank of an integer matrix over Z/p, by sparse row elimination.
+
+    Each row is reduced by the stored pivot rows in order of its leading
+    column until it is zero or leads in a new column, where it is stored
+    scaled to a leading 1.  Independent of the Smith form code.
+    """
+    pivots = {}
+    for row in M.row_dicts():
+        row = {j: v % p for j, v in row.items() if v % p}
+        while row:
+            j = min(row)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(row[j], -1, p)
+                pivots[j] = {k: v * inv % p for k, v in row.items()}
+                break
+            c = row[j]
+            for k, v in piv.items():
+                w = (row.get(k, 0) - c * v) % p
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+    return len(pivots)
+
+
+_LARGE_PRIME = (1 << 61) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _torsion_case(level, degree):
+    return cuspidal_cohomology(CongruenceSubgroup.gamma0(level), 1,
+                               PolynomialModule(degree))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("level, degree", [(11, 2), (13, 4), (25, 2)])
+def test_torsion_matches_rank_drop_mod_p(level, degree, p):
+    # Z^rows / colspan(Y) has one invariant factor divisible by p for
+    # each unit the rank of Y drops from Q to Z/p; the rank over Q is
+    # taken as the rank modulo a prime far above every entry
+    r = _torsion_case(level, degree)
+    n = r.degree
+    for invariants, relations in (
+            (r.ambient, r.ambient_complex.delta(n - 1)),
+            (r.boundary, r.boundary_complex.delta(n - 1)),
+            (r.cuspidal, r.kernel_relations)):
+        drop = (_rank_mod(relations, _LARGE_PRIME)
+                - _rank_mod(relations, p))
+        assert sum(1 for t in invariants.torsion if t % p == 0) == drop
 
 
 def test_noncommuting_restriction_exits_three(capsys, monkeypatch):
