@@ -25,8 +25,9 @@ from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        integer_kernel, kernel_with_left_inverse, solve_echelon)
 from .hecke import (EquivariantChainMap, HeckeMatrix, hecke_operator,
                     matrix_on_quotient)
-from .resolutions import (borel_serre_complex, restrict_resolution,
-                          wall_resolution)
+from .resolutions import (GroupRingElement, borel_serre_complex,
+                          restrict_resolution, wall_resolution)
+from .sl2z import I
 
 
 def _pullback_matrix(chain_map, k, target_rank, module):
@@ -112,7 +113,10 @@ def cuspidal_cohomology(gamma, n, module=None):
     ambient = restrict_resolution(wall_resolution(X, top), gamma)
     boundary = restrict_resolution(
         wall_resolution(X.boundary_subcomplex(), top), gamma)
-    incl = EquivariantChainMap(boundary, ambient, lambda g: g, degree_max=top)
+    incl = EquivariantChainMap(
+        boundary, ambient, lambda g: g,
+        [ambient.section(boundary.aug({j: GroupRingElement.unit(I)}))
+         for j in range(boundary.rank(0))], degree_max=top)
     CA = hom_complex(ambient, module)
     CB = hom_complex(boundary, module)
     rho = _pullback_matrix(incl, n, ambient.rank(n), module)

@@ -31,8 +31,9 @@ from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        SparseIntMatrix, charpoly, integer_roots,
                        kernel_with_left_inverse)
 from .resolutions import (ChainSum, FreeZGResolution, GroupRingElement,
-                          chains_equal, restrict_resolution, sl2z_resolution)
-from .sl2z import I as IDENT, SL2ZMatrix
+                          RestrictedResolution, chains_equal,
+                          restrict_resolution, sl2z_resolution)
+from .sl2z import I as IDENT, SL2ZMatrix, nearest_vertex
 
 
 def _conjugated(gent, A):
@@ -113,10 +114,10 @@ def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
     with a representative t wait in a heap ordered by |a|+|b|+|c|+|d|,
     then by the entries, and each new coset takes the first element
     popped for it, the smallest the walk reaches; x and y represent the
-    same left coset exactly when x^{-1} y lies in Gamma'.  The sizes
-    matter downstream: the chain map of hecke_operator is lifted through
-    the tree homotopy, whose walk takes one edge per unit of partial
-    quotient of the conjugated boundary elements.  Raises FormatError
+    same left coset exactly when x^{-1} y lies in Gamma'.  Small
+    representatives keep the conjugated group elements of the chain map
+    small; its tree walks no longer grow with them, since each degree-0
+    image sits next to its target (hecke_operator).  Raises FormatError
     when det(g) <= 0 and InfiniteIndex when more than max_cosets cosets
     appear before the search closes.
     """
@@ -186,10 +187,14 @@ class EquivariantChainMap:
 
     source and target are FreeZGResolutions over groups H1 and H2, and phi
     is a homomorphism H1 -> H2.  The map is determined by its images of
-    the free source generators; these are lifted degree by degree through
-    the target's contracting homotopy,
+    the free source generators.  The caller gives the degree-0 images,
+    degree0[j] a target chain for source generator j; any choice that
+    preserves the augmentation lifts, and all lifts are chain homotopic
+    (the comparison theorem), but images near their targets keep the
+    lift short.  The rest are lifted degree by degree through the
+    target's contracting homotopy,
 
-        f_0(e) = section(aug(e)),    f_n(e) = h_{n-1}(f_{n-1}(d_n e)),
+        f_0(e_j) = degree0[j],    f_n(e) = h_{n-1}(f_{n-1}(d_n e)),
 
     and extended semilinearly, f(gamma x) = phi(gamma) f(x).  The
     defining equations d f_n = f_{n-1} d_n (plus augmentation
@@ -198,7 +203,7 @@ class EquivariantChainMap:
     Raises MissingHomotopy when the target carries no homotopy.
     """
 
-    def __init__(self, source, target, phi, degree_max):
+    def __init__(self, source, target, phi, degree0, degree_max):
         if degree_max > source.top_degree():
             raise DegreeOutOfRange("source has top degree %d < %d"
                                    % (source.top_degree(), degree_max))
@@ -209,14 +214,15 @@ class EquivariantChainMap:
         self.target = target
         self.phi = phi
         self.degree_max = degree_max
-        vals0 = []
-        for j in range(source.rank(0)):
-            c = source.aug({j: GroupRingElement.unit(IDENT)})
-            vals0.append(target.section(c))
-            if target.aug(vals0[j]) != c:
+        if len(degree0) != source.rank(0):
+            raise ShapeMismatch("%d degree-0 images for %d generators"
+                                % (len(degree0), source.rank(0)))
+        for j, val in enumerate(degree0):
+            if target.aug(val) != source.aug(
+                    {j: GroupRingElement.unit(IDENT)}):
                 raise CompositionNonzero(
                     "augmentation not preserved on degree-0 generator %d" % j)
-        self.values = [vals0]
+        self.values = [list(degree0)]
         for n in range(1, degree_max + 1):
             vals = []
             for j in range(source.rank(n)):
@@ -246,6 +252,28 @@ class EquivariantChainMap:
         return out.chain()
 
 
+def _nearest_images(desc, source, target):
+    """Degree-0 images of the Hecke chain map next to their targets.
+
+    Source generator j unfolds, through both restrictions, to y.e_b over
+    the vertex y<U> of SL2(Z)'s resolution (y = desc.reps[t]^-1 sigma_s,
+    sigma_s the target's coset representative).  Its image is m.e_b with
+    m the vertex nearest M.rho for M = adj(g) y, a multiple of g^-1 y
+    (sl2z.nearest_vertex), written back in the target's basis.
+    """
+    a, b, c, d = desc.g
+    out = []
+    for j in range(source.rank(0)):
+        (base, gre), = target.unfold(0, source.unfold(
+            0, {j: GroupRingElement.unit(IDENT)})).items()
+        (y, _), = gre.items()
+        M = (d * y.a - b * y.c, d * y.b - b * y.d,
+             a * y.c - c * y.a, a * y.d - c * y.b)
+        out.append(target.refold(
+            {base: GroupRingElement.unit(nearest_vertex(M))}))
+    return out
+
+
 def _truncated(resolution, top):
     """A view of the resolution up to the given top degree.
 
@@ -259,7 +287,7 @@ def _truncated(resolution, top):
     return FreeZGResolution(resolution.group,
                             [resolution.rank(k) for k in range(top + 1)],
                             boundaries,
-                            homotopy_basis=None,
+                            homotopy=None,
                             augmentation=resolution.aug,
                             section=resolution.section)
 
@@ -275,7 +303,8 @@ class HeckeMatrix:
     class, so the presentation is reproducible run to run.  cochain is the
     sparse operator on all degree-n cochains, before descending to
     cohomology; it depends on the coset representatives gamma_prime_data
-    picks, while the transfer, and so matrix, does not.
+    picks and on the chain map's degree-0 images, while the transfer,
+    and so matrix, does not.
     """
 
     group: object
@@ -339,10 +368,14 @@ def hecke_operator(gamma, n, g, module=None, resolution=None):
     """Matrix of the Hecke operator of g on H^n(gamma, module).
 
     module defaults to the trivial module (weight 2).  resolution, when
-    given, must be over gamma, carry a contracting homotopy, and have top
+    given, must be restricted to gamma from a resolution over SL2(Z)
+    (restrict_resolution), carry a contracting homotopy, and have top
     degree at least n + 1; passing the same resolution across calls keeps
     the cohomology basis identical, so returned matrices compose and
-    compare directly.  The construction is verified on the spot: the
+    compare directly.  The chain map sends the source generator over the
+    vertex y.rho to the target generator of the same orbit over the
+    vertex nearest g^{-1} y.rho (sl2z.nearest_vertex), so each tree walk
+    of its lift is short.  The construction is verified on the spot: the
     chain map satisfies d f = f d on every generator, and the cochain
     operator maps the full cocycle lattice to cocycles (CompositionNonzero
     otherwise) and coboundaries to coboundaries (NotInLattice otherwise)
@@ -356,10 +389,14 @@ def hecke_operator(gamma, n, g, module=None, resolution=None):
         raise DegreeOutOfRange(
             "resolution of top degree %d cannot present H^%d"
             % (resolution.top_degree(), n))
+    if not isinstance(resolution, RestrictedResolution):
+        raise FormatError("the Hecke chain map needs a resolution restricted "
+                          "from SL2(Z) (restrict_resolution)")
     desc = gamma_prime_data(gamma, g)
     trans = _SubgroupTransversal(desc)
     source = restrict_resolution(_truncated(resolution, n), desc, trans=trans)
     lift = EquivariantChainMap(source, resolution, desc.conjugate,
+                               _nearest_images(desc, source, resolution),
                                degree_max=n)
 
     # assemble the cochain operator: the image cochain evaluated on the

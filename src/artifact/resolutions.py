@@ -23,8 +23,8 @@ Constructions provided:
                              is the compactified modular curve, with its
                              horocycle boundary marked;
   * tree_cell_complex     -- the trivalent tree as a one-dimensional cell
-                             complex, contracted by summing the edges of
-                             sl2z.tree_walk;
+                             complex, contracted by sl2z.tree_contraction,
+                             whose vertex walks merge where they meet;
   * restrict_resolution   -- restriction of a ZG-resolution to a finite
                              index subgroup, along a chosen transversal;
   * tensor_with_z         -- the integral chain complex Z tensor_ZG R.
@@ -34,8 +34,9 @@ GroupRingElement}; zero group-ring values are dropped.  The boundary is
 stored one row per source generator, as {target index: GroupRingElement},
 and acts by d(xi . e_j) = sum_i (xi * row_j[i]) . e_i, i.e. module
 coefficients multiply the stored row from the left.  Homotopies are only
-Z-linear; they are evaluated termwise through canonical coset
-representatives, which is what makes them effective.
+Z-linear; each construction evaluates its h on a whole chain at once,
+through canonical coset representatives, which is what makes them
+effective and lets the tree walks of different terms merge.
 """
 
 from .chaincx import FreeChainComplexZ
@@ -50,7 +51,8 @@ from .errors import (
     WrongDegree,
 )
 from .exactlin import SparseIntMatrix
-from .sl2z import I, S, SL2ZMatrix, T, U, coset_normal_form, tree_walk
+from .sl2z import (I, S, SL2ZMatrix, T, U, coset_normal_form,
+                   tree_contraction)
 
 
 class GroupRingElement:
@@ -333,16 +335,17 @@ class FreeZGResolution:
 
     ranks[n] is the rank of the degree-n module.  boundaries[n] (n >= 1)
     is a list of rows, one per source generator, each a dict
-    {target index: GroupRingElement}.  The homotopy is given on basis
-    elements by homotopy_basis(n, gen, g) -> chain in degree n+1; h is its
-    Z-linear termwise extension.  augmentation maps degree-0 chains to Z
-    and section(c) produces a degree-0 chain with augmentation c.
+    {target index: GroupRingElement}.  The homotopy is given on chains:
+    homotopy(n, chain) -> chain in degree n+1, Z-linear, so its value on
+    a chain is the sum of its values on the terms; h checks the degree
+    and calls it.  augmentation maps degree-0 chains to Z and section(c)
+    produces a degree-0 chain with augmentation c.
 
     group is an identification tag (a CongruenceSubgroup, or a tuple for
     abstract groups); consumers compare it to detect mismatched inputs.
     """
 
-    def __init__(self, group, ranks, boundaries, homotopy_basis=None,
+    def __init__(self, group, ranks, boundaries, homotopy=None,
                  augmentation=None, section=None):
         if len(boundaries) != len(ranks):
             raise ShapeMismatch("%d boundary tables for %d degrees; need one "
@@ -352,7 +355,7 @@ class FreeZGResolution:
         self.group = group
         self.ranks = list(ranks)
         self._rows = boundaries
-        self._homotopy_basis = homotopy_basis
+        self._homotopy = homotopy
         self._augmentation = augmentation
         self._section = section
 
@@ -383,19 +386,13 @@ class FreeZGResolution:
         return out.chain()
 
     def h(self, n, chain):
-        """Contracting homotopy on a degree-n chain, termwise Z-linear."""
-        if self._homotopy_basis is None:
+        """Contracting homotopy on a degree-n chain (Z-linear)."""
+        if self._homotopy is None:
             raise MissingHomotopy("resolution carries no homotopy")
         if not 0 <= n < self.top_degree():
             raise DegreeOutOfRange("homotopy defined in degrees 0..%d"
                                    % (self.top_degree() - 1))
-        out = ChainSum()
-        for j, xi in chain.items():
-            for g, c in xi.items():
-                for i, gre in self._homotopy_basis(n, j, g).items():
-                    out.add(i, gre.terms.items() if c == 1 else
-                            ((k, e * c) for k, e in gre.terms.items()))
-        return out.chain()
+        return self._homotopy(n, chain)
 
     def aug(self, chain):
         if self._augmentation is None:
@@ -456,7 +453,7 @@ def cyclic_resolution(q, twisted=False, generator=None, max_degree=12):
         ranks = [1] + [0] * max_degree
         boundaries = [[]] + [[] for _ in range(max_degree)]
 
-        def homotopy_basis(n, j, g):
+        def homotopy(n, chain):
             return {}
 
         def augmentation(chain):
@@ -465,7 +462,7 @@ def cyclic_resolution(q, twisted=False, generator=None, max_degree=12):
         def section(c=1):
             return {0: GroupRingElement.unit(ident, c)}
 
-        return FreeZGResolution(tag, ranks, boundaries, homotopy_basis,
+        return FreeZGResolution(tag, ranks, boundaries, homotopy,
                                 augmentation, section)
 
     def chi(k):
@@ -495,12 +492,12 @@ def cyclic_resolution(q, twisted=False, generator=None, max_degree=12):
 
     index_of = {p: k for k, p in enumerate(powers)}
 
-    def homotopy_basis(n, j, g):
-        k = index_of[g]
-        gre = even_h[k] if n % 2 == 0 else odd_h[k]
-        if gre.is_zero():
-            return {}
-        return {0: gre}
+    def homotopy(n, chain):
+        pieces = odd_h if n % 2 else even_h
+        out = ChainSum()
+        for g, c in chain.get(0, GroupRingElement.zero()).items():
+            out.add(0, ((k, e * c) for k, e in pieces[index_of[g]].items()))
+        return out.chain()
 
     def augmentation(chain):
         total = 0
@@ -512,7 +509,7 @@ def cyclic_resolution(q, twisted=False, generator=None, max_degree=12):
     def section(c=1):
         return {0: GroupRingElement.unit(ident, c)}
 
-    return FreeZGResolution(tag, ranks, boundaries, homotopy_basis,
+    return FreeZGResolution(tag, ranks, boundaries, homotopy,
                             augmentation, section)
 
 
@@ -528,7 +525,9 @@ class _InducedColumn:
     resolution's multiplier, and the contracting homotopy extends the
     subgroup one termwise through canonical coset representatives
     g = t * s^k.  The column serves vertical degrees up to max_degree:
-    mult(m) for m <= max_degree and hv(m) for m < max_degree.
+    mult(m) for m <= max_degree and hv(m) for m < max_degree.  The
+    subgroup homotopy has period 2, so its values on the powers s^k in
+    an even and an odd degree are tabulated once.
     """
 
     def __init__(self, s, order, twisted, max_degree):
@@ -538,6 +537,12 @@ class _InducedColumn:
         self.res = cyclic_resolution(order, twisted=twisted, generator=s,
                                      max_degree=max_degree)
         self.normal_form = coset_normal_form(self.powers)
+        # pieces[m % 2][k]: the terms of h_m(s^k), () when it is zero
+        self.pieces = [
+            [tuple(self.res.h(m, {0: GroupRingElement.unit(p)})
+                   .get(0, GroupRingElement.zero()).items())
+             for p in self.powers]
+            for m in range(min(2, max_degree))]
 
     def mult(self, m):
         """Right multiplier of the vertical boundary out of degree m >= 1."""
@@ -548,13 +553,12 @@ class _InducedColumn:
 
     def hv(self, m, gre):
         """Induced contracting homotopy, vertical degree m -> m + 1."""
+        pieces = self.pieces[m % 2]
         terms = []
         for g, c in gre.items():
             # g = t * s^k with t the canonical coset representative
             t, k = self.normal_form(g)
-            piece = self.res._homotopy_basis(m, 0, self.powers[k])
-            if piece:
-                terms.extend((t * x, cx * c) for x, cx in piece[0].items())
+            terms.extend((t * x, cx * c) for x, cx in pieces[k])
         return GroupRingElement(terms)
 
 
@@ -576,7 +580,6 @@ def sl2z_resolution(max_degree):
     if max_degree < 1:
         raise DegreeOutOfRange("need max_degree >= 1")
     W = wall_resolution(tree_cell_complex(), max_degree)
-    wall_h = W._homotopy_basis
 
     def relabel(n, chain, sign=1):
         """sign times a degree-n Wall chain, in the relabelled basis.
@@ -593,12 +596,13 @@ def sl2z_resolution(max_degree):
         rows = W.boundary_rows(n)
         boundaries.append([relabel(n - 1, rows[1], -1), relabel(n - 1, rows[0])])
 
-    def homotopy_basis(n, j, g):
-        if n == 0:
-            return relabel(1, wall_h(0, 0, g))
-        return relabel(n + 1, wall_h(n, 1 - j, g), 1 if j else -1)
+    def homotopy(n, chain):
+        if n:
+            # e_0 = -(Wall generator 1), e_1 = Wall generator 0
+            chain = {1 - j: gre if j else -gre for j, gre in chain.items()}
+        return relabel(n + 1, W.h(n, chain))
 
-    return FreeZGResolution(W.group, W.ranks, boundaries, homotopy_basis,
+    return FreeZGResolution(W.group, W.ranks, boundaries, homotopy,
                             W._augmentation, W._section)
 
 
@@ -832,7 +836,9 @@ def borel_serre_complex():
 
     The returned complex carries a contracting homotopy built from the
     tree's geodesic contraction, so wall_resolution can produce a full
-    resolution with homotopy from it.
+    resolution with homotopy from it.  A 0-chain's corners, with each
+    horocycle vertex slid down to the corner below it, are contracted
+    together by sl2z.tree_contraction, so their walks merge.
     """
     minus_i = SL2ZMatrix(-1, 0, 0, -1)
     t_minus_1 = GroupRingElement([(T, 1), (I, -1)])
@@ -858,10 +864,11 @@ def borel_serre_complex():
                     # slide the horocycle vertex down its vertical, then
                     # contract the corner below it
                     out.add(1, rep, c)
-                # geodesic contraction of the corner vertex rep<U> to the
-                # base corner, written in arc cells
-                for step in tree_walk(rep):
-                    out.add(0, step, c)
+            # geodesic contraction of the corners rep<U> to the base
+            # corner, written in arc cells
+            for step, c in tree_contraction(
+                    (rep, c) for (_, rep), c in x.items()):
+                out.add(0, step, c)
         elif x.dim == 1:
             for (i, rep), c in x.items():
                 if i == 2:
@@ -877,9 +884,11 @@ def borel_serre_complex():
 def tree_cell_complex():
     """The trivalent tree as a G-cell complex: one vertex and one edge orbit.
 
-    Its contraction walks each vertex along the geodesic to the base
-    vertex, so wall_resolution assembles from it a resolution of ranks
-    (1, 2, 2, ...) with homotopy: sl2z_resolution is that one, relabelled.
+    Its contraction walks the vertices of a 0-chain together along their
+    geodesics to the base vertex, deepest first, so walks merge where
+    they meet (sl2z.tree_contraction).  wall_resolution assembles from it
+    a resolution of ranks (1, 2, 2, ...) with homotopy: sl2z_resolution
+    is that one, relabelled.
     """
     vertex = CellOrbit("vertex", U, 6, False, [])
     edge = CellOrbit("edge", S, 4, True,
@@ -889,9 +898,9 @@ def tree_cell_complex():
     def homotopy(x):
         out = cx.chain(x.dim + 1)
         if x.dim == 0:
-            for (_, rep), c in x.items():
-                for step in tree_walk(rep):
-                    out.add(0, step, c)
+            for step, c in tree_contraction(
+                    (rep, c) for (_, rep), c in x.items()):
+                out.add(0, step, c)
         return out
 
     cx.homotopy = homotopy
@@ -1041,11 +1050,10 @@ def wall_resolution(X, max_degree):
                 out.add_product((p - 2, k), xi, w)
         return out.chain()
 
-    def homotopy_basis(n, gen_idx, g):
+    def homotopy(n, chain):
         if X.homotopy is None:
             raise MissingHomotopy("cell complex carries no contraction")
-        p, i = gens[n][gen_idx]
-        start = {(p, i): GroupRingElement.unit(g)}
+        start = {gens[n][j]: gre for j, gre in chain.items()}
         base = ChainSum()
         base.add_chain(apply_H(start, n))
         base.add_chain(apply_I(X.homotopy(apply_P(start, n))))
@@ -1072,7 +1080,7 @@ def wall_resolution(X, max_degree):
 
     group = (CongruenceSubgroup.gamma0(1)
              if isinstance(ident, SL2ZMatrix) else ("cell", id(X)))
-    return FreeZGResolution(group, ranks, boundaries, homotopy_basis,
+    return FreeZGResolution(group, ranks, boundaries, homotopy,
                             augmentation, section)
 
 
@@ -1129,6 +1137,22 @@ def boundary_components(X, gamma):
 # restriction to finite index subgroups
 
 
+class RestrictedResolution(FreeZGResolution):
+    """A resolution restricted to a finite index subgroup (restrict_resolution).
+
+    unfold(n, chain) writes a degree-n chain in the basis of the
+    resolution it was restricted from, and refold(chain) writes a chain
+    of that resolution back in this basis.
+    """
+
+    def __init__(self, group, ranks, boundaries, homotopy, augmentation,
+                 section, unfold, refold):
+        super().__init__(group, ranks, boundaries, homotopy, augmentation,
+                         section)
+        self.unfold = unfold
+        self.refold = refold
+
+
 def restrict_resolution(resolution, gamma, trans=None):
     """View a ZG-resolution as a Z[gamma]-resolution along a transversal.
 
@@ -1140,8 +1164,9 @@ def restrict_resolution(resolution, gamma, trans=None):
     object is restricted once per coset, and the rows that use it share
     the restricted elements, which is safe because no group-ring element
     is ever mutated (ChainSum).  The homotopy is conjugated through the
-    same unfolding, so the restricted resolution again carries d, h,
-    augmentation and section.
+    same unfolding, h = refold . h_G . unfold on whole chains, so the
+    restricted resolution again carries d, h, augmentation and section,
+    and it exposes unfold and refold (RestrictedResolution).
     """
     if trans is None:
         trans = transversal(gamma)
@@ -1193,11 +1218,8 @@ def restrict_resolution(resolution, gamma, trans=None):
                 out.add(b * nt + ti, ((gam, c),))
         return out.chain()
 
-    def homotopy_basis(n, gen_idx, g):
-        b, t = divmod(gen_idx, nt)
-        lifted = resolution.h(
-            n, {b: GroupRingElement.unit(g * trans.rep(t))})
-        return refold(lifted)
+    def homotopy(n, chain):
+        return refold(resolution.h(n, unfold(n, chain)))
 
     def augmentation(chain):
         return resolution.aug(unfold(0, chain))
@@ -1205,8 +1227,8 @@ def restrict_resolution(resolution, gamma, trans=None):
     def section(c=1):
         return refold(resolution.section(c))
 
-    return FreeZGResolution(gamma, ranks, boundaries, homotopy_basis,
-                            augmentation, section)
+    return RestrictedResolution(gamma, ranks, boundaries, homotopy,
+                                augmentation, section, unfold, refold)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,19 @@ The group is generated by S (order 4) and U = S*T (order 6); the vertices
 of the tree are the cosets g<U>, the edges the cosets g<S>, and the edge e1
 joins the vertices <U> and T<U>.  decompose() walks a matrix to the base
 vertex through exact integer geometry and yields a reduced word in S, U,
-U^2; tree_walk() yields the edges of the same walk, which is the
-contracting homotopy of the tree (resolutions.tree_cell_complex) and what
-makes every resolution in this package computable.
+U^2.  tree_contraction() walks all the vertices of a 0-chain up the same
+parent edges together, deepest first, so walks merge where they meet and
+cancelling ones stop there; it is the contracting homotopy of the tree
+(resolutions.tree_cell_complex) and what makes every resolution in this
+package computable.  nearest_vertex() reduces M.rho for an integral M of
+positive determinant into a translate of the fundamental domain, which
+puts the Hecke chain map's degree-0 images next to their targets.
 
 Printed forms: matrices as "[[a,b],[c,d]]"; words as "S U2 S U ... | U^k"
 with the trailing stabilizer power after the bar.
 """
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,6 +90,7 @@ if not (U ** 6 == I and S ** 4 == I and U ** 3 == S ** 2 == -I):
     raise EliminationError("S and U do not satisfy S^4 = U^6 = I, S^2 = U^3")
 
 _U_SET = frozenset(U_POWERS)
+_S_INV = S.inverse()
 
 # factorization alphabet: X = S * U^c, so that X^-1 * T lies in <U> and the
 # parent step B = A * X^-1 satisfies B*T<U> = A<U> (edges climb toward the
@@ -96,22 +102,37 @@ for _x in _X_INV:
         raise EliminationError("X^-1 * T is outside <U> for X^-1 = %r" % _x)
 
 
+def _rho_invariants(a, b, c, d):
+    """(Q, R) with M.rho = (R + sqrt(3) * det(M) * i) / (2Q), rho = exp(2*pi*i/3).
+
+    Q = c^2 - c*d + d^2 = |c*rho + d|^2 and R = 2ac + 2bd - ad - bc, for
+    M = [[a,b],[c,d]] with positive determinant.
+    """
+    return c * c - c * d + d * d, 2 * a * c + 2 * b * d - a * d - b * c
+
+
+def _vertex_key(A):
+    """(Q, |R|) of the vertex A<U>: lower Q means a higher point A.rho.
+
+    Both are unchanged by right multiplication by U, which fixes rho, so
+    the key belongs to the vertex and not to its representative.
+    """
+    q, r = _rho_invariants(A.a, A.b, A.c, A.d)
+    return q, abs(r)
+
+
 @lru_cache(maxsize=1 << 18)
 def _parent(A):
     """The tree parent of the vertex A<U>, with the chosen letter index.
 
-    Exact geometric criterion at z = exp(2*pi*i/3): for B = [[a,b],[c,d]],
-    Im(Bz) = (sqrt(3)/2) / Q with Q = c^2 - c*d + d^2, and
-    Re(Bz) = R / (2Q) with R = 2ac + 2bd - ad - bc.  Raising Im means
-    lowering Q; ties are broken by |Re| (equal Q makes that |R|), then by
-    the fixed candidate order.
+    Exact geometric criterion at rho: the candidate B with the highest
+    point B.rho, that is the least _vertex_key (Q, then |Re| = |R| / 2Q),
+    ties broken by the fixed candidate order.
     """
     best = None
     for idx, xinv in enumerate(_X_INV):
         B = A * xinv
-        q = B.c * B.c - B.c * B.d + B.d * B.d
-        r = 2 * B.a * B.c + 2 * B.b * B.d - B.a * B.d - B.b * B.c
-        key = (q, abs(r), idx)
+        key = (_vertex_key(B), idx)
         if best is None or key < best[0]:
             best = (key, B, idx)
     return best[1], best[2]
@@ -229,13 +250,84 @@ def coset_normal_form(powers):
     return normal_form
 
 
-def tree_walk(g):
-    """The parent edges B.e1 on the walk from the vertex g<U> to the base.
+_vertex_rep = coset_normal_form(tuple(U_POWERS))
 
-    Each B.e1 joins B<U> to the vertex before it (B*T<U>), so the
-    boundaries telescope to g.e0 - e0: summed, the edges are the tree's
-    geodesic contraction of g.e0.
+
+def tree_contraction(vertices):
+    """The parent edges of the merged walks of a vertex 0-chain to the base.
+
+    vertices holds (g, c) pairs, c times the vertex g<U>.  Each vertex
+    walks up its parent edges B.e1, which join B<U> to the vertex below
+    (B*T<U>), so the boundaries telescope to g.e0 - e0.  The walks run
+    together: a heap pops the deepest vertex by _vertex_key, emits its
+    parent edge with the coefficient gathered there and adds that
+    coefficient to the parent, so every vertex is left once, after all
+    the walks through it have arrived, and one whose coefficient has
+    cancelled to 0 is dropped.  A chain of augmentation 0 stops where its
+    walks meet.  Returns [(B, c)]: the edges B.e1 with their coefficients,
+    summing to the geodesic contraction of the chain.  Raises
+    EliminationError if a parent's key is not below its child's; the base
+    vertex is exempt, since it takes no coefficient (its neighbour T<U>
+    has the same key).
     """
-    while g not in _U_SET:
-        g, _ = _parent(g)
-        yield g
+    acc, heap = {}, []
+
+    def arrive(g, c):
+        if g in _U_SET:
+            # the base vertex walks nowhere
+            return
+        rep = _vertex_rep(g)[0]
+        if rep in acc:
+            acc[rep] += c
+        else:
+            acc[rep] = c
+            q, r = _vertex_key(rep)
+            # entries are unique per vertex, so ties never compare matrices
+            heapq.heappush(heap, (-q, -r, rep.entries(), rep))
+
+    for g, c in vertices:
+        arrive(g, c)
+    edges = []
+    while heap:
+        q, r, _, rep = heapq.heappop(heap)
+        c = acc.pop(rep)
+        if not c:
+            continue
+        parent, _ = _parent(rep)
+        if parent not in _U_SET and _vertex_key(parent) >= (-q, -r):
+            raise EliminationError("tree parent %r of %r is not higher"
+                                   % (parent, rep))
+        edges.append((parent, c))
+        arrive(parent, c)
+    return edges
+
+
+def nearest_vertex(M):
+    """The m in SL2(Z) with M.rho in m.F, F the closed standard domain.
+
+    M = (a, b, c, d) is integral with positive determinant D.  Exactly in
+    integers: M.rho has real part R / 2Q and imaginary part
+    sqrt(3) D / 2Q (_rho_invariants).  Translate by k = floor((R + Q) / 2Q)
+    so the real part lands in [-1/2, 1/2), and invert while
+    |M.rho|^2 = (R^2 + 3D^2) / 4Q^2 is below 1.  Each inversion raises
+    the imaginary part, so the loop ends.  m.rho is a corner of m.F, the
+    vertex of the tree nearest M.rho in this sense.
+    """
+    a, b, c, d = M
+    det = a * d - b * c
+    if det <= 0:
+        raise NotInGroup("determinant %d is not positive" % det)
+    # m accumulates the inverse of the reduction applied to M
+    m = I
+    while True:
+        q, r = _rho_invariants(a, b, c, d)
+        k = (r + q) // (2 * q)
+        if k:
+            # z -> z - k is T^-k, and shifts R by -2kQ
+            a, b, r = a - k * c, b - k * d, r - 2 * k * q
+            m = m * _mk(1, k, 0, 1)
+        if r * r + 3 * det * det >= 4 * q * q:
+            return m
+        # z -> -1/z is S; undo it with S^-1 on the right of m
+        a, b, c, d = -c, -d, a, b
+        m = m * _S_INV

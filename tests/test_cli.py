@@ -270,3 +270,21 @@ def test_c04_contracted_homology_peak_rss_under_100_mb():
     assert run["stdout"] == "Z/2\n"
     peak_mb = run["maxrss_kb"] / 1024
     assert peak_mb < 100, "peak RSS %.0f MB" % peak_mb
+
+
+def test_hecke_t97_peak_rss_under_50_mb():
+    # memory guard: the chain map is lifted from degree-0 images next to
+    # their targets, so its tree walks stay short (with every image at the
+    # base vertex this run peaked at 91 MB)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m", "artifact.cli",
+         "hecke", "--gamma0", "11", "--weight", "2", "--ops", "97"],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["exit"] == 0
+    assert run["stdout"] == "T97 {98, -7, -7}\n"
+    peak_mb = run["maxrss_kb"] / 1024
+    assert peak_mb < 50, "peak RSS %.0f MB" % peak_mb

@@ -16,12 +16,14 @@ from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              FormatError, InfiniteIndex, MissingPrime,
                              NotInLattice, ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
-from artifact.hecke import (EquivariantChainMap, _truncated,
+from artifact.hecke import (EquivariantChainMap, _nearest_images,
+                            _SubgroupTransversal, _truncated,
                             expand_eigenform, gamma_prime_data,
                             hecke_eigenvalues, hecke_operator,
                             hecke_representative)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
-                                  chain_add, chain_scale, chains_equal,
+                                  RestrictedResolution, chain_add,
+                                  chain_scale, chains_equal,
                                   restrict_resolution, sl2z_resolution)
 from artifact.sl2z import I, S, SL2ZMatrix, T
 
@@ -40,6 +42,22 @@ def res11():
 @pytest.fixture(scope="module")
 def res6():
     return restrict_resolution(sl2z_resolution(2), GAMMA_6)
+
+
+def section_images(source, target):
+    """Degree-0 images through the target's section of the augmentation."""
+    return [target.section(source.aug({j: GroupRingElement.unit(I)}))
+            for j in range(source.rank(0))]
+
+
+def hecke_lift(gamma, g, resolution, n=1):
+    """The chain map hecke_operator lifts, built the same way."""
+    desc = gamma_prime_data(gamma, g)
+    source = restrict_resolution(_truncated(resolution, n), desc,
+                                 trans=_SubgroupTransversal(desc))
+    return desc, EquivariantChainMap(source, resolution, desc.conjugate,
+                                     _nearest_images(desc, source, resolution),
+                                     degree_max=n)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +137,35 @@ def test_representatives_smallest_first(level, p):
 
 
 def test_representatives_stay_small_at_level_38():
-    # the chain-map lift walks the tree once per unit of partial quotient,
-    # so these entries bound its cost
+    # small representatives keep the conjugated group elements of the
+    # chain-map lift small
     desc = gamma_prime_data(CongruenceSubgroup.gamma0(38), (11, 0, 0, 1))
     assert max(abs(x) for r in desc.reps for x in r.entries()) <= 38
+
+
+def test_lift_stays_small_at_level_38():
+    # degree-0 images next to their targets make each degree-1 value a
+    # short tree walk: 16,765 value terms when every degree-0 image sat
+    # at the base vertex
+    gamma = CongruenceSubgroup.gamma0(38)
+    res = restrict_resolution(sl2z_resolution(2), gamma)
+    _, lift = hecke_lift(gamma, hecke_representative(11), res)
+    terms = sum(len(gre) for val in lift.values[1] for gre in val.values())
+    assert terms <= 6500
+
+
+def test_degree0_images_sit_at_the_nearest_vertex(res11):
+    # the source generator over the vertex y<U> goes to the target
+    # generator over m<U>, m the vertex nearest g^-1 y.rho; for
+    # g = diag(5, 1), adj(g) y = 5 g^-1 y
+    _, lift = hecke_lift(GAMMA0_11, (5, 0, 0, 1), res11)
+    for j, val in enumerate(lift.values[0]):
+        (b, y), = res11.unfold(0, lift.source.unfold(
+            0, {j: GroupRingElement.unit(I)})).items()
+        (b2, m), = res11.unfold(0, val).items()
+        y, = y.support()
+        M = (y.a, y.b, 5 * y.c, 5 * y.d)
+        assert (b2, m) == (b, GroupRingElement.unit(hecke.nearest_vertex(M)))
 
 
 @pytest.mark.parametrize("group, p, weight", [
@@ -158,18 +201,15 @@ def test_matrix_independent_of_representatives(monkeypatch, group, p, weight):
 
 def test_identity_chain_map_on_base_resolution():
     res = sl2z_resolution(3)
-    f = EquivariantChainMap(res, res, lambda g: g, degree_max=2)
+    f = EquivariantChainMap(res, res, lambda g: g, section_images(res, res),
+                            degree_max=2)
     # rank 1 in degree 0 forces the literal identity there
     assert chains_equal(f.value(0, 0), {0: GroupRingElement.unit(I)})
 
 
 def test_chain_map_commuting_squares_checked(res11):
-    desc = gamma_prime_data(GAMMA0_11, (2, 0, 0, 1))
-    from artifact.hecke import _SubgroupTransversal
-    source = restrict_resolution(_truncated(res11, 1), desc,
-                                 trans=_SubgroupTransversal(desc))
     # construction verifies d f = f d per generator; reaching here is the test
-    f = EquivariantChainMap(source, res11, desc.conjugate, degree_max=1)
+    desc, f = hecke_lift(GAMMA0_11, (2, 0, 0, 1), res11)
     # semilinearity: f(gamma x) = phi(gamma) f(x) for gamma in Gamma'
     gam = T * T
     assert desc.member(gam)
@@ -181,7 +221,20 @@ def test_chain_map_commuting_squares_checked(res11):
 
 def test_chain_map_degree_cap(res11):
     with pytest.raises(DegreeOutOfRange):
-        EquivariantChainMap(res11, res11, lambda g: g, degree_max=9)
+        EquivariantChainMap(res11, res11, lambda g: g,
+                            section_images(res11, res11), degree_max=9)
+
+
+def test_chain_map_needs_one_image_per_generator(res11):
+    with pytest.raises(ShapeMismatch):
+        EquivariantChainMap(res11, res11, lambda g: g,
+                            section_images(res11, res11)[1:], degree_max=1)
+
+
+def test_hecke_operator_needs_a_restricted_resolution():
+    with pytest.raises(FormatError, match="restricted"):
+        hecke_operator(CongruenceSubgroup.gamma0(1), 1, (2, 0, 0, 1),
+                       resolution=sl2z_resolution(2))
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +332,20 @@ def test_cochain_level_preservation(res11):
 def test_chain_map_verify_rejects_corrupted_values(res11):
     # each value is checked as it is lifted, so corrupt what lifts it: a
     # doubled section breaks the augmentation, a doubled homotopy d f = f d
-    def target(section, homotopy_basis):
+    def target(section, homotopy):
         return FreeZGResolution(res11.group, res11.ranks, res11._rows,
-                                homotopy_basis, res11._augmentation, section)
+                                homotopy, res11._augmentation, section)
 
     bad_section = target(lambda c=1: chain_scale(res11.section(c), 2),
-                         res11._homotopy_basis)
+                         res11._homotopy)
     with pytest.raises(CompositionNonzero, match="augmentation"):
-        EquivariantChainMap(res11, bad_section, lambda g: g, degree_max=1)
-    bad_h = target(res11._section, lambda n, j, g: chain_scale(
-        res11._homotopy_basis(n, j, g), 2))
+        EquivariantChainMap(res11, bad_section, lambda g: g,
+                            section_images(res11, bad_section), degree_max=1)
+    bad_h = target(res11._section, lambda n, chain: chain_scale(
+        res11._homotopy(n, chain), 2))
     with pytest.raises(CompositionNonzero, match="d f != f d"):
-        EquivariantChainMap(res11, bad_h, lambda g: g, degree_max=1)
+        EquivariantChainMap(res11, bad_h, lambda g: g,
+                            section_images(res11, bad_h), degree_max=1)
 
 
 def test_truncation_beyond_top_degree_raises(res11):
@@ -374,8 +429,7 @@ def perturbed_homotopy(res):
             return {}
         return {0: GroupRingElement.unit(I, total)}
 
-    def hb(n, j, g):
-        x = {j: GroupRingElement.unit(g)}
+    def homotopy(n, x):
         out = res.h(n, x)
         e = eta(n, x)
         if e:
@@ -386,8 +440,9 @@ def perturbed_homotopy(res):
         return out
 
     boundaries = [[]] + [res.boundary_rows(k) for k in range(1, top + 1)]
-    return FreeZGResolution(res.group, [res.rank(k) for k in range(top + 1)],
-                            boundaries, hb, res.aug, res.section)
+    return RestrictedResolution(
+        res.group, [res.rank(k) for k in range(top + 1)], boundaries,
+        homotopy, res.aug, res.section, res.unfold, res.refold)
 
 
 def test_tiebreak_independence(res11):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.chaincx import all_homology, homology
-from artifact.congruence import CongruenceSubgroup
+from artifact.congruence import CongruenceSubgroup, generators
 from artifact.errors import (
     CompositionNonzero,
     DegreeOutOfRange,
@@ -36,6 +36,7 @@ from artifact.resolutions import (
     boundary_components,
     chain_add,
     chain_is_zero,
+    chain_scale,
     chain_sub,
     chains_equal,
     cyclic_resolution,
@@ -549,3 +550,74 @@ def test_invariant_checks_raise():
         cx.chain(1) + cx.chain(0)
     with pytest.raises(WrongDegree):
         cx.chain(1) + tree_cell_complex().chain(1)
+
+
+# ---------------------------------------------------------------------------
+# the homotopy on whole chains against its termwise evaluation
+
+
+def termwise_h(R, n, chain):
+    """h summed term by term: c * h(g . e_j) over the terms of the chain.
+
+    This is how FreeZGResolution evaluated h from its values on basis
+    elements before each construction took whole chains; h is Z-linear,
+    so the two must agree as chains.
+    """
+    out = {}
+    for j, gre in chain.items():
+        for g, c in gre.items():
+            out = chain_add(out, chain_scale(
+                R.h(n, {j: GroupRingElement.unit(g)}), c))
+    return out
+
+
+def _words(gens, rng, length):
+    """A random product of up to length elements of gens and inverses."""
+    g = gens[0] * gens[0].inverse()
+    for _ in range(rng.randrange(length + 1)):
+        x = rng.choice(gens)
+        g = g * (x if rng.random() < 0.5 else x.inverse())
+    return g
+
+
+@lru_cache(maxsize=None)
+def homotopy_case(name):
+    """(resolution, group generators) for each case of the comparison."""
+    if name == "sl2z":
+        return sl2z_resolution(3), (S, T)
+    if name == "borel_serre":
+        return wall_resolution(borel_serre_complex(), 3), (S, T)
+    if name.startswith("cyclic"):
+        q, twisted = (6, False) if name == "cyclic" else (4, True)
+        R = cyclic_resolution(q, twisted=twisted)
+        return R, (CyclicElement(q, 1),)
+    level = {"gamma0_11": CongruenceSubgroup.gamma0(11),
+             "gamma_4": CongruenceSubgroup.principal(4),
+             "borel_serre_gamma0_11": CongruenceSubgroup.gamma0(11)}[name]
+    base = (wall_resolution(borel_serre_complex(), 3)
+            if name.startswith("borel") else sl2z_resolution(3))
+    return restrict_resolution(base, level), tuple(generators(level))
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(["sl2z", "borel_serre", "gamma0_11", "gamma_4",
+                        "borel_serre_gamma0_11", "cyclic", "cyclic_twisted"]),
+       st.integers(0, 10 ** 9))
+def test_chain_homotopy_equals_termwise_sum(name, seed):
+    # random chains, with terms a short step from an earlier one carrying
+    # the opposite coefficient, so that their tree walks cancel
+    R, gens = homotopy_case(name)
+    rng = random.Random(seed)
+    n = rng.randrange(R.top_degree())
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        j = rng.randrange(R.rank(n))
+        g = _words(gens, rng, 6)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        terms.append((j, g, c))
+        if rng.random() < 0.5:
+            terms.append((j, g * _words(gens, rng, 2), -c))
+    chain = {}
+    for j, g, c in terms:
+        chain = chain_add(chain, {j: GroupRingElement.unit(g, c)})
+    assert chains_equal(R.h(n, chain), termwise_h(R, n, chain))

@@ -1,7 +1,9 @@
 """Tests for SL2(Z) arithmetic, word decomposition, and the tree complex.
 
 The tree's chain complex is resolutions.tree_cell_complex(), whose
-contraction adds up the edges of sl2z.tree_walk.
+contraction is sl2z.tree_contraction: the walks of all the vertices of a
+0-chain, merged where they meet.  tree_walk below is the single-vertex
+walk, kept as the reference the merged one is checked against.
 """
 
 import ast
@@ -17,11 +19,28 @@ from artifact.sl2z import (
     I, S, T, U,
     SL2ZMatrix,
     U_POWERS,
+    _U_SET,
+    _parent,
+    _rho_invariants,
+    _vertex_key,
     decompose,
-    tree_walk,
+    nearest_vertex,
+    tree_contraction,
 )
 
 TREE = tree_cell_complex()
+
+
+def tree_walk(g):
+    """The parent edges B.e1 on the walk from the vertex g<U> to the base.
+
+    Each B.e1 joins B<U> to the vertex before it (B*T<U>), so the
+    boundaries telescope to g.e0 - e0: summed, the edges are the tree's
+    geodesic contraction of g.e0.
+    """
+    while g not in _U_SET:
+        g, _ = _parent(g)
+        yield g
 
 
 def vertex(g, coeff=1):
@@ -229,3 +248,111 @@ def test_homotopy_on_combinations():
         for _ in range(rng.randint(1, 5)):
             y.add(0, random_element(rng), rng.choice([-2, -1, 1, 2]))
         assert TREE.homotopy(TREE.boundary_chain(y)) == y
+
+
+# ---------------------------------------------------------------------------
+# merged walks
+
+
+def walked_one_by_one(x):
+    """The contraction of a 0-chain as the sum of single-vertex walks."""
+    out = TREE.chain(1)
+    for (_, rep), c in x.items():
+        for step in tree_walk(rep):
+            out.add(0, step, c)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(sl2z_strategy(12), st.integers(-3, 3),
+                          sl2z_strategy(4)), min_size=1, max_size=6))
+def test_merged_contraction_equals_single_walks(terms):
+    # each term may come with a cancelling partner a few steps away, so
+    # the walks meet and the merged contraction stops there
+    x = TREE.chain(0)
+    for g, c, near in terms:
+        x.add(0, g, c)
+        if c % 2:
+            x.add(0, g * near, -c)
+    assert TREE.homotopy(x) == walked_one_by_one(x)
+    direct = TREE.chain(1)
+    for step, c in tree_contraction((rep, c) for (_, rep), c in x.items()):
+        direct.add(0, step, c)
+    assert direct == TREE.homotopy(x)
+
+
+def test_cancelling_walks_stop_where_they_meet():
+    # T^50 and T^51 are neighbours: one edge between them, not 101
+    edges = tree_contraction([(T ** 50, 1), (T ** 51, -1)])
+    assert len(edges) == 1
+    assert tree_contraction([(T ** 50, 1), (T ** 50 * U, -1)]) == []
+
+
+def test_vertex_key_drops_along_every_walk_to_depth_8():
+    # all vertices within distance 8 of the base, found by BFS; each walk
+    # is the geodesic and its (Q, |R|) key strictly drops at every step
+    # above the base, whose neighbour T<U> has the base's key
+    base, _ = TREE.canon(0, 0, I)
+    depth = {base: 0}
+    frontier = [base]
+    for d in range(1, 9):
+        nxt = []
+        for v in frontier:
+            for w in neighbors(v):
+                if w not in depth:
+                    depth[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    assert len(depth) == 1 + 3 * (2 ** 8 - 1)
+    for v, d in depth.items():
+        walk = [v] + list(tree_walk(v))
+        assert len(walk) == d + 1
+        for child, parent in zip(walk, walk[1:]):
+            if parent in _U_SET:
+                assert _vertex_key(parent) <= _vertex_key(child)
+            else:
+                assert _vertex_key(parent) < _vertex_key(child)
+
+
+# ---------------------------------------------------------------------------
+# nearest vertex
+
+
+def in_closed_domain(a, b, c, d):
+    """M.rho in the closed fundamental domain: |Re| <= 1/2, |z| >= 1."""
+    q, r = _rho_invariants(a, b, c, d)
+    det = a * d - b * c
+    return abs(r) <= q and r * r + 3 * det * det >= 4 * q * q
+
+
+def mul(x, y):
+    """Product of two 2x2 integer matrices given as 4-tuples."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sl2z_strategy(), st.integers(1, 60), st.integers(0, 59),
+       st.integers(0, 59), sl2z_strategy(8))
+def test_nearest_vertex_lands_in_the_domain(left, det, pick, b, right):
+    # left * [[a, b], [0, d]] * right runs over integral matrices of
+    # determinant det = a * d
+    divisors = [k for k in range(1, det + 1) if det % k == 0]
+    a = divisors[pick % len(divisors)]
+    d = det // a
+    M = mul(mul(left.entries(), (a, b % d, 0, d)), right.entries())
+    m = nearest_vertex(M)
+    SL2ZMatrix(*m.entries())  # determinant 1, checked on entry
+    assert in_closed_domain(*mul(m.inverse().entries(), M))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sl2z_strategy())
+def test_nearest_vertex_of_a_group_element_is_its_vertex(g):
+    m = nearest_vertex(g.entries())
+    assert m.inverse() * g in _U_SET
+
+
+def test_nearest_vertex_needs_positive_determinant():
+    with pytest.raises(NotInGroup):
+        nearest_vertex((0, 1, 1, 0))
