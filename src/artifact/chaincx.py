@@ -8,7 +8,8 @@ be removed after a single row update, preserving all homology.  Iterating
 this is how the large boundary matrices coming from resolutions are cut
 down to a size where Smith normal form is cheap.
 
-Serialization format (used by the CLI and fixtures):
+Serialization format (used by the tests and their fixtures; the CLI reads
+cell complexes in the cwdvf format instead):
 
     line 1: D, the number of chain degrees (groups C_0 .. C_{D-1})
     line 2: the D ranks

@@ -32,8 +32,9 @@ class RunConfig:
 
     The group is given either by kind + level (congruence subcommands) or
     by d + ideal (quad); degree, weight, and module_degree only apply
-    where the subcommand consumes them, and validate() rejects stray
-    combinations rather than ignoring them.
+    where the subcommand consumes them, which the parser already enforces
+    by defining each option on those subcommands alone.  validate()
+    rejects the values and combinations the parser cannot.
     """
 
     subcommand: str
@@ -61,32 +62,20 @@ class RunConfig:
             if self.kind is None:
                 raise ConfigError("%s needs a group: --gamma0, --gamma1, "
                                   "or --gamma" % self.subcommand)
-        if self.ops and self.subcommand != "hecke":
-            raise ConfigError("--ops only makes sense with hecke")
         if self.subcommand == "hecke":
             if not self.ops:
                 raise ConfigError("hecke needs --ops")
             if self.weight is None:
                 raise ConfigError("hecke needs --weight")
-        if self.weight is not None:
-            if self.subcommand not in ("hecke", "cohomology"):
-                raise ConfigError("--weight only makes sense with hecke "
-                                  "or cohomology")
-            if self.weight < 2:
-                raise ConfigError("weight is k + 2 >= 2, got %d" % self.weight)
-        if self.module_degree is not None and self.subcommand != "cuspidal":
-            raise ConfigError("--module-degree only makes sense with cuspidal")
+        if self.weight is not None and self.weight < 2:
+            raise ConfigError("weight is k + 2 >= 2, got %d" % self.weight)
         if self.subcommand == "quad":
-            if self.d is None or self.ideal is None:
-                raise ConfigError("quad needs --d and --ideal")
             known = {"norm", "prime", "index", "l-ratio", "torsion-ratio"}
             for r in self.report:
                 if r not in known:
                     raise ConfigError("unknown report field %r" % r)
             if "torsion-ratio" in self.report and not self.orders:
                 raise ConfigError("torsion-ratio needs --orders")
-        if self.do_contract and self.subcommand not in ("homology", "contract"):
-            raise ConfigError("--contract only makes sense with homology")
         if self.depth is not None and self.depth < 1:
             raise ConfigError("depth must be >= 1")
         return self
@@ -269,8 +258,7 @@ def _run_cohomology(cfg):
 def _run_hecke(cfg):
     from .coeffmod import PolynomialModule
     from .exactlin import charpoly
-    from .hecke import hecke_eigenvalues, hecke_operator, hecke_representative
-    from .resolutions import restrict_resolution, sl2z_resolution
+    from .hecke import hecke_eigenvalues, hecke_operators, hecke_representative
     gamma = cfg.group()
     n = cfg.degree
     module = PolynomialModule(cfg.weight - 2)
@@ -286,10 +274,10 @@ def _run_hecke(cfg):
             lines.append("T%d {%s}" % (rep.p,
                                        ", ".join(str(r) for r in ordered)))
     else:
-        resolution = restrict_resolution(sl2z_resolution(n + 1), gamma)
-        for p in cfg.ops:
-            T = hecke_operator(gamma, n, hecke_representative(p),
-                               module=module, resolution=resolution)
+        ops = hecke_operators(gamma, n,
+                              [hecke_representative(p) for p in cfg.ops],
+                              module=module)
+        for p, T in zip(cfg.ops, ops):
             if cfg.emit == "matrix":
                 results.append({"p": p, "orders": list(T.orders),
                                 "matrix": [list(r) for r in T.matrix.data]})

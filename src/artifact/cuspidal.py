@@ -22,9 +22,9 @@ from .coeffmod import PolynomialModule, block_matrix, cohomology, hom_complex
 from .errors import CompositionNonzero, DegreeOutOfRange, NotInLattice
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        SparseIntMatrix, cokernel_invariants, column_span_basis,
-                       integer_kernel, kernel_with_left_inverse, solve_echelon)
-from .hecke import (EquivariantChainMap, HeckeMatrix, hecke_operator,
-                    matrix_on_quotient)
+                       integer_kernel, solve_echelon)
+from .hecke import (CohomologyPresentation, EquivariantChainMap, HeckeMatrix,
+                    hecke_cochain, matrix_on_quotient)
 from .resolutions import (GroupRingElement, borel_serre_complex,
                           restrict_resolution, wall_resolution)
 from .sl2z import I
@@ -55,9 +55,10 @@ class CuspidalResult:
     columns, in column echelon form, are ambient cocycles spanning the
     preimage lattice of the boundary coboundaries; cuspidal is that
     lattice modulo the ambient coboundaries, which kernel_relations
-    writes in the coordinates of kernel_basis.  The complexes and the
-    ambient resolution ride along so follow-up computations (Hecke
-    action on the kernel, for one) stay in the same coordinates.
+    writes in the coordinates of kernel_basis.  The complexes, the
+    ambient resolution and the presentation of the ambient H^n ride along
+    so follow-up computations (Hecke action on the kernel, for one) stay
+    in the same coordinates.
     """
 
     group: object
@@ -74,6 +75,7 @@ class CuspidalResult:
     ambient_resolution: object = field(repr=False)
     module: object = field(repr=False)
     kernel_relations: IntMatrix = field(repr=False)
+    ambient_presentation: CohomologyPresentation = field(repr=False)
 
     @cached_property
     def presentation(self):
@@ -125,15 +127,12 @@ def cuspidal_cohomology(gamma, n, module=None):
         raise CompositionNonzero(
             "restriction does not commute with the coboundaries")
 
-    din_a = CA.delta(n - 1)
     din_b = CB.delta(n - 1)
     # invariants are taken in the coordinates of the cocycle lattice Z,
-    # where the ambient coboundaries become the relations P din_a
-    Z, P = kernel_with_left_inverse(CA.deltas[n])
-    relations = P * din_a
-    if Z * relations != din_a:
-        raise CompositionNonzero("ambient coboundaries are not cocycles")
-    ambient_inv = cokernel_invariants(relations)
+    # where the ambient coboundaries become the relations
+    pres = CohomologyPresentation(CA, n)
+    Z = pres.Z
+    ambient_inv = cokernel_invariants(pres.relations)
     boundary_inv = cohomology(CB, n)
 
     # v = Z u lies in the kernel lattice iff rho v is a boundary
@@ -143,35 +142,38 @@ def cuspidal_cohomology(gamma, n, module=None):
     W = integer_kernel(stacked)
     U = IntMatrix(Z.cols, W.cols, [list(W.data[i]) for i in range(Z.cols)])
     kernel_basis = column_span_basis(Z * U)
-    in_kernel = solve_echelon(kernel_basis, din_a)
+    in_kernel = solve_echelon(kernel_basis, pres.delta_in)
     if in_kernel is None:
         raise NotInLattice(
             "relations not in the span of the kernel lattice")
     kernel_inv = cokernel_invariants(in_kernel)
     return CuspidalResult(gamma, n, module.k + 2, ambient_inv, boundary_inv,
                           kernel_inv, rho, rho_next, kernel_basis, CA, CB,
-                          ambient, module, in_kernel)
+                          ambient, module, in_kernel, pres)
 
 
 def cuspidal_hecke_matrix(result, g):
     """A Hecke operator pushed down to the cuspidal quotient.
 
-    Builds the operator on the ambient resolution the result was computed
-    with, checks that images of kernel cocycles restrict to boundary
-    coboundaries, and presents the induced map on the cuspidal
-    invariants in the same free-first coordinates the full cohomology
-    operators use.  The preservation check and the kernel_basis
-    coordinates of images are both solve_echelon triangular solves.
+    Lifts the operator to cochains of the ambient resolution the result
+    was computed with, checks it on the ambient cocycles and coboundaries
+    (the result's ambient presentation), checks that images of kernel
+    cocycles restrict to boundary coboundaries, and presents the induced
+    map on the cuspidal invariants in the same free-first coordinates the
+    full cohomology operators use.  The preservation check and the
+    kernel_basis coordinates of images are both solve_echelon triangular
+    solves.
     """
     n = result.degree
-    T = hecke_operator(result.group, n, g, module=result.module,
-                       resolution=result.ambient_resolution)
+    desc, cochain = hecke_cochain(result.group, n, g, result.module,
+                                  result.ambient_resolution)
+    result.ambient_presentation.check(cochain)
     din_b = result.boundary_complex.delta(n - 1)
-    moved = result.restriction * (T.cochain * result.kernel_basis)
+    moved = result.restriction * (cochain * result.kernel_basis)
     if solve_echelon(column_span_basis(din_b), moved) is None:
         raise NotInLattice("operator does not preserve the cuspidal kernel")
     matrix, orders, basis = matrix_on_quotient(
-        T.cochain, result.presentation,
+        cochain, result.presentation,
         lambda V: solve_echelon(result.kernel_basis, V))
-    return HeckeMatrix(result.group, T.g, n, result.weight, matrix, orders,
-                       basis, T.cochain)
+    return HeckeMatrix(result.group, desc.g, n, result.weight, matrix, orders,
+                       basis, cochain)

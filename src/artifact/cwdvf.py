@@ -87,9 +87,6 @@ class RegularCWComplex:
     def dimension(self):
         return len(self.counts) - 1
 
-    def n_cells(self, k):
-        return self.counts[k] if 0 <= k <= self.dimension else 0
-
     def total_cells(self):
         return sum(self.counts)
 

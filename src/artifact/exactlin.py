@@ -694,9 +694,10 @@ def integer_kernel(M):
 
     With U*M*V = D, the columns of V beyond the rank map to zero and span
     the kernel; since V is unimodular the basis is automatically saturated
-    (the quotient by the kernel is torsion free).
+    (the quotient by the kernel is torsion free).  Only V is tracked.
     """
-    return kernel_with_left_inverse(M)[0]
+    sf = smith_normal_form(M, transforms=("V",))
+    return sf.V.take_columns(range(sf.rank, M.cols))
 
 
 def cokernel_invariants(Y):

@@ -7,7 +7,10 @@ a chain map intertwining gamma -> g^{-1} gamma g, hit with g on the
 coefficients, and summed over coset translates (the transfer).  All three
 steps happen at the cochain level of a free resolution whose contracting
 homotopy supplies the chain map, so the composite is an integer matrix on
-cochains; it descends to an adapted basis of the cohomology lattice.
+cochains (hecke_cochain).  It descends to an adapted basis of the
+cohomology lattice through a CohomologyPresentation, built once per
+cochain complex and shared by every operator presented on it
+(hecke_operators).
 
 Normalization: the classical operator T_n has the rational representative
 diag(1, 1/n); this module uses the primitive integral matrix diag(n, 1),
@@ -21,6 +24,7 @@ integrality) are normalization independent.
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coeffmod import PolynomialModule, _entries, block_matrix, hom_complex
 from .congruence import generators
@@ -79,7 +83,10 @@ class HeckeDescriptor:
     g is an integral 2x2 matrix with det > 0; reps are left coset
     representatives of Gamma' = Gamma intersect g Gamma g^{-1} in Gamma
     with reps[0] the identity, so Gamma is the disjoint union of the
-    reps[i] Gamma'.
+    reps[i] Gamma'.  The descriptor is also the right-coset transversal
+    restrict_resolution reads: rep(i) = reps[i]^{-1}, so the index i names
+    the same coset on both sides, and lookup scans the (small) list of
+    reps with the membership test.
     """
 
     group: object
@@ -90,6 +97,20 @@ class HeckeDescriptor:
     @property
     def index(self):
         return len(self.reps)
+
+    def __len__(self):
+        return len(self.reps)
+
+    def rep(self, i):
+        return self.reps[i].inverse()
+
+    def lookup(self, x):
+        """(i, gamma') with x = gamma' * rep(i)."""
+        for i, left in enumerate(self.reps):
+            gam = x * left  # x * rep(i)^{-1}
+            if self.member(gam):
+                return (i, gam)
+        raise NotInGroup("element lies in no enumerated coset")
 
     def member(self, A):
         """Membership in Gamma': A in Gamma and g^{-1} A g integral and in Gamma."""
@@ -126,7 +147,6 @@ def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
     if det <= 0:
         raise FormatError("determinant must be positive, got %d" % det)
     desc = HeckeDescriptor(gamma, gent, det, [IDENT])
-    inverses = [IDENT]
     gens = generators(gamma)
     gens = gens + [s.inverse() for s in gens]
     # keys are unique per matrix, so ties never compare SL2ZMatrix objects
@@ -141,45 +161,17 @@ def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
                 heapq.heappush(heap, (sum(map(abs, key)), key, x))
         while heap:
             x = heapq.heappop(heap)[2]
-            if any(desc.member(r * x) for r in inverses):
+            # x lies in the coset r Gamma' exactly when x^{-1} r lies in Gamma'
+            xi = x.inverse()
+            if any(desc.member(xi * r) for r in desc.reps):
                 continue
             if len(desc.reps) >= max_cosets:
                 raise InfiniteIndex("more than %d cosets of Gamma' in Gamma"
                                     % max_cosets)
             desc.reps.append(x)
-            inverses.append(x.inverse())
             fresh.append(x)
             break
     return desc
-
-
-class _SubgroupTransversal:
-    """Right-coset transversal of Gamma' in Gamma from a HeckeDescriptor.
-
-    restrict_resolution wants decompositions x = gamma' * rep_i.  The reps
-    here are the inverses of the descriptor's left reps, so the index i
-    names the same coset on both sides, and lookups scan the (small) list
-    with the membership test.
-    """
-
-    def __init__(self, desc):
-        self.desc = desc
-        self.lefts = list(desc.reps)
-        self.reps_ = [t.inverse() for t in desc.reps]
-
-    def __len__(self):
-        return len(self.reps_)
-
-    def rep(self, i):
-        return self.reps_[i]
-
-    def lookup(self, x):
-        """(i, gamma') with x = gamma' * rep(i)."""
-        for i, left in enumerate(self.lefts):
-            gam = x * left  # x * rep(i)^{-1}
-            if self.desc.member(gam):
-                return (i, gam)
-        raise NotInGroup("element lies in no enumerated coset")
 
 
 class EquivariantChainMap:
@@ -292,6 +284,49 @@ def _truncated(resolution, top):
                             section=resolution.section)
 
 
+def hecke_lift(gamma, n, g, resolution):
+    """The coset data of g and the chain map of its Hecke operator.
+
+    resolution must be restricted to gamma from a resolution over SL2(Z)
+    (restrict_resolution) and carry a contracting homotopy.  The source
+    is its truncation to degree n, restricted along the descriptor to
+    Gamma', and the map is semilinear over gamma -> g^{-1} gamma g.  It
+    sends the source generator over the vertex y.rho to the target
+    generator of the same orbit over the vertex nearest g^{-1} y.rho
+    (sl2z.nearest_vertex), so each tree walk of its lift is short.
+    Returns (desc, chain map).
+    """
+    if not isinstance(resolution, RestrictedResolution):
+        raise FormatError("the Hecke chain map needs a resolution restricted "
+                          "from SL2(Z) (restrict_resolution)")
+    desc = gamma_prime_data(gamma, g)
+    source = restrict_resolution(_truncated(resolution, n), desc, trans=desc)
+    return desc, EquivariantChainMap(source, resolution, desc.conjugate,
+                                     _nearest_images(desc, source, resolution),
+                                     degree_max=n)
+
+
+def hecke_cochain(gamma, n, g, module, resolution):
+    """The Hecke operator of g on degree-n cochains, before cohomology.
+
+    The image cochain evaluated on the generator e_b is
+    sum_i M(t_i) M(g) c(f(t_i^{-1} e_b)) over the left coset
+    representatives t_i, and t_i^{-1} e_b is exactly source generator
+    (b, i) of the lift (hecke_lift).  Returns (desc, cochain), the
+    cochain a SparseIntMatrix; the lift, the largest object here, is
+    freed on return.
+    """
+    desc, lift = hecke_lift(gamma, n, g, resolution)
+    nt = desc.index
+    rank_n = resolution.rank(n)
+    pre = [module.action(t) * module.action(desc.g) for t in desc.reps]
+    return desc, block_matrix(
+        module.rank, rank_n, rank_n,
+        ((b, b2, pre[i] * module.ring_action(gre))
+         for i in range(nt) for b in range(rank_n)
+         for b2, gre in lift.value(n, b * nt + i).items()))
+
+
 @dataclass
 class HeckeMatrix:
     """A Hecke operator presented on an adapted basis of H^n(Gamma, M).
@@ -364,22 +399,56 @@ class HeckeMatrix:
         }
 
 
-def hecke_operator(gamma, n, g, module=None, resolution=None):
-    """Matrix of the Hecke operator of g on H^n(gamma, module).
+class CohomologyPresentation:
+    """H^n of a cochain complex on its cocycle lattice, for cochain operators.
+
+    One Smith form of delta_n gives a saturated basis Z of the degree-n
+    cocycles with a left inverse P, which maps a cocycle to its
+    coordinates in Z; the coboundaries become the relations P delta_{n-1},
+    checked to be cocycles (Z P is the identity on span Z, so that is
+    Z relations == delta_{n-1}).  The quotient, a second Smith form, is
+    built on first use.  Every operator presented on one complex shares
+    them, so the matrices act on one basis.
+    """
+
+    def __init__(self, C, n):
+        self.delta_out = C.delta(n)
+        self.delta_in = C.delta(n - 1)
+        self.Z, self.P = kernel_with_left_inverse(self.delta_out)
+        self.relations = self.P * self.delta_in
+        if self.Z * self.relations != self.delta_in:
+            raise CompositionNonzero("coboundaries are not cocycles")
+
+    @cached_property
+    def quotient(self):
+        return QuotientLattice(self.Z, self.relations)
+
+    def check(self, cochain):
+        """Raise unless the cochain operator maps every cocycle to a cocycle
+        (CompositionNonzero) and every coboundary to a coboundary
+        (NotInLattice)."""
+        if not (self.delta_out * (cochain * self.Z)).is_zero():
+            raise CompositionNonzero("image of a cocycle is not a cocycle")
+        # an image cocycle is a coboundary exactly when its coordinates
+        # are a relation
+        if not self.quotient.is_relation(self.P * (cochain * self.delta_in)):
+            raise NotInLattice("image of a coboundary is not a coboundary")
+
+
+def hecke_operators(gamma, n, gs, module=None, resolution=None):
+    """The Hecke operators of the matrices gs on H^n(gamma, module).
 
     module defaults to the trivial module (weight 2).  resolution, when
     given, must be restricted to gamma from a resolution over SL2(Z)
     (restrict_resolution), carry a contracting homotopy, and have top
     degree at least n + 1; passing the same resolution across calls keeps
     the cohomology basis identical, so returned matrices compose and
-    compare directly.  The chain map sends the source generator over the
-    vertex y.rho to the target generator of the same orbit over the
-    vertex nearest g^{-1} y.rho (sl2z.nearest_vertex), so each tree walk
-    of its lift is short.  The construction is verified on the spot: the
-    chain map satisfies d f = f d on every generator, and the cochain
-    operator maps the full cocycle lattice to cocycles (CompositionNonzero
-    otherwise) and coboundaries to coboundaries (NotInLattice otherwise)
-    before descending to cohomology.
+    compare directly.  Each operator is lifted to cochains
+    (hecke_cochain), with d f = f d verified on every generator, and
+    presented on one CohomologyPresentation, built after the first lift
+    is freed, which checks it on cocycles and coboundaries.  Yields one
+    HeckeMatrix per matrix, in order, so a caller that keeps none of them
+    holds one cochain operator at a time.
     """
     if module is None:
         module = PolynomialModule(0)
@@ -389,52 +458,22 @@ def hecke_operator(gamma, n, g, module=None, resolution=None):
         raise DegreeOutOfRange(
             "resolution of top degree %d cannot present H^%d"
             % (resolution.top_degree(), n))
-    if not isinstance(resolution, RestrictedResolution):
-        raise FormatError("the Hecke chain map needs a resolution restricted "
-                          "from SL2(Z) (restrict_resolution)")
-    desc = gamma_prime_data(gamma, g)
-    trans = _SubgroupTransversal(desc)
-    source = restrict_resolution(_truncated(resolution, n), desc, trans=trans)
-    lift = EquivariantChainMap(source, resolution, desc.conjugate,
-                               _nearest_images(desc, source, resolution),
-                               degree_max=n)
+    presentation = None
+    for g in gs:
+        desc, cochain = hecke_cochain(gamma, n, g, module, resolution)
+        if presentation is None:
+            presentation = CohomologyPresentation(
+                hom_complex(resolution, module), n)
+        presentation.check(cochain)
+        matrix, orders, basis = matrix_on_quotient(
+            cochain, presentation.quotient, lambda V: presentation.P * V)
+        yield HeckeMatrix(gamma, desc.g, n, module.k + 2, matrix, orders,
+                          basis, cochain)
 
-    # assemble the cochain operator: the image cochain evaluated on the
-    # generator e_b is sum_i M(t_i) M(g) c(f(t_i^{-1} e_b)), and
-    # t_i^{-1} e_b is exactly source generator (b, i)
-    nt = desc.index
-    rank_n = resolution.rank(n)
-    pre = [module.action(t) * module.action(desc.g) for t in desc.reps]
-    cochain = block_matrix(module.rank, rank_n, rank_n,
-                           ((b, b2, pre[i] * module.ring_action(gre))
-                            for i in range(nt) for b in range(rank_n)
-                            for b2, gre in lift.value(n, b * nt + i).items()))
-    # the lifted chain map is the largest object here; free it before the
-    # checks and the quotient allocate theirs
-    del source, lift
 
-    C = hom_complex(resolution, module)
-    delta_out = C.delta(n)
-    delta_in = C.delta(n - 1)
-    # P maps a cocycle to its coordinates in the cocycle lattice Z, so the
-    # coboundaries become the relations P delta_in
-    Z, P = kernel_with_left_inverse(delta_out)
-    relations = P * delta_in
-    quotient = QuotientLattice(Z, relations)
-    if not (delta_out * (cochain * Z)).is_zero():
-        raise CompositionNonzero("image of a cocycle is not a cocycle")
-    # Z P is the identity on span Z, so once the coboundaries lie in
-    # span Z, an image cocycle is a coboundary exactly when its
-    # coordinates are a relation
-    if Z * relations != delta_in:
-        raise CompositionNonzero("coboundaries are not cocycles")
-    if not quotient.is_relation(P * (cochain * delta_in)):
-        raise NotInLattice("image of a coboundary is not a coboundary")
-
-    matrix, orders, basis = matrix_on_quotient(cochain, quotient,
-                                               lambda V: P * V)
-    return HeckeMatrix(gamma, desc.g, n, module.k + 2, matrix, orders,
-                       basis, cochain)
+def hecke_operator(gamma, n, g, module=None, resolution=None):
+    """Matrix of the Hecke operator of g on H^n(gamma, module)."""
+    return next(hecke_operators(gamma, n, [g], module, resolution))
 
 
 def matrix_on_quotient(cochain, quotient, coordinates):
@@ -482,17 +521,17 @@ class EigenvalueReport:
 def hecke_eigenvalues(gamma, n, ps, module=None, resolution=None):
     """Eigenvalue reports of T_p on H^n(gamma, module), keyed by p in ps.
 
-    All operators are computed on one shared resolution, so the
-    underlying matrices act on the same basis.
+    All operators are presented on one shared resolution and presentation
+    (hecke_operators), so the underlying matrices act on the same basis.
     """
-    if module is None:
-        module = PolynomialModule(0)
-    if resolution is None:
-        resolution = restrict_resolution(sl2z_resolution(n + 1), gamma)
+    ps = list(ps)
+    # the reports keep every operator, and the presentation is released
+    # before the characteristic polynomials are taken
+    ops = list(hecke_operators(gamma, n,
+                               [hecke_representative(p) for p in ps],
+                               module, resolution))
     out = {}
-    for p in ps:
-        op = hecke_operator(gamma, n, hecke_representative(p), module,
-                            resolution=resolution)
+    for p, op in zip(ps, ops):
         roots, residual = integer_roots(charpoly(op.free_block()))
         out[p] = EigenvalueReport(int(p), tuple(roots), tuple(residual), op)
     return out

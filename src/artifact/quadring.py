@@ -4,9 +4,9 @@ Elements of the ring of integers of Q(sqrt(d)) are stored as a + b*omega
 where omega is sqrt(d) for d = 2, 3 mod 4 and (1 + sqrt(d))/2 for
 d = 1 mod 4, so the ring is exactly Z + Z*omega.  Ideals are handled as
 rank-2 sublattices of Z + Z*omega in a canonical row normal form, which
-reduces norm, membership, and quotient-ring arithmetic to integer linear
-algebra.  The module also evaluates the quadratic character of the field
-and the L-value ratio that the torsion growth of congruence subgroup
+reduces norm, membership, and sums of ideals to integer linear algebra.
+The module also evaluates the quadratic character of the field and the
+L-value ratio that the torsion growth of congruence subgroup
 abelianizations is conjectured to approach.
 """
 
@@ -386,73 +386,33 @@ def torsion_ratio(orders, a, natural=False, exact=False):
     return (len(str(prod)) - 1) / n
 
 
-class _QuotientRing:
-    """Arithmetic in the finite ring of residues modulo an ideal.
-
-    Residues are pairs (x, y) for x + y*omega with 0 <= x < p and
-    0 <= y < s read off the ideal's normal form; reduce folds any ring
-    element into that box.
-    """
-
-    def __init__(self, ideal):
-        self.ideal = ideal
-        self.d = ideal.d
-        (self.p, self.q), (_, self.s) = ideal.basis
-
-    def reduce(self, a, b):
-        t = a // self.p
-        return a - t * self.p, (b - t * self.q) % self.s
-
-    def elements(self):
-        return [(x, y) for x in range(self.p) for y in range(self.s)]
-
-    def mul(self, u, v):
-        w = QuadInt(u[0], u[1], self.d) * QuadInt(v[0], v[1], self.d)
-        return self.reduce(w.a, w.b)
-
-    def is_unit(self, u):
-        # u is invertible iff (u) + ideal is the unit ideal
-        if u == (0, 0):
-            return False
-        gens = [QuadInt(u[0], u[1], self.d)] + self.ideal.generators()
-        return ideal_from_generators(gens).norm() == 1
-
-    def unimodular(self, u, v):
-        if u == (0, 0) and v == (0, 0):
-            return False
-        gens = ([QuadInt(u[0], u[1], self.d), QuadInt(v[0], v[1], self.d)]
-                + self.ideal.generators())
-        return ideal_from_generators(gens).norm() == 1
-
-
 def gamma0_index(a):
     """Index of the Hecke congruence subgroup of level a: #P^1(O/a).
 
-    For a prime ideal the quotient is a field with N elements and the
-    projective line has N + 1 points: (1, v) for every residue v, which
-    are all unimodular, plus (0, 1).  For general a the points are orbits
-    of unit scaling on unimodular pairs, counted by _orbit_count.
+    The count is N(a) * prod (1 + 1/N(p)) over the prime ideals p dividing
+    a.  Trial division factors N(a), and each rational prime l dividing it
+    contributes by its splitting type (quad_character): inert, the one
+    prime (l) of norm l^2; ramified, one prime of norm l; split, as many
+    primes of norm l as divide a, which is log_l N(a + lO).
     """
     n = a.norm()
-    if n == 1:
-        return 1
-    if a.is_prime():
-        return n + 1
-    return _orbit_count(a)
-
-
-def _orbit_count(a):
-    """#P^1(O/a) as the number of unit-scaling orbits of unimodular pairs."""
-    ring = _QuotientRing(a)
-    elements = ring.elements()
-    units = [u for u in elements if ring.is_unit(u)]
-    seen = set()
-    count = 0
-    for u in elements:
-        for v in elements:
-            if (u, v) in seen or not ring.unimodular(u, v):
-                continue
-            count += 1
-            for w in units:
-                seen.add((ring.mul(w, u), ring.mul(w, v)))
-    return count
+    out, rest, ell = n, n, 2
+    while rest > 1:
+        if ell * ell > rest:
+            ell = rest
+        if rest % ell == 0:
+            while rest % ell == 0:
+                rest //= ell
+            chi = quad_character(a.d, ell)
+            if chi == -1:
+                norms = [ell * ell]
+            elif chi == 0:
+                norms = [ell]
+            else:
+                gcd = ideal_from_generators(a.generators()
+                                            + [QuadInt(ell, 0, a.d)])
+                norms = [ell] * (1 if gcd.norm() == ell else 2)
+            for q in norms:
+                out = out // q * (q + 1)
+        ell += 1
+    return out

@@ -1,4 +1,5 @@
-"""Closed-form invariants of Gamma_0(N), independent of the implementation.
+"""Closed-form invariants of Gamma_0(N) and the indices of Gamma_1(N) and
+Gamma(N), independent of the implementation.
 
 Used as a test oracle: nothing here imports the package under test.  The
 formulas are the classical ones (Shimura, *Introduction to the Arithmetic
@@ -6,6 +7,8 @@ Theory of Automorphic Functions*, ch. 1-2; W. Stein, *Modular Forms: A
 Computational Approach*, AMS GSM 79, ch. 6):
 
   mu(N)    = N * prod_{p | N} (1 + 1/p)
+  [SL2(Z) : Gamma_1(N)] = N^2 * prod_{p | N} (1 - 1/p^2)
+  [SL2(Z) : Gamma(N)]   = N^3 * prod_{p | N} (1 - 1/p^2)
   nu2(N)   = 0 if 4 | N, else prod_{p | N} (1 + (-4/p))
   nu3(N)   = 0 if 9 | N, else prod_{p | N} (1 + (-3/p))
   cusps(N) = sum_{d | N} phi(gcd(d, N/d))
@@ -77,6 +80,20 @@ def index(n):
     for p in prime_factors(n):
         mu *= 1 + Fraction(1, p)
     return _integer(mu, "index of Gamma_0(%d)" % n)
+
+
+def gamma1_index(n):
+    """[SL2(Z) : Gamma_1(N)] = mu(N) phi(N), as Gamma_0(N) / Gamma_1(N) is
+    (Z/N)^*."""
+    out = Fraction(n * n)
+    for p in prime_factors(n):
+        out *= 1 - Fraction(1, p * p)
+    return _integer(out, "index of Gamma_1(%d)" % n)
+
+
+def principal_index(n):
+    """[SL2(Z) : Gamma(N)] = |SL2(Z/N)|."""
+    return n * gamma1_index(n)
 
 
 def nu2(n):

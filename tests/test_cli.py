@@ -160,6 +160,23 @@ def test_config_errors_exit_two(capsys, args):
     assert "ConfigError" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ("cohomology", "--gamma0", "11", "--degree", "1", "--ops", "2"),
+    ("index", "--gamma0", "11", "--weight", "4"),
+    ("hecke", "--gamma0", "11", "--weight", "2", "--ops", "2",
+     "--module-degree", "2"),
+    ("quad", "--d", "-1"),
+    ("cohomology", "--gamma0", "11", "--degree", "1", "--contract"),
+])
+def test_parser_rejects_options_off_their_subcommand(capsys, args):
+    # each option exists only on the subcommands that read it, so a stray
+    # one never reaches RunConfig.validate
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_error_json_is_machine_readable(capsys):
     rc = main(["hecke", "--gamma0", "11", "--weight", "2", "--format", "json"])
     out = capsys.readouterr().out

@@ -25,7 +25,7 @@ from artifact.errors import FormatError, NotInGroup
 from artifact.sl2z import I, S, T, U, SL2ZMatrix
 
 from coset_enum import enumerated_index
-from modforms_oracle import index as oracle_index
+from modforms_oracle import gamma1_index, index as oracle_index, principal_index
 
 FROZEN = Path(__file__).resolve().parent / "frozen"
 
@@ -54,20 +54,6 @@ def psi(n):
         p += 1
     if m > 1:
         out += out // m
-    return out
-
-
-def prime_divisors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
     return out
 
 
@@ -119,25 +105,27 @@ def test_gamma0_index_formula(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12])
 def test_gamma1_index_formula(n):
-    # N^2 * prod (1 - 1/p^2)
-    want = n * n
-    for p in prime_divisors(n):
-        want = want // (p * p) * (p * p - 1)
-    assert index(gamma1(n)) == want
+    assert index(gamma1(n)) == gamma1_index(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_principal_index_formula(n):
-    # N^3 * prod (1 - 1/p^2)
-    want = n ** 3
-    for p in prime_divisors(n):
-        want = want // (p * p) * (p * p - 1)
-    assert index(principal(n)) == want
+    assert index(principal(n)) == principal_index(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 11, 12, 25, 27, 39, 40, 98, 120, 200])
 def test_p1_size_matches_transversal(n):
     assert len(transversal(gamma0(n))) == oracle_index(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 13, 15, 16, 20])
+def test_gamma1_transversal_matches_closed_form(n):
+    assert len(transversal(gamma1(n))) == gamma1_index(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9])
+def test_principal_transversal_matches_closed_form(n):
+    assert len(transversal(principal(n))) == principal_index(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 16, 18])

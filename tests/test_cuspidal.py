@@ -10,6 +10,7 @@ weight 2, and the squared quadratic charpolys of the weight 4 pair whose
 eigenvalues live in Z[sqrt(3)].
 """
 
+import copy
 import dataclasses
 import functools
 import json
@@ -23,10 +24,11 @@ from artifact.coeffmod import PolynomialModule
 from artifact.congruence import CongruenceSubgroup
 from artifact.cuspidal import cuspidal_cohomology, cuspidal_hecke_matrix
 from artifact.errors import CompositionNonzero, NotInLattice
-from artifact.exactlin import (charpoly, column_span_basis, integer_kernel,
-                               integer_roots, solve_echelon)
+from artifact.exactlin import (IntMatrix, charpoly, column_span_basis,
+                               integer_kernel, integer_roots, solve_echelon)
 from artifact.hecke import hecke_representative
 from modforms_oracle import dim_cusp_forms, h1_free_rank
+from test_hecke import transform_snfs
 
 FROZEN = Path(__file__).resolve().parent / "frozen"
 
@@ -135,6 +137,22 @@ def test_weight_four_level_eleven_presentation_frozen(monkeypatch):
     assert len(built) == 1
 
 
+def test_operators_share_the_ambient_presentation(monkeypatch):
+    # the ambient cocycle lattice comes with the result; each operator
+    # adds only the shared ambient quotient and the shared cuspidal one,
+    # 2 Smith forms with transforms for three operators, not 7
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(13), 1,
+                            PolynomialModule(2))
+    calls = transform_snfs(monkeypatch)
+    ops = [cuspidal_hecke_matrix(r, hecke_representative(p))
+           for p in (2, 3, 5)]
+    assert len(calls) == 2
+    # torsion-free quotient, so plain products commute
+    for a in ops:
+        for b in ops:
+            assert a.matrix * b.matrix == b.matrix * a.matrix
+
+
 # (module degree, level): weights 2 and 4, genus zero and positive genus
 ORACLE_SWEEP = ([(0, n) for n in (2, 4, 6, 9, 13, 16, 20, 21, 22, 23, 26,
                                   27, 29, 31, 37)]
@@ -240,6 +258,17 @@ def test_kernel_lattice_missing_relations_raises(monkeypatch):
                         lambda M: span_basis(M) * 2)
     with pytest.raises(NotInLattice, match="span of the kernel lattice"):
         cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+
+
+def test_ambient_checks_run_on_every_operator():
+    # every cochain passed off as an ambient cocycle: the operator's images
+    # are not cocycles, and the shared ambient presentation says so
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    bad = copy.copy(r.ambient_presentation)
+    bad.Z = bad.P = IntMatrix.identity(bad.delta_out.cols)
+    with pytest.raises(CompositionNonzero, match="cocycle is not a cocycle"):
+        cuspidal_hecke_matrix(dataclasses.replace(r, ambient_presentation=bad),
+                              hecke_representative(2))
 
 
 def test_operator_leaving_the_kernel_raises():

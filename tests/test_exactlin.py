@@ -95,6 +95,23 @@ def test_kernel_sum_map():
     assert k.col(0) in ([1, -1], [-1, 1])
 
 
+def test_integer_kernel_tracks_only_v(monkeypatch):
+    # V alone spans the kernel; V^-1 would be a second square matrix
+    # updated on every column operation and then discarded
+    from artifact import exactlin
+    asked = []
+    real = exactlin.smith_normal_form
+
+    def recorded(M, transforms=TRANSFORMS):
+        asked.append(tuple(transforms))
+        return real(M, transforms)
+
+    monkeypatch.setattr(exactlin, "smith_normal_form", recorded)
+    M = IntMatrix.from_rows([[2, 4, 6], [1, 3, 5]])
+    assert integer_kernel(M) == kernel_with_left_inverse(M)[0]
+    assert asked == [("V",), ("V", "Vinv")]
+
+
 def test_kernel_identity_empty():
     assert integer_kernel(IntMatrix.identity(4)).cols == 0
 

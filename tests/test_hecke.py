@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathlib import Path
 
-from artifact import hecke
+from artifact import exactlin, hecke
 from artifact.cli import main
 from artifact.coeffmod import CochainComplexZ, PolynomialModule
 from artifact.congruence import CongruenceSubgroup
@@ -16,10 +16,9 @@ from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              FormatError, InfiniteIndex, MissingPrime,
                              NotInLattice, ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
-from artifact.hecke import (EquivariantChainMap, _nearest_images,
-                            _SubgroupTransversal, _truncated,
+from artifact.hecke import (EquivariantChainMap, _truncated,
                             expand_eigenform, gamma_prime_data,
-                            hecke_eigenvalues, hecke_operator,
+                            hecke_eigenvalues, hecke_lift, hecke_operator,
                             hecke_representative)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   RestrictedResolution, chain_add,
@@ -48,16 +47,6 @@ def section_images(source, target):
     """Degree-0 images through the target's section of the augmentation."""
     return [target.section(source.aug({j: GroupRingElement.unit(I)}))
             for j in range(source.rank(0))]
-
-
-def hecke_lift(gamma, g, resolution, n=1):
-    """The chain map hecke_operator lifts, built the same way."""
-    desc = gamma_prime_data(gamma, g)
-    source = restrict_resolution(_truncated(resolution, n), desc,
-                                 trans=_SubgroupTransversal(desc))
-    return desc, EquivariantChainMap(source, resolution, desc.conjugate,
-                                     _nearest_images(desc, source, resolution),
-                                     degree_max=n)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +138,7 @@ def test_lift_stays_small_at_level_38():
     # at the base vertex
     gamma = CongruenceSubgroup.gamma0(38)
     res = restrict_resolution(sl2z_resolution(2), gamma)
-    _, lift = hecke_lift(gamma, hecke_representative(11), res)
+    _, lift = hecke_lift(gamma, 1, hecke_representative(11), res)
     terms = sum(len(gre) for val in lift.values[1] for gre in val.values())
     assert terms <= 6500
 
@@ -158,7 +147,7 @@ def test_degree0_images_sit_at_the_nearest_vertex(res11):
     # the source generator over the vertex y<U> goes to the target
     # generator over m<U>, m the vertex nearest g^-1 y.rho; for
     # g = diag(5, 1), adj(g) y = 5 g^-1 y
-    _, lift = hecke_lift(GAMMA0_11, (5, 0, 0, 1), res11)
+    _, lift = hecke_lift(GAMMA0_11, 1, (5, 0, 0, 1), res11)
     for j, val in enumerate(lift.values[0]):
         (b, y), = res11.unfold(0, lift.source.unfold(
             0, {j: GroupRingElement.unit(I)})).items()
@@ -195,6 +184,39 @@ def test_matrix_independent_of_representatives(monkeypatch, group, p, weight):
     assert a.cochain != b.cochain
 
 
+def transform_snfs(monkeypatch):
+    """A list that records every Smith form asked for a transform."""
+    calls = []
+    real = exactlin.smith_normal_form
+
+    def counted(M, transforms=exactlin.TRANSFORMS):
+        if transforms:
+            calls.append(tuple(transforms))
+        return real(M, transforms)
+
+    monkeypatch.setattr(exactlin, "smith_normal_form", counted)
+    return calls
+
+
+def test_eigenvalues_share_one_presentation(monkeypatch):
+    # the cocycle lattice (V, V^-1) and the quotient (U, U^-1) are built
+    # once for all four operators: 2 Smith forms with transforms, not 8
+    calls = transform_snfs(monkeypatch)
+    reports = hecke_eigenvalues(GAMMA0_11, 1, [2, 3, 5, 7])
+    assert [reports[p].roots for p in (2, 3, 5, 7)] == [
+        (-2, -2, 3), (-1, -1, 4), (1, 1, 6), (-2, -2, 8)]
+    assert calls == [("V", "Vinv"), ("U", "Uinv")]
+
+
+@pytest.mark.parametrize("emit", ["eigenvalues", "matrix", "charpoly"])
+def test_cli_operators_share_one_presentation(capsys, monkeypatch, emit):
+    calls = transform_snfs(monkeypatch)
+    assert main(["hecke", "--gamma0", "11", "--weight", "4", "--ops",
+                 "2,3,5", "--emit", emit]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # equivariant chain maps
 
@@ -209,7 +231,7 @@ def test_identity_chain_map_on_base_resolution():
 
 def test_chain_map_commuting_squares_checked(res11):
     # construction verifies d f = f d per generator; reaching here is the test
-    desc, f = hecke_lift(GAMMA0_11, (2, 0, 0, 1), res11)
+    desc, f = hecke_lift(GAMMA0_11, 1, (2, 0, 0, 1), res11)
     # semilinearity: f(gamma x) = phi(gamma) f(x) for gamma in Gamma'
     gam = T * T
     assert desc.member(gam)

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from modforms_oracle import (_integer, cusps, dim_cusp_forms, genus,
-                             h1_free_rank, index, nu2, nu3)
+from modforms_oracle import (_integer, cusps, dim_cusp_forms, gamma1_index,
+                             genus, h1_free_rank, index, nu2, nu3,
+                             principal_index)
 from test_cuspidal import MODULAR_CURVES
 
 # the levels N with X_0(N) of genus zero (Ogg, 1974)
@@ -60,6 +61,13 @@ def test_weight_two_rank_counts_genus_and_cusps():
     for level, g, c in MODULAR_CURVES:
         assert dim_cusp_forms(level, 2) == g
         assert h1_free_rank(level, 2) == 2 * g + c - 1
+
+
+def test_gamma1_and_principal_indices():
+    # |SL2(Z/N)| for N = 2..7, and [Gamma_0(N) : Gamma_1(N)] = phi(N)
+    assert [principal_index(n) for n in range(1, 8)] \
+        == [1, 6, 24, 48, 120, 144, 336]
+    assert [gamma1_index(n) for n in range(1, 8)] == [1, 3, 8, 12, 24, 24, 48]
 
 
 def test_non_integral_values_raise():

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import quadring
 from artifact.errors import FormatError, MixedField, ZeroIdeal
-from artifact.quadring import (QuadIdeal, QuadInt, _orbit_count,
-                               _QuotientRing, gamma0_index,
+from artifact.quadring import (QuadIdeal, QuadInt, gamma0_index,
                                ideal_from_generators, ideal_product, l_ratio,
                                parse_quad, quad_character, torsion_ratio)
 
@@ -30,6 +30,48 @@ TORSION_41_56 = [2, 2, 4, 5, 7, 16, 29, 43, 157, 179, 1877, 7741, 22037,
 
 def gaussian(a, b):
     return QuadInt(a, b, -1)
+
+
+def _orbit_count(a):
+    """#P^1(O/a) by brute force, the oracle for gamma0_index: unimodular
+    pairs of residues modulo a, counted up to scaling by units."""
+    d = a.d
+    (p, q), (_, s) = a.basis
+
+    def mul(u, v):
+        w = QuadInt(*u, d) * QuadInt(*v, d)
+        t = w.a // p
+        return w.a - t * p, (w.b - t * q) % s
+
+    def unimodular(*residues):
+        gens = [QuadInt(*r, d) for r in residues if r != (0, 0)]
+        return bool(gens) and ideal_from_generators(
+            gens + a.generators()).norm() == 1
+
+    elements = [(x, y) for x in range(p) for y in range(s)]
+    units = [u for u in elements if unimodular(u)]
+    seen = set()
+    count = 0
+    for u in elements:
+        for v in elements:
+            if (u, v) in seen or not unimodular(u, v):
+                continue
+            count += 1
+            for w in units:
+                seen.add((mul(w, u), mul(w, v)))
+    return count
+
+
+def all_ideals(d, bound):
+    """Every ideal of norm 2..bound, by its normal form ((p, q), (0, s))."""
+    for p in range(1, bound + 1):
+        for s in range(1, bound // p + 1):
+            for q in range(s):
+                if p * s > 1:
+                    try:
+                        yield QuadIdeal(d, ((p, q), (0, s)))
+                    except FormatError:
+                        pass  # the lattice is not closed under omega
 
 
 def test_norm_of_the_headline_element():
@@ -46,13 +88,33 @@ def test_headline_index():
 
 
 def test_prime_index_needs_no_unimodularity_test(monkeypatch):
-    # every pair (1, v) is unimodular over a field, so a prime level is
-    # counted as N + 1 without one ideal HNF per residue
-    def unreachable(self, u, v):
-        raise RuntimeError("unimodular called on a prime level")
-    monkeypatch.setattr(_QuotientRing, "unimodular", unreachable)
+    # the count comes from the factorisation of the norm: a split prime
+    # costs one ideal sum, a + 4817 O, and no residue is visited
+    built = []
+    real = quadring.ideal_from_generators
+
+    def counted(gens):
+        built.append(gens)
+        return real(gens)
+
     a = ideal_from_generators([gaussian(41, 56)])
+    monkeypatch.setattr(quadring, "ideal_from_generators", counted)
     assert gamma0_index(a) == 4818
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -6, -7, -15, 2, 5, 10, 13])
+def test_index_matches_orbit_count(d):
+    # every ideal of norm <= 30, principal or not (d = -5, -6, -15 and 10
+    # have class number 2), against the brute-force count of P^1(O/a)
+    for a in all_ideals(d, 30):
+        assert gamma0_index(a) == _orbit_count(a), a
+
+
+def test_index_of_thirty():
+    # N = 900: 2 ramified, 3 inert, 5 split with both primes dividing (30)
+    thirty = ideal_from_generators([gaussian(30, 0)])
+    assert gamma0_index(thirty) == 900 * 3 * 10 * 36 // (2 * 9 * 25) == 2160
 
 
 def test_small_indices():
@@ -85,7 +147,7 @@ def test_small_indices():
 def test_prime_index_is_norm_plus_one(gens, d, norm):
     a = ideal_from_generators([QuadInt(x, y, d) for x, y in gens])
     assert a.norm() == norm and a.is_prime()
-    # the generic orbit count must agree with the field-case shortcut
+    # the brute-force orbit count agrees with the closed form
     assert gamma0_index(a) == norm + 1
     assert _orbit_count(a) == norm + 1
 

@@ -13,8 +13,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from artifact.congruence import CongruenceSubgroup, transversal
-from artifact.hecke import (_SubgroupTransversal, _truncated,
-                            gamma_prime_data)
+from artifact.hecke import _truncated, gamma_prime_data
 from artifact.resolutions import (ChainSum, GroupRingElement,
                                   borel_serre_complex, restrict_resolution,
                                   sl2z_resolution, wall_resolution)
@@ -88,7 +87,7 @@ def test_restricted_rows_hecke_subgroup():
     gamma = CongruenceSubgroup.gamma0(11)
     res = restrict_resolution(sl2z_resolution(2), gamma)
     desc = gamma_prime_data(gamma, (2, 0, 0, 1))
-    assert_rows_match(_truncated(res, 1), desc, _SubgroupTransversal(desc))
+    assert_rows_match(_truncated(res, 1), desc, desc)
 
 
 def test_shared_entries_survive_d_and_h():
