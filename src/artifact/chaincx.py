@@ -144,7 +144,7 @@ def all_homology(C):
             for n in range(C.top_degree + 1)]
 
 
-def contract(C):
+def contract(C, pairs=None):
     """Reduce by simple homotopy collapses; homology is preserved.
 
     Greedy strategy: degrees are processed bottom up and exhausted one at a
@@ -155,6 +155,10 @@ def contract(C):
     so one ascending pass is complete and the result has no unit entries
     at all.  The collapse trace is recorded on the result in the original
     generator labelling.
+
+    Prescribed pairs: given (degree, source, target) triples in that
+    labelling, exactly those pairs are collapsed, in order, by the same
+    elimination step; EliminationError if an entry is absent or not a unit.
     """
     top = C.top_degree
     # mutable copy of the columns: bnd[n][src][tgt] = coeff, cob[n][tgt] =
@@ -172,6 +176,52 @@ def contract(C):
     alive = [set(range(C.rank(n))) for n in range(top + 1)]
     trace = []
 
+    def collapse(n, a, b):
+        """Remove source a and target b; returns the sources it changed."""
+        # collapsed generators have no entries left
+        row_a = bnd.get(n, {}).get(a, {})
+        eps = row_a.get(b, 0)
+        if eps not in (1, -1):
+            raise EliminationError("pair (%d, %d) in degree %d has no unit "
+                                   "entry" % (a, b, n))
+        # clear column b: row_s -= (lambda * eps) * row_a for the other
+        # sources s hitting b (eps is its own inverse)
+        touched = []
+        for s in [s for s in cob[n][b] if s != a]:
+            lam = bnd[n][s][b]
+            coef = lam * eps
+            row_s = bnd[n][s]
+            for t, v in row_a.items():
+                w = row_s.get(t, 0) - coef * v
+                if w:
+                    row_s[t] = w
+                    cob[n][t].add(s)
+                else:
+                    row_s.pop(t, None)
+                    cob[n][t].discard(s)
+            if b in row_s:
+                raise EliminationError("collapse of (%d, %d) in degree %d "
+                                       "left an entry in its column"
+                                       % (a, b, n))
+            touched.append(s)
+
+        # delete a (degree n) and b (degree n-1)
+        alive[n].discard(a)
+        alive[n - 1].discard(b)
+        for t in bnd[n].pop(a):
+            cob[n][t].discard(a)
+        cob[n].pop(b)
+        if n + 1 <= top:
+            # higher boundary just loses the target coordinate a
+            for c in cob[n + 1].pop(a, ()):  # pragma: no branch
+                bnd[n + 1][c].pop(a, None)
+        if n - 1 >= 1:
+            # lower boundary loses the source row b
+            for t in bnd[n - 1].pop(b, {}):
+                cob[n - 1][t].discard(b)
+        trace.append(CollapseStep(n, a, b))
+        return touched
+
     def unit_candidates(n, srcs):
         for a in srcs:
             row = bnd[n].get(a)
@@ -182,61 +232,25 @@ def contract(C):
                     fill = (len(row) - 1) * (len(cob[n][b]) - 1)
                     yield (fill, a, b)
 
-    for n in range(1, top + 1):
-        heap = list(unit_candidates(n, list(bnd[n])))
-        heapq.heapify(heap)
-        while heap:
-            fill, a, b = heapq.heappop(heap)
-            if a not in alive[n] or b not in alive[n - 1]:
-                continue
-            eps = bnd[n][a].get(b, 0)
-            if eps not in (1, -1):
-                continue
-            current = (len(bnd[n][a]) - 1) * (len(cob[n][b]) - 1)
-            if current != fill:
-                heapq.heappush(heap, (current, a, b))
-                continue
-
-            # clear column b: row_s -= (lambda * eps) * row_a for the other
-            # sources s hitting b (eps is its own inverse)
-            row_a = bnd[n][a]
-            touched = []
-            for s in [s for s in cob[n][b] if s != a]:
-                lam = bnd[n][s][b]
-                coef = lam * eps
-                row_s = bnd[n][s]
-                for t, v in row_a.items():
-                    w = row_s.get(t, 0) - coef * v
-                    if w:
-                        row_s[t] = w
-                        cob[n][t].add(s)
-                    else:
-                        row_s.pop(t, None)
-                        cob[n][t].discard(s)
-                if b in row_s:
-                    raise EliminationError("collapse of (%d, %d) in degree %d "
-                                           "left an entry in its column"
-                                           % (a, b, n))
-                touched.append(s)
-
-            # delete a (degree n) and b (degree n-1)
-            alive[n].discard(a)
-            alive[n - 1].discard(b)
-            for t in bnd[n].pop(a):
-                cob[n][t].discard(a)
-            cob[n].pop(b)
-            if n + 1 <= top:
-                # higher boundary just loses the target coordinate a
-                for c in cob[n + 1].pop(a, ()):  # pragma: no branch
-                    bnd[n + 1][c].pop(a, None)
-            if n - 1 >= 1:
-                # lower boundary loses the source row b
-                for t in bnd[n - 1].pop(b, {}):
-                    cob[n - 1][t].discard(b)
-
-            trace.append(CollapseStep(n, a, b))
-            for cand in unit_candidates(n, touched):
-                heapq.heappush(heap, cand)
+    if pairs is not None:
+        for n, a, b in pairs:
+            collapse(n, a, b)
+    else:
+        for n in range(1, top + 1):
+            heap = list(unit_candidates(n, list(bnd[n])))
+            heapq.heapify(heap)
+            while heap:
+                fill, a, b = heapq.heappop(heap)
+                if a not in alive[n] or b not in alive[n - 1]:
+                    continue
+                if bnd[n][a].get(b, 0) not in (1, -1):
+                    continue
+                current = (len(bnd[n][a]) - 1) * (len(cob[n][b]) - 1)
+                if current != fill:
+                    heapq.heappush(heap, (current, a, b))
+                    continue
+                for cand in unit_candidates(n, collapse(n, a, b)):
+                    heapq.heappush(heap, cand)
 
     # rebuild matrices over the survivors
     index = [

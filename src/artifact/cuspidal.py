@@ -82,6 +82,12 @@ class CuspidalResult:
         """The cuspidal quotient on kernel_basis, shared by all operators."""
         return QuotientLattice(self.kernel_basis, self.kernel_relations)
 
+    @cached_property
+    def boundary_coboundaries(self):
+        """Echelon basis of the degree-n boundary coboundaries, which every
+        operator's image of the kernel must restrict into."""
+        return column_span_basis(self.boundary_complex.delta(self.degree - 1))
+
     def descriptor(self):
         """JSON-friendly summary (invariants as strings)."""
         return {
@@ -168,9 +174,8 @@ def cuspidal_hecke_matrix(result, g):
     desc, cochain = hecke_cochain(result.group, n, g, result.module,
                                   result.ambient_resolution)
     result.ambient_presentation.check(cochain)
-    din_b = result.boundary_complex.delta(n - 1)
     moved = result.restriction * (cochain * result.kernel_basis)
-    if solve_echelon(column_span_basis(din_b), moved) is None:
+    if solve_echelon(result.boundary_coboundaries, moved) is None:
         raise NotInLattice("operator does not preserve the cuspidal kernel")
     matrix, orders, basis = matrix_on_quotient(
         cochain, result.presentation,

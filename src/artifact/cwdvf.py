@@ -13,9 +13,11 @@ it, no cell taking part in more than one arrow.  A field is admissible when
 the chain relation between arrows (follow an arrow up, step to another face
 of the target, follow that cell's arrow up, ...) contains no circuit.  An
 admissible field induces a degree +1 homotopy h on the chain complex; the
-cells in no arrow are the critical cells, and they carry a smaller chain
-complex with the same homology.  When exactly one critical cell remains and
-it is a vertex, h is a contracting homotopy for the whole complex.
+cells in no arrow are the critical cells.  Collapsing the cellular complex
+along the arrows (chaincx.contract) leaves a complex on the critical cells
+with the same homology, by algebraic Morse theory (Forman; Skoldberg).
+When exactly one critical cell remains and it is a vertex, h is a
+contracting homotopy for the whole complex.
 
 The homotopy is computed from the recursion
 
@@ -40,22 +42,11 @@ from collections import deque
 from functools import lru_cache
 from importlib import resources
 
-from .chaincx import FreeChainComplexZ, verify_complex
-from .errors import (CompositionNonzero, EliminationError, FormatError,
-                     MalformedArrow, NotAdmissible, NotContracting)
+from .chaincx import FreeChainComplexZ, contract, verify_complex
+from .errors import (CompositionNonzero, ConfigError, EliminationError,
+                     FormatError, MalformedArrow, NotAdmissible,
+                     NotContracting)
 from .exactlin import SparseIntMatrix
-
-
-def _chain_sub(a, b):
-    """a - b for sparse integer chains (dicts index -> coefficient)."""
-    out = dict(a)
-    for i, c in b.items():
-        v = out.get(i, 0) - c
-        if v:
-            out[i] = v
-        else:
-            out.pop(i, None)
-    return out
 
 
 class RegularCWComplex:
@@ -86,9 +77,6 @@ class RegularCWComplex:
     @property
     def dimension(self):
         return len(self.counts) - 1
-
-    def total_cells(self):
-        return sum(self.counts)
 
     def validate(self):
         """Check the combinatorial regularity conditions and d.d = 0."""
@@ -152,20 +140,6 @@ class RegularCWComplex:
                         table[k - 1][f].append(j)
             self._cofaces = table
         return self._cofaces
-
-    def boundary_chain(self, n, chain):
-        """Boundary of a sparse chain in dimension n, as a chain in n-1."""
-        if n <= 0:
-            return {}
-        out = {}
-        for i, c in chain.items():
-            for f, s in self.faces[n][i]:
-                v = out.get(f, 0) + c * s
-                if v:
-                    out[f] = v
-                else:
-                    out.pop(f, None)
-        return out
 
     def as_chain_complex(self):
         """The cellular chain complex: column j of d_n is the boundary of
@@ -244,8 +218,16 @@ def save_complex(X, path):
 
 
 def load_complex(path):
-    with open(path) as fh:
-        return RegularCWComplex.from_text(fh.read())
+    """Read a complex file: ConfigError naming a path that cannot be read,
+    FormatError on bytes that are not UTF-8, as on any malformed file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise FormatError("%s is not UTF-8: %s" % (path, err)) from None
+    except OSError as err:
+        raise ConfigError("cannot read %s: %s" % (path, err.strerror)) from None
+    return RegularCWComplex.from_text(text)
 
 
 def cubical_complex(top_cells):
@@ -587,49 +569,20 @@ class _HomotopyEvaluator:
         return out
 
 
-def _flow_stabilize(X, ev, n, chain):
-    """Iterate 1 - d h - h d on a dimension-n chain until it stops moving.
-
-    For an admissible field the flow reaches a fixed chain after at most
-    one step per cell; the fixed chain agrees with the input on critical
-    cells of dimension n and is what the reduced boundary acts through.
-    """
-    limit = X.total_cells() + 2
-    z = dict(chain)
-    for _ in range(limit):
-        dh = X.boundary_chain(n + 1, ev.chain(n, z))
-        hd = ev.chain(n - 1, X.boundary_chain(n, z)) if n else {}
-        nxt = _chain_sub(_chain_sub(z, dh), hd)
-        if nxt == z:
-            return z
-        z = nxt
-    raise EliminationError("Morse flow failed to stabilize")
-
-
 def critical_complex(X, V):
     """The chain complex carried by the critical cells of an admissible V.
 
     The generators in dimension n are the critical n-cells (in index
-    order); the boundary of a critical cell is the boundary of its
-    flow-stabilized representative, projected back to critical cells.
-    Homology agrees with the cellular homology of X.
+    order).  The cellular complex of X is collapsed along the arrows of V,
+    in their order: arrow (k, s, t) is the collapse of degree k + 1 with
+    source t and target s.  Admissibility keeps each arrow's incidence a
+    unit until its turn, and the result, whose trace lists the arrows,
+    has the homology of X.
     """
     if not is_admissible(X, V):
         raise NotAdmissible("vector field has a circuit")
-    ev = _HomotopyEvaluator(X, _arrow_maps(X, V))
-    crit = V.critical_cells(X)
-    ranks = [len(level) for level in crit]
-    position = [{i: p for p, i in enumerate(level)} for level in crit]
-    diffs = []
-    for n in range(1, X.dimension + 1):
-        columns = []
-        for i in crit[n]:
-            z = _flow_stabilize(X, ev, n, {i: 1})
-            columns.append({position[n - 1][f]: c
-                            for f, c in X.boundary_chain(n, z).items()
-                            if f in position[n - 1]})
-        diffs.append(SparseIntMatrix(ranks[n - 1], ranks[n], columns))
-    C = FreeChainComplexZ(ranks, diffs)
+    C = contract(X.as_chain_complex(),
+                 pairs=[(k + 1, t, s) for k, s, t in V.arrows])
     verify_complex(C)
     return C
 

@@ -1,5 +1,6 @@
 """Tests for chain complexes and simple homotopy collapse reduction."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -9,14 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 import artifact.chaincx
 from artifact.chaincx import (
+    CollapseStep,
     FreeChainComplexZ,
     all_homology,
     contract,
     homology,
     verify_complex,
 )
-from artifact.errors import CompositionNonzero, DegreeOutOfRange, FormatError
+from artifact.congruence import CongruenceSubgroup
+from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
+                             EliminationError, FormatError)
 from artifact.exactlin import IntMatrix
+from artifact.resolutions import (restrict_resolution, sl2z_resolution,
+                                  tensor_with_z)
 
 from genhelpers import random_complex
 
@@ -88,6 +94,57 @@ def test_contract_projective_plane():
     d = contract(c)
     assert [h.entries() for h in all_homology(d)] == \
         [h.entries() for h in all_homology(c)]
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1, 0, 0)],              # entry 2 is no unit
+    [(1, 0, 1)],              # no such target: the entry is absent
+    [(2, 0, 0)],              # no degree 2
+    [(1, 1, 0), (1, 1, 0)],   # the second time the pair is gone
+])
+def test_prescribed_pair_needs_a_unit_entry(pairs):
+    c = FreeChainComplexZ([1, 2], [IntMatrix.from_rows([[2, 1]])])
+    with pytest.raises(EliminationError):
+        contract(c, pairs=pairs)
+
+
+def test_prescribed_pairs_follow_their_order():
+    # d_1 = [1 1]: either edge can take the vertex, the other one
+    # survives, and the trace holds the prescribed pair
+    c = FreeChainComplexZ([1, 2], [IntMatrix.from_rows([[1, 1]])])
+    for a in (0, 1):
+        d = contract(c, pairs=[(1, a, 0)])
+        assert d.ranks == [0, 1]
+        assert d.trace == [CollapseStep(1, a, 0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_greedy_trace_replayed_as_pairs(seed):
+    # the greedy reduction and the prescribed one share the elimination
+    # step, so replaying the greedy trace rebuilds the same complex
+    c, _ = random_complex(random.Random(seed))
+    d = contract(c)
+    again = contract(c, pairs=[(s.degree, s.source, s.target)
+                               for s in d.trace])
+    assert again == d and again.trace == d.trace
+
+
+def test_contract_gamma0_300_unchanged():
+    # the homology-l300 benchmark shape; ranks, collapse count and the
+    # digests of the contracted complex and its trace as the greedy loop
+    # gave them before prescribed pairs shared its elimination step
+    c = tensor_with_z(restrict_resolution(sl2z_resolution(6),
+                                          CongruenceSubgroup.gamma0(300)))
+    assert c.ranks == [720] + [1440] * 6
+    d = contract(c)
+    assert d.ranks == [1, 122, 122, 122, 122, 122, 841]
+    assert len(d.trace) == 3954
+    steps = repr([(s.degree, s.source, s.target) for s in d.trace])
+    assert hashlib.sha256(d.to_text().encode()).hexdigest() == \
+        "178b5355e8680a72e189e4cb8f5f81bc8a79d7a17257d09b0f3200264d4bca31"
+    assert hashlib.sha256(steps.encode()).hexdigest() == \
+        "f93edb4bb83415bf8a1a577473ca9c3ac8999e5ae81f7f3d6dcd4179f9286eb3"
 
 
 def test_text_roundtrip():

@@ -127,6 +127,39 @@ def test_contract_drops_truncation_degree(capsys):
     assert doc["result"]["collapses"] > 0
 
 
+@pytest.fixture(params=["missing", "directory", "latin1"])
+def bad_complex(request, tmp_path):
+    """A --complex argument that is no readable UTF-8 file, with the error
+    type and exit code the CLI must answer it with."""
+    if request.param == "missing":
+        return str(tmp_path / "absent.cw"), "ConfigError", 2
+    if request.param == "directory":
+        return str(tmp_path), "ConfigError", 2
+    path = tmp_path / "latin1.cw"
+    path.write_bytes("# caf\xe9\ncells 1\n".encode("latin-1"))
+    return str(path), "FormatError", 3
+
+
+@pytest.mark.parametrize("subcommand", ["dvf", "contract"])
+def test_bad_complex_file_plain(capsys, bad_complex, subcommand):
+    path, kind, code = bad_complex
+    rc, out, err = run_cli(capsys, subcommand, "--complex", path)
+    assert rc == code
+    assert out == ""
+    assert err.startswith("error %s: " % kind) and path in err
+
+
+@pytest.mark.parametrize("subcommand", ["dvf", "contract"])
+def test_bad_complex_file_json(capsys, bad_complex, subcommand):
+    path, kind, code = bad_complex
+    rc, out, _ = run_cli(capsys, subcommand, "--complex", path,
+                         "--format", "json")
+    assert rc == code
+    doc = json.loads(out)
+    assert doc["subcommand"] == subcommand
+    assert doc["error"]["type"] == kind and path in doc["error"]["message"]
+
+
 def test_quad_report(capsys):
     rc, out, _ = run_cli(capsys, "quad", "--d", "-1", "--ideal", "41+56i",
                          "--report", "index", "--format", "json")

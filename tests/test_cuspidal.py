@@ -137,6 +137,22 @@ def test_weight_four_level_eleven_presentation_frozen(monkeypatch):
     assert len(built) == 1
 
 
+def test_operators_share_the_boundary_coboundary_basis(monkeypatch):
+    # the echelon basis of the boundary coboundaries depends only on the
+    # result, so T2 and T3 compute it once between them
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return column_span_basis(M)
+
+    monkeypatch.setattr(cuspidal, "column_span_basis", counted)
+    for p in (2, 3):
+        cuspidal_hecke_matrix(r, hecke_representative(p))
+    assert len(calls) == 1
+
+
 def test_operators_share_the_ambient_presentation(monkeypatch):
     # the ambient cocycle lattice comes with the result; each operator
     # adds only the shared ambient quotient and the shared cuspidal one,

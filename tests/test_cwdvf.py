@@ -1,12 +1,14 @@
 """Tests for regular CW-complexes and discrete vector fields."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact import cwdvf
-from artifact.chaincx import all_homology
+from artifact.chaincx import CollapseStep, all_homology
 from artifact.cwdvf import (
     DiscreteVectorField,
     RegularCWComplex,
@@ -22,6 +24,8 @@ from artifact.cwdvf import (
 from artifact.errors import (CompositionNonzero, FormatError, MalformedArrow,
                              NotAdmissible, NotContracting)
 from artifact.exactlin import AbelianInvariants
+
+FROZEN = Path(__file__).resolve().parent / "frozen" / "critical_complexes.json"
 
 
 def interval():
@@ -92,10 +96,19 @@ def random_cubical(rng):
     return cubical_complex(tops)
 
 
+def boundary_chain(X, n, chain):
+    """Boundary of a sparse chain in dimension n, as a chain in n-1."""
+    out = {}
+    for i, c in chain.items():
+        for f, s in X.faces[n][i]:
+            out[f] = out.get(f, 0) + c * s
+    return {f: v for f, v in out.items() if v}
+
+
 def check_identity(X, h, n, i):
     """(d h + h d) on the basis cell (n, i) against 1 - epsilon."""
-    dh = X.boundary_chain(n + 1, h(n, {i: 1})) if n < X.dimension else {}
-    hd = h(n - 1, X.boundary_chain(n, {i: 1})) if n else {}
+    dh = boundary_chain(X, n + 1, h(n, {i: 1})) if n < X.dimension else {}
+    hd = h(n - 1, boundary_chain(X, n, {i: 1})) if n else {}
     lhs = dict(dh)
     for k, c in hd.items():
         lhs[k] = lhs.get(k, 0) + c
@@ -157,7 +170,7 @@ def test_boundary_chain_matches_matrix():
         chain = {i: rng.randint(-3, 3) for i in range(X.counts[n])}
         vec = [chain.get(i, 0) for i in range(X.counts[n])]
         out = C.diffs[n - 1].apply(vec)
-        sparse = X.boundary_chain(n, chain)
+        sparse = boundary_chain(X, n, chain)
         assert out == [sparse.get(i, 0) for i in range(X.counts[n - 1])]
 
 
@@ -368,6 +381,37 @@ def test_random_cubical_homology_preserved(seed):
     assert all_homology(M) == all_homology(X.as_chain_complex())
 
 
+def test_critical_complex_trace_lists_the_arrows():
+    # arrow (k, s, t) is the collapse of degree k + 1, source t, target s
+    Y = bing_house()
+    V = maximal_dvf(Y)
+    M = critical_complex(Y, V)
+    assert M.trace == [CollapseStep(k + 1, t, s) for k, s, t in V.arrows]
+    X = path_complex(4)
+    M = critical_complex(X, DiscreteVectorField([(0, 3, 2), (0, 1, 0)]))
+    assert M.trace == [CollapseStep(1, 2, 3), CollapseStep(1, 0, 1)]
+
+
+def test_critical_complexes_frozen():
+    """Critical complexes byte for byte, as the Morse flow computed them.
+
+    tests/frozen/critical_complexes.json was written at commit 71c1b79,
+    when critical_complex still iterated 1 - dh - hd on every critical
+    cell.  It holds the two-room house under maximal_dvf, and eight
+    random_cubical complexes (seeds 1000-1007), each stored as complex
+    text plus arrows: even cases carry the maximal field, odd ones a
+    random subset of it in shuffled order.
+    """
+    frozen = json.loads(FROZEN.read_text())
+    Y = bing_house()
+    assert critical_complex(Y, maximal_dvf(Y)).to_text() == \
+        frozen["bing_house_maximal"]
+    for case in frozen["cases"]:
+        X = RegularCWComplex.from_text(case["complex"])
+        V = DiscreteVectorField(case["arrows"])
+        assert critical_complex(X, V).to_text() == case["critical"]
+
+
 # ------------------------------------------------- contracting homotopies
 
 
@@ -411,7 +455,7 @@ def test_identity_on_all_cells_of_fixtures():
         cubical_complex([((x, y), (0, 1))
                          for x in range(50) for y in range(50)]),
     ]
-    assert fixtures[-1].total_cells() == 10201
+    assert sum(fixtures[-1].counts) == 10201
     for X in fixtures:
         h = dvf_contracting_homotopy(X, maximal_dvf(X))
         for n in range(X.dimension + 1):
