@@ -78,6 +78,13 @@ class RunConfig:
                 raise ConfigError("torsion-ratio needs --orders")
         if self.depth is not None and self.depth < 1:
             raise ConfigError("depth must be >= 1")
+        for flag, v in (("--degree", self.degree),
+                        ("--module-degree", self.module_degree)):
+            if v is not None and v < 0:
+                raise ConfigError("%s must be >= 0, got %d" % (flag, v))
+        if self.ops and min(self.ops) < 1:
+            raise ConfigError("--ops entries must be >= 1, got %d"
+                              % min(self.ops))
         return self
 
 
@@ -213,9 +220,8 @@ def _run_generators(cfg):
 
 
 def _group_chain_complex(cfg, depth):
-    from .resolutions import restrict_resolution, sl2z_resolution, tensor_with_z
-    res = restrict_resolution(sl2z_resolution(depth), cfg.group())
-    return tensor_with_z(res)
+    from .resolutions import sl2z_resolution, tensor_with_z
+    return tensor_with_z(sl2z_resolution(depth), cfg.group())
 
 
 def _run_homology(cfg):

@@ -27,7 +27,8 @@ Constructions provided:
                              whose vertex walks merge where they meet;
   * restrict_resolution   -- restriction of a ZG-resolution to a finite
                              index subgroup, along a chosen transversal;
-  * tensor_with_z         -- the integral chain complex Z tensor_ZG R.
+  * tensor_with_z         -- the integral chain complex Z tensor_Zgamma R,
+                             from coset tables by Shapiro's lemma.
 
 Conventions.  A chain in degree n is a dict {generator index:
 GroupRingElement}; zero group-ring values are dropped.  The boundary is
@@ -1153,6 +1154,46 @@ class RestrictedResolution(FreeZGResolution):
         self.refold = refold
 
 
+def _coset_tables(trans):
+    """g -> its coset table [trans.lookup(trans.rep(t) * g) for each t],
+    built once per distinct g: rep(t) * g = gam * rep(ti), gam checked."""
+    nt = len(trans)
+    tables = {}
+
+    def table(g):
+        tab = tables.get(g)
+        if tab is None:
+            tab = tables[g] = [trans.lookup(trans.rep(t) * g)
+                               for t in range(nt)]
+        return tab
+    return table
+
+
+def _spread_rows(resolution, nt, spread):
+    """The boundary rows in degrees 1..top over nt cosets: row b * nt + t
+    holds spread(row_b[i])[t][ti] at i * nt + ti.  spread runs once per
+    distinct entry object, and the rows that use it share its values."""
+    spreads = {}  # id(entry) -> [{ti: value} for each coset t]
+    out = []
+    for n in range(1, resolution.top_degree() + 1):
+        rows = []
+        for base_row in resolution.boundary_rows(n):
+            parts = []
+            for i, gre in base_row.items():
+                cosets = spreads.get(id(gre))
+                if cosets is None:
+                    cosets = spreads[id(gre)] = spread(gre)
+                parts.append((i * nt, cosets))
+            for t in range(nt):
+                row = {}
+                for off, cosets in parts:
+                    for ti, v in cosets[t].items():
+                        row[off + ti] = v
+                rows.append(row)
+        out.append(rows)
+    return out
+
+
 def restrict_resolution(resolution, gamma, trans=None):
     """View a ZG-resolution as a Z[gamma]-resolution along a transversal.
 
@@ -1173,35 +1214,15 @@ def restrict_resolution(resolution, gamma, trans=None):
     nt = len(trans)
     top = resolution.top_degree()
     ranks = [resolution.rank(n) * nt for n in range(top + 1)]
+    table = _coset_tables(trans)
 
-    tables = {}      # g -> [(ti, gam) for each coset t]
-    restricted = {}  # id(entry) -> [{ti: gre} for each coset t]
-    boundaries = [[]]
-    for n in range(1, top + 1):
-        rows_g = resolution.boundary_rows(n)
-        for base_row in rows_g:
-            for gre in base_row.values():
-                if id(gre) in restricted:
-                    continue
-                sums = [ChainSum() for _ in range(nt)]
-                for g, c in gre.items():
-                    table = tables.get(g)
-                    if table is None:
-                        table = tables[g] = [trans.lookup(trans.rep(t) * g)
-                                             for t in range(nt)]
-                    for acc, (ti, gam) in zip(sums, table):
-                        acc.add(ti, ((gam, c),))
-                restricted[id(gre)] = [acc.chain() for acc in sums]
-        rows = []
-        for base_row in rows_g:
-            for t in range(nt):
-                row = {}
-                for i, gre in base_row.items():
-                    off = i * nt
-                    for ti, val in restricted[id(gre)][t].items():
-                        row[off + ti] = val
-                rows.append(row)
-        boundaries.append(rows)
+    def spread(gre):
+        sums = [ChainSum() for _ in range(nt)]
+        for g, c in gre.items():
+            for acc, (ti, gam) in zip(sums, table(g)):
+                acc.add(ti, ((gam, c),))
+        return [acc.chain() for acc in sums]
+    boundaries = [[]] + _spread_rows(resolution, nt, spread)
 
     def unfold(n, chain):
         out = ChainSum()
@@ -1235,26 +1256,30 @@ def restrict_resolution(resolution, gamma, trans=None):
 # passage to integral chain complexes
 
 
-def tensor_with_z(resolution):
-    """Z tensored over the group ring with the resolution.
+def tensor_with_z(resolution, gamma=None):
+    """Z tensored over Z[gamma] with a ZG-resolution R: the integral chain
+    complex whose homology is that of gamma (None: G) with Z coefficients.
 
-    Group elements all act as 1, so each boundary entry collapses to its
-    coefficient sum; the result is a FreeChainComplexZ whose homology is
-    the group homology of resolution.group with trivial Z coefficients.
+    By Shapiro's lemma this is Z[gamma\\G] tensor_ZG R.  Generator (b, t)
+    = b * nt + t is e_b on coset t, and column (b, t) holds at (i, ti) the
+    sum of c over the terms (g, c) of row_b[i] whose coset table sends t
+    to ti, zero sums dropped; no restricted resolution is built.
     """
-    top = resolution.top_degree()
-    ranks = [resolution.rank(n) for n in range(top + 1)]
-    diffs = []
-    for n in range(1, top + 1):
-        # the row of source generator j is column j of the boundary
-        columns = []
-        for row in resolution.boundary_rows(n):
-            col = {}
-            for i, gre in row.items():
-                val = gre.augmentation()
-                if val:
-                    col[i] = val
-            columns.append(col)
-        diffs.append(SparseIntMatrix(ranks[n - 1], ranks[n], columns))
-    return FreeChainComplexZ(ranks, diffs)
+    if gamma is None:
+        nt, table = 1, lambda g: ((0, None),)
+    else:
+        trans = transversal(gamma)
+        nt, table = len(trans), _coset_tables(trans)
 
+    def spread(gre):
+        sums = [{} for _ in range(nt)]
+        for g, c in gre.items():
+            for acc, (ti, _) in zip(sums, table(g)):
+                acc[ti] = acc.get(ti, 0) + c
+        return [{ti: v for ti, v in acc.items() if v} for acc in sums]
+    top = resolution.top_degree()
+    ranks = [resolution.rank(n) * nt for n in range(top + 1)]
+    # the row of source generator j is column j of the boundary
+    diffs = [SparseIntMatrix(ranks[n], ranks[n + 1], columns)
+             for n, columns in enumerate(_spread_rows(resolution, nt, spread))]
+    return FreeChainComplexZ(ranks, diffs)

@@ -6,6 +6,7 @@ their recorded expected outputs, which is the contract that keeps the
 published session values stable across refactors.
 """
 
+import io
 import json
 import os
 import pathlib
@@ -14,7 +15,7 @@ import sys
 
 import pytest
 
-from artifact.cli import build_parser, config_from_args, main
+from artifact.cli import build_parser, config_from_args, main, run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPRO = ROOT / "scripts" / "reproductions"
@@ -127,6 +128,21 @@ def test_contract_drops_truncation_degree(capsys):
     assert doc["result"]["collapses"] > 0
 
 
+def test_homology_and_contract_frozen():
+    # JSON documents recorded while Z tensor_gamma F still came from the
+    # restricted resolution; they pin ranks_contracted and collapses at
+    # realistic levels
+    frozen = json.loads((ROOT / "tests" / "frozen" /
+                         "homology_contract.json").read_text())
+    assert len(frozen) == 6
+    for argv, want in frozen.items():
+        out = io.StringIO()
+        cfg = config_from_args(build_parser().parse_args(
+            argv.split() + ["--format", "json"]))
+        assert run(cfg, out=out) == 0, argv
+        assert out.getvalue() == want, argv
+
+
 @pytest.fixture(params=["missing", "directory", "latin1"])
 def bad_complex(request, tmp_path):
     """A --complex argument that is no readable UTF-8 file, with the error
@@ -193,6 +209,27 @@ def test_config_errors_exit_two(capsys, args):
     assert "ConfigError" in captured.err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("homology", "--gamma0", "11", "--degree", "-1"), "--degree"),
+    (("cohomology", "--gamma0", "11", "--degree", "-1"), "--degree"),
+    (("hecke", "--gamma0", "11", "--weight", "2", "--ops", "2",
+      "--degree", "-1"), "--degree"),
+    (("cuspidal", "--gamma0", "11", "--degree", "-1"), "--degree"),
+    (("cuspidal", "--gamma0", "11", "--module-degree", "-1"),
+     "--module-degree"),
+    (("hecke", "--gamma0", "11", "--weight", "2", "--ops", "2,0"), "--ops"),
+    (("hecke", "--gamma0", "11", "--weight", "2", "--ops", "-3"), "--ops"),
+])
+def test_out_of_range_flags_exit_two(capsys, args, flag):
+    # rejected before any computation, naming the flag, not deep in the
+    # pipeline as a DegreeOutOfRange or FormatError with exit 3
+    rc = main(list(args) + ["--format", "json"])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "ConfigError"
+    assert doc["error"]["message"].startswith(flag + " ")
+
+
 @pytest.mark.parametrize("args", [
     ("cohomology", "--gamma0", "11", "--degree", "1", "--ops", "2"),
     ("index", "--gamma0", "11", "--weight", "4"),
@@ -220,13 +257,12 @@ def test_config_error_json_is_machine_readable(capsys):
 
 
 def test_computation_error_exit_three(capsys):
-    # operator index 0 has no determinant-positive representative
-    rc = main(["hecke", "--gamma0", "11", "--weight", "2", "--ops", "0",
-               "--format", "json"])
+    # the ideal generated by 0 is found to be zero by the computation
+    rc = main(["quad", "--d", "-1", "--ideal", "0", "--format", "json"])
     out = capsys.readouterr().out
     assert rc == 3
     doc = json.loads(out)
-    assert doc["error"]["type"] == "FormatError"
+    assert doc["error"]["type"] == "ZeroIdeal"
 
 
 def test_quad_non_squarefree_d_exits_three():

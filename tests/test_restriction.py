@@ -2,21 +2,29 @@
 
 restrict_resolution reads one coset table per group element and shares
 each restricted boundary entry among the rows that use it; ChainSum adds
-in place into dicts it owns.  Both must give exactly what the plain
-per-term constructions give: the same values, and the same key order
-and term order, because downstream assembly iterates rows and chains in
-dict order.  The references here are those plain constructions.
+in place into dicts it owns.  tensor_with_z(R, gamma) reads the same
+coset tables and never builds the restricted resolution.  Each must give
+exactly what the plain construction gives: the same values, and the same
+key order and term order, because downstream assembly iterates rows,
+chains and columns in dict order.  The references here are those plain
+constructions.
 """
 
+import io
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
+from artifact import resolutions
+from artifact.chaincx import contract
+from artifact.cli import build_parser, config_from_args, run
 from artifact.congruence import CongruenceSubgroup, transversal
 from artifact.hecke import _truncated, gamma_prime_data
 from artifact.resolutions import (ChainSum, GroupRingElement,
-                                  borel_serre_complex, restrict_resolution,
-                                  sl2z_resolution, wall_resolution)
+                                  borel_serre_complex, cyclic_resolution,
+                                  restrict_resolution, sl2z_resolution,
+                                  tensor_with_z, tree_cell_complex,
+                                  wall_resolution)
 from artifact.sl2z import I, S, T, U
 
 
@@ -111,6 +119,84 @@ def test_shared_entries_survive_d_and_h():
     for n in range(1, W.top_degree() + 1):
         for a, b in zip(W.boundary_rows(n), fresh.boundary_rows(n)):
             assert ordered(a) == ordered(b)
+
+
+# ---------------------------------------------------------------------------
+# Z tensored over gamma from coset tables, against the restricted route
+
+
+def columns(C):
+    """Every boundary column of a complex, with its key order."""
+    return [[list(col.items()) for col in d.columns] for d in C.diffs]
+
+
+def augmentation_columns(resolution):
+    """The boundary columns of Z tensor_ZG R, one coefficient sum per entry."""
+    out = []
+    for n in range(1, resolution.top_degree() + 1):
+        degree = []
+        for row in resolution.boundary_rows(n):
+            col = [(i, gre.augmentation()) for i, gre in row.items()]
+            degree.append([(i, v) for i, v in col if v])
+        out.append(degree)
+    return out
+
+
+def assert_tensor_matches(resolution, gamma):
+    W = restrict_resolution(resolution, gamma)
+    got = tensor_with_z(resolution, gamma)
+    want = tensor_with_z(W)
+    assert got.ranks == want.ranks == W.ranks
+    # the second reference shares no code with tensor_with_z
+    assert columns(got) == columns(want) == augmentation_columns(W)
+    a, b = contract(got), contract(want)
+    assert a.ranks == b.ranks
+    assert a.trace == b.trace
+    assert columns(a) == columns(b)
+
+
+def test_tensor_over_gamma0_300():
+    assert_tensor_matches(sl2z_resolution(3), CongruenceSubgroup.gamma0(300))
+
+
+def test_tensor_over_gamma0_11():
+    assert_tensor_matches(sl2z_resolution(4), CongruenceSubgroup.gamma0(11))
+
+
+def test_tensor_over_gamma1_12():
+    assert_tensor_matches(sl2z_resolution(4), CongruenceSubgroup.gamma1(12))
+
+
+def test_tensor_over_principal_4():
+    assert_tensor_matches(sl2z_resolution(4), CongruenceSubgroup.principal(4))
+
+
+def test_tensor_over_gamma0_11_borel_serre():
+    assert_tensor_matches(wall_resolution(borel_serre_complex(), 4),
+                          CongruenceSubgroup.gamma0(11))
+
+
+def test_tensor_over_the_whole_group_sums_coefficients():
+    for R in (wall_resolution(tree_cell_complex(), 4),
+              wall_resolution(borel_serre_complex(), 4),
+              cyclic_resolution(6, twisted=True, max_degree=4)):
+        C = tensor_with_z(R)
+        assert C.ranks == R.ranks
+        assert columns(C) == augmentation_columns(R)
+
+
+def test_cli_homology_builds_no_restricted_resolution(monkeypatch):
+    # homology and contract take Z tensor_gamma F straight from coset
+    # tables; only the module action of cohomology needs gamma-elements
+    def refuse(*args, **kwargs):
+        raise AssertionError("restrict_resolution called")
+    monkeypatch.setattr(resolutions, "restrict_resolution", refuse)
+    for argv in ("homology --gamma0 11 --degree 2 --contract",
+                 "contract --gamma0 11"):
+        out = io.StringIO()
+        assert run(config_from_args(build_parser().parse_args(argv.split())),
+                   out=out) == 0
+        assert out.getvalue()
 
 
 # ---------------------------------------------------------------------------
