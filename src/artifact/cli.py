@@ -78,6 +78,9 @@ class RunConfig:
                 raise ConfigError("torsion-ratio needs --orders")
         if self.depth is not None and self.depth < 1:
             raise ConfigError("depth must be >= 1")
+        if self.level is not None and self.level < 1:
+            flag = "--gamma" if self.kind == "principal" else "--" + self.kind
+            raise ConfigError("%s must be >= 1, got %d" % (flag, self.level))
         for flag, v in (("--degree", self.degree),
                         ("--module-degree", self.module_degree)):
             if v is not None and v < 0:

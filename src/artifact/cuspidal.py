@@ -6,11 +6,12 @@ to a cochain on that boundary, and the classes killed by restriction are
 the interior ones; for congruence subgroups of SL2(Z) the interior part
 of H^n is exactly the cuspidal part, which is how this module labels it.
 
-Everything happens on free resolutions: the compactified complex and its
-boundary subcomplex each assemble to a resolution, both restrict to the
-subgroup, and the boundary inclusion lifts to an equivariant chain map
-through the contracting homotopy of the ambient side.  The kernel is cut
-out at the cocycle-lattice level (the preimage of the boundary
+Everything happens on free resolutions: the compactified complex
+assembles to one, and its generators over the horocycle boundary are
+the boundary's (Wall's assembly of the subcomplex).  Both restrict to
+the subgroup, and the boundary inclusion lifts to an equivariant chain
+map through the contracting homotopy of the ambient side.  The kernel is
+cut out at the cocycle-lattice level (the preimage of the boundary
 coboundaries), so its abelian invariants are those of a genuine subgroup
 of H^n; no ill-defined operations on invariant lists are involved.
 """
@@ -26,7 +27,7 @@ from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
 from .hecke import (CohomologyPresentation, EquivariantChainMap, HeckeMatrix,
                     hecke_cochain, matrix_on_quotient)
 from .resolutions import (GroupRingElement, borel_serre_complex,
-                          restrict_resolution, wall_resolution)
+                          restrict_resolution, sub_resolution, wall_resolution)
 from .sl2z import I
 
 
@@ -104,13 +105,14 @@ class CuspidalResult:
 def cuspidal_cohomology(gamma, n, module=None):
     """Cuspidal cohomology of gamma in degree n with the given module.
 
-    Assembles resolutions of the compactified complex and of its boundary
-    subcomplex, restricts both to gamma, lifts the inclusion to a chain
-    map through the ambient contracting homotopy, and intersects the
-    degree-n cocycle lattice with the preimage of the boundary
-    coboundaries.  The chain map is verified on all generators, the
-    cochain restriction is checked to commute with the coboundaries, and
-    the ambient coboundaries are checked to be cocycles.
+    Assembles the resolution of the compactified complex once, takes its
+    generators over the horocycle boundary as the boundary's resolution,
+    restricts both to gamma, lifts the inclusion to a chain map through
+    the ambient contracting homotopy, and intersects the degree-n
+    cocycle lattice with the preimage of the boundary coboundaries.  The
+    chain map is verified on all generators, the cochain restriction is
+    checked to commute with the coboundaries, and the ambient coboundaries
+    are checked to be cocycles.
     """
     if module is None:
         module = PolynomialModule(0)
@@ -118,9 +120,12 @@ def cuspidal_cohomology(gamma, n, module=None):
         raise DegreeOutOfRange("degree must be >= 0, got %d" % n)
     top = n + 1
     X = borel_serre_complex()
-    ambient = restrict_resolution(wall_resolution(X, top), gamma)
-    boundary = restrict_resolution(
-        wall_resolution(X.boundary_subcomplex(), top), gamma)
+    W = wall_resolution(X, top)
+    horocycles = [[(j, 1) for j, (p, i) in enumerate(labels)
+                   if i in X.boundary_orbits.get(p, ())]
+                  for labels in W.labels]
+    ambient = restrict_resolution(W, gamma)
+    boundary = restrict_resolution(sub_resolution(W, horocycles), gamma)
     incl = EquivariantChainMap(
         boundary, ambient, lambda g: g,
         [ambient.section(boundary.aug({j: GroupRingElement.unit(I)}))

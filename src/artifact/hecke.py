@@ -34,9 +34,9 @@ from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        SparseIntMatrix, charpoly, integer_roots,
                        kernel_with_left_inverse)
-from .resolutions import (ChainSum, FreeZGResolution, GroupRingElement,
-                          RestrictedResolution, chains_equal,
-                          restrict_resolution, sl2z_resolution)
+from .resolutions import (ChainSum, GroupRingElement, RestrictedResolution,
+                          chains_equal, restrict_resolution, sl2z_resolution,
+                          sub_resolution)
 from .sl2z import I as IDENT, SL2ZMatrix, nearest_vertex
 
 
@@ -266,41 +266,25 @@ def _nearest_images(desc, source, target):
     return out
 
 
-def _truncated(resolution, top):
-    """A view of the resolution up to the given top degree.
-
-    Shares boundary rows and augmentation/section with the original but
-    carries no homotopy; enough to serve as the source of a chain map.
-    """
-    if top > resolution.top_degree():
-        raise DegreeOutOfRange("resolution has top degree %d < %d"
-                               % (resolution.top_degree(), top))
-    boundaries = [[]] + [resolution.boundary_rows(k) for k in range(1, top + 1)]
-    return FreeZGResolution(resolution.group,
-                            [resolution.rank(k) for k in range(top + 1)],
-                            boundaries,
-                            homotopy=None,
-                            augmentation=resolution.aug,
-                            section=resolution.section)
-
-
 def hecke_lift(gamma, n, g, resolution):
     """The coset data of g and the chain map of its Hecke operator.
 
     resolution must be restricted to gamma from a resolution over SL2(Z)
     (restrict_resolution) and carry a contracting homotopy.  The source
-    is its truncation to degree n, restricted along the descriptor to
-    Gamma', and the map is semilinear over gamma -> g^{-1} gamma g.  It
-    sends the source generator over the vertex y.rho to the target
-    generator of the same orbit over the vertex nearest g^{-1} y.rho
-    (sl2z.nearest_vertex), so each tree walk of its lift is short.
+    is its truncation to degree n (sub_resolution), restricted along the
+    descriptor to Gamma', and the map is semilinear over gamma -> g^{-1}
+    gamma g.  It sends the source generator over the vertex y.rho to the
+    target generator of the same orbit over the vertex nearest g^{-1}
+    y.rho (sl2z.nearest_vertex), so each tree walk of its lift is short.
     Returns (desc, chain map).
     """
     if not isinstance(resolution, RestrictedResolution):
         raise FormatError("the Hecke chain map needs a resolution restricted "
                           "from SL2(Z) (restrict_resolution)")
     desc = gamma_prime_data(gamma, g)
-    source = restrict_resolution(_truncated(resolution, n), desc, trans=desc)
+    source = restrict_resolution(sub_resolution(resolution, [
+        [(j, 1) for j in range(resolution.rank(k))] for k in range(n + 1)]),
+        desc, trans=desc)
     return desc, EquivariantChainMap(source, resolution, desc.conjugate,
                                      _nearest_images(desc, source, resolution),
                                      degree_max=n)

@@ -12,19 +12,23 @@ Constructions provided:
   * cyclic_resolution     -- the periodic resolution for a finite cyclic
                              group, optionally twisted by the order-2
                              character on an even cyclic group;
-  * sl2z_resolution       -- the resolution for SL2(Z): wall_resolution
-                             on tree_cell_complex, relabelled to a fixed
-                             basis;
-  * wall_resolution       -- the general assembly for a group acting on a
-                             contractible cell complex with finitely many
-                             orbits and finite cyclic stabilizers;
   * borel_serre_complex   -- the equivariant cell structure on the
                              compactified upper half plane whose quotient
                              is the compactified modular curve, with its
-                             horocycle boundary marked;
-  * tree_cell_complex     -- the trivalent tree as a one-dimensional cell
-                             complex, contracted by sl2z.tree_contraction,
-                             whose vertex walks merge where they meet;
+                             horocycle boundary marked; its corners and
+                             arcs are the trivalent tree onto which it
+                             retracts, contracted by sl2z.tree_contraction;
+  * wall_resolution       -- the general assembly for a group acting on a
+                             contractible cell complex with finitely many
+                             orbits and finite cyclic stabilizers, each
+                             generator labelled with its cell orbit;
+  * sub_resolution        -- the rows, augmentation, homotopy and section
+                             of a resolution on chosen generators (the
+                             generators over a subcomplex, by Wall's
+                             assembly, or a truncation);
+  * sl2z_resolution       -- the resolution for SL2(Z): the tree's
+                             generators of the Borel-Serre assembly, in a
+                             fixed basis;
   * restrict_resolution   -- restriction of a ZG-resolution to a finite
                              index subgroup, along a chosen transversal;
   * tensor_with_z         -- the integral chain complex Z tensor_Zgamma R,
@@ -179,9 +183,6 @@ class GroupRingElement:
 
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self == other
 
     def __len__(self):
         return len(self.terms)
@@ -344,10 +345,12 @@ class FreeZGResolution:
 
     group is an identification tag (a CongruenceSubgroup, or a tuple for
     abstract groups); consumers compare it to detect mismatched inputs.
+    labels[n][j], where given (wall_resolution), names what degree-n
+    generator j sits over.
     """
 
     def __init__(self, group, ranks, boundaries, homotopy=None,
-                 augmentation=None, section=None):
+                 augmentation=None, section=None, labels=None):
         if len(boundaries) != len(ranks):
             raise ShapeMismatch("%d boundary tables for %d degrees; need one "
                                 "per degree" % (len(boundaries), len(ranks)))
@@ -359,6 +362,7 @@ class FreeZGResolution:
         self._homotopy = homotopy
         self._augmentation = augmentation
         self._section = section
+        self.labels = labels
 
     def top_degree(self):
         return len(self.ranks) - 1
@@ -404,6 +408,61 @@ class FreeZGResolution:
         if self._section is None:
             raise MissingHomotopy("resolution carries no section")
         return self._section(c)
+
+
+def sub_resolution(resolution, keep):
+    """The resolution on the generators in keep, as a resolution of its own.
+
+    keep[n] (n = 0..top) lists (generator, sign) pairs: new degree-n
+    generator a is sign times the parent's generator keep[n][a][0].  The
+    kept boundary rows are re-indexed and signed in the parent's key
+    order, sharing the parent's entries where the signs agree; the
+    augmentation, homotopy and section are the parent's through the same
+    basis change, with homotopy values keyed in the kept order.  Kept
+    over a subcomplex's cells, this is Wall's assembly of the subcomplex;
+    kept up to top, a truncation.  A row or value that leaves keep raises
+    FormatError (so does the homotopy of a subcomplex that is not
+    contractible), and keep beyond the parent's top degree raises
+    DegreeOutOfRange.
+    """
+    top = len(keep) - 1
+    if top > resolution.top_degree():
+        raise DegreeOutOfRange("resolution has top degree %d < %d"
+                               % (resolution.top_degree(), top))
+    pos = []
+    for n, kept in enumerate(keep):
+        if any(not 0 <= g < resolution.rank(n) for g, _ in kept):
+            raise FormatError("keep names no degree-%d generator" % n)
+        pos.append({g: (a, s) for a, (g, s) in enumerate(kept)})
+
+    def into(n, chain, what, sign=1):
+        """sign times a parent chain, in the kept basis."""
+        out = {}
+        for g, gre in chain.items():
+            if g not in pos[n]:
+                raise FormatError("%s leaves the kept generators at degree-%d "
+                                  "generator %d" % (what, n, g))
+            a, s = pos[n][g]
+            out[a] = gre if s == sign else -gre
+        return out
+
+    def out_of(n, chain):
+        return {keep[n][a][0]: gre if keep[n][a][1] == 1 else -gre
+                for a, gre in chain.items()}
+
+    def homotopy(n, chain):
+        value = into(n + 1, resolution.h(n, out_of(n, chain)), "the homotopy")
+        return {a: value[a] for a in sorted(value)}
+
+    boundaries = [[]]
+    for n in range(1, top + 1):
+        rows = resolution.boundary_rows(n)
+        boundaries.append([into(n - 1, rows[g], "a boundary row", s)
+                           for g, s in keep[n]])
+    return FreeZGResolution(
+        resolution.group, [len(kept) for kept in keep], boundaries, homotopy,
+        lambda chain: resolution.aug(out_of(0, chain)),
+        lambda c=1: into(0, resolution.section(c), "the section"))
 
 
 # ---------------------------------------------------------------------------
@@ -570,41 +629,20 @@ class _InducedColumn:
 def sl2z_resolution(max_degree):
     """A free resolution of Z over Z[SL2(Z)] with contracting homotopy.
 
-    wall_resolution on the trivalent tree (tree_cell_complex), whose
-    quotient is one edge (stabilizer <S> of order 4, which reverses it)
-    on one vertex (stabilizer <U> of order 6).  Ranks are
-    (1, 2, 2, 2, ...).  The basis is relabelled so that in degree n >= 1
-    generator 0 sits over the edge and generator 1 over the vertex, and
-    the edge generator is negated; Hecke bases downstream are stated in
-    this basis.
+    The tree's generators of wall_resolution(borel_serre_complex()), over
+    the corners (stabilizer <U> of order 6) and the arcs (stabilizer <S>
+    of order 4, which reverses them), whose Borel-Serre contraction is
+    the tree's own (sl2z.tree_contraction).  Ranks are (1, 2, 2, ...):
+    degree 0 is the corner, and in degree n >= 1 generator 0 is minus the
+    arc and generator 1 the corner.  Hecke bases are stated in this basis.
     """
     if max_degree < 1:
         raise DegreeOutOfRange("need max_degree >= 1")
-    W = wall_resolution(tree_cell_complex(), max_degree)
-
-    def relabel(n, chain, sign=1):
-        """sign times a degree-n Wall chain, in the relabelled basis.
-
-        Wall's generator 1 (edge) becomes -e_0, generator 0 (vertex) e_1.
-        """
-        if n == 0:
-            return chain if sign == 1 else chain_neg(chain)
-        return {1 - k: chain[k] if s == 1 else -chain[k]
-                for k, s in ((1, -sign), (0, sign)) if k in chain}
-
-    boundaries = [[]]
-    for n in range(1, max_degree + 1):
-        rows = W.boundary_rows(n)
-        boundaries.append([relabel(n - 1, rows[1], -1), relabel(n - 1, rows[0])])
-
-    def homotopy(n, chain):
-        if n:
-            # e_0 = -(Wall generator 1), e_1 = Wall generator 0
-            chain = {1 - j: gre if j else -gre for j, gre in chain.items()}
-        return relabel(n + 1, W.h(n, chain))
-
-    return FreeZGResolution(W.group, W.ranks, boundaries, homotopy,
-                            W._augmentation, W._section)
+    W = wall_resolution(borel_serre_complex(), max_degree)
+    corner, arc = (0, 0), (1, 0)
+    return sub_resolution(W, [[(W.labels[0].index(corner), 1)]] + [
+        [(labels.index(arc), -1), (labels.index(corner), 1)]
+        for labels in W.labels[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +770,6 @@ class EquivariantCellComplex:
     def dim(self):
         return len(self.cells) - 1
 
-    def orbit(self, p, i):
-        return self.cells[p][i]
-
     def stab_powers(self, p, i):
         return self._powers[(p, i)]
 
@@ -789,39 +824,6 @@ class EquivariantCellComplex:
                         raise FormatError(
                             "attaching word of %s is not stabilizer "
                             "compatible" % orb.name)
-
-    def sub_complex(self, keep):
-        """The subcomplex spanned by keep = {dim: [orbit indices]}.
-
-        Orbits are reindexed; no homotopy carries over (the subcomplex is
-        usually not contractible).
-        """
-        top = max(keep) if keep else 0
-        new_cells = []
-        remap = {}
-        for p in range(top + 1):
-            chosen = sorted(keep.get(p, []))
-            for new_i, old_i in enumerate(chosen):
-                remap[(p, old_i)] = new_i
-            row = []
-            for old_i in chosen:
-                orb = self.cells[p][old_i]
-                bnd = []
-                for j, word in orb.boundary:
-                    if (p - 1, j) not in remap:
-                        raise FormatError(
-                            "kept orbit %s attaches outside the subcomplex"
-                            % orb.name)
-                    bnd.append((remap[(p - 1, j)], word))
-                row.append(CellOrbit(orb.name, orb.stabilizer_generator,
-                                     orb.stabilizer_order, orb.twisted, bnd))
-            new_cells.append(row)
-        return EquivariantCellComplex(new_cells)
-
-    def boundary_subcomplex(self):
-        if not self.boundary_orbits:
-            raise FormatError("complex has no marked boundary")
-        return self.sub_complex(self.boundary_orbits)
 
 
 def borel_serre_complex():
@@ -882,33 +884,6 @@ def borel_serre_complex():
     return cx
 
 
-def tree_cell_complex():
-    """The trivalent tree as a G-cell complex: one vertex and one edge orbit.
-
-    Its contraction walks the vertices of a 0-chain together along their
-    geodesics to the base vertex, deepest first, so walks merge where
-    they meet (sl2z.tree_contraction).  wall_resolution assembles from it
-    a resolution of ranks (1, 2, 2, ...) with homotopy: sl2z_resolution
-    is that one, relabelled.
-    """
-    vertex = CellOrbit("vertex", U, 6, False, [])
-    edge = CellOrbit("edge", S, 4, True,
-                     [(0, GroupRingElement([(T, 1), (I, -1)]))])
-    cx = EquivariantCellComplex([[vertex], [edge]])
-
-    def homotopy(x):
-        out = cx.chain(x.dim + 1)
-        if x.dim == 0:
-            for step, c in tree_contraction(
-                    (rep, c) for (_, rep), c in x.items()):
-                out.add(0, step, c)
-        return out
-
-    cx.homotopy = homotopy
-    cx.verify()
-    return cx
-
-
 # ---------------------------------------------------------------------------
 # the assembly: resolution from a contractible cell complex
 
@@ -919,7 +894,8 @@ def wall_resolution(X, max_degree):
     X is an EquivariantCellComplex with finite cyclic stabilizers; the
     degree-n module has one generator per orbit pair (p, q) with
     p + q = n, p the cell dimension and q the vertical degree in the
-    stabilizer's periodic resolution.  The differential is d0 + d1 + d2:
+    stabilizer's periodic resolution; labels[n] lists those (p, orbit)
+    pairs in generator order.  The differential is d0 + d1 + d2:
     d0 is the vertical boundary, d1 transports the attaching words up the
     columns, and d2 is the correction making the square zero; both are
     produced degree by degree with the column homotopies.
@@ -1082,7 +1058,7 @@ def wall_resolution(X, max_degree):
     group = (CongruenceSubgroup.gamma0(1)
              if isinstance(ident, SL2ZMatrix) else ("cell", id(X)))
     return FreeZGResolution(group, ranks, boundaries, homotopy,
-                            augmentation, section)
+                            augmentation, section, labels=gens)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ joins the vertices <U> and T<U>.  decompose() walks a matrix to the base
 vertex through exact integer geometry and yields a reduced word in S, U,
 U^2.  tree_contraction() walks all the vertices of a 0-chain up the same
 parent edges together, deepest first, so walks merge where they meet and
-cancelling ones stop there; it is the contracting homotopy of the tree
-(resolutions.tree_cell_complex) and what makes every resolution in this
-package computable.  nearest_vertex() reduces M.rho for an integral M of
-positive determinant into a translate of the fundamental domain, which
-puts the Hecke chain map's degree-0 images next to their targets.
+cancelling ones stop there; it is the contracting homotopy of the tree,
+the corners and arcs of resolutions.borel_serre_complex, and what makes
+every resolution in this package computable.  nearest_vertex() reduces
+M.rho for an integral M of positive determinant into a translate of the
+fundamental domain, which puts the Hecke chain map's degree-0 images
+next to their targets.
 
 Printed forms: matrices as "[[a,b],[c,d]]"; words as "S U2 S U ... | U^k"
 with the trailing stabilizer power after the bar.
@@ -265,7 +266,8 @@ def tree_contraction(vertices):
     the walks through it have arrived, and one whose coefficient has
     cancelled to 0 is dropped.  A chain of augmentation 0 stops where its
     walks meet.  Returns [(B, c)]: the edges B.e1 with their coefficients,
-    summing to the geodesic contraction of the chain.  Raises
+    summing to the geodesic contraction of the chain: the contraction of
+    the corners of resolutions.borel_serre_complex by its arcs.  Raises
     EliminationError if a parent's key is not below its child's; the base
     vertex is exempt, since it takes no coefficient (its neighbour T<U>
     has the same key).

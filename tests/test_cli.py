@@ -219,6 +219,10 @@ def test_config_errors_exit_two(capsys, args):
      "--module-degree"),
     (("hecke", "--gamma0", "11", "--weight", "2", "--ops", "2,0"), "--ops"),
     (("hecke", "--gamma0", "11", "--weight", "2", "--ops", "-3"), "--ops"),
+    (("index", "--gamma0", "0"), "--gamma0"),
+    (("index", "--gamma1", "-3"), "--gamma1"),
+    (("index", "--gamma", "0"), "--gamma"),
+    (("homology", "--gamma0", "0", "--degree", "1"), "--gamma0"),
 ])
 def test_out_of_range_flags_exit_two(capsys, args, flag):
     # rejected before any computation, naming the flag, not deep in the
@@ -302,8 +306,10 @@ def test_runconfig_round_trip():
 def test_reproduction_scripts_match_recorded_output(name):
     script = REPRO / ("%s.py" % name)
     expected = (REPRO / ("%s.expected" % name)).read_text()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, str(script)],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
 

@@ -27,6 +27,7 @@ from artifact.errors import CompositionNonzero, NotInLattice
 from artifact.exactlin import (IntMatrix, charpoly, column_span_basis,
                                integer_kernel, integer_roots, solve_echelon)
 from artifact.hecke import hecke_representative
+from artifact.resolutions import wall_resolution
 from modforms_oracle import dim_cusp_forms, h1_free_rank
 from test_hecke import transform_snfs
 
@@ -64,6 +65,21 @@ def test_restriction_is_a_chain_map():
     # ambient coboundaries restrict to boundary coboundaries
     assert solve_echelon(column_span_basis(CB.deltas[0]),
                          r.restriction * CA.deltas[0]) is not None
+
+
+def test_one_assembly_serves_both_sides(monkeypatch):
+    # the boundary's resolution is the horocycle generators of the
+    # ambient assembly, so the Borel-Serre complex is assembled once
+    calls = []
+
+    def counted(X, max_degree):
+        calls.append(max_degree)
+        return wall_resolution(X, max_degree)
+
+    monkeypatch.setattr(cuspidal, "wall_resolution", counted)
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    assert calls == [2]
+    assert str(r.cuspidal) == "Z^2"
 
 
 # (level, genus of X_0(level), number of cusps), from the classical tables

@@ -16,14 +16,14 @@ from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              FormatError, InfiniteIndex, MissingPrime,
                              NotInLattice, ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
-from artifact.hecke import (EquivariantChainMap, _truncated,
-                            expand_eigenform, gamma_prime_data,
-                            hecke_eigenvalues, hecke_lift, hecke_operator,
-                            hecke_representative)
+from artifact.hecke import (EquivariantChainMap, expand_eigenform,
+                            gamma_prime_data, hecke_eigenvalues, hecke_lift,
+                            hecke_operator, hecke_representative)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   RestrictedResolution, chain_add,
                                   chain_scale, chains_equal,
-                                  restrict_resolution, sl2z_resolution)
+                                  restrict_resolution, sl2z_resolution,
+                                  sub_resolution)
 from artifact.sl2z import I, S, SL2ZMatrix, T
 
 
@@ -371,8 +371,13 @@ def test_chain_map_verify_rejects_corrupted_values(res11):
 
 
 def test_truncation_beyond_top_degree_raises(res11):
+    # hecke_lift truncates with sub_resolution, which refuses a keep list
+    # running past the top degree
+    keep = [[(j, 1) for j in range(res11.rank(k))]
+            for k in range(res11.top_degree() + 1)]
+    assert sub_resolution(res11, keep).ranks == res11.ranks
     with pytest.raises(DegreeOutOfRange):
-        _truncated(res11, res11.top_degree() + 1)
+        sub_resolution(res11, keep + [[]])
 
 
 def test_compose_on_different_bases_raises(res11):

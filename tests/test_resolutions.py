@@ -42,8 +42,8 @@ from artifact.resolutions import (
     cyclic_resolution,
     restrict_resolution,
     sl2z_resolution,
+    sub_resolution,
     tensor_with_z,
-    tree_cell_complex,
     wall_resolution,
 )
 from artifact.sl2z import I, S, SL2ZMatrix, T, U
@@ -295,7 +295,8 @@ def test_sl2z_resolution_basis_frozen():
 
 
 def test_tree_wall_contracts():
-    W = wall_resolution(tree_cell_complex(), 5)
+    # the tree's generators of the Borel-Serre assembly, at another depth
+    W = sl2z_resolution(5)
     rng = random.Random(23)
     elements = [random_matrix(rng) for _ in range(40)]
     assert_d_squared_zero(W)
@@ -412,14 +413,71 @@ def test_boundary_components_against_divisor_formula():
         assert got == expected, N
 
 
-def test_boundary_subcomplex_extraction():
+def horocycle_keep(W, X):
+    """The generators of W over X's marked boundary, in label order."""
+    return [[(j, 1) for j, (p, i) in enumerate(labels)
+             if i in X.boundary_orbits.get(p, ())] for labels in W.labels]
+
+
+def ordered_rows(R, n):
+    """Degree-n rows as nested lists: == compares key and term order too."""
+    return [[(k, list(v.terms.items())) for k, v in row.items()]
+            for row in R.boundary_rows(n)]
+
+
+def test_horocycle_sub_resolution_matches_reference():
+    # Wall's assembly of the horocycle line alone, built by hand from the
+    # Borel-Serre words, against the horocycle rows of the whole assembly
     X = borel_serre_complex()
-    B = X.boundary_subcomplex()
-    assert [len(row) for row in B.cells] == [1, 1]
-    # the horocycle line is a line: edge from the vertex to its translate
-    assert B.cells[1][0].boundary[0][0] == 0
-    with pytest.raises(FormatError):
-        tree_cell_complex().boundary_subcomplex()
+    vertex, edge = X.cells[0][1], X.cells[1][2]
+    assert (vertex.name, edge.name) == ("horo_vertex", "horo_edge")
+    line = EquivariantCellComplex([
+        [CellOrbit(vertex.name, vertex.stabilizer_generator,
+                   vertex.stabilizer_order, vertex.twisted, [])],
+        [CellOrbit(edge.name, edge.stabilizer_generator,
+                   edge.stabilizer_order, edge.twisted,
+                   [(0, word) for _, word in edge.boundary])]])
+    for depth in (2, 3, 4):
+        W = wall_resolution(X, depth)
+        got = sub_resolution(W, horocycle_keep(W, X))
+        want = wall_resolution(line, depth)
+        assert got.ranks == want.ranks == [1] + [2] * depth
+        for n in range(1, depth + 1):
+            assert ordered_rows(got, n) == ordered_rows(want, n), (depth, n)
+        for j in range(got.rank(0)):
+            unit = {j: GroupRingElement.unit(T)}
+            assert got.aug(unit) == want.aug(unit) == 1
+
+
+def test_sub_resolution_rejects_rows_leaving_keep():
+    # the arcs' boundary reaches the corners, so arcs alone are no
+    # sub-resolution
+    W = wall_resolution(borel_serre_complex(), 2)
+    arcs = [[]] + [[(labels.index((1, 0)), 1)] for labels in W.labels[1:]]
+    with pytest.raises(FormatError, match="boundary row"):
+        sub_resolution(W, arcs)
+
+
+def test_sub_resolution_homotopy_leaving_keep_raises():
+    # the horocycle line is not contractible: h slides a horocycle vertex
+    # down its vertical to a corner, out of the kept generators
+    X = borel_serre_complex()
+    W = wall_resolution(X, 3)
+    keep = horocycle_keep(W, X)
+    assert [W.labels[0][j] for j, _ in keep[0]] == [(0, 1)]
+    B = sub_resolution(W, keep)
+    with pytest.raises(FormatError, match="homotopy"):
+        B.h(0, {0: GroupRingElement.unit(T)})
+    # the section is the base corner's, also outside the horocycle line
+    with pytest.raises(FormatError, match="section"):
+        B.section()
+
+
+def test_sub_resolution_rejects_unknown_generators():
+    R = sl2z_res()
+    for keep in ([[(1, 1)]], [[(-1, 1)]], [[(0, 1)], [(2, 1)]]):
+        with pytest.raises(FormatError, match="no degree"):
+            sub_resolution(R, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +607,7 @@ def test_invariant_checks_raise():
     with pytest.raises(WrongDegree):
         cx.chain(1) + cx.chain(0)
     with pytest.raises(WrongDegree):
-        cx.chain(1) + tree_cell_complex().chain(1)
+        cx.chain(1) + borel_serre_complex().chain(1)
 
 
 # ---------------------------------------------------------------------------

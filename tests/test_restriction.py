@@ -19,11 +19,11 @@ from artifact import resolutions
 from artifact.chaincx import contract
 from artifact.cli import build_parser, config_from_args, run
 from artifact.congruence import CongruenceSubgroup, transversal
-from artifact.hecke import _truncated, gamma_prime_data
+from artifact.hecke import gamma_prime_data
 from artifact.resolutions import (ChainSum, GroupRingElement,
                                   borel_serre_complex, cyclic_resolution,
                                   restrict_resolution, sl2z_resolution,
-                                  tensor_with_z, tree_cell_complex,
+                                  sub_resolution, tensor_with_z,
                                   wall_resolution)
 from artifact.sl2z import I, S, T, U
 
@@ -95,7 +95,9 @@ def test_restricted_rows_hecke_subgroup():
     gamma = CongruenceSubgroup.gamma0(11)
     res = restrict_resolution(sl2z_resolution(2), gamma)
     desc = gamma_prime_data(gamma, (2, 0, 0, 1))
-    assert_rows_match(_truncated(res, 1), desc, desc)
+    truncated = sub_resolution(res, [[(j, 1) for j in range(res.rank(k))]
+                                     for k in range(2)])
+    assert_rows_match(truncated, desc, desc)
 
 
 def test_shared_entries_survive_d_and_h():
@@ -177,7 +179,7 @@ def test_tensor_over_gamma0_11_borel_serre():
 
 
 def test_tensor_over_the_whole_group_sums_coefficients():
-    for R in (wall_resolution(tree_cell_complex(), 4),
+    for R in (sl2z_resolution(4),
               wall_resolution(borel_serre_complex(), 4),
               cyclic_resolution(6, twisted=True, max_degree=4)):
         C = tensor_with_z(R)

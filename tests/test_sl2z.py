@@ -1,9 +1,10 @@
 """Tests for SL2(Z) arithmetic, word decomposition, and the tree complex.
 
-The tree's chain complex is resolutions.tree_cell_complex(), whose
-contraction is sl2z.tree_contraction: the walks of all the vertices of a
-0-chain, merged where they meet.  tree_walk below is the single-vertex
-walk, kept as the reference the merged one is checked against.
+The tree is the corners (0-cell orbit 0) and arcs (1-cell orbit 0) of
+resolutions.borel_serre_complex(), whose contraction of them is
+sl2z.tree_contraction: the walks of all the vertices of a 0-chain,
+merged where they meet.  tree_walk below is the single-vertex walk, kept
+as the reference the merged one is checked against.
 """
 
 import ast
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.errors import NotInGroup, WrongDegree
-from artifact.resolutions import tree_cell_complex
+from artifact.resolutions import borel_serre_complex
 from artifact.sl2z import (
     GeneratorWord,
     I, S, T, U,
@@ -28,7 +29,7 @@ from artifact.sl2z import (
     tree_contraction,
 )
 
-TREE = tree_cell_complex()
+TREE = borel_serre_complex()
 
 
 def tree_walk(g):
