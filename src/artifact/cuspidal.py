@@ -10,7 +10,9 @@ Everything happens on free resolutions: the compactified complex
 assembles to one, and its generators over the horocycle boundary are
 the boundary's (Wall's assembly of the subcomplex).  Both restrict to
 the subgroup, and the boundary inclusion lifts to an equivariant chain
-map through the contracting homotopy of the ambient side.  The kernel is
+map through the SL2(Z)-level contracting homotopy of the ambient
+assembly; its values are refolded into the restricted ambient basis
+once, where the restriction of cochains reads them.  The kernel is
 cut out at the cocycle-lattice level (the preimage of the boundary
 coboundaries), so its abelian invariants are those of a genuine subgroup
 of H^n; no ill-defined operations on invariant lists are involved.
@@ -31,17 +33,20 @@ from .resolutions import (GroupRingElement, borel_serre_complex,
 from .sl2z import I
 
 
-def _pullback_matrix(chain_map, k, target_rank, module):
+def _pullback_matrix(chain_map, k, ambient, module):
     """Matrix of the cochain pullback c -> c composed with the chain map.
 
-    Rows are source-side degree-k cochain coordinates, columns ambient
-    ones; the (j, b) block is the module matrix of the group ring entry
-    of the chain map's value at generator j on target generator b.
+    The chain map's values are chains of ambient.base, each refolded
+    once into the restricted resolution ambient.  Rows are source-side
+    degree-k cochain coordinates, columns ambient ones; the (j, b) block
+    is the module matrix of the group ring entry of the refolded value
+    at generator j on ambient generator b.
     """
     nsrc = chain_map.source.rank(k)
-    return block_matrix(module.rank, nsrc, target_rank,
+    return block_matrix(module.rank, nsrc, ambient.rank(k),
                         ((j, b, module.ring_action(gre)) for j in range(nsrc)
-                         for b, gre in chain_map.value(k, j).items()))
+                         for b, gre in ambient.refold(
+                             chain_map.value(k, j)).items()))
 
 
 @dataclass
@@ -108,11 +113,11 @@ def cuspidal_cohomology(gamma, n, module=None):
     Assembles the resolution of the compactified complex once, takes its
     generators over the horocycle boundary as the boundary's resolution,
     restricts both to gamma, lifts the inclusion to a chain map through
-    the ambient contracting homotopy, and intersects the degree-n
-    cocycle lattice with the preimage of the boundary coboundaries.  The
-    chain map is verified on all generators, the cochain restriction is
-    checked to commute with the coboundaries, and the ambient coboundaries
-    are checked to be cocycles.
+    the contracting homotopy of the SL2(Z)-level assembly, and
+    intersects the degree-n cocycle lattice with the preimage of the
+    boundary coboundaries.  The chain map is verified on all generators,
+    the cochain restriction is checked to commute with the coboundaries,
+    and the ambient coboundaries are checked to be cocycles.
     """
     if module is None:
         module = PolynomialModule(0)
@@ -127,13 +132,13 @@ def cuspidal_cohomology(gamma, n, module=None):
     ambient = restrict_resolution(W, gamma)
     boundary = restrict_resolution(sub_resolution(W, horocycles), gamma)
     incl = EquivariantChainMap(
-        boundary, ambient, lambda g: g,
-        [ambient.section(boundary.aug({j: GroupRingElement.unit(I)}))
+        boundary, W, lambda g: g,
+        [W.section(boundary.aug({j: GroupRingElement.unit(I)}))
          for j in range(boundary.rank(0))], degree_max=top)
     CA = hom_complex(ambient, module)
     CB = hom_complex(boundary, module)
-    rho = _pullback_matrix(incl, n, ambient.rank(n), module)
-    rho_next = _pullback_matrix(incl, n + 1, ambient.rank(n + 1), module)
+    rho = _pullback_matrix(incl, n, ambient, module)
+    rho_next = _pullback_matrix(incl, n + 1, ambient, module)
     if CB.deltas[n] * rho != rho_next * CA.deltas[n]:
         raise CompositionNonzero(
             "restriction does not commute with the coboundaries")

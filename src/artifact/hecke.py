@@ -7,7 +7,10 @@ a chain map intertwining gamma -> g^{-1} gamma g, hit with g on the
 coefficients, and summed over coset translates (the transfer).  All three
 steps happen at the cochain level of a free resolution whose contracting
 homotopy supplies the chain map, so the composite is an integer matrix on
-cochains (hecke_cochain).  It descends to an adapted basis of the
+cochains (hecke_cochain).  The resolution is restricted from SL2(Z), and
+the chain map is lifted through the SL2(Z)-level homotopy, in that
+resolution's basis; its values are refolded once, where the cochain
+reads them.  The operator descends to an adapted basis of the
 cohomology lattice through a CohomologyPresentation, built once per
 cochain complex and shared by every operator presented on it
 (hecke_operators).
@@ -35,8 +38,7 @@ from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        SparseIntMatrix, charpoly, integer_roots,
                        kernel_with_left_inverse)
 from .resolutions import (ChainSum, GroupRingElement, RestrictedResolution,
-                          chains_equal, restrict_resolution, sl2z_resolution,
-                          sub_resolution)
+                          restrict_resolution, sl2z_resolution, sub_resolution)
 from .sl2z import I as IDENT, SL2ZMatrix, nearest_vertex
 
 
@@ -188,11 +190,14 @@ class EquivariantChainMap:
 
         f_0(e_j) = degree0[j],    f_n(e) = h_{n-1}(f_{n-1}(d_n e)),
 
-    and extended semilinearly, f(gamma x) = phi(gamma) f(x).  The
-    defining equations d f_n = f_{n-1} d_n (plus augmentation
+    and extended semilinearly, f(gamma x) = phi(gamma) f(x).  A map into
+    a restricted resolution is lifted into its base, the SL2(Z)-level
+    resolution, through the SL2(Z)-level homotopy, and its values are
+    refolded where they are read (hecke_lift, cuspidal_cohomology).
+    The defining equations d f_n = f_{n-1} d_n (plus augmentation
     preservation in degree 0) are verified on every source generator up
-    to degree_max, and a failure raises CompositionNonzero.
-    Raises MissingHomotopy when the target carries no homotopy.
+    to degree_max, and a failure raises CompositionNonzero.  Raises
+    MissingHomotopy when the target carries no homotopy.
     """
 
     def __init__(self, source, target, phi, degree0, degree_max):
@@ -217,12 +222,13 @@ class EquivariantChainMap:
         self.values = [list(degree0)]
         for n in range(1, degree_max + 1):
             vals = []
-            for j in range(source.rank(n)):
-                below = self.apply(
-                    n - 1, source.d(n, {j: GroupRingElement.unit(IDENT)}))
+            for j, row in enumerate(source.boundary_rows(n)):
+                # f d on the generator: its boundary is its row
+                below = self.apply(n - 1, row)
                 val = target.h(n - 1, below)
-                # below is f d on the generator, so this checks d f = f d
-                if not chains_equal(target.d(n, val), below):
+                # d f = f d; both chains come out of ChainSum.chain(), which
+                # keeps no zero key and no zero term, so == is chain equality
+                if target.d(n, val) != below:
                     raise CompositionNonzero(
                         "d f != f d in degree %d on generator %d" % (n, j))
                 vals.append(val)
@@ -251,7 +257,7 @@ def _nearest_images(desc, source, target):
     the vertex y<U> of SL2(Z)'s resolution (y = desc.reps[t]^-1 sigma_s,
     sigma_s the target's coset representative).  Its image is m.e_b with
     m the vertex nearest M.rho for M = adj(g) y, a multiple of g^-1 y
-    (sl2z.nearest_vertex), written back in the target's basis.
+    (sl2z.nearest_vertex), in the basis of the target's base.
     """
     a, b, c, d = desc.g
     out = []
@@ -261,8 +267,7 @@ def _nearest_images(desc, source, target):
         (y, _), = gre.items()
         M = (d * y.a - b * y.c, d * y.b - b * y.d,
              a * y.c - c * y.a, a * y.d - c * y.b)
-        out.append(target.refold(
-            {base: GroupRingElement.unit(nearest_vertex(M))}))
+        out.append({base: GroupRingElement.unit(nearest_vertex(M))})
     return out
 
 
@@ -273,10 +278,13 @@ def hecke_lift(gamma, n, g, resolution):
     (restrict_resolution) and carry a contracting homotopy.  The source
     is its truncation to degree n (sub_resolution), restricted along the
     descriptor to Gamma', and the map is semilinear over gamma -> g^{-1}
-    gamma g.  It sends the source generator over the vertex y.rho to the
-    target generator of the same orbit over the vertex nearest g^{-1}
-    y.rho (sl2z.nearest_vertex), so each tree walk of its lift is short.
-    Returns (desc, chain map).
+    gamma g.  The map is lifted through the SL2(Z)-level homotopy, into
+    resolution.base, so its values are chains of the base; refolding
+    one (resolution.refold) gives the value of the lift into resolution
+    itself, whose homotopy is refold . h . unfold.  It sends the source
+    generator over the vertex y.rho to the generator of the same orbit
+    over the vertex nearest g^{-1} y.rho (sl2z.nearest_vertex), so each
+    tree walk of its lift is short.  Returns (desc, chain map).
     """
     if not isinstance(resolution, RestrictedResolution):
         raise FormatError("the Hecke chain map needs a resolution restricted "
@@ -285,7 +293,7 @@ def hecke_lift(gamma, n, g, resolution):
     source = restrict_resolution(sub_resolution(resolution, [
         [(j, 1) for j in range(resolution.rank(k))] for k in range(n + 1)]),
         desc, trans=desc)
-    return desc, EquivariantChainMap(source, resolution, desc.conjugate,
+    return desc, EquivariantChainMap(source, resolution.base, desc.conjugate,
                                      _nearest_images(desc, source, resolution),
                                      degree_max=n)
 
@@ -296,9 +304,11 @@ def hecke_cochain(gamma, n, g, module, resolution):
     The image cochain evaluated on the generator e_b is
     sum_i M(t_i) M(g) c(f(t_i^{-1} e_b)) over the left coset
     representatives t_i, and t_i^{-1} e_b is exactly source generator
-    (b, i) of the lift (hecke_lift).  Returns (desc, cochain), the
-    cochain a SparseIntMatrix; the lift, the largest object here, is
-    freed on return.
+    (b, i) of the lift (hecke_lift).  The lift's degree-n values are
+    chains of the SL2(Z)-level resolution; each is refolded into the
+    resolution's basis once, here, where the cochain reads it.  Returns
+    (desc, cochain), the cochain a SparseIntMatrix; the lift, the
+    largest object here, is freed on return.
     """
     desc, lift = hecke_lift(gamma, n, g, resolution)
     nt = desc.index
@@ -308,7 +318,7 @@ def hecke_cochain(gamma, n, g, module, resolution):
         module.rank, rank_n, rank_n,
         ((b, b2, pre[i] * module.ring_action(gre))
          for i in range(nt) for b in range(rank_n)
-         for b2, gre in lift.value(n, b * nt + i).items()))
+         for b2, gre in resolution.refold(lift.value(n, b * nt + i)).items()))
 
 
 @dataclass

@@ -303,35 +303,6 @@ class ChainSum:
         return out
 
 
-def chain_add(a, b):
-    out = ChainSum()
-    out.add_chain(a)
-    out.add_chain(b)
-    return out.chain()
-
-
-def chain_neg(a):
-    return {i: -gre for i, gre in a.items()}
-
-
-def chain_sub(a, b):
-    return chain_add(a, chain_neg(b))
-
-
-def chain_scale(a, c):
-    if not c:
-        return {}
-    return {i: gre * c for i, gre in a.items()}
-
-
-def chain_is_zero(a):
-    return all(gre.is_zero() for gre in a.values())
-
-
-def chains_equal(a, b):
-    return chain_is_zero(chain_sub(a, b))
-
-
 class FreeZGResolution:
     """A free ZG-resolution of Z carried with its contracting homotopy.
 
@@ -1117,15 +1088,18 @@ def boundary_components(X, gamma):
 class RestrictedResolution(FreeZGResolution):
     """A resolution restricted to a finite index subgroup (restrict_resolution).
 
-    unfold(n, chain) writes a degree-n chain in the basis of the
-    resolution it was restricted from, and refold(chain) writes a chain
-    of that resolution back in this basis.
+    base is the resolution it was restricted from; unfold(n, chain) writes
+    a degree-n chain in base's basis, and refold(chain) writes a chain of
+    base back in this basis.  A chain map into this resolution can be
+    lifted through base's own homotopy instead of this one, which is
+    refold . base.h . unfold, and refolded once where it is read.
     """
 
     def __init__(self, group, ranks, boundaries, homotopy, augmentation,
-                 section, unfold, refold):
+                 section, base, unfold, refold):
         super().__init__(group, ranks, boundaries, homotopy, augmentation,
                          section)
+        self.base = base
         self.unfold = unfold
         self.refold = refold
 
@@ -1183,7 +1157,8 @@ def restrict_resolution(resolution, gamma, trans=None):
     is ever mutated (ChainSum).  The homotopy is conjugated through the
     same unfolding, h = refold . h_G . unfold on whole chains, so the
     restricted resolution again carries d, h, augmentation and section,
-    and it exposes unfold and refold (RestrictedResolution).
+    and it exposes resolution as base, with unfold and refold
+    (RestrictedResolution).
     """
     if trans is None:
         trans = transversal(gamma)
@@ -1225,7 +1200,8 @@ def restrict_resolution(resolution, gamma, trans=None):
         return refold(resolution.section(c))
 
     return RestrictedResolution(gamma, ranks, boundaries, homotopy,
-                                augmentation, section, unfold, refold)
+                                augmentation, section, resolution, unfold,
+                                refold)
 
 
 # ---------------------------------------------------------------------------

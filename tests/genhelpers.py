@@ -5,12 +5,46 @@ and torsion blocks), whose homology is known by construction, by applying
 simple homotopy expansions (the inverse operation of a collapse).  The
 expansions change the ranks and fill in the boundary matrices but never the
 homology, so the result is a nontrivial random complex with an oracle.
+
+Also here: sums, scalings and comparisons of group-ring chains
+({generator index: GroupRingElement}), for the resolution identities the
+tests check.
 """
 
 from collections import defaultdict
 
 from artifact.chaincx import FreeChainComplexZ, verify_complex
 from artifact.exactlin import AbelianInvariants, IntMatrix
+from artifact.resolutions import ChainSum
+
+
+def chain_add(a, b):
+    out = ChainSum()
+    out.add_chain(a)
+    out.add_chain(b)
+    return out.chain()
+
+
+def chain_neg(a):
+    return {i: -gre for i, gre in a.items()}
+
+
+def chain_sub(a, b):
+    return chain_add(a, chain_neg(b))
+
+
+def chain_scale(a, c):
+    if not c:
+        return {}
+    return {i: gre * c for i, gre in a.items()}
+
+
+def chain_is_zero(a):
+    return all(gre.is_zero() for gre in a.values())
+
+
+def chains_equal(a, b):
+    return chain_is_zero(chain_sub(a, b))
 
 
 def invariant_factors(orders):

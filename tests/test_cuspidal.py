@@ -20,14 +20,17 @@ import pytest
 
 from artifact import cuspidal
 from artifact.cli import main
-from artifact.coeffmod import PolynomialModule
+from artifact.coeffmod import PolynomialModule, block_matrix
 from artifact.congruence import CongruenceSubgroup
 from artifact.cuspidal import cuspidal_cohomology, cuspidal_hecke_matrix
 from artifact.errors import CompositionNonzero, NotInLattice
 from artifact.exactlin import (IntMatrix, charpoly, column_span_basis,
                                integer_kernel, integer_roots, solve_echelon)
-from artifact.hecke import hecke_representative
-from artifact.resolutions import wall_resolution
+from artifact.hecke import EquivariantChainMap, hecke_representative
+from artifact.resolutions import (GroupRingElement, RestrictedResolution,
+                                  borel_serre_complex, restrict_resolution,
+                                  sub_resolution, wall_resolution)
+from artifact.sl2z import I
 from modforms_oracle import dim_cusp_forms, h1_free_rank
 from test_hecke import transform_snfs
 
@@ -65,6 +68,44 @@ def test_restriction_is_a_chain_map():
     # ambient coboundaries restrict to boundary coboundaries
     assert solve_echelon(column_span_basis(CB.deltas[0]),
                          r.restriction * CA.deltas[0]) is not None
+
+
+@pytest.mark.parametrize("level, degree", [(11, 0), (17, 2)])
+def test_inclusion_lift_refolds_to_the_restricted_lift(level, degree):
+    # the inclusion lifted into the restricted ambient resolution through
+    # its own homotopy refold . h . unfold, as cuspidal_cohomology once
+    # did, gives the same restriction matrices in both degrees
+    gamma = CongruenceSubgroup.gamma0(level)
+    module = PolynomialModule(degree)
+    r = cuspidal_cohomology(gamma, 1, module)
+    X = borel_serre_complex()
+    W = wall_resolution(X, 2)
+    horocycles = [[(j, 1) for j, (p, i) in enumerate(labels)
+                   if i in X.boundary_orbits.get(p, ())]
+                  for labels in W.labels]
+    ambient = restrict_resolution(W, gamma)
+    boundary = restrict_resolution(sub_resolution(W, horocycles), gamma)
+    incl = EquivariantChainMap(
+        boundary, ambient, lambda g: g,
+        [ambient.section(boundary.aug({j: GroupRingElement.unit(I)}))
+         for j in range(boundary.rank(0))], degree_max=2)
+    old = [block_matrix(module.rank, boundary.rank(k), ambient.rank(k),
+                        ((j, b, module.ring_action(gre))
+                         for j in range(boundary.rank(k))
+                         for b, gre in incl.value(k, j).items()))
+           for k in (1, 2)]
+    assert [r.restriction, r.restriction_next] == old
+
+
+def test_cuspidal_cohomology_calls_no_restricted_homotopy(monkeypatch):
+    # the inclusion lifts through the homotopy of the SL2(Z)-level
+    # assembly, never through refold . h . unfold
+    def refuse(self, n, chain):
+        pytest.fail("a restricted resolution's homotopy was called")
+
+    monkeypatch.setattr(RestrictedResolution, "h", refuse)
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    assert str(r.cuspidal) == "Z^2"
 
 
 def test_one_assembly_serves_both_sides(monkeypatch):
@@ -271,8 +312,8 @@ def test_torsion_matches_rank_drop_mod_p(level, degree, p):
 def test_noncommuting_restriction_exits_three(capsys, monkeypatch):
     pullback = cuspidal._pullback_matrix
 
-    def doubled_next(chain_map, k, target_rank, module):
-        out = pullback(chain_map, k, target_rank, module)
+    def doubled_next(chain_map, k, ambient, module):
+        out = pullback(chain_map, k, ambient, module)
         return out * 2 if k == 2 else out
 
     monkeypatch.setattr(cuspidal, "_pullback_matrix", doubled_next)

@@ -8,22 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from pathlib import Path
 
+from genhelpers import chain_add, chain_scale, chain_sub, chains_equal
 from artifact import exactlin, hecke
 from artifact.cli import main
-from artifact.coeffmod import CochainComplexZ, PolynomialModule
+from artifact.coeffmod import CochainComplexZ, PolynomialModule, block_matrix
 from artifact.congruence import CongruenceSubgroup
 from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              FormatError, InfiniteIndex, MissingPrime,
                              NotInLattice, ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
 from artifact.hecke import (EquivariantChainMap, expand_eigenform,
-                            gamma_prime_data, hecke_eigenvalues, hecke_lift,
-                            hecke_operator, hecke_representative)
+                            gamma_prime_data, hecke_cochain,
+                            hecke_eigenvalues, hecke_lift, hecke_operator,
+                            hecke_representative)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
-                                  RestrictedResolution, chain_add,
-                                  chain_scale, chains_equal,
-                                  restrict_resolution, sl2z_resolution,
-                                  sub_resolution)
+                                  RestrictedResolution, restrict_resolution,
+                                  sl2z_resolution, sub_resolution)
 from artifact.sl2z import I, S, SL2ZMatrix, T
 
 
@@ -146,12 +146,13 @@ def test_lift_stays_small_at_level_38():
 def test_degree0_images_sit_at_the_nearest_vertex(res11):
     # the source generator over the vertex y<U> goes to the target
     # generator over m<U>, m the vertex nearest g^-1 y.rho; for
-    # g = diag(5, 1), adj(g) y = 5 g^-1 y
+    # g = diag(5, 1), adj(g) y = 5 g^-1 y; the lift's values are chains
+    # of the SL2(Z)-level resolution res11 is restricted from
     _, lift = hecke_lift(GAMMA0_11, 1, (5, 0, 0, 1), res11)
     for j, val in enumerate(lift.values[0]):
         (b, y), = res11.unfold(0, lift.source.unfold(
             0, {j: GroupRingElement.unit(I)})).items()
-        (b2, m), = res11.unfold(0, val).items()
+        (b2, m), = val.items()
         y, = y.support()
         M = (y.a, y.b, 5 * y.c, 5 * y.d)
         assert (b2, m) == (b, GroupRingElement.unit(hecke.nearest_vertex(M)))
@@ -215,6 +216,60 @@ def test_cli_operators_share_one_presentation(capsys, monkeypatch, emit):
                  "2,3,5", "--emit", emit]) == 0
     capsys.readouterr()
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the lift through the SL2(Z)-level homotopy
+
+
+def restricted_lift(resolution, lift):
+    """The same chain map lifted into the restricted resolution itself,
+    through its homotopy refold . h . unfold, from refolded degree-0
+    images."""
+    return EquivariantChainMap(lift.source, resolution, lift.phi,
+                               [resolution.refold(v) for v in lift.values[0]],
+                               degree_max=lift.degree_max)
+
+
+@pytest.mark.parametrize("group, p, weight", [
+    (GAMMA0_11, 2, 4),
+    (CongruenceSubgroup.gamma0(38), 11, 2),
+    (CongruenceSubgroup.gamma1(13), 2, 2),
+])
+def test_base_lift_refolds_to_the_restricted_lift(group, p, weight):
+    # unfold(phi(gamma) refold(v)) = phi(gamma) v, so lifting through the
+    # SL2(Z)-level homotopy and refolding once gives the lift through the
+    # restricted homotopy value for value
+    res = restrict_resolution(sl2z_resolution(2), group)
+    g = hecke_representative(p)
+    desc, lift = hecke_lift(group, 1, g, res)
+    old = restricted_lift(res, lift)
+    for n in range(2):
+        for j in range(lift.source.rank(n)):
+            assert res.refold(lift.value(n, j)) == old.value(n, j)
+    # and the cochain is the one the restricted lift assembles
+    module = PolynomialModule(weight - 2)
+    nt, rank = desc.index, res.rank(1)
+    pre = [module.action(t) * module.action(desc.g) for t in desc.reps]
+    expected = block_matrix(
+        module.rank, rank, rank,
+        ((b, b2, pre[i] * module.ring_action(gre))
+         for i in range(nt) for b in range(rank)
+         for b2, gre in old.value(1, b * nt + i).items()))
+    H = hecke_operator(group, 1, g, module=module, resolution=res)
+    assert H.cochain == expected
+
+
+def test_hecke_cochain_calls_no_restricted_homotopy(monkeypatch, res11):
+    # the lift runs through the SL2(Z)-level homotopy, never through
+    # refold . h . unfold
+    def refuse(self, n, chain):
+        pytest.fail("a restricted resolution's homotopy was called")
+
+    monkeypatch.setattr(RestrictedResolution, "h", refuse)
+    _, cochain = hecke_cochain(GAMMA0_11, 1, (2, 0, 0, 1),
+                               PolynomialModule(0), res11)
+    assert cochain.rows == cochain.cols == res11.rank(1)
 
 
 # ---------------------------------------------------------------------------
@@ -440,47 +495,58 @@ def test_hecke_matrix_output_frozen(capsys, argv, name):
 
 
 def perturbed_homotopy(res):
-    """The same resolution with a different contracting homotopy.
+    """res restricted again from its base, with a different homotopy.
 
     For any degree-raising eta, h + d.eta - eta.d satisfies the same
     contraction identity as h, so lifts through it give a second
-    independent construction.
+    independent construction.  The perturbation is made on res.base,
+    the SL2(Z)-level resolution the chain maps lift through, with
+    eta_n(x) = (sum of c * (a mod 2) over the terms c.g of x, g =
+    [[a, b], [c', d]]) times e_0 in degree n + 2.  That is not a multiple
+    of the augmentation, so it also moves h on augmentation-zero chains,
+    which are all the degree-1 lift applies h_0 to.
     """
-    top = res.top_degree()
+    base = res.base
+    top = base.top_degree()
 
     def eta(n, chain):
         if n + 2 > top:
             return {}
-        total = sum(c for gre in chain.values() for _, c in gre.items())
+        total = sum(c * (g.a % 2) for gre in chain.values()
+                    for g, c in gre.items())
         if not total:
             return {}
         return {0: GroupRingElement.unit(I, total)}
 
     def homotopy(n, x):
-        out = res.h(n, x)
+        out = base.h(n, x)
         e = eta(n, x)
         if e:
-            out = chain_add(out, res.d(n + 2, e))
-        e2 = eta(n - 1, res.d(n, x))
+            out = chain_add(out, base.d(n + 2, e))
+        e2 = eta(n - 1, base.d(n, x))
         if e2:
-            out = chain_add(out, chain_scale(e2, -1))
+            out = chain_sub(out, e2)
         return out
 
-    boundaries = [[]] + [res.boundary_rows(k) for k in range(1, top + 1)]
-    return RestrictedResolution(
-        res.group, [res.rank(k) for k in range(top + 1)], boundaries,
-        homotopy, res.aug, res.section, res.unfold, res.refold)
+    boundaries = [[]] + [base.boundary_rows(k) for k in range(1, top + 1)]
+    return restrict_resolution(FreeZGResolution(
+        base.group, base.ranks, boundaries, homotopy, base.aug,
+        base.section), res.group)
 
 
 def test_tiebreak_independence(res11):
     other = perturbed_homotopy(res11)
-    # sanity: the perturbation actually changes the homotopy
-    x = {0: GroupRingElement.unit(I)}
-    assert not chains_equal(res11.h(0, x), other.h(0, x))
+    # sanity: the perturbation changes the homotopy on a chain of
+    # augmentation zero, where the degree-1 lift applies it
+    x = {0: GroupRingElement.unit(S) - GroupRingElement.unit(I)}
+    assert not chains_equal(res11.base.h(0, x), other.base.h(0, x))
     a = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), resolution=res11)
     b = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), resolution=other)
+    # a different lift, so the comparison below is not of one lift twice
+    assert a.cochain != b.cochain
     assert a.orders == b.orders
     assert a.matrix == b.matrix
+    assert a.basis == b.basis
 
 
 # ---------------------------------------------------------------------------

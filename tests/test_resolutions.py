@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genhelpers import (chain_add, chain_is_zero, chain_scale, chain_sub,
+                        chains_equal)
 from artifact.chaincx import all_homology, homology
 from artifact.congruence import CongruenceSubgroup, generators
 from artifact.errors import (
@@ -34,11 +36,6 @@ from artifact.resolutions import (
     GroupRingElement,
     borel_serre_complex,
     boundary_components,
-    chain_add,
-    chain_is_zero,
-    chain_scale,
-    chain_sub,
-    chains_equal,
     cyclic_resolution,
     restrict_resolution,
     sl2z_resolution,
