@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import EliminationError, FormatError, NotInGroup
-from .sl2z import I, S, S_POWERS, U, U_POWERS, SL2ZMatrix
+from .sl2z import I, S, S_POWERS, U, U_POWERS
 
 
 @dataclass(frozen=True)

@@ -420,12 +420,22 @@ def smith_normal_form(M, transforms=TRANSFORMS):
     from its columns without a dense scan): pivots are chosen among +-1
     entries by least fill-in when any exist, otherwise by least absolute
     value, which keeps both fill-in and entry growth tolerable on boundary
-    matrices.  Each row caches its best pivot key and the keys sit in a
-    heap, so a pivot search recomputes only the rows touched since the last
-    one: rows whose entries changed or moved, and rows with an entry in a
-    column whose occupancy changed.  The chosen pivots are those of a full
-    scan of the active block.  The result is deterministic for a given
-    input.
+    matrices.  Each row caches its best pivot key, (0, fill-in, i, j) for a
+    unit and (1, |a|, i, j) otherwise, and the keys sit in a heap.  A pivot
+    search refreshes only the keys that can have changed since the last
+    one:
+      - a row whose entries changed is rescanned in full;
+      - a change in column j's occupancy moves only the fill-in of a +-1
+        entry in a row with more than one entry, so only that entry's key is
+        recomputed; if it fell, it becomes the row's key, and if it rose and
+        was the row's key, the row is rescanned;
+      - a column swap moves the column's occupancy with it and changes only
+        the tie-break index j of a moved entry: a row with an entry that
+        moved to a lower index is rescanned, and so is a row whose best
+        entry moved to a higher one; any other row keeps its key.
+    The chosen pivots, and so d and all four transforms, are those of a
+    full scan of the active block.  The result is deterministic for a
+    given input.
     """
     m, n = M.rows, M.cols
     # row[i][j] = nonzero entry, colocc[j] = rows with an entry in column j
@@ -440,10 +450,12 @@ def smith_normal_form(M, transforms=TRANSFORMS):
     V = IntMatrix.identity(n).data if "V" in transforms else None
     Vi = IntMatrix.identity(n).data if "Vinv" in transforms else None
 
-    # rows whose cached pivot key is out of date, and columns whose rows
-    # all need a new key (the column's occupancy or index changed)
+    # rows to rescan at the next pivot search (their entries changed, or
+    # col_swap moved an entry of theirs that can lower or was their key),
+    # and columns whose occupancy changed since the last one
     dirty = set(range(m))
-    dirtycols = set()
+    occcols = set()
+    rowkey = [None] * m
 
     def row_swap(a, b):
         if a == b:
@@ -462,8 +474,13 @@ def smith_normal_form(M, transforms=TRANSFORMS):
                 r[a], r[b] = r[b], r[a]
 
     def col_swap(a, b):
+        # occupancy moves with the column, so only the tie-break index of a
+        # moved entry changes: a row with an entry that moves down to a is
+        # rescanned, and so is a row whose best entry moves up to b; in any
+        # other row only keys above the row's key rose
         if a == b:
             return
+        a, b = min(a, b), max(a, b)
         for i in colocc[a] | colocc[b]:
             ri = row[i]
             va, vb = ri.pop(a, None), ri.pop(b, None)
@@ -471,8 +488,12 @@ def smith_normal_form(M, transforms=TRANSFORMS):
                 ri[a] = vb
             if va is not None:
                 ri[b] = va
+            key = rowkey[i]
+            if vb is not None or key is None or key[3] == a:
+                dirty.add(i)
         colocc[a], colocc[b] = colocc[b], colocc[a]
-        dirtycols.update((a, b))
+        if (a in occcols) != (b in occcols):
+            occcols.symmetric_difference_update((a, b))
         if V is not None:
             for r in V:
                 r[a], r[b] = r[b], r[a]
@@ -489,7 +510,7 @@ def smith_normal_form(M, transforms=TRANSFORMS):
             if old is None:
                 rd[j] = q * v
                 colocc[j].add(dst)
-                dirtycols.add(j)
+                occcols.add(j)
                 continue
             w = old + q * v
             if w:
@@ -497,7 +518,7 @@ def smith_normal_form(M, transforms=TRANSFORMS):
             else:
                 del rd[j]
                 colocc[j].discard(dst)
-                dirtycols.add(j)
+                occcols.add(j)
         dirty.add(dst)
         if U is not None:
             U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
@@ -516,7 +537,7 @@ def smith_normal_form(M, transforms=TRANSFORMS):
             if old is None:
                 ri[dst] = q * ri[src]
                 occ.add(i)
-                dirtycols.add(dst)
+                occcols.add(dst)
                 continue
             w = old + q * ri[src]
             if w:
@@ -524,7 +545,7 @@ def smith_normal_form(M, transforms=TRANSFORMS):
             else:
                 del ri[dst]
                 occ.discard(i)
-                dirtycols.add(dst)
+                occcols.add(dst)
         dirty.update(colocc[src])
         if V is not None:
             for r in V:
@@ -548,7 +569,8 @@ def smith_normal_form(M, transforms=TRANSFORMS):
         if p * s - q * r != 1:
             raise EliminationError("column transform of determinant %d"
                                    % (p * s - q * r))
-        for i in list(colocc[a] | colocc[b]):
+        touched = colocc[a] | colocc[b]
+        for i in touched:
             ri = row[i]
             va, vb = ri.get(a, 0), ri.get(b, 0)
             for col, w in ((a, p * va + q * vb), (b, r * va + s * vb)):
@@ -558,7 +580,8 @@ def smith_normal_form(M, transforms=TRANSFORMS):
                 else:
                     ri.pop(col, None)
                     colocc[col].discard(i)
-        dirtycols.update((a, b))
+        dirty.update(touched)
+        occcols.update((a, b))
         if V is not None:
             for rw in V:
                 va, vb = rw[a], rw[b]
@@ -568,39 +591,50 @@ def smith_normal_form(M, transforms=TRANSFORMS):
             rb = [-q * x + p * y for x, y in zip(Vi[a], Vi[b])]
             Vi[a], Vi[b] = ra, rb
 
-    def row_key(i):
-        # least key over the row's entries: (0, fill-in, i, j) for a unit,
-        # (1, |a|, i, j) otherwise
-        ri = row[i]
-        fill = len(ri) - 1
-        best = None
-        for j, v in ri.items():
-            if v == 1 or v == -1:
-                key = (0, fill * (len(colocc[j]) - 1), i, j)
-            else:
-                key = (1, -v if v < 0 else v, i, j)
-            if best is None or key < best:
-                best = key
-        return best
-
-    rowkey = [None] * m
     heap = []
     limit = min(m, n)
     k = 0
     while k < limit:
         # pivot search over the active block (rows >= k; cleared columns
-        # < k hold no entries in those rows): refresh the stale row keys,
-        # then drop heap entries that are no longer some active row's key
-        for j in dirtycols:
-            dirty.update(colocc[j])
-        dirtycols.clear()
-        for i in dirty:
-            if i >= k:
-                key = row_key(i)
-                if key != rowkey[i]:
+        # < k hold no entries in those rows).  Rows outside dirty recompute
+        # the keys of their +-1 entries in columns whose occupancy changed;
+        # then the rows in dirty are rescanned, and heap entries that are
+        # no longer some active row's key are dropped.
+        for j in occcols:
+            occ = colocc[j]
+            deg = len(occ) - 1
+            for i in occ:
+                if i < k or i in dirty:
+                    continue
+                ri = row[i]
+                v = ri[j]
+                if v != 1 and v != -1:
+                    continue    # occupancy does not enter a non-unit key
+                key = (0, (len(ri) - 1) * deg, i, j)
+                old = rowkey[i]
+                if key < old:
                     rowkey[i] = key
-                    if key is not None:
-                        heappush(heap, key)
+                    heappush(heap, key)
+                elif key != old and old[3] == j:
+                    dirty.add(i)
+        occcols.clear()
+        for i in dirty:
+            if i < k:
+                continue
+            ri = row[i]
+            fill = len(ri) - 1
+            best = None
+            for j, v in ri.items():
+                if v == 1 or v == -1:
+                    key = (0, fill * (len(colocc[j]) - 1), i, j)
+                else:
+                    key = (1, -v if v < 0 else v, i, j)
+                if best is None or key < best:
+                    best = key
+            if best != rowkey[i]:
+                rowkey[i] = best
+                if best is not None:
+                    heappush(heap, best)
         dirty.clear()
         while heap and (heap[0][2] < k or rowkey[heap[0][2]] != heap[0]):
             heappop(heap)

@@ -8,7 +8,6 @@ space plus one Eisenstein class per cusp), swept over levels and weights
 against the closed-form oracle in modforms_oracle.
 """
 
-import random
 from functools import lru_cache
 
 import pytest

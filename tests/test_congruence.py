@@ -22,7 +22,7 @@ from artifact.congruence import (
     transversal,
 )
 from artifact.errors import FormatError, NotInGroup
-from artifact.sl2z import I, S, T, U, SL2ZMatrix
+from artifact.sl2z import I, S, T, U
 
 from coset_enum import enumerated_index
 from modforms_oracle import gamma1_index, index as oracle_index, principal_index

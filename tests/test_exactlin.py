@@ -28,7 +28,10 @@ from artifact.exactlin import (
     solve_echelon,
     _sym_div,
 )
+from artifact.coeffmod import PolynomialModule, hom_complex
+from artifact.congruence import CongruenceSubgroup
 from artifact.hecke import matrix_on_quotient
+from artifact.resolutions import restrict_resolution, sl2z_resolution
 
 from genhelpers import dense
 
@@ -493,8 +496,14 @@ def _full_scan_snf(M, hits):
     The elimination of smith_normal_form as it was before its row pivot
     keys were cached, with all four transforms; the cached search must
     choose the same pivots, so every output agrees with this one.  hits
-    counts the remainder swap-ins and the divisibility fix-ups, so a test
-    can show that its matrices reach them.
+    counts the remainder swap-ins and the divisibility fix-ups, and the
+    changes between two pivot searches in a row whose entries stayed put
+    that the cached search handles without rescanning every such row: a
+    column swap that moves the row's least-key entry up (the row is
+    rescanned), one that moves only other entries up (the row keeps its
+    key), and an occupancy change in the column of a +-1 entry that is not
+    alone in its row (that entry's key is recomputed).  So a test can show
+    that its matrices reach them.
     """
     m, n = M.rows, M.cols
     row = [dict() for _ in range(m)]
@@ -508,6 +517,14 @@ def _full_scan_snf(M, hits):
     Ui = [r[:] for r in U]
     V = [[int(a == b) for b in range(n)] for a in range(n)]
     Vi = [r[:] for r in V]
+    # each row's least key at the last pivot search; rows whose entries
+    # changed since then, and columns whose occupancy changed
+    least = {}
+    changed = set()
+    occ_changed = set()
+
+    def count(name):
+        hits[name] = hits.get(name, 0) + 1
 
     def row_swap(a, b):
         if a == b:
@@ -517,6 +534,7 @@ def _full_scan_snf(M, hits):
             occ = colocc[j]
             occ.add(a) if j in row[a] else occ.discard(a)
             occ.add(b) if j in row[b] else occ.discard(b)
+        changed.update((a, b))
         U[a], U[b] = U[b], U[a]
         for r in Ui:
             r[a], r[b] = r[b], r[a]
@@ -525,6 +543,16 @@ def _full_scan_snf(M, hits):
         if a == b:
             return
         for i in colocc[a] | colocc[b]:
+            if i >= k and i not in changed:
+                # every swap takes a column to a higher index b; the
+                # entries that come down to a are eliminated at once
+                if i in colocc[b]:
+                    changed.add(i)
+                elif least[i][3] == a:
+                    count("moved least entry")
+                    changed.add(i)
+                else:
+                    count("moved other entry")
             ri = row[i]
             va, vb = ri.pop(a, None), ri.pop(b, None)
             if vb is not None:
@@ -542,12 +570,15 @@ def _full_scan_snf(M, hits):
         rd = row[dst]
         for j, v in row[src].items():
             w = rd.get(j, 0) + q * v
+            if (j in rd) != bool(w):
+                occ_changed.add(j)
             if w:
                 rd[j] = w
                 colocc[j].add(dst)
             else:
                 del rd[j]
                 colocc[j].discard(dst)
+        changed.add(dst)
         U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
         for r in Ui:
             r[src] -= q * r[dst]
@@ -558,6 +589,9 @@ def _full_scan_snf(M, hits):
         for i in list(colocc[src]):
             ri = row[i]
             w = ri.get(dst, 0) + q * ri[src]
+            if (dst in ri) != bool(w):
+                occ_changed.add(dst)
+            changed.add(i)
             if w:
                 ri[dst] = w
                 colocc[dst].add(i)
@@ -596,13 +630,22 @@ def _full_scan_snf(M, hits):
     limit = min(m, n)
     k = 0
     while k < limit:
+        for j in occ_changed:
+            for i in colocc[j]:
+                if (i >= k and i not in changed and abs(row[i][j]) == 1
+                        and len(row[i]) > 1):
+                    count("unit occupancy change")
+        changed.clear()
+        occ_changed.clear()
         best = None
         for i in range(k, m):
+            least.pop(i, None)
             for j, v in row[i].items():
                 if abs(v) == 1:
                     key = (0, (len(row[i]) - 1) * (len(colocc[j]) - 1), i, j)
                 else:
                     key = (1, abs(v), i, j)
+                least[i] = min(key, least.get(i, key))
                 if best is None or key < best:
                     best = key
         if best is None:
@@ -617,14 +660,14 @@ def _full_scan_snf(M, hits):
                 row_addmul(i, k, -_sym_div(row[i][k], p))
             leftover = [i for i in colocc[k] if i != k]
             if leftover:
-                hits["row remainder"] += 1
+                count("row remainder")
                 row_swap(k, min(leftover, key=lambda i: (abs(row[i][k]), i)))
                 continue
             for j in [j for j in row[k] if j != k]:
                 col_addmul(j, k, -_sym_div(row[k][j], p))
             leftover = [j for j in row[k] if j != k]
             if leftover:
-                hits["column remainder"] += 1
+                count("column remainder")
                 col_swap(k, min(leftover, key=lambda j: (abs(row[k][j]), j)))
                 continue
             break
@@ -636,7 +679,7 @@ def _full_scan_snf(M, hits):
         fixed_any = False
         for j in range(i + 1, k):
             if d[j] % d[i]:
-                hits["divisibility fix-up"] += 1
+                count("divisibility fix-up")
                 a, b = d[i], d[j]
                 g = gcd(a, b)
                 p0, p1, q0, q1, x, y = 1, 0, 0, 1, a, b
@@ -686,6 +729,24 @@ def test_pivot_sequence_matches_full_scan():
         sf = smith_normal_form(m)
         assert sf.d == d, m
         assert (sf.U.data, sf.V.data, sf.Uinv.data, sf.Vinv.data) == (U, V, Ui, Vi), m
+    assert all(hits.values()), hits
+
+
+def test_pivot_sequence_matches_full_scan_on_coboundaries():
+    # the coboundaries of Gamma0(11) at weight 6 and of Gamma0(17) with
+    # P(2) coefficients, unit-heavy and with many column moves, reach every
+    # refresh the cached search makes without a full rescan
+    hits = {name: 0 for name in ("moved least entry", "moved other entry",
+                                 "unit occupancy change")}
+    for level, k in ((11, 4), (17, 2)):
+        R = restrict_resolution(sl2z_resolution(3),
+                                CongruenceSubgroup.gamma0(level))
+        for delta in hom_complex(R, PolynomialModule(k)).deltas:
+            m = dense(delta)
+            d, U, V, Ui, Vi = _full_scan_snf(m, hits)
+            sf = smith_normal_form(delta)
+            assert sf.d == d, (level, k, delta.rows, delta.cols)
+            assert (sf.U.data, sf.V.data, sf.Uinv.data, sf.Vinv.data) == (U, V, Ui, Vi)
     assert all(hits.values()), hits
 
 

@@ -24,7 +24,7 @@ from artifact.hecke import (EquivariantChainMap, expand_eigenform,
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   RestrictedResolution, restrict_resolution,
                                   sl2z_resolution, sub_resolution)
-from artifact.sl2z import I, S, SL2ZMatrix, T
+from artifact.sl2z import I, S, T
 
 
 GAMMA0_11 = CongruenceSubgroup.gamma0(11)

@@ -43,7 +43,7 @@ from artifact.resolutions import (
     tensor_with_z,
     wall_resolution,
 )
-from artifact.sl2z import I, S, SL2ZMatrix, T, U
+from artifact.sl2z import I, S, T, U
 
 GENS = [S, S.inverse(), T, T.inverse(), U, U.inverse()]
 FROZEN = Path(__file__).resolve().parent / "frozen" / "sl2z_resolution_basis.json"
