@@ -59,9 +59,6 @@ class CongruenceSubgroup:
             return True
         return A.b % n == 0
 
-    def contains_minus_identity(self):
-        return self.kind == "gamma0" or self.level <= 2
-
     def __str__(self):
         name = {"principal": "Gamma", "gamma1": "Gamma1", "gamma0": "Gamma0"}[self.kind]
         return "%s(%d)" % (name, self.level)

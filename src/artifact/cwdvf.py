@@ -11,22 +11,11 @@ A discrete vector field on such a complex is a set of arrows, each pairing
 a k-cell (the source) with a (k+1)-cell (the target) whose boundary contains
 it, no cell taking part in more than one arrow.  A field is admissible when
 the chain relation between arrows (follow an arrow up, step to another face
-of the target, follow that cell's arrow up, ...) contains no circuit.  An
-admissible field induces a degree +1 homotopy h on the chain complex; the
+of the target, follow that cell's arrow up, ...) contains no circuit.  The
 cells in no arrow are the critical cells.  Collapsing the cellular complex
-along the arrows (chaincx.contract) leaves a complex on the critical cells
-with the same homology, by algebraic Morse theory (Forman; Skoldberg).
-When exactly one critical cell remains and it is a vertex, h is a
-contracting homotopy for the whole complex.
-
-The homotopy is computed from the recursion
-
-    h(s) = kappa * (t - h(boundary(t) - kappa*s)),   kappa = <boundary(t), s>,
-
-for an arrow s -> t, and h = 0 on cells that are not arrow sources.  The
-incidence sign kappa matters: dropping it (or the minus on the recursive
-term) already breaks the identity d h + h d = 1 - epsilon on a two-edge
-path.  Admissibility is exactly what makes the recursion terminate.
+along the arrows of an admissible field (chaincx.contract) leaves a
+complex on the critical cells with the same homology, by algebraic Morse
+theory (Forman; Skoldberg).
 
 Complex file format (used by the shipped fixtures and the CLI): a header
 line "cells c0 c1 ... cD" with the per-dimension cell counts, then one line
@@ -44,8 +33,7 @@ from importlib import resources
 
 from .chaincx import FreeChainComplexZ, contract, verify_complex
 from .errors import (CompositionNonzero, ConfigError, EliminationError,
-                     FormatError, MalformedArrow, NotAdmissible,
-                     NotContracting)
+                     FormatError, MalformedArrow, NotAdmissible)
 from .exactlin import SparseIntMatrix
 
 
@@ -346,8 +334,7 @@ class DiscreteVectorField:
 def _arrow_maps(X, V):
     """Validate V structurally against X; MalformedArrow on violation.
 
-    Returns by_source mapping (k, s) -> (t, kappa) with kappa the incidence
-    of the source in its target's boundary.
+    Returns by_source mapping each arrow's (k, s) to its target t.
     """
     by_source = {}
     involved = set()
@@ -358,12 +345,7 @@ def _arrow_maps(X, V):
                                  % (arrow, k))
         if not 0 <= s < X.counts[k] or not 0 <= t < X.counts[k + 1]:
             raise MalformedArrow("arrow %r: cell index out of range" % (arrow,))
-        kappa = 0
-        for f, sign in X.faces[k + 1][t]:
-            if f == s:
-                kappa = sign
-                break
-        if not kappa:
+        if all(f != s for f, _ in X.faces[k + 1][t]):
             raise MalformedArrow(
                 "arrow %r: source is not a face of the target" % (arrow,))
         for cell in ((k, s), (k + 1, t)):
@@ -371,7 +353,7 @@ def _arrow_maps(X, V):
                 raise MalformedArrow(
                     "cell %r takes part in two arrows" % (cell,))
             involved.add(cell)
-        by_source[(k, s)] = (t, kappa)
+        by_source[(k, s)] = t
     return by_source
 
 
@@ -387,7 +369,7 @@ def is_admissible(X, V):
 
     def successors(key):
         k, s = key
-        t, _ = by_source[key]
+        t = by_source[key]
         for f, _ in X.faces[k + 1][t]:
             if f != s and (k, f) in by_source:
                 yield (k, f)
@@ -504,71 +486,6 @@ def maximal_dvf(X):
     return field
 
 
-class _HomotopyEvaluator:
-    """Memoized evaluation of the induced homotopy h of an admissible field.
-
-    h vanishes on cells that are not arrow sources; on a source s with
-    arrow s -> t and incidence kappa = <boundary(t), s>,
-
-        h(s) = kappa * (t - h(boundary(t) - kappa*s)).
-
-    The recursion follows the chain relation, so admissibility makes it
-    well-founded; evaluation is iterative (explicit stack) because chains
-    of arrows can be as long as the complex is large.
-    """
-
-    def __init__(self, X, by_source):
-        self.X = X
-        self.by_source = by_source
-        self.memo = {}
-
-    def cell(self, k, i):
-        """h of a single cell, as a sparse chain in dimension k+1."""
-        start = (k, i)
-        memo = self.memo
-        if start not in self.by_source:
-            return {}
-        stack = [start]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            kk, ii = key
-            t, kappa = self.by_source[key]
-            rest = [(f, s) for f, s in self.X.faces[kk + 1][t] if f != ii]
-            pending = [f for f, _ in rest
-                       if (kk, f) in self.by_source and (kk, f) not in memo]
-            if pending:
-                stack.extend((kk, f) for f in pending)
-                continue
-            out = {t: kappa}
-            for f, s in rest:
-                for j, cj in memo.get((kk, f), {}).items():
-                    v = out.get(j, 0) - kappa * s * cj
-                    if v:
-                        out[j] = v
-                    else:
-                        out.pop(j, None)
-            memo[key] = out
-            stack.pop()
-        return memo[start]
-
-    def chain(self, k, chain):
-        """Linear extension of h to a sparse chain in dimension k."""
-        if not 0 <= k < self.X.dimension:
-            return {}
-        out = {}
-        for i, c in chain.items():
-            for j, cj in self.cell(k, i).items():
-                v = out.get(j, 0) + c * cj
-                if v:
-                    out[j] = v
-                else:
-                    out.pop(j, None)
-        return out
-
-
 def critical_complex(X, V):
     """The chain complex carried by the critical cells of an admissible V.
 
@@ -586,48 +503,3 @@ def critical_complex(X, V):
     verify_complex(C)
     return C
 
-
-class DVFHomotopy:
-    """Contracting homotopy of a one-critical-vertex vector field.
-
-    Calling the object with (n, chain) applies h_n to a sparse chain in
-    dimension n and returns a chain in dimension n+1; on_cell(n, i) is the
-    single-cell version.  The identities d h + h d = 1 - epsilon in degree
-    0 (epsilon sends a 0-chain to its coefficient sum on the critical
-    vertex) and d h + h d = 1 above hold on every cell.
-    """
-
-    def __init__(self, X, evaluator, vertex):
-        self.X = X
-        self.critical_vertex = vertex
-        self._ev = evaluator
-
-    def __call__(self, n, chain):
-        return self._ev.chain(n, chain)
-
-    def on_cell(self, n, i):
-        if not 0 <= n <= self.X.dimension:
-            return {}
-        return dict(self._ev.cell(n, i))
-
-    def epsilon(self, chain):
-        """Augmentation of a 0-chain, placed on the critical vertex."""
-        total = sum(chain.values())
-        return {self.critical_vertex: total} if total else {}
-
-
-def dvf_contracting_homotopy(X, V):
-    """The homotopy evaluator of V, requiring one critical cell of dim 0.
-
-    Raises NotAdmissible when V has a circuit and NotContracting when the
-    critical cells are not exactly one vertex.
-    """
-    if not is_admissible(X, V):
-        raise NotAdmissible("vector field has a circuit")
-    crit = V.critical_cells(X)
-    flat = [(k, i) for k, level in enumerate(crit) for i in level]
-    if len(flat) != 1 or flat[0][0] != 0:
-        raise NotContracting(
-            "need exactly one critical 0-cell, found %s" % (flat,))
-    return DVFHomotopy(X, _HomotopyEvaluator(X, _arrow_maps(X, V)),
-                       flat[0][1])

@@ -49,10 +49,6 @@ class NotAdmissible(ArtifactError):
     """A discrete vector field contains a directed cycle."""
 
 
-class NotContracting(ArtifactError):
-    """A vector field does not induce a contraction (more than one critical cell)."""
-
-
 class MalformedArrow(ArtifactError):
     """An arrow of a discrete vector field violates the incidence conditions."""
 
@@ -71,10 +67,6 @@ class ZeroIdeal(ArtifactError):
 
 class ActionMismatch(ArtifactError):
     """A module and a complex were built over different groups."""
-
-
-class MissingPrime(ArtifactError):
-    """An eigenform expansion needs a Hecke eigenvalue that was not supplied."""
 
 
 class FormatError(ArtifactError):

@@ -845,32 +845,6 @@ def homology_from_forms(form_n, form_next, dim):
                              free_rank=free)
 
 
-def determinant(M):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise ShapeMismatch("determinant of a %dx%d matrix" % (M.rows, M.cols))
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [r[:] for r in M.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division: the Bareiss identity keeps entries integral
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def charpoly(M):
     """Characteristic polynomial det(xI - M), coefficients highest degree first.
 

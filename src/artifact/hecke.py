@@ -32,8 +32,7 @@ from functools import cached_property
 from .coeffmod import PolynomialModule, _entries, block_matrix, hom_complex
 from .congruence import generators
 from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
-                     InfiniteIndex, MissingPrime, NotInGroup, NotInLattice,
-                     ShapeMismatch)
+                     InfiniteIndex, NotInGroup, NotInLattice, ShapeMismatch)
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        SparseIntMatrix, charpoly, integer_roots,
                        kernel_with_left_inverse)
@@ -140,9 +139,9 @@ def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
     same left coset exactly when x^{-1} y lies in Gamma'.  Small
     representatives keep the conjugated group elements of the chain map
     small; its tree walks no longer grow with them, since each degree-0
-    image sits next to its target (hecke_operator).  Raises FormatError
-    when det(g) <= 0 and InfiniteIndex when more than max_cosets cosets
-    appear before the search closes.
+    image sits next to its target (hecke_lift, _nearest_images).  Raises
+    FormatError when det(g) <= 0 and InfiniteIndex when more than
+    max_cosets cosets appear before the search closes.
     """
     gent = _entries(g)
     det = gent[0] * gent[3] - gent[1] * gent[2]
@@ -530,51 +529,3 @@ def hecke_eigenvalues(gamma, n, ps, module=None, resolution=None):
         out[p] = EigenvalueReport(int(p), tuple(roots), tuple(residual), op)
     return out
 
-
-def _least_prime_factor(x):
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return d
-        d += 1
-    return x
-
-
-def expand_eigenform(ap, level, bound):
-    """Coefficients a_1..a_bound of a normalized eigenform from its a_p.
-
-    ap maps primes to eigenvalues.  a_1 = 1, a_{rs} = a_r a_s for coprime
-    r and s, and prime powers follow a_{p^m} = a_{p^{m-1}} a_p
-    - p a_{p^{m-2}} when p does not divide the level and a_{p^m} = a_p^m
-    when it does.  Raises MissingPrime when a required eigenvalue is
-    absent; every prime up to bound is required.
-    """
-    level = int(level)
-    bound = int(bound)
-    if level < 1:
-        raise FormatError("level must be >= 1, got %d" % level)
-    if bound < 1:
-        return []
-    coeff = [0] * (bound + 1)
-    coeff[1] = 1
-    for x in range(2, bound + 1):
-        p = _least_prime_factor(x)
-        q = p
-        rest = x // p
-        while rest % p == 0:
-            q *= p
-            rest //= p
-        if rest > 1:
-            # q and rest are coprime and both smaller than x
-            coeff[x] = coeff[q] * coeff[rest]
-            continue
-        if p not in ap:
-            raise MissingPrime("no eigenvalue supplied for p = %d" % p)
-        a_p = ap[p]
-        if x == p:
-            coeff[x] = a_p
-        elif level % p == 0:
-            coeff[x] = coeff[x // p] * a_p
-        else:
-            coeff[x] = coeff[x // p] * a_p - p * coeff[x // (p * p)]
-    return coeff[1:]

@@ -291,14 +291,6 @@ def ideal_from_generators(gens):
     return QuadIdeal(d, _hnf_rows(rows))
 
 
-def ideal_product(a, b):
-    """The product ideal, via products of the basis generators."""
-    if a.d != b.d:
-        raise MixedField("ideals mix d=%d and d=%d" % (a.d, b.d))
-    return ideal_from_generators(
-        [x * y for x in a.generators() for y in b.generators()])
-
-
 def quad_character(d, n):
     """chi(n) for the quadratic field with parameter d (Kronecker symbol).
 

@@ -18,7 +18,7 @@ Constructions provided:
                              horocycle boundary marked; its corners and
                              arcs are the trivalent tree onto which it
                              retracts, contracted by sl2z.tree_contraction;
-  * wall_resolution       -- the general assembly for a group acting on a
+  * wall_resolution       -- the assembly for SL2(Z) acting on a
                              contractible cell complex with finitely many
                              orbits and finite cyclic stabilizers, each
                              generator labelled with its cell orbit;
@@ -862,11 +862,12 @@ def borel_serre_complex():
 def wall_resolution(X, max_degree):
     """Assemble a free ZG-resolution from a contractible G-cell complex.
 
-    X is an EquivariantCellComplex with finite cyclic stabilizers; the
-    degree-n module has one generator per orbit pair (p, q) with
-    p + q = n, p the cell dimension and q the vertical degree in the
-    stabilizer's periodic resolution; labels[n] lists those (p, orbit)
-    pairs in generator order.  The differential is d0 + d1 + d2:
+    X is an EquivariantCellComplex with finite cyclic stabilizers in
+    SL2(Z), and the result is tagged as a resolution over SL2(Z).  The
+    degree-n module has one generator per orbit pair (p, q) with p + q = n,
+    p the cell dimension and q the vertical degree in the stabilizer's
+    periodic resolution; labels[n] lists those (p, orbit) pairs in
+    generator order.  The differential is d0 + d1 + d2:
     d0 is the vertical boundary, d1 transports the attaching words up the
     columns, and d2 is the correction making the square zero; both are
     produced degree by degree with the column homotopies.
@@ -959,9 +960,6 @@ def wall_resolution(X, max_degree):
             rows.append(row)
         boundaries.append(rows)
 
-    ident = I if isinstance(X.cells[0][0].stabilizer_generator, SL2ZMatrix) \
-        else _cyclic_powers(X.cells[0][0].stabilizer_generator)[0]
-
     def apply_H(chain, deg):
         """Column homotopies on a degree-deg pq-chain {(p, i): gre}."""
         out = {}
@@ -1024,12 +1022,10 @@ def wall_resolution(X, max_degree):
 
     def section(c=1):
         # generator 0 of degree 0 sits over 0-cell orbit 0, the base point
-        return {0: GroupRingElement.unit(ident, c)}
+        return {0: GroupRingElement.unit(I, c)}
 
-    group = (CongruenceSubgroup.gamma0(1)
-             if isinstance(ident, SL2ZMatrix) else ("cell", id(X)))
-    return FreeZGResolution(group, ranks, boundaries, homotopy,
-                            augmentation, section, labels=gens)
+    return FreeZGResolution(CongruenceSubgroup.gamma0(1), ranks, boundaries,
+                            homotopy, augmentation, section, labels=gens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Closed-form invariants of Gamma_0(N) and the indices of Gamma_1(N) and
-Gamma(N), independent of the implementation.
+"""Closed-form invariants of Gamma_0(N), the indices of Gamma_1(N) and
+Gamma(N), and the q-expansion of a normalized eigenform from its a_p,
+independent of the implementation.
 
 Used as a test oracle: nothing here imports the package under test.  The
 formulas are the classical ones (Shimura, *Introduction to the Arithmetic
@@ -150,3 +151,38 @@ def h1_free_rank(n, k):
     if k == 2:
         return 2 * genus(n) + cusps(n) - 1
     return 2 * dim_cusp_forms(n, k) + cusps(n)
+
+
+def expand_eigenform(ap, level, bound):
+    """Coefficients a_1..a_bound of a normalized eigenform from its a_p.
+
+    ap maps primes to eigenvalues.  a_1 = 1, a_{rs} = a_r a_s for coprime
+    r and s, and prime powers follow a_{p^m} = a_{p^{m-1}} a_p
+    - p a_{p^{m-2}} when p does not divide the level and a_{p^m} = a_p^m
+    when it does.  Raises KeyError when a required eigenvalue is absent
+    (every prime up to bound is required) and ValueError on a level
+    below 1.
+    """
+    if level < 1:
+        raise ValueError("level must be >= 1, got %d" % level)
+    if bound < 1:
+        return []
+    coeff = [0] * (bound + 1)
+    coeff[1] = 1
+    for x in range(2, bound + 1):
+        p = prime_factors(x)[0]
+        q = p
+        rest = x // p
+        while rest % p == 0:
+            q *= p
+            rest //= p
+        if rest > 1:
+            # q and rest are coprime and both smaller than x
+            coeff[x] = coeff[q] * coeff[rest]
+        elif x == p:
+            coeff[x] = ap[p]
+        elif level % p == 0:
+            coeff[x] = coeff[x // p] * ap[p]
+        else:
+            coeff[x] = coeff[x // p] * ap[p] - p * coeff[x // (p * p)]
+    return coeff[1:]

@@ -18,7 +18,7 @@ import time
 
 from genhelpers import (chain_add, chain_is_zero, chain_sub, chains_equal,
                         random_complex)
-from modforms_oracle import cusps, dim_cusp_forms
+from modforms_oracle import cusps, dim_cusp_forms, expand_eigenform
 from test_cwdvf import random_cubical
 from test_hecke import perturbed_homotopy
 
@@ -29,7 +29,7 @@ from artifact.congruence import CongruenceSubgroup, generators, index
 from artifact.cuspidal import cuspidal_cohomology
 from artifact.cwdvf import (RegularCWComplex, bing_house, critical_complex,
                             maximal_dvf)
-from artifact.hecke import expand_eigenform, hecke_eigenvalues, hecke_operator
+from artifact.hecke import hecke_eigenvalues, hecke_operator
 from artifact.quadring import (gamma0_index, ideal_from_generators, l_ratio,
                                parse_quad, torsion_ratio)
 from artifact.resolutions import (GroupRingElement, restrict_resolution,

@@ -69,8 +69,6 @@ def test_membership_basics():
     assert gamma0(50).member(-I)
     assert principal(2).member(-I)
     assert not principal(3).member(-I)
-    assert gamma0(7).contains_minus_identity()
-    assert not gamma1(3).contains_minus_identity()
 
 
 def test_bad_subgroup_parameters():

@@ -15,14 +15,13 @@ from artifact.cwdvf import (
     bing_house,
     critical_complex,
     cubical_complex,
-    dvf_contracting_homotopy,
     is_admissible,
     load_complex,
     maximal_dvf,
     save_complex,
 )
 from artifact.errors import (CompositionNonzero, FormatError, MalformedArrow,
-                             NotAdmissible, NotContracting)
+                             NotAdmissible)
 from artifact.exactlin import AbelianInvariants
 
 FROZEN = Path(__file__).resolve().parent / "frozen" / "critical_complexes.json"
@@ -103,21 +102,6 @@ def boundary_chain(X, n, chain):
         for f, s in X.faces[n][i]:
             out[f] = out.get(f, 0) + c * s
     return {f: v for f, v in out.items() if v}
-
-
-def check_identity(X, h, n, i):
-    """(d h + h d) on the basis cell (n, i) against 1 - epsilon."""
-    dh = boundary_chain(X, n + 1, h(n, {i: 1})) if n < X.dimension else {}
-    hd = h(n - 1, boundary_chain(X, n, {i: 1})) if n else {}
-    lhs = dict(dh)
-    for k, c in hd.items():
-        lhs[k] = lhs.get(k, 0) + c
-    lhs = {k: c for k, c in lhs.items() if c}
-    want = {i: 1}
-    if n == 0:
-        want[h.critical_vertex] = want.get(h.critical_vertex, 0) - 1
-        want = {k: c for k, c in want.items() if c}
-    return lhs == want
 
 
 # ---------------------------------------------------------------- complexes
@@ -323,8 +307,6 @@ def test_bing_house_needs_at_least_two_critical_cells():
     Y = bing_house()
     V = maximal_dvf(Y)
     assert sum(V.critical_counts(Y)) >= 2
-    with pytest.raises(NotContracting):
-        dvf_contracting_homotopy(Y, V)
 
 
 # -------------------------------------------------------- critical_complex
@@ -410,82 +392,6 @@ def test_critical_complexes_frozen():
         X = RegularCWComplex.from_text(case["complex"])
         V = DiscreteVectorField(case["arrows"])
         assert critical_complex(X, V).to_text() == case["critical"]
-
-
-# ------------------------------------------------- contracting homotopies
-
-
-def test_homotopy_rejects_inadmissible():
-    V = DiscreteVectorField([(0, 0, 0), (0, 1, 1)])
-    with pytest.raises(NotAdmissible):
-        dvf_contracting_homotopy(circle(), V)
-
-
-def test_homotopy_rejects_two_critical_cells():
-    X = circle()
-    with pytest.raises(NotContracting):
-        dvf_contracting_homotopy(X, maximal_dvf(X))
-
-
-def test_homotopy_on_critical_vertex_is_zero():
-    X = interval()
-    h = dvf_contracting_homotopy(X, maximal_dvf(X))
-    assert h.on_cell(0, h.critical_vertex) == {}
-
-
-def test_interval_homotopy_value():
-    X = interval()
-    h = dvf_contracting_homotopy(X, DiscreteVectorField([(0, 1, 0)]))
-    assert h.on_cell(0, 1) == {0: 1}
-
-
-def test_depth6_tree_identity_on_all_vertices():
-    X = cubic_tree(6)
-    h = dvf_contracting_homotopy(X, maximal_dvf(X))
-    for v in range(X.counts[0]):
-        assert check_identity(X, h, 0, v)
-
-
-def test_identity_on_all_cells_of_fixtures():
-    # fixtures with a single critical vertex, the largest around 10^4 cells
-    fixtures = [
-        interval(),
-        path_complex(9),
-        cubic_tree(4),
-        cubical_complex([((x, y), (0, 1))
-                         for x in range(50) for y in range(50)]),
-    ]
-    assert sum(fixtures[-1].counts) == 10201
-    for X in fixtures:
-        h = dvf_contracting_homotopy(X, maximal_dvf(X))
-        for n in range(X.dimension + 1):
-            for i in range(X.counts[n]):
-                assert check_identity(X, h, n, i)
-
-
-def test_homotopy_epsilon():
-    X = path_complex(3)
-    h = dvf_contracting_homotopy(X, maximal_dvf(X))
-    assert h.epsilon({1: 2, 2: -2}) == {}
-    assert h.epsilon({3: 5}) == {h.critical_vertex: 5}
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_homotopy_identity_random_trees(seed):
-    # random spanning-tree-like complexes: a random tree on n vertices
-    rng = random.Random(seed)
-    n = rng.randint(2, 40)
-    edges = []
-    for v in range(1, n):
-        edges.append((rng.randrange(v), v))
-    X = RegularCWComplex(
-        [n, len(edges)], [[[(b, 1), (a, -1)] for a, b in edges]])
-    h = dvf_contracting_homotopy(X, maximal_dvf(X))
-    for i in range(X.counts[0]):
-        assert check_identity(X, h, 0, i)
-    for i in range(X.counts[1]):
-        assert check_identity(X, h, 1, i)
 
 
 # ------------------------------------------------------------- file format

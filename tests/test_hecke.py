@@ -1,10 +1,9 @@
-"""Hecke operators: coset data, chain maps, matrices, eigenform expansion."""
+"""Hecke operators: coset data, chain maps, matrices, eigenvalues."""
 
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pathlib import Path
 
@@ -14,13 +13,12 @@ from artifact.cli import main
 from artifact.coeffmod import CochainComplexZ, PolynomialModule, block_matrix
 from artifact.congruence import CongruenceSubgroup
 from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
-                             FormatError, InfiniteIndex, MissingPrime,
-                             NotInLattice, ShapeMismatch)
+                             FormatError, InfiniteIndex, NotInLattice,
+                             ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
-from artifact.hecke import (EquivariantChainMap, expand_eigenform,
-                            gamma_prime_data, hecke_cochain,
-                            hecke_eigenvalues, hecke_lift, hecke_operator,
-                            hecke_representative)
+from artifact.hecke import (EquivariantChainMap, gamma_prime_data,
+                            hecke_cochain, hecke_eigenvalues, hecke_lift,
+                            hecke_operator, hecke_representative)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   RestrictedResolution, restrict_resolution,
                                   sl2z_resolution, sub_resolution)
@@ -569,67 +567,3 @@ def test_weight_four_torsion_and_commutation(res11):
     assert a.compose(b) == b.compose(a)
     fa, fb = a.free_block(), b.free_block()
     assert fa * fb == fb * fa
-
-
-# ---------------------------------------------------------------------------
-# eigenform coefficients
-
-
-def test_level_eleven_expansion():
-    ap = {2: -2, 3: -1, 5: 1, 7: -2, 11: 1}
-    a = expand_eigenform(ap, 11, 12)
-    assert a == [1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1, -2]
-
-
-def test_prime_power_at_level_prime():
-    primes = [p for p in range(2, 122)
-              if all(p % q for q in range(2, p))]
-    ap = {p: 1 for p in primes}
-    a = expand_eigenform(ap, 11, 121)
-    # p dividing the level: a_{p^m} = a_p^m
-    assert a[121 - 1] == 1
-    ap[11] = 5
-    a = expand_eigenform(ap, 11, 121)
-    assert a[121 - 1] == 25
-
-
-def test_missing_prime_raises():
-    with pytest.raises(MissingPrime):
-        expand_eigenform({2: -2}, 11, 5)
-    # not needed below the bound, so no complaint
-    assert expand_eigenform({2: -2}, 11, 2) == [1, -2]
-
-
-def test_expansion_edge_cases():
-    assert expand_eigenform({}, 11, 0) == []
-    assert expand_eigenform({}, 11, 1) == [1]
-    with pytest.raises(FormatError):
-        expand_eigenform({}, 0, 5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 9))
-def test_expansion_multiplicative(seed):
-    rng = random.Random(seed)
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    ap = {p: rng.randint(-5, 5) for p in primes}
-    level = rng.choice([1, 2, 6, 11, 30])
-    bound = 30
-    a = expand_eigenform(ap, level, bound)
-    assert a[0] == 1
-    for r in range(2, bound + 1):
-        for s in range(2, bound // r + 1):
-            if _gcd(r, s) == 1:
-                assert a[r * s - 1] == a[r - 1] * a[s - 1]
-    for p in primes:
-        if p * p <= bound:
-            if level % p == 0:
-                assert a[p * p - 1] == ap[p] ** 2
-            else:
-                assert a[p * p - 1] == ap[p] ** 2 - p
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
