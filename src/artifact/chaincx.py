@@ -144,7 +144,7 @@ def all_homology(C):
             for n in range(C.top_degree + 1)]
 
 
-def contract(C, pairs=None):
+def contract(C, pairs=None, side=None):
     """Reduce by simple homotopy collapses; homology is preserved.
 
     Greedy strategy: degrees are processed bottom up and exhausted one at a
@@ -155,6 +155,16 @@ def contract(C, pairs=None):
     so one ascending pass is complete and the result has no unit entries
     at all.  The collapse trace is recorded on the result in the original
     generator labelling.
+
+    Filtered: side[n][g] labels degree-n generator g, and the greedy
+    strategy collapses a unit entry only when its source and target carry
+    the same label (so unit entries across labels may remain).  A collapse
+    of (a, b) adds multiples of the boundary of a to the sources hitting b;
+    if the generators of one label span a subcomplex, b is in it whenever
+    such a source is, and then so is a.  So the survivors of that label
+    still span a subcomplex, and the collapse is a filtered chain homotopy
+    equivalence (the basic perturbation lemma): the subcomplex and the
+    quotient keep their homology too.
 
     Prescribed pairs: given (degree, source, target) triples in that
     labelling, exactly those pairs are collapsed, in order, by the same
@@ -231,6 +241,14 @@ def contract(C, pairs=None):
                 if v == 1 or v == -1:
                     fill = (len(row) - 1) * (len(cob[n][b]) - 1)
                     yield (fill, a, b)
+
+    if side is not None:
+        # the label test wraps the unfiltered scan, which stays as it is
+        unfiltered = unit_candidates
+
+        def unit_candidates(n, srcs):
+            up, down = side[n], side[n - 1]
+            return (c for c in unfiltered(n, srcs) if up[c[1]] == down[c[2]])
 
     if pairs is not None:
         for n, a, b in pairs:

@@ -7,22 +7,40 @@ the interior ones; for congruence subgroups of SL2(Z) the interior part
 of H^n is exactly the cuspidal part, which is how this module labels it.
 
 Everything happens on free resolutions: the compactified complex
-assembles to one, and its generators over the horocycle boundary are
-the boundary's (Wall's assembly of the subcomplex).  Both restrict to
-the subgroup, and the boundary inclusion lifts to an equivariant chain
-map through the SL2(Z)-level contracting homotopy of the ambient
-assembly; its values are refolded into the restricted ambient basis
-once, where the restriction of cochains reads them.  The kernel is
-cut out at the cocycle-lattice level (the preimage of the boundary
-coboundaries), so its abelian invariants are those of a genuine subgroup
-of H^n; no ill-defined operations on invariant lists are involved.
+assembles to one, and its generators over the horocycle boundary span a
+subresolution, the boundary's (Wall's assembly of the subcomplex).  So
+the ambient cochains vanishing on the horocycle generators form a
+subcomplex K, the boundary cochains are the quotient by K, and
+restriction to the boundary is the coordinate projection onto the
+horocycle coordinates.  cuspidal_cohomology contracts the ambient
+cochains by unit collapses whose two cells lie on the same side of K
+(chaincx.contract with sides).  Each is a filtered chain homotopy
+equivalence (the basic perturbation lemma), so the reduced complex, its
+horocycle block and the projection between them give the ambient,
+boundary and cuspidal invariants on a much smaller complex.  The kernel is cut out at the cocycle-lattice level (the
+preimage of the boundary coboundaries), so its abelian invariants are
+those of a genuine subgroup of H^n; no ill-defined operations on
+invariant lists are involved.
+
+Operators act on the unreduced ambient cochains, so CuspidalResult
+builds the kernel lattice in the ambient basis on first use: the
+boundary inclusion lifts to an equivariant chain map through the
+SL2(Z)-level contracting homotopy of the ambient assembly, its values
+are refolded into the restricted ambient basis once, where the
+restriction of cochains reads them, and the same lattice construction
+runs on the full complexes.  Its invariants are checked against the
+reduced ones.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .coeffmod import PolynomialModule, block_matrix, cohomology, hom_complex
-from .errors import CompositionNonzero, DegreeOutOfRange, NotInLattice
+from .chaincx import contract, verify_complex
+from .coeffmod import (CochainComplexZ, PolynomialModule, block_matrix,
+                       cohomology, hom_complex)
+from .errors import (CompositionNonzero, DegreeOutOfRange, EliminationError,
+                     NotInLattice)
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        SparseIntMatrix, cokernel_invariants, column_span_basis,
                        integer_kernel, solve_echelon)
@@ -49,22 +67,137 @@ def _pullback_matrix(chain_map, k, ambient, module):
                              chain_map.value(k, j)).items()))
 
 
+def _kernel_of_restriction(C, CB, rho, n):
+    """H^n of C, of CB and of the kernel of the restriction rho: C -> CB.
+
+    Returns the CohomologyPresentation of C, the invariants (of C, of CB,
+    of the kernel), the kernel lattice basis in column echelon form, and
+    the coboundaries of C in its coordinates.  Raises NotInLattice when
+    the coboundaries do not lie in the kernel lattice.
+    """
+    # invariants are taken in the coordinates of the cocycle lattice Z,
+    # where the ambient coboundaries become the relations
+    pres = CohomologyPresentation(C, n)
+    Z = pres.Z
+    # v = Z u lies in the kernel lattice iff rho v is a boundary
+    # coboundary, i.e. (u, -w) solves the stacked system below; ambient
+    # coboundaries always qualify, so the lattice presents the kernel
+    K = integer_kernel((rho * Z).hstack(CB.delta(n - 1)))
+    U = IntMatrix(Z.cols, K.cols, [list(K.data[i]) for i in range(Z.cols)])
+    kernel_basis = column_span_basis(Z * U)
+    relations = solve_echelon(kernel_basis, pres.delta_in)
+    if relations is None:
+        raise NotInLattice(
+            "relations not in the span of the kernel lattice")
+    invariants = (cokernel_invariants(pres.relations), cohomology(CB, n),
+                  cokernel_invariants(relations))
+    return pres, invariants, kernel_basis, relations
+
+
+def _filtered_reduction(CA, on_boundary, n):
+    """The reduced cochain complex, its boundary block and the degree-n
+    projection onto it.
+
+    on_boundary[k][c] tells whether degree-k coordinate c of CA lies on a
+    horocycle generator.  CA is contracted with those sides, so the
+    reduced coordinates off the boundary still span a subcomplex K', and
+    the boundary block of each reduced coboundary presents the quotient.
+    Raises CompositionNonzero when the reduced coboundaries do not
+    compose to zero, or when one takes a coordinate of K' out of K'
+    (then the projection is no cochain map).
+    """
+    # cochain degree k is chain degree top - k
+    side = on_boundary[::-1]
+    D = contract(CA.as_chain_complex(), side=side)
+    verify_complex(D)
+    gone = [set() for _ in side]
+    for step in D.trace:
+        gone[step.degree].add(step.source)
+        gone[step.degree - 1].add(step.target)
+    kept = [[s for g, s in enumerate(sides) if g not in out]
+            for sides, out in zip(side, gone)][::-1]
+    C = CochainComplexZ(D.ranks[::-1], D.diffs[::-1])
+    # the projections onto the boundary coordinates, numbered in order
+    proj = []
+    for sides in kept:
+        at = {g: i for i, g in enumerate(g for g, s in enumerate(sides) if s)}
+        proj.append(SparseIntMatrix(len(at), len(sides),
+                                    [{at[g]: 1} if g in at else {}
+                                     for g in range(len(sides))]))
+    CB = CochainComplexZ([p.rows for p in proj],
+                         [proj[k + 1] * d * proj[k].transpose()
+                          for k, d in enumerate(C.deltas)])
+    if any(CB.deltas[k] * proj[k] != proj[k + 1] * d
+           for k, d in enumerate(C.deltas)):
+        raise CompositionNonzero(
+            "restriction does not commute with the coboundaries")
+    return C, CB, proj[n]
+
+
+# the kernel lattice in the ambient basis, and what it was built on
+_AmbientKernel = namedtuple("_AmbientKernel", (
+    "restriction", "restriction_next", "boundary_complex", "kernel_basis",
+    "kernel_relations", "ambient_presentation"))
+
+
+def _ambient_kernel(result):
+    """The kernel lattice of a CuspidalResult in its ambient basis.
+
+    Restricts the horocycle generators of the stored assembly to the
+    group, lifts their inclusion to a chain map through the SL2(Z)-level
+    contracting homotopy, pulls cochains back along it in degrees n and
+    n + 1, and cuts the kernel out of the full ambient complex.  The chain
+    map is verified on all generators, the restriction is checked to
+    commute with the coboundaries (CompositionNonzero), and the
+    invariants are checked against the result's (EliminationError).
+    """
+    n, module, W = result.degree, result.module, result.wall
+    boundary = restrict_resolution(sub_resolution(W, result.horocycles),
+                                   result.group)
+    incl = EquivariantChainMap(
+        boundary, W, lambda g: g,
+        [W.section(boundary.aug({j: GroupRingElement.unit(I)}))
+         for j in range(boundary.rank(0))], degree_max=n + 1)
+    CA = result.ambient_complex
+    CB = hom_complex(boundary, module)
+    rho, rho_next = (_pullback_matrix(incl, k, result.ambient_resolution,
+                                      module) for k in (n, n + 1))
+    if CB.deltas[n] * rho != rho_next * CA.deltas[n]:
+        raise CompositionNonzero(
+            "restriction does not commute with the coboundaries")
+    pres, invariants, kernel_basis, relations = _kernel_of_restriction(
+        CA, CB, rho, n)
+    if invariants != (result.ambient, result.boundary, result.cuspidal):
+        raise EliminationError("the ambient complex and its filtered "
+                               "reduction give different invariants")
+    return _AmbientKernel(rho, rho_next, CB, kernel_basis, relations, pres)
+
+
+def _ambient(name):
+    """A CuspidalResult field read off its _AmbientKernel."""
+    return cached_property(lambda self: getattr(self._in_ambient_basis, name))
+
+
 @dataclass
 class CuspidalResult:
     """Ambient, boundary, and cuspidal cohomology of one degree.
 
-    restriction is the sparse cochain-level matrix of the pullback along
-    the boundary inclusion (rows: boundary cochain coordinates, columns:
-    ambient ones), and restriction_next the same one degree up, so the
-    chain-map identity delta_boundary . restriction = restriction_next .
+    The three invariants come from the filtered reduction.  The ambient
+    complex and resolution, the module and the Wall assembly with its
+    horocycle generators ride along, and the fields in the ambient basis
+    are built from them on first read, all at once (_ambient_kernel), with
+    their invariants checked against the reduced ones.  restriction is
+    the sparse cochain-level matrix of the pullback along the boundary
+    inclusion (rows: boundary cochain coordinates, columns: ambient
+    ones), and restriction_next the same one degree up, so the chain-map
+    identity delta_boundary . restriction = restriction_next .
     delta_ambient can be checked as a matrix identity.  kernel_basis
     columns, in column echelon form, are ambient cocycles spanning the
     preimage lattice of the boundary coboundaries; cuspidal is that
     lattice modulo the ambient coboundaries, which kernel_relations
-    writes in the coordinates of kernel_basis.  The complexes, the
-    ambient resolution and the presentation of the ambient H^n ride along
-    so follow-up computations (Hecke action on the kernel, for one) stay
-    in the same coordinates.
+    writes in the coordinates of kernel_basis.  With boundary_complex and
+    ambient_presentation (of the ambient H^n) they keep follow-up
+    computations (Hecke action on the kernel, for one) in one basis.
     """
 
     group: object
@@ -73,15 +206,22 @@ class CuspidalResult:
     ambient: AbelianInvariants
     boundary: AbelianInvariants
     cuspidal: AbelianInvariants
-    restriction: SparseIntMatrix
-    restriction_next: SparseIntMatrix = field(repr=False)
-    kernel_basis: IntMatrix = field(repr=False)
     ambient_complex: object = field(repr=False)
-    boundary_complex: object = field(repr=False)
     ambient_resolution: object = field(repr=False)
     module: object = field(repr=False)
-    kernel_relations: IntMatrix = field(repr=False)
-    ambient_presentation: CohomologyPresentation = field(repr=False)
+    wall: object = field(repr=False)
+    horocycles: list = field(repr=False)
+
+    @cached_property
+    def _in_ambient_basis(self):
+        return _ambient_kernel(self)
+
+    restriction = _ambient("restriction")
+    restriction_next = _ambient("restriction_next")
+    boundary_complex = _ambient("boundary_complex")
+    kernel_basis = _ambient("kernel_basis")
+    kernel_relations = _ambient("kernel_relations")
+    ambient_presentation = _ambient("ambient_presentation")
 
     @cached_property
     def presentation(self):
@@ -110,62 +250,39 @@ class CuspidalResult:
 def cuspidal_cohomology(gamma, n, module=None):
     """Cuspidal cohomology of gamma in degree n with the given module.
 
-    Assembles the resolution of the compactified complex once, takes its
-    generators over the horocycle boundary as the boundary's resolution,
-    restricts both to gamma, lifts the inclusion to a chain map through
-    the contracting homotopy of the SL2(Z)-level assembly, and
-    intersects the degree-n cocycle lattice with the preimage of the
-    boundary coboundaries.  The chain map is verified on all generators,
-    the cochain restriction is checked to commute with the coboundaries,
-    and the ambient coboundaries are checked to be cocycles.
+    Assembles the resolution of the compactified complex once, restricts
+    it to gamma and takes its cochains, marks each coordinate by whether
+    its generator lies over the horocycle boundary, and contracts with
+    those sides.  On the reduced complex, restriction is the projection
+    onto the boundary coordinates, and the degree-n cocycle lattice is
+    intersected with the preimage of the boundary coboundaries.  The
+    reduced coboundaries are checked to compose to zero and to keep the
+    coordinates off the boundary among themselves, and the coboundaries
+    to be cocycles in the kernel lattice.  The fields in the ambient
+    basis are left to the result, which builds them on first read.
     """
     if module is None:
         module = PolynomialModule(0)
     if n < 0:
         raise DegreeOutOfRange("degree must be >= 0, got %d" % n)
-    top = n + 1
     X = borel_serre_complex()
-    W = wall_resolution(X, top)
+    W = wall_resolution(X, n + 1)
     horocycles = [[(j, 1) for j, (p, i) in enumerate(labels)
                    if i in X.boundary_orbits.get(p, ())]
                   for labels in W.labels]
     ambient = restrict_resolution(W, gamma)
-    boundary = restrict_resolution(sub_resolution(W, horocycles), gamma)
-    incl = EquivariantChainMap(
-        boundary, W, lambda g: g,
-        [W.section(boundary.aug({j: GroupRingElement.unit(I)}))
-         for j in range(boundary.rank(0))], degree_max=top)
     CA = hom_complex(ambient, module)
-    CB = hom_complex(boundary, module)
-    rho = _pullback_matrix(incl, n, ambient, module)
-    rho_next = _pullback_matrix(incl, n + 1, ambient, module)
-    if CB.deltas[n] * rho != rho_next * CA.deltas[n]:
-        raise CompositionNonzero(
-            "restriction does not commute with the coboundaries")
-
-    din_b = CB.delta(n - 1)
-    # invariants are taken in the coordinates of the cocycle lattice Z,
-    # where the ambient coboundaries become the relations
-    pres = CohomologyPresentation(CA, n)
-    Z = pres.Z
-    ambient_inv = cokernel_invariants(pres.relations)
-    boundary_inv = cohomology(CB, n)
-
-    # v = Z u lies in the kernel lattice iff rho v is a boundary
-    # coboundary, i.e. (u, -w) solves the stacked system below; ambient
-    # coboundaries always qualify, so the lattice presents the kernel
-    stacked = (rho * Z).hstack(din_b)
-    W = integer_kernel(stacked)
-    U = IntMatrix(Z.cols, W.cols, [list(W.data[i]) for i in range(Z.cols)])
-    kernel_basis = column_span_basis(Z * U)
-    in_kernel = solve_echelon(kernel_basis, pres.delta_in)
-    if in_kernel is None:
-        raise NotInLattice(
-            "relations not in the span of the kernel lattice")
-    kernel_inv = cokernel_invariants(in_kernel)
-    return CuspidalResult(gamma, n, module.k + 2, ambient_inv, boundary_inv,
-                          kernel_inv, rho, rho_next, kernel_basis, CA, CB,
-                          ambient, module, in_kernel, pres)
+    # coordinate (b * nt + t) * m + i lies on base generator b
+    width = ambient.rank(0) // W.rank(0) * module.rank
+    on_boundary = []
+    for k, keep in enumerate(horocycles):
+        marked = {j for j, _ in keep}
+        on_boundary.append([b in marked for b in range(W.rank(k))
+                            for _ in range(width)])
+    C, CB, rho = _filtered_reduction(CA, on_boundary, n)
+    _, invariants, _, _ = _kernel_of_restriction(C, CB, rho, n)
+    return CuspidalResult(gamma, n, module.k + 2, *invariants, CA, ambient,
+                          module, W, horocycles)
 
 
 def cuspidal_hecke_matrix(result, g):

@@ -192,7 +192,9 @@ class EquivariantChainMap:
     and extended semilinearly, f(gamma x) = phi(gamma) f(x).  A map into
     a restricted resolution is lifted into its base, the SL2(Z)-level
     resolution, through the SL2(Z)-level homotopy, and its values are
-    refolded where they are read (hecke_lift, cuspidal_cohomology).
+    refolded where they are read (hecke_lift, and the boundary inclusion
+    behind a CuspidalResult's fields in the ambient basis, built on first
+    read; cuspidal_cohomology itself lifts nothing).
     The defining equations d f_n = f_{n-1} d_n (plus augmentation
     preservation in degree 0) are verified on every source generator up
     to degree_max, and a failure raises CompositionNonzero.  Raises

@@ -252,3 +252,97 @@ def test_all_homology_checks_composition():
                           [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])])
     with pytest.raises(CompositionNonzero):
         all_homology(c)
+
+
+def _dense(M):
+    return IntMatrix(M.rows, M.cols, [[col.get(i, 0) for col in M.columns]
+                                      for i in range(M.rows)])
+
+
+def _truncated(C, top):
+    return FreeChainComplexZ(C.ranks[:top + 1], C.diffs[:top])
+
+
+def filtered_complex(rng):
+    """A random complex with a subcomplex, and the side of each generator.
+
+    Two random complexes A and B are glued along f = dA h - h dB for a
+    random degree-0 map h: B -> A, so d = [[dA, f], [0, dB]] squares to
+    zero and A spans a subcomplex (side False, B's generators side True).
+    The generators of each degree are then shuffled.  Returns the complex,
+    the sides, and A and B truncated to its top degree.
+    """
+    A, _ = random_complex(rng)
+    B, _ = random_complex(rng)
+    top = min(A.top_degree, B.top_degree)
+    A, B = _truncated(A, top), _truncated(B, top)
+    h = [IntMatrix(A.rank(n), B.rank(n),
+                   [[rng.randint(-1, 1) for _ in range(B.rank(n))]
+                    for _ in range(A.rank(n))]) for n in range(top + 1)]
+    order = []
+    for n in range(top + 1):
+        order.append(list(range(A.rank(n) + B.rank(n))))
+        rng.shuffle(order[n])
+    diffs = []
+    for n in range(1, top + 1):
+        dA, dB = _dense(A.boundary(n)), _dense(B.boundary(n))
+        f = dA * h[n] - h[n - 1] * dB
+        stacked = ([ra + rf for ra, rf in zip(dA.data, f.data)]
+                   + [[0] * A.rank(n) + rb for rb in dB.data])
+        diffs.append(IntMatrix.from_rows(
+            [[stacked[i][j] for j in order[n]] for i in order[n - 1]])
+            if order[n - 1] and order[n] else
+            IntMatrix.zeros(len(order[n - 1]), len(order[n])))
+    side = [[g >= A.rank(n) for g in order[n]] for n in range(top + 1)]
+    return FreeChainComplexZ([len(o) for o in order], diffs), \
+        side, A, B
+
+
+def _kept_sides(c, d, side):
+    gone = [set() for _ in c.ranks]
+    for step in d.trace:
+        gone[step.degree].add(step.source)
+        gone[step.degree - 1].add(step.target)
+    return [[s for g, s in enumerate(sides) if g not in out]
+            for sides, out in zip(side, gone)]
+
+
+def _block(d, kept, label):
+    """The block of the reduced complex on the generators of one side."""
+    index = [[g for g, s in enumerate(k) if s == label] for k in kept]
+    diffs = [IntMatrix.from_rows([[mat.columns[j].get(i, 0) for j in index[n]]
+                                  for i in index[n - 1]])
+             if index[n - 1] and index[n] else
+             IntMatrix.zeros(len(index[n - 1]), len(index[n]))
+             for n, mat in enumerate(d.diffs, start=1)]
+    return FreeChainComplexZ([len(i) for i in index], diffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_filtered_contract_keeps_the_subcomplex(seed):
+    c, side, A, B = filtered_complex(random.Random(seed))
+    verify_complex(c)
+    d = contract(c, side=side)
+    verify_complex(d)
+    # no collapsed pair crosses sides
+    assert all(side[s.degree][s.source] == side[s.degree - 1][s.target]
+               for s in d.trace)
+    # the survivors of A still span a subcomplex
+    kept = _kept_sides(c, d, side)
+    for n, mat in enumerate(d.diffs, start=1):
+        for j, col in enumerate(mat.columns):
+            if not kept[n][j]:
+                assert not any(kept[n - 1][i] for i in col)
+    # and the reduction is an equivalence of the complex, the subcomplex
+    # and the quotient
+    assert all_homology(d) == all_homology(c)
+    assert all_homology(_block(d, kept, False)) == all_homology(A)
+    assert all_homology(_block(d, kept, True)) == all_homology(B)
+
+
+def test_one_side_contracts_as_without_sides():
+    for _, c in _frozen_fixtures():
+        plain = contract(c)
+        d = contract(c, side=[[0] * r for r in c.ranks])
+        assert d == plain and d.trace == plain.trace

@@ -7,7 +7,9 @@ levels are frozen here as oracles; in weights 2 and 4 both free ranks are
 swept against the closed-form Eichler-Shimura counts of modforms_oracle.  Hecke operators pushed down to the
 kernel must reproduce newform eigenvalue data: scalar a_p at level 11 in
 weight 2, and the squared quadratic charpolys of the weight 4 pair whose
-eigenvalues live in Z[sqrt(3)].
+eigenvalues live in Z[sqrt(3)].  The invariants come from the
+boundary-filtered reduction, and they are compared with those the fields
+in the ambient basis present, over Gamma0, Gamma1 and Gamma(N).
 """
 
 import copy
@@ -19,12 +21,14 @@ from pathlib import Path
 import pytest
 
 from artifact import cuspidal
+from artifact.chaincx import contract
 from artifact.cli import main
-from artifact.coeffmod import PolynomialModule, block_matrix
+from artifact.coeffmod import PolynomialModule, block_matrix, cohomology
 from artifact.congruence import CongruenceSubgroup
 from artifact.cuspidal import cuspidal_cohomology, cuspidal_hecke_matrix
-from artifact.errors import CompositionNonzero, NotInLattice
-from artifact.exactlin import (IntMatrix, charpoly, column_span_basis,
+from artifact.errors import CompositionNonzero, EliminationError, NotInLattice
+from artifact.exactlin import (AbelianInvariants, IntMatrix, charpoly,
+                               cokernel_invariants, column_span_basis,
                                integer_kernel, integer_roots, solve_echelon)
 from artifact.hecke import EquivariantChainMap, hecke_representative
 from artifact.resolutions import (GroupRingElement, RestrictedResolution,
@@ -106,6 +110,8 @@ def test_cuspidal_cohomology_calls_no_restricted_homotopy(monkeypatch):
     monkeypatch.setattr(RestrictedResolution, "h", refuse)
     r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
     assert str(r.cuspidal) == "Z^2"
+    # the lift is built with the fields in the ambient basis
+    assert r.restriction.cols == r.ambient_complex.ranks[1]
 
 
 def test_one_assembly_serves_both_sides(monkeypatch):
@@ -196,8 +202,10 @@ def test_weight_four_level_eleven_presentation_frozen(monkeypatch):
 
 def test_operators_share_the_boundary_coboundary_basis(monkeypatch):
     # the echelon basis of the boundary coboundaries depends only on the
-    # result, so T2 and T3 compute it once between them
+    # result, so T2 and T3 compute it once between them (the kernel
+    # lattice in the ambient basis is built before counting)
     r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    r.kernel_basis
     calls = []
 
     def counted(M):
@@ -216,6 +224,7 @@ def test_operators_share_the_ambient_presentation(monkeypatch):
     # 2 Smith forms with transforms for three operators, not 7
     r = cuspidal_cohomology(CongruenceSubgroup.gamma0(13), 1,
                             PolynomialModule(2))
+    r.ambient_presentation
     calls = transform_snfs(monkeypatch)
     ops = [cuspidal_hecke_matrix(r, hecke_representative(p))
            for p in (2, 3, 5)]
@@ -310,6 +319,7 @@ def test_torsion_matches_rank_drop_mod_p(level, degree, p):
 
 
 def test_noncommuting_restriction_exits_three(capsys, monkeypatch):
+    # in the ambient basis: the lifted restriction, doubled one degree up
     pullback = cuspidal._pullback_matrix
 
     def doubled_next(chain_map, k, ambient, module):
@@ -317,37 +327,111 @@ def test_noncommuting_restriction_exits_three(capsys, monkeypatch):
         return out * 2 if k == 2 else out
 
     monkeypatch.setattr(cuspidal, "_pullback_matrix", doubled_next)
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
     with pytest.raises(CompositionNonzero, match="does not commute"):
-        cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+        r.restriction
+    # on the reduced complex: collapses across the boundary leave a
+    # coordinate off the boundary whose coboundary reaches the boundary,
+    # so the projection is no cochain map
+    monkeypatch.setattr(cuspidal, "contract",
+                        lambda C, side=None: contract(C))
+    with pytest.raises(CompositionNonzero, match="does not commute"):
+        cuspidal_cohomology(CongruenceSubgroup.gamma0(1), 1)
     # the CLI reports it as a computation error, not a traceback
-    assert main(["cuspidal", "--gamma0", "11"]) == 3
+    assert main(["cuspidal", "--gamma0", "1"]) == 3
     assert "does not commute" in capsys.readouterr().err
 
 
-def test_kernel_lattice_missing_relations_raises(monkeypatch):
+def test_reduced_coboundaries_must_compose_to_zero(capsys, monkeypatch):
+    # double a reduced coboundary column that the coboundary below hits;
+    # its sparsity pattern, and so the filtration, stays as it was
+    def doubled(C, side=None):
+        D = contract(C, side=side)
+        d1, d2 = D.diffs
+        s = next(s for col in d2.columns for s in col if d1.columns[s])
+        d1.columns[s] = {t: 2 * v for t, v in d1.columns[s].items()}
+        return D
+
+    monkeypatch.setattr(cuspidal, "contract", doubled)
+    with pytest.raises(CompositionNonzero, match="is nonzero"):
+        cuspidal_cohomology(CongruenceSubgroup.gamma0(17), 1)
+    assert main(["cuspidal", "--gamma0", "17"]) == 3
+    assert "is nonzero" in capsys.readouterr().err
+
+
+def test_kernel_lattice_missing_relations_raises(capsys, monkeypatch):
     # a kernel basis of index 2^rank no longer contains the coboundaries
     span_basis = cuspidal.column_span_basis
     monkeypatch.setattr(cuspidal, "column_span_basis",
                         lambda M: span_basis(M) * 2)
     with pytest.raises(NotInLattice, match="span of the kernel lattice"):
         cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    assert main(["cuspidal", "--gamma0", "11"]) == 3
+    assert "span of the kernel lattice" in capsys.readouterr().err
 
 
 def test_ambient_checks_run_on_every_operator():
     # every cochain passed off as an ambient cocycle: the operator's images
     # are not cocycles, and the shared ambient presentation says so
-    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
-    bad = copy.copy(r.ambient_presentation)
+    r = copy.copy(cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1))
+    bad = r.ambient_presentation = copy.copy(r.ambient_presentation)
     bad.Z = bad.P = IntMatrix.identity(bad.delta_out.cols)
     with pytest.raises(CompositionNonzero, match="cocycle is not a cocycle"):
-        cuspidal_hecke_matrix(dataclasses.replace(r, ambient_presentation=bad),
-                              hecke_representative(2))
+        cuspidal_hecke_matrix(r, hecke_representative(2))
 
 
 def test_operator_leaving_the_kernel_raises():
     r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
     # all cocycles, Eisenstein ones included, in place of the kernel
-    cocycles = integer_kernel(r.ambient_complex.deltas[1])
-    bad = dataclasses.replace(r, kernel_basis=cocycles)
+    r.kernel_basis = integer_kernel(r.ambient_complex.deltas[1])
     with pytest.raises(NotInLattice, match="does not preserve"):
-        cuspidal_hecke_matrix(bad, hecke_representative(2))
+        cuspidal_hecke_matrix(r, hecke_representative(2))
+
+
+# (group, module degree, degree): each under a second by the ambient route
+ROUTES = [
+    (CongruenceSubgroup.gamma0(1), 0, 1),
+    (CongruenceSubgroup.gamma0(11), 0, 0),
+    (CongruenceSubgroup.gamma0(11), 0, 2),
+    (CongruenceSubgroup.gamma0(14), 0, 1),
+    (CongruenceSubgroup.gamma0(17), 2, 1),
+    (CongruenceSubgroup.gamma0(13), 4, 1),
+    (CongruenceSubgroup.gamma0(11), 6, 1),
+    (CongruenceSubgroup.gamma0(4), 3, 1),
+    (CongruenceSubgroup.gamma0(2), 1, 2),
+    (CongruenceSubgroup.gamma0(7), 5, 0),
+    (CongruenceSubgroup.gamma1(5), 0, 1),
+    (CongruenceSubgroup.gamma1(7), 2, 1),
+    (CongruenceSubgroup.principal(3), 0, 1),
+    (CongruenceSubgroup.principal(4), 2, 1),
+]
+
+
+@pytest.mark.parametrize("gamma, k, n", ROUTES, ids=str)
+def test_reduced_route_matches_the_ambient_fields(gamma, k, n):
+    # the invariants of the filtered reduction against those presented by
+    # the fields in the ambient basis, read off them here directly
+    r = cuspidal_cohomology(gamma, n, PolynomialModule(k))
+    assert r.ambient == cokernel_invariants(r.ambient_presentation.relations)
+    assert r.boundary == cohomology(r.boundary_complex, n)
+    assert r.cuspidal == cokernel_invariants(r.kernel_relations)
+
+
+def test_lazy_fields_cross_check_the_reduced_invariants():
+    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    wrong = dataclasses.replace(r, cuspidal=AbelianInvariants([], 3))
+    with pytest.raises(EliminationError, match="different invariants"):
+        wrong.kernel_basis
+    # the result it came from passes the same check
+    assert (r.ambient_complex.deltas[1] * r.kernel_basis).is_zero()
+
+
+def test_cli_builds_nothing_in_the_ambient_basis(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the cuspidal command built an ambient-basis field")
+
+    for name in ("EquivariantChainMap", "_pullback_matrix", "_ambient_kernel"):
+        monkeypatch.setattr(cuspidal, name, refuse)
+    assert main(["cuspidal", "--gamma0", "17", "--module-degree", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ambient Z/2 + Z^10", "boundary Z/34 + Z/34 + Z^2", "cuspidal Z^8"]
