@@ -7,13 +7,18 @@ a chain map intertwining gamma -> g^{-1} gamma g, hit with g on the
 coefficients, and summed over coset translates (the transfer).  All three
 steps happen at the cochain level of a free resolution whose contracting
 homotopy supplies the chain map, so the composite is an integer matrix on
-cochains (hecke_cochain).  The resolution is restricted from SL2(Z), and
-the chain map is lifted through the SL2(Z)-level homotopy, in that
-resolution's basis; its values are refolded once, where the cochain
-reads them.  The operator descends to an adapted basis of the
-cohomology lattice through a CohomologyPresentation, built once per
-cochain complex and shared by every operator presented on it
-(hecke_operators).
+cochains (hecke_cochain).  The resolution is restricted from SL2(Z).
+Gamma' lies in S' = SL2(Z) intersect g SL2(Z) g^{-1}, which for
+g = diag(n, 1) is Gamma^0(n) (n | b), of index psi(n) whatever the
+level, so the chain map is lifted once over S' (hecke_lift), through the
+SL2(Z)-level homotopy and in that resolution's basis, with rank * psi(n)
+generator values.  Its restriction to Gamma' is again a lift (the
+comparison theorem; Brown, Cohomology of Groups, I.7 and III.5): the
+value on a Gamma' generator is a translate of one of those values, found
+by a coset lookup, and refolded once, where the cochain reads it.  The
+operator descends to an adapted basis of the cohomology lattice through
+a CohomologyPresentation, built once per cochain complex and shared by
+every operator presented on it (hecke_operators).
 
 Normalization: the classical operator T_n has the rational representative
 diag(1, 1/n); this module uses the primitive integral matrix diag(n, 1),
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .coeffmod import PolynomialModule, _entries, block_matrix, hom_complex
-from .congruence import generators
+from .congruence import CongruenceSubgroup, generators, transversal
 from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      InfiniteIndex, NotInGroup, NotInLattice, ShapeMismatch)
 from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
@@ -38,7 +43,9 @@ from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        kernel_with_left_inverse)
 from .resolutions import (ChainSum, GroupRingElement, RestrictedResolution,
                           restrict_resolution, sl2z_resolution, sub_resolution)
-from .sl2z import I as IDENT, SL2ZMatrix, nearest_vertex
+from .sl2z import I as IDENT, S, SL2ZMatrix, nearest_vertex
+
+_S_INV = S.inverse()
 
 
 def _conjugated(gent, A):
@@ -77,6 +84,34 @@ def hecke_representative(n):
     return (n, 0, 0, 1)
 
 
+class UpperTransversal:
+    """Right cosets of Gamma^0(m) = {M in SL2(Z) : m | b} in SL2(Z).
+
+    M lies in Gamma^0(m) exactly when S^-1 M S lies in Gamma0(m), so the
+    transversal is Gamma0(m)'s (congruence.transversal) conjugated by S:
+    when its lookup of S^-1 y S gives (i, gamma), having checked gamma's
+    membership, y = (S gamma S^-1)(S rep_i S^-1).  The representatives
+    are the S rep_i S^-1, identity first.  group is the tag
+    restrict_resolution gives a resolution restricted along it.
+    """
+
+    def __init__(self, m):
+        self.group = ("gamma^0", m)
+        self._lower = transversal(CongruenceSubgroup.gamma0(m))
+        self.reps = [S * r * _S_INV for r in self._lower.reps]
+
+    def __len__(self):
+        return len(self.reps)
+
+    def rep(self, i):
+        return self.reps[i]
+
+    def lookup(self, y):
+        """(i, s) with y = s * rep(i) and s in Gamma^0(m)."""
+        i, gam = self._lower.lookup(_S_INV * y * S)
+        return i, S * gam * _S_INV
+
+
 @dataclass
 class HeckeDescriptor:
     """Subgroup data determining a Hecke operator.
@@ -84,10 +119,11 @@ class HeckeDescriptor:
     g is an integral 2x2 matrix with det > 0; reps are left coset
     representatives of Gamma' = Gamma intersect g Gamma g^{-1} in Gamma
     with reps[0] the identity, so Gamma is the disjoint union of the
-    reps[i] Gamma'.  The descriptor is also the right-coset transversal
-    restrict_resolution reads: rep(i) = reps[i]^{-1}, so the index i names
-    the same coset on both sides, and lookup scans the (small) list of
-    reps with the membership test.
+    reps[i] Gamma'.  Gamma' lies in S' = SL2(Z) intersect g SL2(Z) g^{-1},
+    on which conjugate is defined too; for g = diag(m, 1), S' is
+    Gamma^0(m), of index psi(m) in SL2(Z) whatever Gamma is, and upper is
+    its transversal (UpperTransversal), over which the chain map is
+    lifted (hecke_lift).
     """
 
     group: object
@@ -99,20 +135,6 @@ class HeckeDescriptor:
     def index(self):
         return len(self.reps)
 
-    def __len__(self):
-        return len(self.reps)
-
-    def rep(self, i):
-        return self.reps[i].inverse()
-
-    def lookup(self, x):
-        """(i, gamma') with x = gamma' * rep(i)."""
-        for i, left in enumerate(self.reps):
-            gam = x * left  # x * rep(i)^{-1}
-            if self.member(gam):
-                return (i, gam)
-        raise NotInGroup("element lies in no enumerated coset")
-
     def member(self, A):
         """Membership in Gamma': A in Gamma and g^{-1} A g integral and in Gamma."""
         if not self.group.member(A):
@@ -121,11 +143,22 @@ class HeckeDescriptor:
         return conj is not None and self.group.member(conj)
 
     def conjugate(self, A):
-        """The homomorphism gamma -> g^{-1} gamma g on Gamma'."""
+        """The homomorphism gamma -> g^{-1} gamma g on S', so on Gamma'."""
         conj = _conjugated(self.g, A)
         if conj is None:
             raise NotInGroup("conjugate by g is not integral")
         return conj
+
+    @cached_property
+    def upper(self):
+        """The transversal of S' = Gamma^0(m) for g = diag(m, 1);
+        FormatError for any other g."""
+        m, b, c, d = self.g
+        if b or c or d != 1:
+            raise FormatError("the Hecke chain map is lifted over "
+                              "Gamma^0(m) and needs g = diag(m, 1), got %r"
+                              % (self.g,))
+        return UpperTransversal(m)
 
 
 def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
@@ -137,9 +170,9 @@ def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
     then by the entries, and each new coset takes the first element
     popped for it, the smallest the walk reaches; x and y represent the
     same left coset exactly when x^{-1} y lies in Gamma'.  Small
-    representatives keep the conjugated group elements of the chain map
-    small; its tree walks no longer grow with them, since each degree-0
-    image sits next to its target (hecke_lift, _nearest_images).  Raises
+    representatives keep the coefficient matrices of the transfer small;
+    the chain map does not see them, since it is lifted over S' and
+    its values on Gamma' generators are translates (hecke_cochain).  Raises
     FormatError when det(g) <= 0 and InfiniteIndex when more than
     max_cosets cosets appear before the search closes.
     """
@@ -192,9 +225,11 @@ class EquivariantChainMap:
     and extended semilinearly, f(gamma x) = phi(gamma) f(x).  A map into
     a restricted resolution is lifted into its base, the SL2(Z)-level
     resolution, through the SL2(Z)-level homotopy, and its values are
-    refolded where they are read (hecke_lift, and the boundary inclusion
-    behind a CuspidalResult's fields in the ambient basis, built on first
-    read; cuspidal_cohomology itself lifts nothing).
+    refolded where they are read: the boundary inclusion behind a
+    CuspidalResult's fields in the ambient basis, built on first read
+    (cuspidal_cohomology itself lifts nothing), and the Hecke chain map,
+    lifted over S' and restricted to Gamma' by the same semilinearity
+    (hecke_lift, hecke_cochain).
     The defining equations d f_n = f_{n-1} d_n (plus augmentation
     preservation in degree 0) are verified on every source generator up
     to degree_max, and a failure raises CompositionNonzero.  Raises
@@ -251,24 +286,21 @@ class EquivariantChainMap:
         return out.chain()
 
 
-def _nearest_images(desc, source, target):
+def _nearest_images(g, upper, rank0):
     """Degree-0 images of the Hecke chain map next to their targets.
 
-    Source generator j unfolds, through both restrictions, to y.e_b over
-    the vertex y<U> of SL2(Z)'s resolution (y = desc.reps[t]^-1 sigma_s,
-    sigma_s the target's coset representative).  Its image is m.e_b with
-    m the vertex nearest M.rho for M = adj(g) y, a multiple of g^-1 y
-    (sl2z.nearest_vertex), in the basis of the target's base.
+    Source generator (b, t) of the lift over S' is y.e_b over the vertex
+    y<U> of SL2(Z)'s resolution, y = upper.rep(t).  Its image is m.e_b
+    with m the vertex nearest M.rho for M = adj(g) y, a multiple of
+    g^-1 y (sl2z.nearest_vertex).
     """
-    a, b, c, d = desc.g
+    a, b, c, d = g
     out = []
-    for j in range(source.rank(0)):
-        (base, gre), = target.unfold(0, source.unfold(
-            0, {j: GroupRingElement.unit(IDENT)})).items()
-        (y, _), = gre.items()
-        M = (d * y.a - b * y.c, d * y.b - b * y.d,
-             a * y.c - c * y.a, a * y.d - c * y.b)
-        out.append({base: GroupRingElement.unit(nearest_vertex(M))})
+    for base in range(rank0):
+        for y in upper.reps:
+            M = (d * y.a - b * y.c, d * y.b - b * y.d,
+                 a * y.c - c * y.a, a * y.d - c * y.b)
+            out.append({base: GroupRingElement.unit(nearest_vertex(M))})
     return out
 
 
@@ -276,26 +308,29 @@ def hecke_lift(gamma, n, g, resolution):
     """The coset data of g and the chain map of its Hecke operator.
 
     resolution must be restricted to gamma from a resolution over SL2(Z)
-    (restrict_resolution) and carry a contracting homotopy.  The source
-    is its truncation to degree n (sub_resolution), restricted along the
-    descriptor to Gamma', and the map is semilinear over gamma -> g^{-1}
-    gamma g.  The map is lifted through the SL2(Z)-level homotopy, into
-    resolution.base, so its values are chains of the base; refolding
-    one (resolution.refold) gives the value of the lift into resolution
-    itself, whose homotopy is refold . h . unfold.  It sends the source
-    generator over the vertex y.rho to the generator of the same orbit
-    over the vertex nearest g^{-1} y.rho (sl2z.nearest_vertex), so each
-    tree walk of its lift is short.  Returns (desc, chain map).
+    (restrict_resolution).  The map is lifted once over S' = Gamma^0(m),
+    which contains Gamma' for every gamma (HeckeDescriptor): its source
+    is resolution.base truncated to degree n (sub_resolution) and
+    restricted to S' along desc.upper, its target is resolution.base
+    itself, with its SL2(Z)-level homotopy, and it is semilinear over
+    s -> g^{-1} s g.  It sends the source generator over the vertex
+    y.rho to the generator of the same orbit over the vertex nearest
+    g^{-1} y.rho (sl2z.nearest_vertex), so each tree walk of its lift is
+    short.  Restricted to Gamma', it is the Gamma'-semilinear lift the
+    transfer reads (hecke_cochain): rank_n * psi(m) generator values,
+    whatever the level.  Returns (desc, chain map).
     """
     if not isinstance(resolution, RestrictedResolution):
         raise FormatError("the Hecke chain map needs a resolution restricted "
                           "from SL2(Z) (restrict_resolution)")
     desc = gamma_prime_data(gamma, g)
-    source = restrict_resolution(sub_resolution(resolution, [
-        [(j, 1) for j in range(resolution.rank(k))] for k in range(n + 1)]),
-        desc, trans=desc)
-    return desc, EquivariantChainMap(source, resolution.base, desc.conjugate,
-                                     _nearest_images(desc, source, resolution),
+    base, upper = resolution.base, desc.upper
+    source = restrict_resolution(sub_resolution(base, [
+        [(j, 1) for j in range(base.rank(k))] for k in range(n + 1)]),
+        upper.group, trans=upper)
+    return desc, EquivariantChainMap(source, base, desc.conjugate,
+                                     _nearest_images(desc.g, upper,
+                                                     base.rank(0)),
                                      degree_max=n)
 
 
@@ -304,22 +339,39 @@ def hecke_cochain(gamma, n, g, module, resolution):
 
     The image cochain evaluated on the generator e_b is
     sum_i M(t_i) M(g) c(f(t_i^{-1} e_b)) over the left coset
-    representatives t_i, and t_i^{-1} e_b is exactly source generator
-    (b, i) of the lift (hecke_lift).  The lift's degree-n values are
-    chains of the SL2(Z)-level resolution; each is refolded into the
-    resolution's basis once, here, where the cochain reads it.  Returns
-    (desc, cochain), the cochain a SparseIntMatrix; the lift, the
-    largest object here, is freed on return.
+    representatives t_i.  t_i^{-1} e_b unfolds to y.e_beta in the
+    SL2(Z)-level resolution, and y = s y0 with s in S' and y0 a
+    representative of S' (desc.upper.lookup), so f(t_i^{-1} e_b) is
+    phi(s) times the lift's value on y0.e_beta (hecke_lift), phi(s) =
+    g^{-1} s g: no tree walk per coset.  Each translated value is refolded
+    into the resolution's basis once, here, where the cochain reads it.
+    Returns (desc, cochain), the cochain a SparseIntMatrix; the lift is
+    freed on return.
     """
     desc, lift = hecke_lift(gamma, n, g, resolution)
-    nt = desc.index
+    upper = desc.upper
     rank_n = resolution.rank(n)
+    inverses = [t.inverse() for t in desc.reps]
+    # e_b unfolds to sigma.e_beta
+    unfolded = []
+    for b in range(rank_n):
+        (beta, gre), = resolution.unfold(
+            n, {b: GroupRingElement.unit(IDENT)}).items()
+        unfolded.append((beta * len(upper), *gre.support()))
+
+    def value(i, b):
+        """f(t_i^{-1} e_b) in the resolution's basis."""
+        offset, sigma = unfolded[b]
+        j, s = upper.lookup(inverses[i] * sigma)
+        phi = desc.conjugate(s)
+        return resolution.refold({b2: gre.left_mul(phi) for b2, gre
+                                  in lift.value(n, offset + j).items()})
     pre = [module.action(t) * module.action(desc.g) for t in desc.reps]
     return desc, block_matrix(
         module.rank, rank_n, rank_n,
         ((b, b2, pre[i] * module.ring_action(gre))
-         for i in range(nt) for b in range(rank_n)
-         for b2, gre in resolution.refold(lift.value(n, b * nt + i)).items()))
+         for i in range(desc.index) for b in range(rank_n)
+         for b2, gre in value(i, b).items()))
 
 
 @dataclass
@@ -332,9 +384,10 @@ class HeckeMatrix:
     basis[j] is an ambient cocycle vector representing the j-th basis
     class, so the presentation is reproducible run to run.  cochain is the
     sparse operator on all degree-n cochains, before descending to
-    cohomology; it depends on the coset representatives gamma_prime_data
-    picks and on the chain map's degree-0 images, while the transfer,
-    and so matrix, does not.
+    cohomology; it depends on the representatives of S' and the chain
+    map's degree-0 images, while matrix does not.  The lift is semilinear
+    over all of Gamma', so cochain does not depend on the coset
+    representatives gamma_prime_data picks either.
     """
 
     group: object
@@ -403,7 +456,8 @@ class CohomologyPresentation:
     checked to be cocycles (Z P is the identity on span Z, so that is
     Z relations == delta_{n-1}).  The quotient, a second Smith form, is
     built on first use.  Every operator presented on one complex shares
-    them, so the matrices act on one basis.
+    them, so the matrices act on one basis.  The cocycle check of each
+    operator (check) reads a sparse copy of Z, also built on first use.
     """
 
     def __init__(self, C, n):
@@ -418,11 +472,15 @@ class CohomologyPresentation:
     def quotient(self):
         return QuotientLattice(self.Z, self.relations)
 
+    @cached_property
+    def sparse_Z(self):
+        return SparseIntMatrix.of(self.Z)
+
     def check(self, cochain):
         """Raise unless the cochain operator maps every cocycle to a cocycle
         (CompositionNonzero) and every coboundary to a coboundary
         (NotInLattice)."""
-        if not (self.delta_out * (cochain * self.Z)).is_zero():
+        if not (self.delta_out * (cochain * self.sparse_Z)).is_zero():
             raise CompositionNonzero("image of a cocycle is not a cocycle")
         # an image cocycle is a coboundary exactly when its coordinates
         # are a relation
@@ -439,11 +497,13 @@ def hecke_operators(gamma, n, gs, module=None, resolution=None):
     degree at least n + 1; passing the same resolution across calls keeps
     the cohomology basis identical, so returned matrices compose and
     compare directly.  Each operator is lifted to cochains
-    (hecke_cochain), with d f = f d verified on every generator, and
-    presented on one CohomologyPresentation, built after the first lift
-    is freed, which checks it on cocycles and coboundaries.  Yields one
-    HeckeMatrix per matrix, in order, so a caller that keeps none of them
-    holds one cochain operator at a time.
+    (hecke_cochain), with d f = f d verified on every generator of its
+    lift over S', and presented on one CohomologyPresentation, built
+    after the first lift is freed, which checks it on cocycles and
+    coboundaries.  Yields one HeckeMatrix per matrix, in order, so a
+    caller that keeps none of them holds one cochain operator at a time.
+    Each g must be diag(m, 1) (FormatError otherwise), since the chain
+    map is lifted over Gamma^0(m).
     """
     if module is None:
         module = PolynomialModule(0)

@@ -2,9 +2,9 @@
 
 perfbench/workloads.py checks every run's stdout twice: against the output
 frozen for that workload and against a closed-form oracle.  Here the five
-tiny shapes and the full cuspidal workload run in process through the
-same check, so a changed output fails the test suite before it fails a
-benchmark run.  perfbench/ is only read: its directory is on the import
+tiny shapes and the full cuspidal and Hecke workloads run in process
+through the same check, so a changed output fails the test suite before
+it fails a benchmark run.  perfbench/ is only read: its directory is on the import
 path while workloads.py (and the oracles it imports) load.
 """
 
@@ -23,7 +23,8 @@ try:
 finally:
     sys.path.remove(str(PERFBENCH))
 
-CHECKED = [*workloads.TINY.values(), workloads.WORKLOADS["cuspidal-l17-w4"]]
+CHECKED = [*workloads.TINY.values(), workloads.WORKLOADS["cuspidal-l17-w4"],
+           workloads.WORKLOADS["hecke-l38-t11"]]
 
 
 @pytest.mark.parametrize("workload", CHECKED, ids=lambda w: w.name)

@@ -8,6 +8,7 @@ import pytest
 from pathlib import Path
 
 from genhelpers import chain_add, chain_scale, chain_sub, chains_equal
+from modforms_oracle import index as psi
 from artifact import exactlin, hecke
 from artifact.cli import main
 from artifact.coeffmod import CochainComplexZ, PolynomialModule, block_matrix
@@ -16,9 +17,10 @@ from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              FormatError, InfiniteIndex, NotInLattice,
                              ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
-from artifact.hecke import (EquivariantChainMap, gamma_prime_data,
-                            hecke_cochain, hecke_eigenvalues, hecke_lift,
-                            hecke_operator, hecke_representative)
+from artifact.hecke import (EquivariantChainMap, UpperTransversal,
+                            gamma_prime_data, hecke_cochain,
+                            hecke_eigenvalues, hecke_lift, hecke_operator,
+                            hecke_representative)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   RestrictedResolution, restrict_resolution,
                                   sl2z_resolution, sub_resolution)
@@ -142,16 +144,18 @@ def test_lift_stays_small_at_level_38():
 
 
 def test_degree0_images_sit_at_the_nearest_vertex(res11):
-    # the source generator over the vertex y<U> goes to the target
-    # generator over m<U>, m the vertex nearest g^-1 y.rho; for
-    # g = diag(5, 1), adj(g) y = 5 g^-1 y; the lift's values are chains
-    # of the SL2(Z)-level resolution res11 is restricted from
-    _, lift = hecke_lift(GAMMA0_11, 1, (5, 0, 0, 1), res11)
+    # the source generator over the vertex y<U>, y a representative of
+    # S' = Gamma^0(5), goes to the target generator over m<U>, m the
+    # vertex nearest g^-1 y.rho; for g = diag(5, 1), adj(g) y = 5 g^-1 y;
+    # the lift's values are chains of the SL2(Z)-level resolution
+    desc, lift = hecke_lift(GAMMA0_11, 1, (5, 0, 0, 1), res11)
+    assert len(lift.values[0]) == res11.base.rank(0) * psi(5)
+    reps = set(desc.upper.reps)
     for j, val in enumerate(lift.values[0]):
-        (b, y), = res11.unfold(0, lift.source.unfold(
-            0, {j: GroupRingElement.unit(I)})).items()
+        (b, y), = lift.source.unfold(0, {j: GroupRingElement.unit(I)}).items()
         (b2, m), = val.items()
         y, = y.support()
+        assert y in reps
         M = (y.a, y.b, 5 * y.c, 5 * y.d)
         assert (b2, m) == (b, GroupRingElement.unit(hecke.nearest_vertex(M)))
 
@@ -163,7 +167,8 @@ def test_degree0_images_sit_at_the_nearest_vertex(res11):
 ])
 def test_matrix_independent_of_representatives(monkeypatch, group, p, weight):
     # right-multiplying a representative by an element of Gamma' keeps its
-    # coset, so the transfer, and with it the matrix on H^1, is unchanged
+    # coset, so the transfer, and with it the matrix on H^1, is unchanged;
+    # the lift is semilinear over all of Gamma', so even the cochain is
     moved = T ** p
     real = hecke.gamma_prime_data
 
@@ -180,7 +185,7 @@ def test_matrix_independent_of_representatives(monkeypatch, group, p, weight):
     monkeypatch.setattr(hecke, "gamma_prime_data", shifted)
     b = hecke_operator(group, 1, g, module=module, resolution=res)
     assert (a.matrix, a.orders, a.basis) == (b.matrix, b.orders, b.basis)
-    assert a.cochain != b.cochain
+    assert a.cochain == b.cochain
 
 
 def transform_snfs(monkeypatch):
@@ -217,16 +222,30 @@ def test_cli_operators_share_one_presentation(capsys, monkeypatch, emit):
 
 
 # ---------------------------------------------------------------------------
-# the lift through the SL2(Z)-level homotopy
+# the lift over S' = Gamma^0(n), restricted to Gamma'
 
 
-def restricted_lift(resolution, lift):
-    """The same chain map lifted into the restricted resolution itself,
-    through its homotopy refold . h . unfold, from refolded degree-0
-    images."""
-    return EquivariantChainMap(lift.source, resolution, lift.phi,
-                               [resolution.refold(v) for v in lift.values[0]],
+def restricted_lift(lift, lower):
+    """The same chain map lifted into lower, the SL2(Z)-level resolution
+    restricted to phi(S') = Gamma0(n), through its homotopy
+    refold . h . unfold, from refolded degree-0 images."""
+    return EquivariantChainMap(lift.source, lower, lift.phi,
+                               [lower.refold(v) for v in lift.values[0]],
                                degree_max=lift.degree_max)
+
+
+def translated(gam, chain):
+    """gam times a chain, gam a group element."""
+    return {k: gre.left_mul(gam) for k, gre in chain.items()}
+
+
+def gamma_prime_value(res, desc, lift, n, b, t):
+    """The lift's value on t^-1 e_b, e_b a generator of res and t a coset
+    representative of Gamma', refolded into res: the source chain is
+    written over S' (lift.source.refold) and mapped by the semilinear
+    extension (lift.apply)."""
+    x = translated(t.inverse(), res.unfold(n, {b: GroupRingElement.unit(I)}))
+    return res.refold(lift.apply(n, lift.source.refold(x)))
 
 
 @pytest.mark.parametrize("group, p, weight", [
@@ -235,27 +254,123 @@ def restricted_lift(resolution, lift):
     (CongruenceSubgroup.gamma1(13), 2, 2),
 ])
 def test_base_lift_refolds_to_the_restricted_lift(group, p, weight):
-    # unfold(phi(gamma) refold(v)) = phi(gamma) v, so lifting through the
+    # unfold(phi(s) refold(v)) = phi(s) v, so lifting through the
     # SL2(Z)-level homotopy and refolding once gives the lift through the
     # restricted homotopy value for value
     res = restrict_resolution(sl2z_resolution(2), group)
     g = hecke_representative(p)
     desc, lift = hecke_lift(group, 1, g, res)
-    old = restricted_lift(res, lift)
+    lower = restrict_resolution(res.base, CongruenceSubgroup.gamma0(p))
+    old = restricted_lift(lift, lower)
     for n in range(2):
         for j in range(lift.source.rank(n)):
-            assert res.refold(lift.value(n, j)) == old.value(n, j)
-    # and the cochain is the one the restricted lift assembles
+            assert lower.refold(lift.value(n, j)) == old.value(n, j)
+    # and the cochain is the one the lift's semilinear extension assembles
     module = PolynomialModule(weight - 2)
-    nt, rank = desc.index, res.rank(1)
+    rank = res.rank(1)
     pre = [module.action(t) * module.action(desc.g) for t in desc.reps]
     expected = block_matrix(
         module.rank, rank, rank,
         ((b, b2, pre[i] * module.ring_action(gre))
-         for i in range(nt) for b in range(rank)
-         for b2, gre in old.value(1, b * nt + i).items()))
+         for i, t in enumerate(desc.reps) for b in range(rank)
+         for b2, gre in gamma_prime_value(res, desc, lift, 1, b, t).items()))
     H = hecke_operator(group, 1, g, module=module, resolution=res)
     assert H.cochain == expected
+
+
+class GammaPrimeCosets:
+    """Gamma' as restrict_resolution reads a transversal: rep(i) =
+    reps[i]^-1, and lookup scans the reps with the membership test."""
+
+    def __init__(self, desc):
+        self.desc = desc
+
+    def __len__(self):
+        return self.desc.index
+
+    def rep(self, i):
+        return self.desc.reps[i].inverse()
+
+    def lookup(self, x):
+        for i, left in enumerate(self.desc.reps):
+            if self.desc.member(x * left):
+                return i, x * left
+        raise AssertionError("element lies in no coset of Gamma'")
+
+
+@pytest.mark.parametrize("group, p", [
+    (GAMMA0_11, 2),
+    (CongruenceSubgroup.gamma0(38), 11),
+    (CongruenceSubgroup.gamma1(13), 2),
+    (CongruenceSubgroup.principal(4), 3),
+])
+def test_gamma_prime_values_commute_with_d(group, p):
+    # the refolded values on every generator of the resolution restricted
+    # to Gamma', extended over phi, satisfy d f = f d and keep the
+    # augmentation
+    res = restrict_resolution(sl2z_resolution(2), group)
+    desc, lift = hecke_lift(group, 1, hecke_representative(p), res)
+    cosets = GammaPrimeCosets(desc)
+    source = restrict_resolution(sub_resolution(res, [
+        [(j, 1) for j in range(res.rank(k))] for k in range(2)]),
+        desc, trans=cosets)
+    nt = desc.index
+    f = [[gamma_prime_value(res, desc, lift, n, b, t)
+          for b in range(res.rank(n)) for t in desc.reps] for n in range(2)]
+    for j, val in enumerate(f[0]):
+        assert res.aug(val) == 1, j
+    for j, row in enumerate(source.boundary_rows(1)):
+        below = {}
+        for k, gre in row.items():
+            for gam, c in gre.items():
+                below = chain_add(below, chain_scale(
+                    translated(desc.conjugate(gam), f[0][k]), c))
+        assert chains_equal(res.d(1, f[1][j]), below), j
+    assert len(f[1]) == source.rank(1) == res.rank(1) * nt
+
+
+@pytest.mark.parametrize("level, p", [(11, 11), (38, 11), (38, 19), (38, 4)])
+def test_lift_size_is_rank_times_psi(monkeypatch, level, p):
+    # one homotopy evaluation per generator of the lift over Gamma^0(p):
+    # rank_k * psi(p) in degree k, whatever the level, U_p (p | level) and
+    # composite p included
+    gamma = CongruenceSubgroup.gamma0(level)
+    res = restrict_resolution(sl2z_resolution(3), gamma)
+    base = res.base
+    calls = []
+    real = FreeZGResolution.h
+
+    def counted(self, n, chain):
+        if self is base:
+            calls.append(n)
+        return real(self, n, chain)
+
+    monkeypatch.setattr(FreeZGResolution, "h", counted)
+    _, lift = hecke_lift(gamma, 2, hecke_representative(p), res)
+    for k in range(3):
+        assert lift.source.rank(k) == base.rank(k) * psi(p)
+    assert sorted(calls) == [k - 1 for k in (1, 2)
+                             for _ in range(base.rank(k) * psi(p))]
+
+
+def test_upper_transversal_cosets():
+    upper = UpperTransversal(12)
+    assert len(upper) == psi(12)
+    assert upper.rep(0) == I
+    rng = random.Random(12)
+    gens = [S, T, T.inverse()]
+    for _ in range(50):
+        y = I
+        for _ in range(rng.randrange(1, 12)):
+            y = y * rng.choice(gens)
+        i, s = upper.lookup(y)
+        assert s * upper.rep(i) == y
+        assert s.b % 12 == 0
+
+
+def test_hecke_operator_needs_a_diagonal_representative(res11):
+    with pytest.raises(FormatError, match="diag"):
+        hecke_operator(GAMMA0_11, 1, T, resolution=res11)
 
 
 def test_hecke_cochain_calls_no_restricted_homotopy(monkeypatch, res11):
@@ -285,13 +400,16 @@ def test_identity_chain_map_on_base_resolution():
 def test_chain_map_commuting_squares_checked(res11):
     # construction verifies d f = f d per generator; reaching here is the test
     desc, f = hecke_lift(GAMMA0_11, 1, (2, 0, 0, 1), res11)
-    # semilinearity: f(gamma x) = phi(gamma) f(x) for gamma in Gamma'
-    gam = T * T
+    # semilinearity of the map restricted to Gamma': f(gamma x) =
+    # phi(gamma) f(x) for gamma in Gamma' and x over any vertex
+    gam = T ** 2 * S * T.inverse() ** 22 * S.inverse()  # [[45, 2], [22, 1]]
     assert desc.member(gam)
-    img = f.apply(1, {5: GroupRingElement.unit(gam)})
-    base = f.value(1, 5)
-    moved = {i: v.left_mul(desc.conjugate(gam)) for i, v in base.items()}
-    assert chains_equal(img, moved)
+    for y in (I, S, T * S, S * T.inverse()):
+        x = {1: GroupRingElement.unit(y)}
+        img = f.apply(1, f.source.refold(translated(gam, x)))
+        moved = translated(desc.conjugate(gam),
+                           f.apply(1, f.source.refold(x)))
+        assert chains_equal(img, moved)
 
 
 def test_chain_map_degree_cap(res11):
@@ -482,6 +600,8 @@ def test_cocycles_not_preserved_exit_three(capsys, monkeypatch):
      "hecke_gamma0_11_w4_t2_t3.json"),
     ("hecke --gamma 4 --weight 2 --ops 3,5 --emit matrix --format json",
      "hecke_gamma4_w2_t3_t5.json"),
+    ("hecke --gamma0 38 --weight 2 --ops 4,11,19 --emit matrix --format json",
+     "hecke_gamma0_38_w2_t4_t11_t19.json"),
 ])
 def test_hecke_matrix_output_frozen(capsys, argv, name):
     assert main(argv.split()) == 0

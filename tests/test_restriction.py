@@ -92,12 +92,13 @@ def test_restricted_rows_borel_serre_gamma0_11():
 
 
 def test_restricted_rows_hecke_subgroup():
-    gamma = CongruenceSubgroup.gamma0(11)
-    res = restrict_resolution(sl2z_resolution(2), gamma)
-    desc = gamma_prime_data(gamma, (2, 0, 0, 1))
-    truncated = sub_resolution(res, [[(j, 1) for j in range(res.rank(k))]
-                                     for k in range(2)])
-    assert_rows_match(truncated, desc, desc)
+    # the source of the Hecke chain map: the SL2(Z)-level resolution,
+    # truncated, restricted to S' = Gamma^0(2) along its transversal
+    desc = gamma_prime_data(CongruenceSubgroup.gamma0(11), (2, 0, 0, 1))
+    R = sl2z_resolution(2)
+    truncated = sub_resolution(R, [[(j, 1) for j in range(R.rank(k))]
+                                   for k in range(2)])
+    assert_rows_match(truncated, desc.upper.group, desc.upper)
 
 
 def test_shared_entries_survive_d_and_h():
