@@ -164,7 +164,8 @@ def contract(C, pairs=None, side=None):
     such a source is, and then so is a.  So the survivors of that label
     still span a subcomplex, and the collapse is a filtered chain homotopy
     equivalence (the basic perturbation lemma): the subcomplex and the
-    quotient keep their homology too.
+    quotient keep their homology too.  Without side every generator
+    carries the same label, so both strategies run one loop.
 
     Prescribed pairs: given (degree, source, target) triples in that
     labelling, exactly those pairs are collapsed, in order, by the same
@@ -172,7 +173,7 @@ def contract(C, pairs=None, side=None):
     """
     top = C.top_degree
     # mutable copy of the columns: bnd[n][src][tgt] = coeff, cob[n][tgt] =
-    # sources
+    # sources; a generator is alive while it is a key of these dicts
     bnd = {}
     cob = {}
     for n in range(1, top + 1):
@@ -183,44 +184,46 @@ def contract(C, pairs=None, side=None):
             for t in col:
                 cn[t].add(s)
         cob[n] = cn
-    alive = [set(range(C.rank(n))) for n in range(top + 1)]
     trace = []
 
     def collapse(n, a, b):
         """Remove source a and target b; returns the sources it changed."""
         # collapsed generators have no entries left
-        row_a = bnd.get(n, {}).get(a, {})
+        rows = bnd.get(n, {})
+        row_a = rows.get(a, {})
         eps = row_a.get(b, 0)
-        if eps not in (1, -1):
+        if eps != 1 and eps != -1:
             raise EliminationError("pair (%d, %d) in degree %d has no unit "
                                    "entry" % (a, b, n))
         # clear column b: row_s -= (lambda * eps) * row_a for the other
         # sources s hitting b (eps is its own inverse)
-        touched = []
-        for s in [s for s in cob[n][b] if s != a]:
-            lam = bnd[n][s][b]
-            coef = lam * eps
-            row_s = bnd[n][s]
+        cols = cob[n]
+        touched = list(cols[b])
+        touched.remove(a)
+        for s in touched:
+            row_s = rows[s]
+            coef = row_s[b] * eps
             for t, v in row_a.items():
-                w = row_s.get(t, 0) - coef * v
-                if w:
-                    row_s[t] = w
-                    cob[n][t].add(s)
+                w = row_s.get(t)
+                if w is None:
+                    row_s[t] = -coef * v
+                    cols[t].add(s)
                 else:
-                    row_s.pop(t, None)
-                    cob[n][t].discard(s)
+                    w -= coef * v
+                    if w:
+                        row_s[t] = w
+                    else:
+                        del row_s[t]
+                        cols[t].discard(s)
             if b in row_s:
                 raise EliminationError("collapse of (%d, %d) in degree %d "
                                        "left an entry in its column"
                                        % (a, b, n))
-            touched.append(s)
 
         # delete a (degree n) and b (degree n-1)
-        alive[n].discard(a)
-        alive[n - 1].discard(b)
-        for t in bnd[n].pop(a):
-            cob[n][t].discard(a)
-        cob[n].pop(b)
+        for t in rows.pop(a):
+            cols[t].discard(a)
+        del cols[b]
         if n + 1 <= top:
             # higher boundary just loses the target coordinate a
             for c in cob[n + 1].pop(a, ()):  # pragma: no branch
@@ -232,54 +235,55 @@ def contract(C, pairs=None, side=None):
         trace.append(CollapseStep(n, a, b))
         return touched
 
-    def unit_candidates(n, srcs):
-        for a in srcs:
-            row = bnd[n].get(a)
-            if not row:
-                continue
-            for b, v in row.items():
-                if v == 1 or v == -1:
-                    fill = (len(row) - 1) * (len(cob[n][b]) - 1)
-                    yield (fill, a, b)
-
-    if side is not None:
-        # the label test wraps the unfiltered scan, which stays as it is
-        unfiltered = unit_candidates
-
-        def unit_candidates(n, srcs):
-            up, down = side[n], side[n - 1]
-            return (c for c in unfiltered(n, srcs) if up[c[1]] == down[c[2]])
-
     if pairs is not None:
         for n, a, b in pairs:
             collapse(n, a, b)
     else:
+        if side is None:
+            # unfiltered: every generator carries the same label
+            side = [[0] * r for r in C.ranks]
+        heappop, heappush = heapq.heappop, heapq.heappush
         for n in range(1, top + 1):
-            heap = list(unit_candidates(n, list(bnd[n])))
-            heapq.heapify(heap)
-            while heap:
-                fill, a, b = heapq.heappop(heap)
-                if a not in alive[n] or b not in alive[n - 1]:
-                    continue
-                if bnd[n][a].get(b, 0) not in (1, -1):
-                    continue
-                current = (len(bnd[n][a]) - 1) * (len(cob[n][b]) - 1)
-                if current != fill:
-                    heapq.heappush(heap, (current, a, b))
-                    continue
-                for cand in unit_candidates(n, collapse(n, a, b)):
-                    heapq.heappush(heap, cand)
+            rows, cols, up, down = bnd[n], cob[n], side[n], side[n - 1]
+            heap, touched = [], rows
+            while True:
+                # queue the unit entries of the touched sources (at first
+                # all of them) whose source and target carry the same
+                # label, by fill-in
+                for s in touched:
+                    row = rows[s]
+                    k = len(row) - 1
+                    for t, v in row.items():
+                        if (v == 1 or v == -1) and up[s] == down[t]:
+                            heappush(heap, (k * (len(cols[t]) - 1), s, t))
+                # pop until an entry that is still a unit, at the fill-in
+                # it was queued with, is collapsed; a collapsed source is
+                # no key of rows, and a collapsed target is in no row
+                while heap:
+                    fill, a, b = heappop(heap)
+                    row = rows.get(a)
+                    if row is None:
+                        continue
+                    v = row.get(b, 0)
+                    if v != 1 and v != -1:
+                        continue
+                    current = (len(row) - 1) * (len(cols[b]) - 1)
+                    if current != fill:
+                        heappush(heap, (current, a, b))
+                        continue
+                    touched = collapse(n, a, b)
+                    break
+                else:
+                    break
 
     # rebuild matrices over the survivors
-    index = [
-        {g: i for i, g in enumerate(sorted(alive[n]))}
-        for n in range(top + 1)
-    ]
-    ranks = [len(alive[n]) for n in range(top + 1)]
+    alive = [sorted(cob[1]) if top else range(C.rank(0))]
+    alive += [sorted(bnd[n]) for n in range(1, top + 1)]
+    ranks = [len(gens) for gens in alive]
     diffs = []
     for n in range(1, top + 1):
-        tgt = index[n - 1]
+        tgt = {g: i for i, g in enumerate(alive[n - 1])}
         diffs.append(SparseIntMatrix(
             ranks[n - 1], ranks[n],
-            [{tgt[t]: v for t, v in bnd[n][s].items()} for s in sorted(alive[n])]))
+            [{tgt[t]: v for t, v in bnd[n][s].items()} for s in alive[n]]))
     return FreeChainComplexZ(ranks, diffs, trace=trace)

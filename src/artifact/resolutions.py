@@ -32,7 +32,8 @@ Constructions provided:
   * restrict_resolution   -- restriction of a ZG-resolution to a finite
                              index subgroup, along a chosen transversal;
   * tensor_with_z         -- the integral chain complex Z tensor_Zgamma R,
-                             from coset tables by Shapiro's lemma.
+                             by Shapiro's lemma, from the coset
+                             permutations of S and U.
 
 Conventions.  A chain in degree n is a dict {generator index:
 GroupRingElement}; zero group-ring values are dropped.  The boundary is
@@ -56,7 +57,7 @@ from .errors import (
     WrongDegree,
 )
 from .exactlin import SparseIntMatrix
-from .sl2z import (I, S, SL2ZMatrix, T, U, coset_normal_form,
+from .sl2z import (I, S, SL2ZMatrix, T, U, coset_normal_form, decompose,
                    tree_contraction)
 
 
@@ -1102,7 +1103,9 @@ class RestrictedResolution(FreeZGResolution):
 
 def _coset_tables(trans):
     """g -> its coset table [trans.lookup(trans.rep(t) * g) for each t],
-    built once per distinct g: rep(t) * g = gam * rep(ti), gam checked."""
+    built once per distinct g: rep(t) * g = gam * rep(ti), gam checked.
+    One lookup per coset and element, for callers that need gam as well
+    as ti (restrict_resolution); _coset_permutations gives ti alone."""
     nt = len(trans)
     tables = {}
 
@@ -1111,6 +1114,39 @@ def _coset_tables(trans):
         if tab is None:
             tab = tables[g] = [trans.lookup(trans.rep(t) * g)
                                for t in range(nt)]
+        return tab
+    return table
+
+
+def _coset_permutations(trans):
+    """g -> [ti for each coset t], where gamma * rep(t) * g = gamma * rep(ti).
+
+    Right multiplication by g permutes the cosets of gamma = trans.group.
+    The permutations of S and U come from 2 * [G : gamma] checked lookups,
+    rep(t) * x = gam * rep(ti) with gam in gamma, and that of g is
+    composed from them along its reduced word (sl2z.decompose): letters
+    S, U, U^2, then the trailing power of U.  So every entry is a product
+    of checked relations and costs no further lookup.  A table is built
+    once per distinct g and lists ti only, not gam (tensor_with_z).
+    """
+    nt = len(trans)
+    s_perm, u_perm = ([trans.lookup(trans.rep(t) * x)[0] for t in range(nt)]
+                      for x in (S, U))
+    u_powers = [list(range(nt))]
+    for _ in range(5):
+        u_powers.append([u_perm[ti] for ti in u_powers[-1]])
+    letters = {"S": s_perm, "U": u_powers[1], "U2": u_powers[2]}
+    tables = {}
+
+    def table(g):
+        tab = tables.get(g)
+        if tab is None:
+            # g = x_1 ... x_k * U^u: x_1 moves t first, U^u last
+            word = decompose(g)
+            tab = u_powers[word.u_power]
+            for x in reversed(word.letters):
+                tab = [tab[ti] for ti in letters[x]]
+            tables[g] = tab
         return tab
     return table
 
@@ -1210,19 +1246,22 @@ def tensor_with_z(resolution, gamma=None):
 
     By Shapiro's lemma this is Z[gamma\\G] tensor_ZG R.  Generator (b, t)
     = b * nt + t is e_b on coset t, and column (b, t) holds at (i, ti) the
-    sum of c over the terms (g, c) of row_b[i] whose coset table sends t
-    to ti, zero sums dropped; no restricted resolution is built.
+    sum of c over the terms (g, c) of row_b[i] whose coset permutation
+    sends t to ti, zero sums dropped.  Only the coset index ti of
+    rep(t) * g is read, never the element of gamma, so the tables are
+    composed from the permutations of S and U (_coset_permutations) and
+    no restricted resolution is built.
     """
     if gamma is None:
-        nt, table = 1, lambda g: ((0, None),)
+        nt, table = 1, lambda g: (0,)
     else:
         trans = transversal(gamma)
-        nt, table = len(trans), _coset_tables(trans)
+        nt, table = len(trans), _coset_permutations(trans)
 
     def spread(gre):
         sums = [{} for _ in range(nt)]
         for g, c in gre.items():
-            for acc, (ti, _) in zip(sums, table(g)):
+            for acc, ti in zip(sums, table(g)):
                 acc[ti] = acc.get(ti, 0) + c
         return [{ti: v for ti, v in acc.items() if v} for acc in sums]
     top = resolution.top_degree()

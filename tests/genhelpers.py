@@ -8,7 +8,8 @@ homology, so the result is a nontrivial random complex with an oracle.
 
 Also here: sums, scalings and comparisons of group-ring chains
 ({generator index: GroupRingElement}), for the resolution identities the
-tests check.
+tests check; and ranks modulo primes, an oracle for torsion that shares
+no code with the Smith form.
 """
 
 from collections import defaultdict
@@ -188,3 +189,41 @@ def random_complex(rng, expansions=10, max_top=2):
     while len(oracle) < c.top_degree + 1:
         oracle.append(AbelianInvariants([], 0))
     return c, oracle
+
+
+def rank_mod(M, p):
+    """Rank of an integer matrix over Z/p, by sparse row elimination.
+
+    Each row is reduced by the stored pivot rows in order of its leading
+    column until it is zero or leads in a new column, where it is stored
+    scaled to a leading 1.  Independent of the Smith form code.
+    """
+    pivots = {}
+    for row in M.row_dicts():
+        row = {j: v % p for j, v in row.items() if v % p}
+        while row:
+            j = min(row)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(row[j], -1, p)
+                pivots[j] = {k: v * inv % p for k, v in row.items()}
+                break
+            c = row[j]
+            for k, v in piv.items():
+                w = (row.get(k, 0) - c * v) % p
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+    return len(pivots)
+
+
+LARGE_PRIME = (1 << 61) - 1
+
+
+def rank_drop_mod(M, p):
+    """The number of invariant factors of Z^rows / colspan(M) divisible by
+    the prime p: one for each unit the rank of M drops from Q to Z/p.  The
+    rank over Q is taken as the rank modulo LARGE_PRIME, a prime far above
+    every entry."""
+    return rank_mod(M, LARGE_PRIME) - rank_mod(M, p)

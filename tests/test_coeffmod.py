@@ -35,6 +35,7 @@ from artifact.resolutions import (
     sl2z_resolution,
 )
 from artifact.sl2z import I, S, T, U
+from genhelpers import rank_drop_mod
 from modforms_oracle import h1_free_rank
 
 GENS = [S, S.inverse(), T, T.inverse(), U, U.inverse()]
@@ -187,12 +188,17 @@ def test_contract_first_gives_identical_invariants():
         assert direct == via_contract, n
 
 
+@lru_cache(maxsize=None)
+def gamma0_complex(level, weight, depth):
+    return hom_complex(restrict_resolution(sl2z_resolution(depth),
+                                           CongruenceSubgroup.gamma0(level)),
+                       PolynomialModule(weight - 2))
+
+
 def test_gamma0_50_weight_six():
     # free rank 74 = 2 * 31 + 12: twice the weight-6 cusp dimension plus
     # one Eisenstein class per cusp; torsion 2, 4, 120
-    R = restrict_resolution(sl2z_resolution(6),
-                            CongruenceSubgroup.gamma0(50))
-    C = hom_complex(R, PolynomialModule(4))
+    C = gamma0_complex(50, 6, 6)
     reduced = contract(C.as_chain_complex())
     top = C.top_degree()
     h1 = homology(reduced, top - 1)
@@ -201,6 +207,19 @@ def test_gamma0_50_weight_six():
     h5 = homology(reduced, top - 5)
     assert h5.torsion == [2] * 77
     assert h5.free_rank == 0
+
+
+# the cohomology-l64-w6 benchmark shape (Z/2 + Z/4 + Z/48) and both
+# degrees of check c03 at level 50, weight 6 (Z/2 + Z/4 + Z/120 and
+# (Z/2)^77), whose torsion targets are frozen
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("level, weight, depth, n", [
+    (64, 6, 2, 1), (50, 6, 6, 1), (50, 6, 6, 5)])
+def test_torsion_matches_rank_drop_mod_p(level, weight, depth, n, p):
+    C = gamma0_complex(level, weight, depth)
+    torsion = cohomology(C, n).torsion
+    assert sum(1 for t in torsion if t % p == 0) == \
+        rank_drop_mod(C.delta(n - 1), p)
 
 
 @lru_cache(maxsize=None)

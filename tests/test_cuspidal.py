@@ -15,6 +15,7 @@ in the ambient basis present, over Gamma0, Gamma1 and Gamma(N).
 import copy
 import dataclasses
 import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from artifact.resolutions import (GroupRingElement, RestrictedResolution,
                                   borel_serre_complex, restrict_resolution,
                                   sub_resolution, wall_resolution)
 from artifact.sl2z import I
+from genhelpers import rank_drop_mod
 from modforms_oracle import dim_cusp_forms, h1_free_rank
 from test_hecke import transform_snfs
 
@@ -265,36 +267,6 @@ def test_torsion_cases_frozen(capsys, level, degree, lines):
     assert capsys.readouterr().out.splitlines() == list(lines)
 
 
-def _rank_mod(M, p):
-    """Rank of an integer matrix over Z/p, by sparse row elimination.
-
-    Each row is reduced by the stored pivot rows in order of its leading
-    column until it is zero or leads in a new column, where it is stored
-    scaled to a leading 1.  Independent of the Smith form code.
-    """
-    pivots = {}
-    for row in M.row_dicts():
-        row = {j: v % p for j, v in row.items() if v % p}
-        while row:
-            j = min(row)
-            piv = pivots.get(j)
-            if piv is None:
-                inv = pow(row[j], -1, p)
-                pivots[j] = {k: v * inv % p for k, v in row.items()}
-                break
-            c = row[j]
-            for k, v in piv.items():
-                w = (row.get(k, 0) - c * v) % p
-                if w:
-                    row[k] = w
-                else:
-                    row.pop(k, None)
-    return len(pivots)
-
-
-_LARGE_PRIME = (1 << 61) - 1
-
-
 @functools.lru_cache(maxsize=None)
 def _torsion_case(level, degree):
     return cuspidal_cohomology(CongruenceSubgroup.gamma0(level), 1,
@@ -304,18 +276,36 @@ def _torsion_case(level, degree):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 @pytest.mark.parametrize("level, degree", [(11, 2), (13, 4), (25, 2)])
 def test_torsion_matches_rank_drop_mod_p(level, degree, p):
-    # Z^rows / colspan(Y) has one invariant factor divisible by p for
-    # each unit the rank of Y drops from Q to Z/p; the rank over Q is
-    # taken as the rank modulo a prime far above every entry
     r = _torsion_case(level, degree)
     n = r.degree
     for invariants, relations in (
             (r.ambient, r.ambient_complex.delta(n - 1)),
             (r.boundary, r.boundary_complex.delta(n - 1)),
             (r.cuspidal, r.kernel_relations)):
-        drop = (_rank_mod(relations, _LARGE_PRIME)
-                - _rank_mod(relations, p))
-        assert sum(1 for t in invariants.torsion if t % p == 0) == drop
+        assert sum(1 for t in invariants.torsion if t % p == 0) == \
+            rank_drop_mod(relations, p)
+
+
+def test_filtered_reduction_frozen(monkeypatch):
+    # the complex and sides the level-17 P(2) run contracts; digests of
+    # the collapse trace and of the reduced complex, recorded before the
+    # greedy loop and its elimination step were tightened
+    seen = []
+
+    def spy(C, side=None):
+        D = contract(C, side=side)
+        seen.append((C, side, D))
+        return D
+    monkeypatch.setattr(cuspidal, "contract", spy)
+    cuspidal_cohomology(CongruenceSubgroup.gamma0(17), 1, PolynomialModule(2))
+    (C, side, D), = seen
+    assert C.ranks == [324, 270, 108] and side is not None
+    assert D.ranks == [178, 21, 5] and len(D.trace) == 249
+    steps = repr([(s.degree, s.source, s.target) for s in D.trace])
+    assert hashlib.sha256(steps.encode()).hexdigest() == \
+        "c6b3cad0e2fe0816176426e43406db89be54bb0991614479b2141bb2b3ab3354"
+    assert hashlib.sha256(D.to_text().encode()).hexdigest() == \
+        "d571a5393c5e7e4a3301e5102f473a6e6f482df246425f81ea7801cef701e97b"
 
 
 def test_noncommuting_restriction_exits_three(capsys, monkeypatch):

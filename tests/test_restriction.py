@@ -2,23 +2,28 @@
 
 restrict_resolution reads one coset table per group element and shares
 each restricted boundary entry among the rows that use it; ChainSum adds
-in place into dicts it owns.  tensor_with_z(R, gamma) reads the same
-coset tables and never builds the restricted resolution.  Each must give
+in place into dicts it owns.  tensor_with_z(R, gamma) never builds the
+restricted resolution: its coset indices are composed from the
+permutations of S and U, which are checked here against a lookup per
+coset and element.  Each must give
 exactly what the plain construction gives: the same values, and the same
 key order and term order, because downstream assembly iterates rows,
 chains and columns in dict order.  The references here are those plain
 constructions.
 """
 
+import copy
 import io
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from artifact import resolutions
 from artifact.chaincx import contract
 from artifact.cli import build_parser, config_from_args, run
-from artifact.congruence import CongruenceSubgroup, transversal
+from artifact.congruence import CongruenceSubgroup, Transversal, transversal
+from artifact.errors import NotInGroup
 from artifact.hecke import gamma_prime_data
 from artifact.resolutions import (ChainSum, GroupRingElement,
                                   borel_serre_complex, cyclic_resolution,
@@ -200,6 +205,70 @@ def test_cli_homology_builds_no_restricted_resolution(monkeypatch):
         assert run(config_from_args(build_parser().parse_args(argv.split())),
                    out=out) == 0
         assert out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# coset tables composed from the permutations of S and U
+
+
+def boundary_elements(resolution):
+    """Every group element of a resolution's boundary rows, once each."""
+    seen = {}
+    for n in range(1, resolution.top_degree() + 1):
+        for row in resolution.boundary_rows(n):
+            for gre in row.values():
+                for g, _ in gre.items():
+                    seen.setdefault(g, None)
+    return list(seen)
+
+
+def random_words(rng, count):
+    """Products of up to 12 letters S^+-1, T^+-1, half of them times -I."""
+    out = []
+    for _ in range(count):
+        g = I
+        for _ in range(rng.randint(0, 12)):
+            g = g * rng.choice([S, S.inverse(), T, T.inverse()])
+        out.append(-g if rng.random() < 0.5 else g)
+    return out
+
+
+@pytest.mark.parametrize("gamma", [
+    CongruenceSubgroup.gamma0(300), CongruenceSubgroup.gamma1(13),
+    CongruenceSubgroup.principal(6), CongruenceSubgroup.gamma1(2)], ids=str)
+def test_composed_coset_tables_match_lookups(gamma):
+    trans = transversal(gamma)
+    table = resolutions._coset_permutations(trans)
+    elements = (boundary_elements(sl2z_resolution(6)) + [-I]
+                + random_words(random.Random(7), 80))
+    for g in elements:
+        assert table(g) == [trans.lookup(trans.rep(t) * g)[0]
+                            for t in range(len(trans))], g
+
+
+def test_tensor_looks_up_each_coset_once_per_generator(monkeypatch):
+    # one checked lookup per coset for each of S and U; the tables of the
+    # 11 distinct boundary elements are composed from those two
+    calls = []
+    lookup = Transversal.lookup
+
+    def counted(self, g):
+        calls.append(g)
+        return lookup(self, g)
+    monkeypatch.setattr(Transversal, "lookup", counted)
+    gamma = CongruenceSubgroup.gamma0(300)
+    tensor_with_z(sl2z_resolution(6), gamma)
+    assert len(calls) == 2 * len(transversal(gamma)) == 1440
+
+
+def test_composed_coset_tables_check_membership():
+    # a representative swapped for one of another coset: some coset times
+    # S lands in coset 1, and that relation's element is not in the group
+    tr = copy.copy(transversal(CongruenceSubgroup.gamma0(11)))
+    tr.reps = list(tr.reps)
+    tr.reps[1] = tr.reps[2]
+    with pytest.raises(NotInGroup):
+        resolutions._coset_permutations(tr)
 
 
 # ---------------------------------------------------------------------------
