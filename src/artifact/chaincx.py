@@ -149,12 +149,15 @@ def contract(C, pairs=None, side=None):
 
     Greedy strategy: degrees are processed bottom up and exhausted one at a
     time; within a degree the unit entry with least fill-in
-    (nnz(row)-1)*(nnz(col)-1) is collapsed first, via a lazily revalidated
-    heap.  A collapse at degree n can create new unit entries only at
-    degree n itself (higher degrees just lose a column, lower ones a row),
-    so one ascending pass is complete and the result has no unit entries
-    at all.  The collapse trace is recorded on the result in the original
-    generator labelling.
+    (nnz(row)-1)*(nnz(col)-1) is collapsed first, ties going to the least
+    source, then the least target.  The candidates wait on a heap of
+    single integers, each packing (fill, source, target) in that order; an
+    entry popped with a stale fill-in goes back with its current one, and
+    one that is collapsed or no longer a unit is dropped.  A collapse at
+    degree n can create new unit entries only at degree n itself (higher
+    degrees just lose a column, lower ones a row), so one ascending pass
+    is complete and the result has no unit entries at all.  The collapse
+    trace is recorded on the result in the original generator labelling.
 
     Filtered: side[n][g] labels degree-n generator g, and the greedy
     strategy collapses a unit entry only when its source and target carry
@@ -245,6 +248,10 @@ def contract(C, pairs=None, side=None):
         heappop, heappush = heapq.heappop, heapq.heappush
         for n in range(1, top + 1):
             rows, cols, up, down = bnd[n], cob[n], side[n], side[n - 1]
+            # the key (fill * R + s) * R + t orders as the tuple
+            # (fill, s, t), since every source s and target t is below R
+            R = max(C.rank(n), C.rank(n - 1), 1)
+            RR = R * R
             heap, touched = [], rows
             while True:
                 # queue the unit entries of the touched sources (at first
@@ -252,15 +259,18 @@ def contract(C, pairs=None, side=None):
                 # label, by fill-in
                 for s in touched:
                     row = rows[s]
-                    k = len(row) - 1
+                    k = (len(row) - 1) * RR
+                    sR = s * R
                     for t, v in row.items():
                         if (v == 1 or v == -1) and up[s] == down[t]:
-                            heappush(heap, (k * (len(cols[t]) - 1), s, t))
+                            heappush(heap, k * (len(cols[t]) - 1) + sR + t)
                 # pop until an entry that is still a unit, at the fill-in
                 # it was queued with, is collapsed; a collapsed source is
                 # no key of rows, and a collapsed target is in no row
                 while heap:
-                    fill, a, b = heappop(heap)
+                    key = heappop(heap)
+                    fill, ab = divmod(key, RR)
+                    a, b = divmod(ab, R)
                     row = rows.get(a)
                     if row is None:
                         continue
@@ -269,7 +279,7 @@ def contract(C, pairs=None, side=None):
                         continue
                     current = (len(row) - 1) * (len(cols[b]) - 1)
                     if current != fill:
-                        heappush(heap, (current, a, b))
+                        heappush(heap, key + (current - fill) * RR)
                         continue
                     touched = collapse(n, a, b)
                     break

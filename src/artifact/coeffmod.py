@@ -13,15 +13,16 @@ hom_complex turns a free resolution over a matrix group into the integer
 cochain complex Hom_{Z Gamma}(R_*, P(k)): one block column per resolution
 generator, coboundary = boundary rows with each group ring element
 replaced by its action matrix.  cohomology reads off the abelian
-invariants of a single degree; as_chain_complex reverses arrows so the
-reduction machinery in chaincx can be applied first when the complex is
-large.
+invariants of a single degree from the three cochain groups around it,
+reduced first by the unit collapses of chaincx.contract, so the Smith
+forms run on the reduced coboundaries; as_chain_complex reverses arrows
+so the whole complex can be handed to the chaincx tooling.
 """
 
 from functools import lru_cache
 from math import comb
 
-from .chaincx import FreeChainComplexZ
+from .chaincx import FreeChainComplexZ, contract, verify_complex
 from .congruence import CongruenceSubgroup
 from .errors import (
     ActionMismatch,
@@ -222,11 +223,20 @@ def _spot_check_squares(C):
 def cohomology(C, n):
     """Abelian invariants of H^n of a CochainComplexZ.
 
-    The top degree is computed against a zero outgoing map, so it reflects
-    the truncation of the underlying resolution; ask one degree below the
-    resolution's top for the genuine group cohomology.
+    Only C^(n-1) -> C^n -> C^(n+1) matters, taken as a chain complex with
+    boundaries delta_n and delta_(n-1).  Its d.d = 0 check runs on the
+    maps as given (CompositionNonzero), then contract cuts it down by unit
+    collapses, which are chain homotopy equivalences, and the Smith forms
+    run on what is left.  The top degree is computed against a zero
+    outgoing map, so it reflects the truncation of the underlying
+    resolution; ask one degree below the resolution's top for the genuine
+    group cohomology.
     """
     top = C.top_degree()
     if not 0 <= n <= top:
         raise DegreeOutOfRange("degree %d outside 0..%d" % (n, top))
-    return homology_of_pair(C.delta(n), C.delta(n - 1))
+    out, into = C.delta(n), C.delta(n - 1)
+    K = FreeChainComplexZ([out.rows, C.ranks[n], into.cols], [out, into])
+    verify_complex(K)
+    K = contract(K)
+    return homology_of_pair(K.boundary(1), K.boundary(2))

@@ -116,25 +116,34 @@ class CosetTable:
         return sum(1 for c in range(len(self.parent)) if self._rep(c) == c)
 
     def validate(self):
-        """Check the finished table is a genuine closed coset action."""
+        """Check the finished table is a genuine closed coset action.
+
+        Raises RuntimeError on the first defect, so the check survives
+        python -O.
+        """
         live = [c for c in range(len(self.parent)) if self._rep(c) == c]
         for c in live:
             for x in LETTERS:
-                assert x in self.tab[c], "incomplete row"
+                if x not in self.tab[c]:
+                    raise RuntimeError("incomplete row")
                 d = self.tab[c][x]
-                assert self._rep(d) == d, "edge into dead coset"
-                assert self.tab[d][-x] == c, "mirror mismatch"
+                if self._rep(d) != d:
+                    raise RuntimeError("edge into dead coset")
+                if self.tab[d][-x] != c:
+                    raise RuntimeError("mirror mismatch")
         for c in live:
             for w in self.relators:
                 f = c
                 for x in w:
                     f = self.tab[f][x]
-                assert f == c, "relator does not close"
+                if f != c:
+                    raise RuntimeError("relator does not close")
         for w in self.subgroup_words:
             f = 0
             for x in w:
                 f = self.tab[f][x]
-            assert f == 0, "subgroup word does not fix base coset"
+            if f != 0:
+                raise RuntimeError("subgroup word does not fix base coset")
 
 
 def word_from_matrix(g):
@@ -148,9 +157,10 @@ def word_from_matrix(g):
             out.append(1)
         elif letter == "U":
             out.append(2)
-        else:
-            assert letter == "U2"
+        elif letter == "U2":
             out.extend((2, 2))
+        else:
+            raise ValueError("unknown letter %r" % (letter,))
     out.extend([2] * word.u_power)
     return tuple(out)
 

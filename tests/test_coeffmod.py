@@ -8,12 +8,14 @@ space plus one Eisenstein class per cusp), swept over levels and weights
 against the closed-form oracle in modforms_oracle.
 """
 
+import hashlib
 from functools import lru_cache
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from artifact import coeffmod
 from artifact.chaincx import contract, homology
 from artifact.coeffmod import (
     CochainComplexZ,
@@ -25,10 +27,11 @@ from artifact.coeffmod import (
 from artifact.congruence import CongruenceSubgroup
 from artifact.errors import (
     ActionMismatch,
+    CompositionNonzero,
     DegreeOutOfRange,
     FormatError,
 )
-from artifact.exactlin import IntMatrix
+from artifact.exactlin import IntMatrix, homology_of_pair
 from artifact.resolutions import (
     cyclic_resolution,
     restrict_resolution,
@@ -177,28 +180,68 @@ def test_gamma0_11_weight_two_free_rank():
     assert cohomology(C, 1).free_rank == 3
 
 
-def test_contract_first_gives_identical_invariants():
-    C = gamma0_11_complex(2)
-    chain = C.as_chain_complex()
-    reduced = contract(chain)
-    top = C.top_degree()
-    for n in range(4):
-        direct = cohomology(C, n)
-        via_contract = homology(reduced, top - n)
-        assert direct == via_contract, n
+def unreduced_cohomology(C, n):
+    """H^n from the Smith forms of the coboundaries as assembled."""
+    return homology_of_pair(C.delta(n), C.delta(n - 1))
 
 
 @lru_cache(maxsize=None)
-def gamma0_complex(level, weight, depth):
-    return hom_complex(restrict_resolution(sl2z_resolution(depth),
-                                           CongruenceSubgroup.gamma0(level)),
-                       PolynomialModule(weight - 2))
+def subgroup_complex(kind, level, weight, depth):
+    R = restrict_resolution(sl2z_resolution(depth),
+                            CongruenceSubgroup(kind, level))
+    return hom_complex(R, PolynomialModule(weight - 2))
+
+
+def test_contract_first_gives_identical_invariants():
+    # cohomology contracts the truncation around degree n first; the
+    # invariants must be those of the coboundaries as assembled
+    cases = ([("gamma0", 11, w) for w in range(2, 9)]
+             + [("gamma1", 13, 2), ("principal", 4, 2)])
+    for kind, level, weight in cases:
+        C = subgroup_complex(kind, level, weight, 6)
+        for n in range(C.top_degree() + 1):
+            assert cohomology(C, n) == unreduced_cohomology(C, n), \
+                (kind, level, weight, n)
+
+
+def test_cohomology_checks_squares_before_contracting():
+    # delta_1 delta_0 = 1: contracting first would collapse both units
+    # and hide the failure, so the check runs on the maps as given
+    C = CochainComplexZ([1, 1, 1], [IntMatrix(1, 1, [[1]]),
+                                    IntMatrix(1, 1, [[1]])])
+    with pytest.raises(CompositionNonzero, match="is nonzero"):
+        cohomology(C, 1)
+
+
+def test_cohomology_contract_frozen(monkeypatch):
+    # the truncation the cohomology-l64-w6 benchmark shape contracts;
+    # digests of the collapse trace and of the reduced complex, recorded
+    # before the heap key was packed into one integer.  Degree 1 has 960
+    # sources and 960 targets, degree 2 has 480 sources and 960 targets,
+    # so a radix taken from the sources alone would reorder degree 2
+    seen = []
+
+    def spy(K):
+        D = contract(K)
+        seen.append((K, D))
+        return D
+    monkeypatch.setattr(coeffmod, "contract", spy)
+    C = subgroup_complex("gamma0", 64, 6, 2)
+    assert str(cohomology(C, 1)) == "Z/2 + Z/4 + Z/48 + Z^80"
+    (K, D), = seen
+    assert K.ranks == [960, 960, 480]
+    assert D.ranks == [564, 88, 4] and len(D.trace) == 872
+    steps = repr([(s.degree, s.source, s.target) for s in D.trace])
+    assert hashlib.sha256(steps.encode()).hexdigest() == \
+        "03fa56e3695db199007fd6fb0ba3cdbb4e767a3fb1cc44a2f21b36d1c6e6d10a"
+    assert hashlib.sha256(D.to_text().encode()).hexdigest() == \
+        "aa59d065af8710007f4fdb3ddcb2e0e58112cdf08278e2d169fc9f49504e43cf"
 
 
 def test_gamma0_50_weight_six():
     # free rank 74 = 2 * 31 + 12: twice the weight-6 cusp dimension plus
     # one Eisenstein class per cusp; torsion 2, 4, 120
-    C = gamma0_complex(50, 6, 6)
+    C = subgroup_complex("gamma0", 50, 6, 6)
     reduced = contract(C.as_chain_complex())
     top = C.top_degree()
     h1 = homology(reduced, top - 1)
@@ -216,7 +259,7 @@ def test_gamma0_50_weight_six():
 @pytest.mark.parametrize("level, weight, depth, n", [
     (64, 6, 2, 1), (50, 6, 6, 1), (50, 6, 6, 5)])
 def test_torsion_matches_rank_drop_mod_p(level, weight, depth, n, p):
-    C = gamma0_complex(level, weight, depth)
+    C = subgroup_complex("gamma0", level, weight, depth)
     torsion = cohomology(C, n).torsion
     assert sum(1 for t in torsion if t % p == 0) == \
         rank_drop_mod(C.delta(n - 1), p)
