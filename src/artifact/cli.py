@@ -88,6 +88,9 @@ class RunConfig:
         if self.ops and min(self.ops) < 1:
             raise ConfigError("--ops entries must be >= 1, got %d"
                               % min(self.ops))
+        repeated = [p for i, p in enumerate(self.ops) if p in self.ops[:i]]
+        if repeated:
+            raise ConfigError("--ops lists %d more than once" % repeated[0])
         return self
 
 

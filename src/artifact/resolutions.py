@@ -30,10 +30,12 @@ Constructions provided:
                              generators of the Borel-Serre assembly, in a
                              fixed basis;
   * restrict_resolution   -- restriction of a ZG-resolution to a finite
-                             index subgroup, along a chosen transversal;
+                             index subgroup, along a chosen transversal:
+                             gam = rep(t) * g * rep(ti)^-1, with ti from
+                             the coset permutations of S and U;
   * tensor_with_z         -- the integral chain complex Z tensor_Zgamma R,
-                             by Shapiro's lemma, from the coset
-                             permutations of S and U.
+                             by Shapiro's lemma, from the same
+                             permutations.
 
 Conventions.  A chain in degree n is a dict {generator index:
 GroupRingElement}; zero group-ring values are dropped.  The boundary is
@@ -1101,23 +1103,6 @@ class RestrictedResolution(FreeZGResolution):
         self.refold = refold
 
 
-def _coset_tables(trans):
-    """g -> its coset table [trans.lookup(trans.rep(t) * g) for each t],
-    built once per distinct g: rep(t) * g = gam * rep(ti), gam checked.
-    One lookup per coset and element, for callers that need gam as well
-    as ti (restrict_resolution); _coset_permutations gives ti alone."""
-    nt = len(trans)
-    tables = {}
-
-    def table(g):
-        tab = tables.get(g)
-        if tab is None:
-            tab = tables[g] = [trans.lookup(trans.rep(t) * g)
-                               for t in range(nt)]
-        return tab
-    return table
-
-
 def _coset_permutations(trans):
     """g -> [ti for each coset t], where gamma * rep(t) * g = gamma * rep(ti).
 
@@ -1127,7 +1112,9 @@ def _coset_permutations(trans):
     composed from them along its reduced word (sl2z.decompose): letters
     S, U, U^2, then the trailing power of U.  So every entry is a product
     of checked relations and costs no further lookup.  A table is built
-    once per distinct g and lists ti only, not gam (tensor_with_z).
+    once per distinct g and lists ti only: tensor_with_z reads nothing
+    else, and restrict_resolution forms gam = rep(t) * g * rep(ti)^-1,
+    which lies in gamma exactly because ti is the right coset.
     """
     nt = len(trans)
     s_perm, u_perm = ([trans.lookup(trans.rep(t) * x)[0] for t in range(nt)]
@@ -1179,11 +1166,14 @@ def _spread_rows(resolution, nt, spread):
 def restrict_resolution(resolution, gamma, trans=None):
     """View a ZG-resolution as a Z[gamma]-resolution along a transversal.
 
+    G is SL2(Z), whose generators S and U permute the cosets of gamma.
     Each rank-r module restricts to rank r * [G : gamma]; the generator
     (b, t) corresponds to e_b tensored with the t-th coset representative.
     Boundary entries are rewritten through the transversal: rep(t) * g =
     gam * rep(ti) for every group element g of a boundary entry and every
-    coset t, from one coset table per distinct g.  Each distinct entry
+    coset t, with ti read off the composed permutations of S and U
+    (_coset_permutations) and gam = rep(t) * g * rep(ti)^-1 formed from
+    the representatives' inverses, computed once.  Each distinct entry
     object is restricted once per coset, and the rows that use it share
     the restricted elements, which is safe because no group-ring element
     is ever mutated (ChainSum).  The homotopy is conjugated through the
@@ -1197,13 +1187,15 @@ def restrict_resolution(resolution, gamma, trans=None):
     nt = len(trans)
     top = resolution.top_degree()
     ranks = [resolution.rank(n) * nt for n in range(top + 1)]
-    table = _coset_tables(trans)
+    table = _coset_permutations(trans)
+    reps = [trans.rep(t) for t in range(nt)]
+    inverses = [r.inverse() for r in reps]
 
     def spread(gre):
         sums = [ChainSum() for _ in range(nt)]
         for g, c in gre.items():
-            for acc, (ti, gam) in zip(sums, table(g)):
-                acc.add(ti, ((gam, c),))
+            for acc, rep, ti in zip(sums, reps, table(g)):
+                acc.add(ti, ((rep * g * inverses[ti], c),))
         return [acc.chain() for acc in sums]
     boundaries = [[]] + _spread_rows(resolution, nt, spread)
 

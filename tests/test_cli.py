@@ -260,6 +260,23 @@ def test_config_error_json_is_machine_readable(capsys):
     assert "ops" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_repeated_ops_index_exits_two(capsys, fmt):
+    # each operator is lifted once, so T3 twice is a mistake in the call,
+    # not a request to compute and print it twice
+    rc = main(["hecke", "--gamma0", "11", "--weight", "2", "--ops", "2,3,3",
+               "--emit", "charpoly", "--format", fmt])
+    captured = capsys.readouterr()
+    assert rc == 2
+    message = "--ops lists 3 more than once"
+    if fmt == "json":
+        assert json.loads(captured.out)["error"] == {"type": "ConfigError",
+                                                     "message": message}
+    else:
+        assert (captured.out, captured.err) == (
+            "", "error ConfigError: %s\n" % message)
+
+
 def test_computation_error_exit_three(capsys):
     # the ideal generated by 0 is found to be zero by the computation
     rc = main(["quad", "--d", "-1", "--ideal", "0", "--format", "json"])

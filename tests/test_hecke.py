@@ -279,8 +279,8 @@ def test_base_lift_refolds_to_the_restricted_lift(group, p, weight):
 
 
 class GammaPrimeCosets:
-    """Gamma' as restrict_resolution reads a transversal: rep(i) =
-    reps[i]^-1, and lookup scans the reps with the membership test."""
+    """Gamma' in Gamma as a transversal: rep(i) = reps[i]^-1, and lookup
+    scans the reps with the membership test."""
 
     def __init__(self, desc):
         self.desc = desc
@@ -307,26 +307,29 @@ class GammaPrimeCosets:
 def test_gamma_prime_values_commute_with_d(group, p):
     # the refolded values on every generator of the resolution restricted
     # to Gamma', extended over phi, satisfy d f = f d and keep the
-    # augmentation
+    # augmentation.  Gamma' has finite index in Gamma, whose resolution
+    # res is, so its restricted boundary is read here one coset lookup
+    # per term: generator (b, t) has d = sum of c gam e_(i, ti) over the
+    # terms (g, c) of row_b[i], where rep(t) g = gam rep(ti)
     res = restrict_resolution(sl2z_resolution(2), group)
     desc, lift = hecke_lift(group, 1, hecke_representative(p), res)
     cosets = GammaPrimeCosets(desc)
-    source = restrict_resolution(sub_resolution(res, [
-        [(j, 1) for j in range(res.rank(k))] for k in range(2)]),
-        desc, trans=cosets)
     nt = desc.index
     f = [[gamma_prime_value(res, desc, lift, n, b, t)
           for b in range(res.rank(n)) for t in desc.reps] for n in range(2)]
     for j, val in enumerate(f[0]):
         assert res.aug(val) == 1, j
-    for j, row in enumerate(source.boundary_rows(1)):
-        below = {}
-        for k, gre in row.items():
-            for gam, c in gre.items():
-                below = chain_add(below, chain_scale(
-                    translated(desc.conjugate(gam), f[0][k]), c))
-        assert chains_equal(res.d(1, f[1][j]), below), j
-    assert len(f[1]) == source.rank(1) == res.rank(1) * nt
+    for b, row in enumerate(res.boundary_rows(1)):
+        for t in range(nt):
+            below = {}
+            for i, gre in row.items():
+                for g, c in gre.items():
+                    ti, gam = cosets.lookup(cosets.rep(t) * g)
+                    below = chain_add(below, chain_scale(
+                        translated(desc.conjugate(gam), f[0][i * nt + ti]),
+                        c))
+            assert chains_equal(res.d(1, f[1][b * nt + t]), below), (b, t)
+    assert len(f[1]) == res.rank(1) * nt
 
 
 @pytest.mark.parametrize("level, p", [(11, 11), (38, 11), (38, 19), (38, 4)])

@@ -1,11 +1,12 @@
 """Restricted boundary rows and the chain accumulator, against references.
 
-restrict_resolution reads one coset table per group element and shares
-each restricted boundary entry among the rows that use it; ChainSum adds
-in place into dicts it owns.  tensor_with_z(R, gamma) never builds the
-restricted resolution: its coset indices are composed from the
-permutations of S and U, which are checked here against a lookup per
-coset and element.  Each must give
+restrict_resolution and tensor_with_z(R, gamma) read the same coset
+permutations, composed from those of S and U, which are checked here
+against a lookup per coset and element; restriction forms each
+gamma-element as rep(t) * g * rep(ti)^-1 and shares each restricted
+boundary entry among the rows that use it, while tensor_with_z never
+builds the restricted resolution.  ChainSum adds in place into dicts it
+owns.  Each must give
 exactly what the plain construction gives: the same values, and the same
 key order and term order, because downstream assembly iterates rows,
 chains and columns in dict order.  The references here are those plain
@@ -236,7 +237,7 @@ def random_words(rng, count):
 @pytest.mark.parametrize("gamma", [
     CongruenceSubgroup.gamma0(300), CongruenceSubgroup.gamma1(13),
     CongruenceSubgroup.principal(6), CongruenceSubgroup.gamma1(2)], ids=str)
-def test_composed_coset_tables_match_lookups(gamma):
+def test_composed_coset_permutations_match_lookups(gamma):
     trans = transversal(gamma)
     table = resolutions._coset_permutations(trans)
     elements = (boundary_elements(sl2z_resolution(6)) + [-I]
@@ -246,7 +247,10 @@ def test_composed_coset_tables_match_lookups(gamma):
                             for t in range(len(trans))], g
 
 
-def test_tensor_looks_up_each_coset_once_per_generator(monkeypatch):
+@pytest.mark.parametrize("construct", [tensor_with_z, restrict_resolution],
+                         ids=lambda f: f.__name__)
+def test_tensor_looks_up_each_coset_once_per_generator(monkeypatch,
+                                                       construct):
     # one checked lookup per coset for each of S and U; the tables of the
     # 11 distinct boundary elements are composed from those two
     calls = []
@@ -257,18 +261,22 @@ def test_tensor_looks_up_each_coset_once_per_generator(monkeypatch):
         return lookup(self, g)
     monkeypatch.setattr(Transversal, "lookup", counted)
     gamma = CongruenceSubgroup.gamma0(300)
-    tensor_with_z(sl2z_resolution(6), gamma)
+    construct(sl2z_resolution(6), gamma)
     assert len(calls) == 2 * len(transversal(gamma)) == 1440
 
 
-def test_composed_coset_tables_check_membership():
+@pytest.mark.parametrize("construct", [
+    resolutions._coset_permutations,
+    lambda tr: restrict_resolution(sl2z_resolution(2), tr.group, trans=tr)],
+    ids=["_coset_permutations", "restrict_resolution"])
+def test_composed_coset_permutations_check_membership(construct):
     # a representative swapped for one of another coset: some coset times
     # S lands in coset 1, and that relation's element is not in the group
     tr = copy.copy(transversal(CongruenceSubgroup.gamma0(11)))
     tr.reps = list(tr.reps)
     tr.reps[1] = tr.reps[2]
     with pytest.raises(NotInGroup):
-        resolutions._coset_permutations(tr)
+        construct(tr)
 
 
 # ---------------------------------------------------------------------------
