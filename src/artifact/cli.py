@@ -74,6 +74,10 @@ class RunConfig:
             for r in self.report:
                 if r not in known:
                     raise ConfigError("unknown report field %r" % r)
+            repeated = _repeated(self.report)
+            if repeated is not None:
+                raise ConfigError("--report lists %s more than once"
+                                  % repeated)
             if "torsion-ratio" in self.report and not self.orders:
                 raise ConfigError("torsion-ratio needs --orders")
         if self.depth is not None and self.depth < 1:
@@ -88,10 +92,20 @@ class RunConfig:
         if self.ops and min(self.ops) < 1:
             raise ConfigError("--ops entries must be >= 1, got %d"
                               % min(self.ops))
-        repeated = [p for i, p in enumerate(self.ops) if p in self.ops[:i]]
-        if repeated:
-            raise ConfigError("--ops lists %d more than once" % repeated[0])
+        repeated = _repeated(self.ops)
+        if repeated is not None:
+            raise ConfigError("--ops lists %d more than once" % repeated)
+        if self.complex_path and self.kind:
+            raise ConfigError("give either --complex or a group, not both")
+        if self.complex_path and self.depth is not None:
+            raise ConfigError("--depth truncates a group's resolution; "
+                              "a --complex file takes no --depth")
         return self
+
+
+def _repeated(items):
+    """The first item listed again later in items, or None."""
+    return next((x for i, x in enumerate(items) if x in items[:i]), None)
 
 
 def _group_args(p):
@@ -270,7 +284,7 @@ def _run_cohomology(cfg):
 def _run_hecke(cfg):
     from .coeffmod import PolynomialModule
     from .exactlin import charpoly
-    from .hecke import hecke_eigenvalues, hecke_operators, hecke_representative
+    from .hecke import hecke_eigenvalues, hecke_operators
     gamma = cfg.group()
     n = cfg.degree
     module = PolynomialModule(cfg.weight - 2)
@@ -286,9 +300,7 @@ def _run_hecke(cfg):
             lines.append("T%d {%s}" % (rep.p,
                                        ", ".join(str(r) for r in ordered)))
     else:
-        ops = hecke_operators(gamma, n,
-                              [hecke_representative(p) for p in cfg.ops],
-                              module=module)
+        ops = hecke_operators(gamma, n, cfg.ops, module=module)
         for p, T in zip(cfg.ops, ops):
             if cfg.emit == "matrix":
                 results.append({"p": p, "orders": list(T.orders),
@@ -370,8 +382,6 @@ def _run_quad(cfg):
 def _run_contract(cfg):
     from .chaincx import all_homology, contract
     from .cwdvf import load_complex
-    if cfg.complex_path and cfg.kind:
-        raise ConfigError("give either --complex or a group, not both")
     if cfg.complex_path:
         C = load_complex(cfg.complex_path).as_chain_complex()
         label = cfg.complex_path

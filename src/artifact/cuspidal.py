@@ -285,8 +285,9 @@ def cuspidal_cohomology(gamma, n, module=None):
                           module, W, horocycles)
 
 
-def cuspidal_hecke_matrix(result, g):
-    """A Hecke operator pushed down to the cuspidal quotient.
+def cuspidal_hecke_matrix(result, m):
+    """T_m, the double coset of diag(m, 1), pushed down to the cuspidal
+    quotient.
 
     Lifts the operator to cochains of the ambient resolution the result
     was computed with, checks it on the ambient cocycles and coboundaries
@@ -298,8 +299,8 @@ def cuspidal_hecke_matrix(result, g):
     solves.
     """
     n = result.degree
-    desc, cochain = hecke_cochain(result.group, n, g, result.module,
-                                  result.ambient_resolution)
+    cochain = hecke_cochain(result.group, n, m, result.module,
+                            result.ambient_resolution)
     result.ambient_presentation.check(cochain)
     moved = result.restriction * (cochain * result.kernel_basis)
     if solve_echelon(result.boundary_coboundaries, moved) is None:
@@ -307,5 +308,5 @@ def cuspidal_hecke_matrix(result, g):
     matrix, orders, basis = matrix_on_quotient(
         cochain, result.presentation,
         lambda V: solve_echelon(result.kernel_basis, V))
-    return HeckeMatrix(result.group, desc.g, n, result.weight, matrix, orders,
+    return HeckeMatrix(result.group, m, n, result.weight, matrix, orders,
                        basis, cochain)

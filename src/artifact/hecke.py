@@ -1,40 +1,43 @@
 """Hecke operators on the cohomology of congruence subgroups.
 
-A 2x2 integer matrix g with positive determinant acts on H^n(Gamma, M)
-through the subgroup Gamma' = Gamma intersect g Gamma g^{-1}: a cochain is
-restricted to the conjugate subgroup g^{-1} Gamma' g, pulled back through
-a chain map intertwining gamma -> g^{-1} gamma g, hit with g on the
-coefficients, and summed over coset translates (the transfer).  All three
-steps happen at the cochain level of a free resolution whose contracting
-homotopy supplies the chain map, so the composite is an integer matrix on
+The operator T_m, the double coset of g = diag(m, 1) for an index
+m >= 1, acts on H^n(Gamma, M) through the subgroup
+Gamma' = Gamma intersect g Gamma g^{-1}: a cochain is restricted to the
+conjugate subgroup g^{-1} Gamma' g, pulled back through a chain map
+intertwining gamma -> g^{-1} gamma g, hit with g on the coefficients,
+and summed over coset translates (the transfer).  All three steps happen
+at the cochain level of a free resolution whose contracting homotopy
+supplies the chain map, so the composite is an integer matrix on
 cochains (hecke_cochain).  The resolution is restricted from SL2(Z).
-Gamma' lies in S' = SL2(Z) intersect g SL2(Z) g^{-1}, which for
-g = diag(n, 1) is Gamma^0(n) (n | b), of index psi(n) whatever the
-level, so the chain map is lifted once over S' (hecke_lift), through the
-SL2(Z)-level homotopy and in that resolution's basis, with rank * psi(n)
-generator values.  Its restriction to Gamma' is again a lift (the
-comparison theorem; Brown, Cohomology of Groups, I.7 and III.5): the
-value on a Gamma' generator is a translate of one of those values, found
-by a coset lookup, and refolded once, where the cochain reads it.  The
-operator descends to an adapted basis of the cohomology lattice through
-a CohomologyPresentation, built once per cochain complex and shared by
+Gamma' lies in S' = SL2(Z) intersect g SL2(Z) g^{-1} = Gamma^0(m)
+(m | b), of index psi(m) whatever the level, so the chain map is lifted
+once over S' (hecke_lift), through the SL2(Z)-level homotopy and in that
+resolution's basis, with rank * psi(m) generator values.  Its
+restriction to Gamma' is again a lift (the comparison theorem; Brown,
+Cohomology of Groups, I.7 and III.5): the value on a Gamma' generator is
+a translate of one of those values, found by a coset lookup, and
+refolded once, where the cochain reads it.  The operator descends to an
+adapted basis of the cohomology lattice through a
+CohomologyPresentation, built once per cochain complex and shared by
 every operator presented on it (hecke_operators).
 
-Normalization: the classical operator T_n has the rational representative
-diag(1, 1/n); this module uses the primitive integral matrix diag(n, 1),
-the same point of PGL2(Q)+.  Conjugation only sees the projective class.
-The coefficient action of g uses the integral matrix, which for weight 2
-(trivial coefficients) is invisible, so those eigenvalues are the
-classical ones; in higher weight this pins one specific integral
-normalization, and structural facts (commutativity, cocycle preservation,
-integrality) are normalization independent.
+Normalization: every entry point names the operator by its index m, and
+T_m is the double coset of diag(m, 1), the primitive integral matrix at
+the point diag(1, 1/m) of PGL2(Q)+ that represents the classical T_m;
+conjugation only sees the projective class.  For prime m this is the
+classical Hecke operator at m; for composite m it is the double-coset
+operator of diag(m, 1) alone.  The coefficient action of g uses the integral matrix, which for
+weight 2 (trivial coefficients) is invisible, so those eigenvalues are
+the classical ones; in higher weight this pins one specific integral
+normalization, and structural facts (commutativity, cocycle
+preservation, integrality) are normalization independent.
 """
 
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .coeffmod import PolynomialModule, _entries, block_matrix, hom_complex
+from .coeffmod import PolynomialModule, block_matrix, hom_complex
 from .congruence import CongruenceSubgroup, generators, transversal
 from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      InfiniteIndex, NotInGroup, NotInLattice, ShapeMismatch)
@@ -48,40 +51,12 @@ from .sl2z import I as IDENT, S, SL2ZMatrix, nearest_vertex
 _S_INV = S.inverse()
 
 
-def _conjugated(gent, A):
-    """g^{-1} A g as an SL2ZMatrix, or None when it is not integral.
-
-    g^{-1} = adj(g) / det(g), so the conjugate is integral exactly when
-    every entry of adj(g) * A * g is divisible by det(g).  Conjugation
-    preserves the determinant, so the result is a genuine SL2 matrix.
-    """
-    a, b, c, d = gent
-    det = a * d - b * c
-    # adj(g) * A
-    qa = d * A.a - b * A.c
-    qb = d * A.b - b * A.d
-    qc = -c * A.a + a * A.c
-    qd = -c * A.b + a * A.d
-    # (adj(g) * A) * g
-    ra = qa * a + qb * c
-    rb = qa * b + qb * d
-    rc = qc * a + qd * c
-    rd = qc * b + qd * d
-    if ra % det or rb % det or rc % det or rd % det:
+def _conjugated(m, A):
+    """diag(m, 1)^{-1} A diag(m, 1) = [[a, b/m], [m c, d]] as an
+    SL2ZMatrix, or None when m does not divide b."""
+    if A.b % m:
         return None
-    return SL2ZMatrix(ra // det, rb // det, rc // det, rd // det)
-
-
-def hecke_representative(n):
-    """The primitive integral representative diag(n, 1) of T_n.
-
-    For prime n this is the classical Hecke operator at n; for composite
-    n it is the double-coset operator of diag(n, 1) alone.
-    """
-    n = int(n)
-    if n < 1:
-        raise FormatError("operator index must be >= 1, got %d" % n)
-    return (n, 0, 0, 1)
+    return SL2ZMatrix(A.a, A.b // m, m * A.c, A.d)
 
 
 class UpperTransversal:
@@ -114,21 +89,19 @@ class UpperTransversal:
 
 @dataclass
 class HeckeDescriptor:
-    """Subgroup data determining a Hecke operator.
+    """Subgroup data determining T_m, the double coset of diag(m, 1).
 
-    g is an integral 2x2 matrix with det > 0; reps are left coset
-    representatives of Gamma' = Gamma intersect g Gamma g^{-1} in Gamma
-    with reps[0] the identity, so Gamma is the disjoint union of the
-    reps[i] Gamma'.  Gamma' lies in S' = SL2(Z) intersect g SL2(Z) g^{-1},
-    on which conjugate is defined too; for g = diag(m, 1), S' is
-    Gamma^0(m), of index psi(m) in SL2(Z) whatever Gamma is, and upper is
-    its transversal (UpperTransversal), over which the chain map is
-    lifted (hecke_lift).
+    With g = diag(m, 1), reps are left coset representatives of
+    Gamma' = Gamma intersect g Gamma g^{-1} in Gamma with reps[0] the
+    identity, so Gamma is the disjoint union of the reps[i] Gamma'.
+    Gamma' lies in S' = SL2(Z) intersect g SL2(Z) g^{-1} = Gamma^0(m),
+    on which conjugate is defined too; S' has index psi(m) in SL2(Z)
+    whatever Gamma is, and upper is its transversal (UpperTransversal),
+    over which the chain map is lifted (hecke_lift).
     """
 
     group: object
-    g: tuple
-    det: int
+    m: int
     reps: list
 
     @property
@@ -139,30 +112,25 @@ class HeckeDescriptor:
         """Membership in Gamma': A in Gamma and g^{-1} A g integral and in Gamma."""
         if not self.group.member(A):
             return False
-        conj = _conjugated(self.g, A)
+        conj = _conjugated(self.m, A)
         return conj is not None and self.group.member(conj)
 
     def conjugate(self, A):
         """The homomorphism gamma -> g^{-1} gamma g on S', so on Gamma'."""
-        conj = _conjugated(self.g, A)
+        conj = _conjugated(self.m, A)
         if conj is None:
             raise NotInGroup("conjugate by g is not integral")
         return conj
 
     @cached_property
     def upper(self):
-        """The transversal of S' = Gamma^0(m) for g = diag(m, 1);
-        FormatError for any other g."""
-        m, b, c, d = self.g
-        if b or c or d != 1:
-            raise FormatError("the Hecke chain map is lifted over "
-                              "Gamma^0(m) and needs g = diag(m, 1), got %r"
-                              % (self.g,))
-        return UpperTransversal(m)
+        """The transversal of S' = Gamma^0(m)."""
+        return UpperTransversal(self.m)
 
 
-def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
-    """Coset data for Gamma' = Gamma intersect g Gamma g^{-1} inside Gamma.
+def gamma_prime_data(gamma, m, max_cosets=10 ** 6):
+    """Coset data of T_m, the double coset of diag(m, 1) = g: the cosets
+    of Gamma' = Gamma intersect g Gamma g^{-1} inside Gamma.
 
     Left coset representatives are found by a best-first search from the
     identity: the products s * t of a generator of gamma (or its inverse)
@@ -173,14 +141,13 @@ def gamma_prime_data(gamma, g, max_cosets=10 ** 6):
     representatives keep the coefficient matrices of the transfer small;
     the chain map does not see them, since it is lifted over S' and
     its values on Gamma' generators are translates (hecke_cochain).  Raises
-    FormatError when det(g) <= 0 and InfiniteIndex when more than
-    max_cosets cosets appear before the search closes.
+    FormatError when m is not an int >= 1 and InfiniteIndex when more
+    than max_cosets cosets appear before the search closes.
     """
-    gent = _entries(g)
-    det = gent[0] * gent[3] - gent[1] * gent[2]
-    if det <= 0:
-        raise FormatError("determinant must be positive, got %d" % det)
-    desc = HeckeDescriptor(gamma, gent, det, [IDENT])
+    if not isinstance(m, int) or m < 1:
+        raise FormatError("operator index must be an int >= 1, got %r"
+                          % (m,))
+    desc = HeckeDescriptor(gamma, m, [IDENT])
     gens = generators(gamma)
     gens = gens + [s.inverse() for s in gens]
     # keys are unique per matrix, so ties never compare SL2ZMatrix objects
@@ -286,26 +253,25 @@ class EquivariantChainMap:
         return out.chain()
 
 
-def _nearest_images(g, upper, rank0):
+def _nearest_images(m, upper, rank0):
     """Degree-0 images of the Hecke chain map next to their targets.
 
     Source generator (b, t) of the lift over S' is y.e_b over the vertex
-    y<U> of SL2(Z)'s resolution, y = upper.rep(t).  Its image is m.e_b
-    with m the vertex nearest M.rho for M = adj(g) y, a multiple of
-    g^-1 y (sl2z.nearest_vertex).
+    y<U> of SL2(Z)'s resolution, y = upper.rep(t).  Its image is v.e_b
+    with v the vertex nearest M.rho for M = (a, b, m c, m d), which is
+    m g^-1 y for g = diag(m, 1) (sl2z.nearest_vertex).
     """
-    a, b, c, d = g
     out = []
     for base in range(rank0):
         for y in upper.reps:
-            M = (d * y.a - b * y.c, d * y.b - b * y.d,
-                 a * y.c - c * y.a, a * y.d - c * y.b)
+            M = (y.a, y.b, m * y.c, m * y.d)
             out.append({base: GroupRingElement.unit(nearest_vertex(M))})
     return out
 
 
-def hecke_lift(gamma, n, g, resolution):
-    """The coset data of g and the chain map of its Hecke operator.
+def hecke_lift(gamma, n, m, resolution):
+    """The coset data and the chain map of T_m, the double coset of
+    diag(m, 1) = g.
 
     resolution must be restricted to gamma from a resolution over SL2(Z)
     (restrict_resolution).  The map is lifted once over S' = Gamma^0(m),
@@ -323,19 +289,19 @@ def hecke_lift(gamma, n, g, resolution):
     if not isinstance(resolution, RestrictedResolution):
         raise FormatError("the Hecke chain map needs a resolution restricted "
                           "from SL2(Z) (restrict_resolution)")
-    desc = gamma_prime_data(gamma, g)
+    desc = gamma_prime_data(gamma, m)
     base, upper = resolution.base, desc.upper
     source = restrict_resolution(sub_resolution(base, [
         [(j, 1) for j in range(base.rank(k))] for k in range(n + 1)]),
         upper.group, trans=upper)
     return desc, EquivariantChainMap(source, base, desc.conjugate,
-                                     _nearest_images(desc.g, upper,
-                                                     base.rank(0)),
+                                     _nearest_images(m, upper, base.rank(0)),
                                      degree_max=n)
 
 
-def hecke_cochain(gamma, n, g, module, resolution):
-    """The Hecke operator of g on degree-n cochains, before cohomology.
+def hecke_cochain(gamma, n, m, module, resolution):
+    """T_m, the double coset of diag(m, 1) = g, on degree-n cochains,
+    before cohomology.
 
     The image cochain evaluated on the generator e_b is
     sum_i M(t_i) M(g) c(f(t_i^{-1} e_b)) over the left coset
@@ -345,10 +311,9 @@ def hecke_cochain(gamma, n, g, module, resolution):
     phi(s) times the lift's value on y0.e_beta (hecke_lift), phi(s) =
     g^{-1} s g: no tree walk per coset.  Each translated value is refolded
     into the resolution's basis once, here, where the cochain reads it.
-    Returns (desc, cochain), the cochain a SparseIntMatrix; the lift is
-    freed on return.
+    Returns the cochain, a SparseIntMatrix; the lift is freed on return.
     """
-    desc, lift = hecke_lift(gamma, n, g, resolution)
+    desc, lift = hecke_lift(gamma, n, m, resolution)
     upper = desc.upper
     rank_n = resolution.rank(n)
     inverses = [t.inverse() for t in desc.reps]
@@ -366,8 +331,8 @@ def hecke_cochain(gamma, n, g, module, resolution):
         phi = desc.conjugate(s)
         return resolution.refold({b2: gre.left_mul(phi) for b2, gre
                                   in lift.value(n, offset + j).items()})
-    pre = [module.action(t) * module.action(desc.g) for t in desc.reps]
-    return desc, block_matrix(
+    pre = [module.action(t) * module.action((m, 0, 0, 1)) for t in desc.reps]
+    return block_matrix(
         module.rank, rank_n, rank_n,
         ((b, b2, pre[i] * module.ring_action(gre))
          for i in range(desc.index) for b in range(rank_n)
@@ -376,7 +341,8 @@ def hecke_cochain(gamma, n, g, module, resolution):
 
 @dataclass
 class HeckeMatrix:
-    """A Hecke operator presented on an adapted basis of H^n(Gamma, M).
+    """T_m, the double coset of diag(m, 1), on an adapted basis of
+    H^n(Gamma, M).
 
     matrix acts on coordinates ordered with the free components first
     (orders entry 0) followed by the finite cyclic components (orders
@@ -391,7 +357,7 @@ class HeckeMatrix:
     """
 
     group: object
-    g: tuple
+    m: int
     degree: int
     weight: int
     matrix: IntMatrix
@@ -438,7 +404,7 @@ class HeckeMatrix:
         """JSON-friendly presentation data."""
         return {
             "group": str(self.group),
-            "g": list(self.g),
+            "g": [self.m, 0, 0, 1],
             "degree": self.degree,
             "weight": self.weight,
             "orders": list(self.orders),
@@ -488,8 +454,9 @@ class CohomologyPresentation:
             raise NotInLattice("image of a coboundary is not a coboundary")
 
 
-def hecke_operators(gamma, n, gs, module=None, resolution=None):
-    """The Hecke operators of the matrices gs on H^n(gamma, module).
+def hecke_operators(gamma, n, ms, module=None, resolution=None):
+    """The operators T_m on H^n(gamma, module), for the indices m in ms,
+    T_m the double coset of diag(m, 1).
 
     module defaults to the trivial module (weight 2).  resolution, when
     given, must be restricted to gamma from a resolution over SL2(Z)
@@ -500,10 +467,9 @@ def hecke_operators(gamma, n, gs, module=None, resolution=None):
     (hecke_cochain), with d f = f d verified on every generator of its
     lift over S', and presented on one CohomologyPresentation, built
     after the first lift is freed, which checks it on cocycles and
-    coboundaries.  Yields one HeckeMatrix per matrix, in order, so a
+    coboundaries.  Yields one HeckeMatrix per index, in order, so a
     caller that keeps none of them holds one cochain operator at a time.
-    Each g must be diag(m, 1) (FormatError otherwise), since the chain
-    map is lifted over Gamma^0(m).
+    Each m must be an int >= 1 (FormatError otherwise).
     """
     if module is None:
         module = PolynomialModule(0)
@@ -514,21 +480,21 @@ def hecke_operators(gamma, n, gs, module=None, resolution=None):
             "resolution of top degree %d cannot present H^%d"
             % (resolution.top_degree(), n))
     presentation = None
-    for g in gs:
-        desc, cochain = hecke_cochain(gamma, n, g, module, resolution)
+    for m in ms:
+        cochain = hecke_cochain(gamma, n, m, module, resolution)
         if presentation is None:
             presentation = CohomologyPresentation(
                 hom_complex(resolution, module), n)
         presentation.check(cochain)
         matrix, orders, basis = matrix_on_quotient(
             cochain, presentation.quotient, lambda V: presentation.P * V)
-        yield HeckeMatrix(gamma, desc.g, n, module.k + 2, matrix, orders,
+        yield HeckeMatrix(gamma, m, n, module.k + 2, matrix, orders,
                           basis, cochain)
 
 
-def hecke_operator(gamma, n, g, module=None, resolution=None):
-    """Matrix of the Hecke operator of g on H^n(gamma, module)."""
-    return next(hecke_operators(gamma, n, [g], module, resolution))
+def hecke_operator(gamma, n, m, module=None, resolution=None):
+    """Matrix of T_m, the double coset of diag(m, 1), on H^n(gamma, module)."""
+    return next(hecke_operators(gamma, n, [m], module, resolution))
 
 
 def matrix_on_quotient(cochain, quotient, coordinates):
@@ -582,12 +548,10 @@ def hecke_eigenvalues(gamma, n, ps, module=None, resolution=None):
     ps = list(ps)
     # the reports keep every operator, and the presentation is released
     # before the characteristic polynomials are taken
-    ops = list(hecke_operators(gamma, n,
-                               [hecke_representative(p) for p in ps],
-                               module, resolution))
+    ops = list(hecke_operators(gamma, n, ps, module, resolution))
     out = {}
     for p, op in zip(ps, ops):
         roots, residual = integer_roots(charpoly(op.free_block()))
-        out[p] = EigenvalueReport(int(p), tuple(roots), tuple(residual), op)
+        out[p] = EigenvalueReport(p, tuple(roots), tuple(residual), op)
     return out
 

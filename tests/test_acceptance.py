@@ -197,8 +197,8 @@ def test_c06_hecke_commutativity_principal_six():
     t0 = time.perf_counter()
     gamma = CongruenceSubgroup.principal(6)
     res = restrict_resolution(sl2z_resolution(2), gamma)
-    a = hecke_operator(gamma, 1, (2, 0, 0, 1), resolution=res)
-    b = hecke_operator(gamma, 1, (5, 0, 0, 1), resolution=res)
+    a = hecke_operator(gamma, 1, 2, resolution=res)
+    b = hecke_operator(gamma, 1, 5, resolution=res)
     dt = time.perf_counter() - t0
     # H^1 here is free (13 zero orders), so the matrix identity is the
     # plain integer product in both orders
@@ -324,8 +324,8 @@ def test_c10_property_suite():
     other = perturbed_homotopy(res)
     stable = True
     for p in (2, 3):
-        a = hecke_operator(gamma, 1, (p, 0, 0, 1), resolution=res)
-        b = hecke_operator(gamma, 1, (p, 0, 0, 1), resolution=other)
+        a = hecke_operator(gamma, 1, p, resolution=res)
+        b = hecke_operator(gamma, 1, p, resolution=other)
         # the two lifts differ, so stability is not one lift compared twice
         stable = (stable and a.cochain != b.cochain
                   and a.matrix == b.matrix and a.orders == b.orders)

@@ -260,21 +260,47 @@ def test_config_error_json_is_machine_readable(capsys):
     assert "ops" in doc["error"]["message"]
 
 
-@pytest.mark.parametrize("fmt", ["plain", "json"])
-def test_repeated_ops_index_exits_two(capsys, fmt):
-    # each operator is lifted once, so T3 twice is a mistake in the call,
-    # not a request to compute and print it twice
-    rc = main(["hecke", "--gamma0", "11", "--weight", "2", "--ops", "2,3,3",
-               "--emit", "charpoly", "--format", fmt])
+def assert_config_error(capsys, argv, fmt, message):
+    """main(argv) exits 2 with message, on stderr in plain output and as
+    the error object of the JSON document."""
+    rc = main(argv + ["--format", fmt])
     captured = capsys.readouterr()
     assert rc == 2
-    message = "--ops lists 3 more than once"
     if fmt == "json":
         assert json.loads(captured.out)["error"] == {"type": "ConfigError",
                                                      "message": message}
     else:
         assert (captured.out, captured.err) == (
             "", "error ConfigError: %s\n" % message)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_repeated_ops_index_exits_two(capsys, fmt):
+    # each operator is lifted once, so T3 twice is a mistake in the call,
+    # not a request to compute and print it twice
+    assert_config_error(
+        capsys, ["hecke", "--gamma0", "11", "--weight", "2", "--ops", "2,3,3",
+                 "--emit", "charpoly"], fmt, "--ops lists 3 more than once")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_repeated_report_field_exits_two(capsys, fmt):
+    # the JSON result holds each field once, so norm twice would print a
+    # line the document does not have
+    assert_config_error(
+        capsys, ["quad", "--d", "-1", "--ideal", "41+56i", "--report",
+                 "norm,prime,norm"], fmt, "--report lists norm more than once")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_contract_complex_rejects_depth(capsys, fmt):
+    # --depth truncates a group's resolution; a complex file has none, so
+    # the flag could only be ignored
+    path = str(ROOT / "src" / "artifact" / "data" / "bing_house.cw")
+    assert_config_error(
+        capsys, ["contract", "--complex", path, "--depth", "3"], fmt,
+        "--depth truncates a group's resolution; a --complex file takes "
+        "no --depth")
 
 
 def test_computation_error_exit_three(capsys):

@@ -31,7 +31,7 @@ from artifact.errors import CompositionNonzero, EliminationError, NotInLattice
 from artifact.exactlin import (AbelianInvariants, IntMatrix, charpoly,
                                cokernel_invariants, column_span_basis,
                                integer_kernel, integer_roots, solve_echelon)
-from artifact.hecke import EquivariantChainMap, hecke_representative
+from artifact.hecke import EquivariantChainMap
 from artifact.resolutions import (GroupRingElement, RestrictedResolution,
                                   borel_serre_complex, restrict_resolution,
                                   sub_resolution, wall_resolution)
@@ -155,7 +155,7 @@ def test_weight_two_ranks_match_the_modular_curve(level, genus, cusps):
 def test_hecke_acts_by_newform_eigenvalues_weight_two():
     r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
     for p, ap in ((2, -2), (3, -1), (5, 1), (7, -2)):
-        M = cuspidal_hecke_matrix(r, hecke_representative(p))
+        M = cuspidal_hecke_matrix(r, p)
         assert M.orders == (0, 0)
         # one rational newform: T_p is the scalar a_p on both copies
         assert M.matrix.data == [[ap, 0], [0, ap]]
@@ -172,8 +172,8 @@ def test_weight_four_level_eleven():
     # the weight 4 eigenvalues generate Z[sqrt(3)]: each conjugate pair
     # appears twice, so the charpolys are squares of the minimal ones,
     # (x^2 - 2x - 2)^2 at p = 2 and (x^2 + 2x - 47)^2 at p = 3
-    t2 = cuspidal_hecke_matrix(r, hecke_representative(2))
-    t3 = cuspidal_hecke_matrix(r, hecke_representative(3))
+    t2 = cuspidal_hecke_matrix(r, 2)
+    t3 = cuspidal_hecke_matrix(r, 3)
     assert charpoly(t2.matrix) == [1, -4, 0, 8, 4]
     assert charpoly(t3.matrix) == [1, 4, -90, -188, 2209]
     # no integer eigenvalues at all here
@@ -193,7 +193,7 @@ def test_weight_four_level_eleven_presentation_frozen(monkeypatch):
     monkeypatch.setattr(cuspidal, "QuotientLattice", counted)
     r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11),
                             1, PolynomialModule(2))
-    docs = [cuspidal_hecke_matrix(r, hecke_representative(p)).descriptor()
+    docs = [cuspidal_hecke_matrix(r, p).descriptor()
             for p in (2, 3)]
     # matrices, orders and cocycle bases, byte for byte
     expected = (FROZEN / "cuspidal_gamma0_11_k2_t2_t3.json").read_text()
@@ -216,7 +216,7 @@ def test_operators_share_the_boundary_coboundary_basis(monkeypatch):
 
     monkeypatch.setattr(cuspidal, "column_span_basis", counted)
     for p in (2, 3):
-        cuspidal_hecke_matrix(r, hecke_representative(p))
+        cuspidal_hecke_matrix(r, p)
     assert len(calls) == 1
 
 
@@ -228,7 +228,7 @@ def test_operators_share_the_ambient_presentation(monkeypatch):
                             PolynomialModule(2))
     r.ambient_presentation
     calls = transform_snfs(monkeypatch)
-    ops = [cuspidal_hecke_matrix(r, hecke_representative(p))
+    ops = [cuspidal_hecke_matrix(r, p)
            for p in (2, 3, 5)]
     assert len(calls) == 2
     # torsion-free quotient, so plain products commute
@@ -367,7 +367,7 @@ def test_ambient_checks_run_on_every_operator():
     bad = r.ambient_presentation = copy.copy(r.ambient_presentation)
     bad.Z = bad.P = IntMatrix.identity(bad.delta_out.cols)
     with pytest.raises(CompositionNonzero, match="cocycle is not a cocycle"):
-        cuspidal_hecke_matrix(r, hecke_representative(2))
+        cuspidal_hecke_matrix(r, 2)
 
 
 def test_operator_leaving_the_kernel_raises():
@@ -375,7 +375,7 @@ def test_operator_leaving_the_kernel_raises():
     # all cocycles, Eisenstein ones included, in place of the kernel
     r.kernel_basis = integer_kernel(r.ambient_complex.deltas[1])
     with pytest.raises(NotInLattice, match="does not preserve"):
-        cuspidal_hecke_matrix(r, hecke_representative(2))
+        cuspidal_hecke_matrix(r, 2)
 
 
 # (group, module degree, degree): each under a second by the ambient route

@@ -19,8 +19,7 @@ from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
 from artifact.hecke import (EquivariantChainMap, UpperTransversal,
                             gamma_prime_data, hecke_cochain,
-                            hecke_eigenvalues, hecke_lift, hecke_operator,
-                            hecke_representative)
+                            hecke_eigenvalues, hecke_lift, hecke_operator)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   RestrictedResolution, restrict_resolution,
                                   sl2z_resolution, sub_resolution)
@@ -54,14 +53,14 @@ def section_images(source, target):
 
 
 def test_identity_gives_one_coset():
-    desc = gamma_prime_data(GAMMA0_11, (1, 0, 0, 1))
+    desc = gamma_prime_data(GAMMA0_11, 1)
     assert desc.index == 1
     assert desc.reps == [I]
     assert desc.member(S * S)  # -I lies in Gamma0(11) = Gamma'
 
 
 def test_gamma0_11_t2_index_three():
-    desc = gamma_prime_data(GAMMA0_11, (2, 0, 0, 1))
+    desc = gamma_prime_data(GAMMA0_11, 2)
     assert desc.index == 3
     assert desc.reps[0] == I
     for r in desc.reps:
@@ -73,7 +72,7 @@ def test_gamma0_11_t2_index_three():
 
 
 def test_gamma_prime_membership_and_conjugation():
-    desc = gamma_prime_data(GAMMA0_11, (2, 0, 0, 1))
+    desc = gamma_prime_data(GAMMA0_11, 2)
     # T^2 = [[1,2],[0,1]] has even upper entry, so it survives conjugation
     t2 = T * T
     assert desc.member(t2)
@@ -84,36 +83,32 @@ def test_gamma_prime_membership_and_conjugation():
 
 
 def test_gamma6_t5_index_six():
-    desc = gamma_prime_data(GAMMA_6, (5, 0, 0, 1))
+    desc = gamma_prime_data(GAMMA_6, 5)
     assert desc.index == 6
 
 
 def test_infinite_index_bound_trips():
     with pytest.raises(InfiniteIndex):
-        gamma_prime_data(GAMMA0_11, (2, 0, 0, 1), max_cosets=2)
+        gamma_prime_data(GAMMA0_11, 2, max_cosets=2)
 
 
-@pytest.mark.parametrize("g", [(1, 0, 0, 0), (0, 1, 1, 0), (-1, 0, 0, 1)])
-def test_nonpositive_determinant_rejected(g):
-    with pytest.raises(FormatError):
-        gamma_prime_data(GAMMA0_11, g)
-
-
-def test_representative_shapes():
-    assert hecke_representative(7) == (7, 0, 0, 1)
-    with pytest.raises(FormatError):
-        hecke_representative(0)
-    # nested rows and SL2ZMatrix both normalize
-    desc = gamma_prime_data(GAMMA0_11, [[2, 0], [0, 1]])
-    assert desc.g == (2, 0, 0, 1)
-    assert gamma_prime_data(GAMMA0_11, T).index == 1
+@pytest.mark.parametrize("m", [0, -1, (2, 0, 0, 1)])
+def test_operator_index_must_be_positive(res11, m):
+    # an operator is named by its index m >= 1 alone, T_1 the identity
+    # coset; anything else is a FormatError before any coset search, not
+    # a TypeError from the arithmetic
+    assert gamma_prime_data(GAMMA0_11, 1).index == 1
+    with pytest.raises(FormatError, match="operator index"):
+        gamma_prime_data(GAMMA0_11, m)
+    with pytest.raises(FormatError, match="operator index"):
+        hecke_operator(GAMMA0_11, 1, m, resolution=res11)
 
 
 @pytest.mark.parametrize("level, p", [(1, 7), (11, 2), (11, 11), (38, 2),
                                       (38, 11), (38, 19), (50, 3), (50, 5),
                                       (100, 3)])
 def test_representatives_smallest_first(level, p):
-    desc = gamma_prime_data(CongruenceSubgroup.gamma0(level), (p, 0, 0, 1))
+    desc = gamma_prime_data(CongruenceSubgroup.gamma0(level), p)
     # Gamma' is Gamma0(N) cap Gamma^0(p), a conjugate of Gamma0(pN), so
     # its index in Gamma0(N) is p + 1, or p when p | N
     assert desc.index == (p if level % p == 0 else p + 1)
@@ -128,7 +123,7 @@ def test_representatives_smallest_first(level, p):
 def test_representatives_stay_small_at_level_38():
     # small representatives keep the conjugated group elements of the
     # chain-map lift small
-    desc = gamma_prime_data(CongruenceSubgroup.gamma0(38), (11, 0, 0, 1))
+    desc = gamma_prime_data(CongruenceSubgroup.gamma0(38), 11)
     assert max(abs(x) for r in desc.reps for x in r.entries()) <= 38
 
 
@@ -138,7 +133,7 @@ def test_lift_stays_small_at_level_38():
     # at the base vertex
     gamma = CongruenceSubgroup.gamma0(38)
     res = restrict_resolution(sl2z_resolution(2), gamma)
-    _, lift = hecke_lift(gamma, 1, hecke_representative(11), res)
+    _, lift = hecke_lift(gamma, 1, 11, res)
     terms = sum(len(gre) for val in lift.values[1] for gre in val.values())
     assert terms <= 6500
 
@@ -148,7 +143,7 @@ def test_degree0_images_sit_at_the_nearest_vertex(res11):
     # S' = Gamma^0(5), goes to the target generator over m<U>, m the
     # vertex nearest g^-1 y.rho; for g = diag(5, 1), adj(g) y = 5 g^-1 y;
     # the lift's values are chains of the SL2(Z)-level resolution
-    desc, lift = hecke_lift(GAMMA0_11, 1, (5, 0, 0, 1), res11)
+    desc, lift = hecke_lift(GAMMA0_11, 1, 5, res11)
     assert len(lift.values[0]) == res11.base.rank(0) * psi(5)
     reps = set(desc.upper.reps)
     for j, val in enumerate(lift.values[0]):
@@ -172,18 +167,17 @@ def test_matrix_independent_of_representatives(monkeypatch, group, p, weight):
     moved = T ** p
     real = hecke.gamma_prime_data
 
-    def shifted(gamma, g):
-        desc = real(gamma, g)
+    def shifted(gamma, m):
+        desc = real(gamma, m)
         assert desc.member(moved)
         desc.reps[1:] = [r * moved for r in desc.reps[1:]]
         return desc
 
     module = PolynomialModule(weight - 2)
     res = restrict_resolution(sl2z_resolution(2), group)
-    g = hecke_representative(p)
-    a = hecke_operator(group, 1, g, module=module, resolution=res)
+    a = hecke_operator(group, 1, p, module=module, resolution=res)
     monkeypatch.setattr(hecke, "gamma_prime_data", shifted)
-    b = hecke_operator(group, 1, g, module=module, resolution=res)
+    b = hecke_operator(group, 1, p, module=module, resolution=res)
     assert (a.matrix, a.orders, a.basis) == (b.matrix, b.orders, b.basis)
     assert a.cochain == b.cochain
 
@@ -258,8 +252,7 @@ def test_base_lift_refolds_to_the_restricted_lift(group, p, weight):
     # SL2(Z)-level homotopy and refolding once gives the lift through the
     # restricted homotopy value for value
     res = restrict_resolution(sl2z_resolution(2), group)
-    g = hecke_representative(p)
-    desc, lift = hecke_lift(group, 1, g, res)
+    desc, lift = hecke_lift(group, 1, p, res)
     lower = restrict_resolution(res.base, CongruenceSubgroup.gamma0(p))
     old = restricted_lift(lift, lower)
     for n in range(2):
@@ -268,13 +261,13 @@ def test_base_lift_refolds_to_the_restricted_lift(group, p, weight):
     # and the cochain is the one the lift's semilinear extension assembles
     module = PolynomialModule(weight - 2)
     rank = res.rank(1)
-    pre = [module.action(t) * module.action(desc.g) for t in desc.reps]
+    pre = [module.action(t) * module.action((p, 0, 0, 1)) for t in desc.reps]
     expected = block_matrix(
         module.rank, rank, rank,
         ((b, b2, pre[i] * module.ring_action(gre))
          for i, t in enumerate(desc.reps) for b in range(rank)
          for b2, gre in gamma_prime_value(res, desc, lift, 1, b, t).items()))
-    H = hecke_operator(group, 1, g, module=module, resolution=res)
+    H = hecke_operator(group, 1, p, module=module, resolution=res)
     assert H.cochain == expected
 
 
@@ -312,7 +305,7 @@ def test_gamma_prime_values_commute_with_d(group, p):
     # per term: generator (b, t) has d = sum of c gam e_(i, ti) over the
     # terms (g, c) of row_b[i], where rep(t) g = gam rep(ti)
     res = restrict_resolution(sl2z_resolution(2), group)
-    desc, lift = hecke_lift(group, 1, hecke_representative(p), res)
+    desc, lift = hecke_lift(group, 1, p, res)
     cosets = GammaPrimeCosets(desc)
     nt = desc.index
     f = [[gamma_prime_value(res, desc, lift, n, b, t)
@@ -349,7 +342,7 @@ def test_lift_size_is_rank_times_psi(monkeypatch, level, p):
         return real(self, n, chain)
 
     monkeypatch.setattr(FreeZGResolution, "h", counted)
-    _, lift = hecke_lift(gamma, 2, hecke_representative(p), res)
+    _, lift = hecke_lift(gamma, 2, p, res)
     for k in range(3):
         assert lift.source.rank(k) == base.rank(k) * psi(p)
     assert sorted(calls) == [k - 1 for k in (1, 2)
@@ -371,11 +364,6 @@ def test_upper_transversal_cosets():
         assert s.b % 12 == 0
 
 
-def test_hecke_operator_needs_a_diagonal_representative(res11):
-    with pytest.raises(FormatError, match="diag"):
-        hecke_operator(GAMMA0_11, 1, T, resolution=res11)
-
-
 def test_hecke_cochain_calls_no_restricted_homotopy(monkeypatch, res11):
     # the lift runs through the SL2(Z)-level homotopy, never through
     # refold . h . unfold
@@ -383,8 +371,7 @@ def test_hecke_cochain_calls_no_restricted_homotopy(monkeypatch, res11):
         pytest.fail("a restricted resolution's homotopy was called")
 
     monkeypatch.setattr(RestrictedResolution, "h", refuse)
-    _, cochain = hecke_cochain(GAMMA0_11, 1, (2, 0, 0, 1),
-                               PolynomialModule(0), res11)
+    cochain = hecke_cochain(GAMMA0_11, 1, 2, PolynomialModule(0), res11)
     assert cochain.rows == cochain.cols == res11.rank(1)
 
 
@@ -402,7 +389,7 @@ def test_identity_chain_map_on_base_resolution():
 
 def test_chain_map_commuting_squares_checked(res11):
     # construction verifies d f = f d per generator; reaching here is the test
-    desc, f = hecke_lift(GAMMA0_11, 1, (2, 0, 0, 1), res11)
+    desc, f = hecke_lift(GAMMA0_11, 1, 2, res11)
     # semilinearity of the map restricted to Gamma': f(gamma x) =
     # phi(gamma) f(x) for gamma in Gamma' and x over any vertex
     gam = T ** 2 * S * T.inverse() ** 22 * S.inverse()  # [[45, 2], [22, 1]]
@@ -429,7 +416,7 @@ def test_chain_map_needs_one_image_per_generator(res11):
 
 def test_hecke_operator_needs_a_restricted_resolution():
     with pytest.raises(FormatError, match="restricted"):
-        hecke_operator(CongruenceSubgroup.gamma0(1), 1, (2, 0, 0, 1),
+        hecke_operator(CongruenceSubgroup.gamma0(1), 1, 2,
                        resolution=sl2z_resolution(2))
 
 
@@ -438,13 +425,13 @@ def test_hecke_operator_needs_a_restricted_resolution():
 
 
 def test_t1_is_identity_on_h1(res11):
-    H = hecke_operator(GAMMA0_11, 1, (1, 0, 0, 1), resolution=res11)
+    H = hecke_operator(GAMMA0_11, 1, 1, resolution=res11)
     assert H.orders == (0, 0, 0)
     assert H.matrix == IntMatrix.identity(3)
 
 
 def test_t2_spectrum(res11):
-    H = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), resolution=res11)
+    H = hecke_operator(GAMMA0_11, 1, 2, resolution=res11)
     roots, residual = integer_roots(charpoly(H.free_block()))
     assert roots == [-2, -2, 3]
     assert residual == [1]
@@ -464,7 +451,7 @@ def test_eigenvalues_at_four_primes(res11):
 
 def test_transfer_degree_on_h0(res11):
     # on H^0 the operator collapses to multiplication by the coset count
-    H = hecke_operator(GAMMA0_11, 0, (2, 0, 0, 1), resolution=res11)
+    H = hecke_operator(GAMMA0_11, 0, 2, resolution=res11)
     assert H.orders == (0,)
     assert H.matrix.data == [[3]]
 
@@ -482,13 +469,13 @@ def test_commutation_weight_two(res11):
 
 
 def test_determinism_across_fresh_builds():
-    a = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1))
-    b = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1))
+    a = hecke_operator(GAMMA0_11, 1, 2)
+    b = hecke_operator(GAMMA0_11, 1, 2)
     assert a.descriptor() == b.descriptor()
 
 
 def test_descriptor_is_json_ready(res11):
-    H = hecke_operator(GAMMA0_11, 1, (3, 0, 0, 1), resolution=res11)
+    H = hecke_operator(GAMMA0_11, 1, 3, resolution=res11)
     blob = json.loads(json.dumps(H.descriptor()))
     assert blob["group"] == "Gamma0(11)"
     assert blob["g"] == [3, 0, 0, 1]
@@ -501,7 +488,7 @@ def test_cochain_level_preservation(res11):
     from artifact.coeffmod import hom_complex
     from artifact.exactlin import (column_span_basis, integer_kernel,
                                    solve_echelon)
-    H = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), resolution=res11)
+    H = hecke_operator(GAMMA0_11, 1, 2, resolution=res11)
     C = hom_complex(res11, PolynomialModule(0))
     Z = integer_kernel(C.deltas[1])
     boundaries = column_span_basis(C.deltas[0])
@@ -555,8 +542,8 @@ def test_truncation_beyond_top_degree_raises(res11):
 
 
 def test_compose_on_different_bases_raises(res11):
-    a = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), resolution=res11)
-    b = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), module=PolynomialModule(2),
+    a = hecke_operator(GAMMA0_11, 1, 2, resolution=res11)
+    b = hecke_operator(GAMMA0_11, 1, 2, module=PolynomialModule(2),
                        resolution=res11)
     with pytest.raises(ShapeMismatch):
         a.compose(b)
@@ -574,7 +561,7 @@ def test_coboundaries_not_preserved_raise(res11, monkeypatch):
 
     monkeypatch.setattr(hecke, "hom_complex", thinned)
     with pytest.raises(NotInLattice, match="coboundary"):
-        hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), module=PolynomialModule(2),
+        hecke_operator(GAMMA0_11, 1, 2, module=PolynomialModule(2),
                        resolution=res11)
 
 
@@ -661,8 +648,8 @@ def test_tiebreak_independence(res11):
     # augmentation zero, where the degree-1 lift applies it
     x = {0: GroupRingElement.unit(S) - GroupRingElement.unit(I)}
     assert not chains_equal(res11.base.h(0, x), other.base.h(0, x))
-    a = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), resolution=res11)
-    b = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), resolution=other)
+    a = hecke_operator(GAMMA0_11, 1, 2, resolution=res11)
+    b = hecke_operator(GAMMA0_11, 1, 2, resolution=other)
     # a different lift, so the comparison below is not of one lift twice
     assert a.cochain != b.cochain
     assert a.orders == b.orders
@@ -675,16 +662,16 @@ def test_tiebreak_independence(res11):
 
 
 def test_gamma6_h1_rank_and_commutation(res6):
-    a = hecke_operator(GAMMA_6, 1, (2, 0, 0, 1), resolution=res6)
-    b = hecke_operator(GAMMA_6, 1, (5, 0, 0, 1), resolution=res6)
+    a = hecke_operator(GAMMA_6, 1, 2, resolution=res6)
+    b = hecke_operator(GAMMA_6, 1, 5, resolution=res6)
     assert a.orders == (0,) * 13
     assert a.compose(b) == b.compose(a)
 
 
 def test_weight_four_torsion_and_commutation(res11):
     mod = PolynomialModule(2)
-    a = hecke_operator(GAMMA0_11, 1, (2, 0, 0, 1), module=mod, resolution=res11)
-    b = hecke_operator(GAMMA0_11, 1, (3, 0, 0, 1), module=mod, resolution=res11)
+    a = hecke_operator(GAMMA0_11, 1, 2, module=mod, resolution=res11)
+    b = hecke_operator(GAMMA0_11, 1, 3, module=mod, resolution=res11)
     assert str(a.invariants()) == "Z/2 + Z^6"
     assert a.weight == 4
     assert a.compose(b) == b.compose(a)

@@ -100,7 +100,7 @@ def test_restricted_rows_borel_serre_gamma0_11():
 def test_restricted_rows_hecke_subgroup():
     # the source of the Hecke chain map: the SL2(Z)-level resolution,
     # truncated, restricted to S' = Gamma^0(2) along its transversal
-    desc = gamma_prime_data(CongruenceSubgroup.gamma0(11), (2, 0, 0, 1))
+    desc = gamma_prime_data(CongruenceSubgroup.gamma0(11), 2)
     R = sl2z_resolution(2)
     truncated = sub_resolution(R, [[(j, 1) for j in range(R.rank(k))]
                                    for k in range(2)])
