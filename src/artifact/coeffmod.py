@@ -106,9 +106,11 @@ class PolynomialModule:
     def ring_action(self, gre):
         """Matrix of a group ring element: the sum of c * action(gamma).
 
-        This is the module-action block that every cochain-level matrix
-        (coboundaries, pullbacks, Hecke operators) places for one group
-        ring entry, by block_matrix.
+        This is the module-action block that the coboundaries and the
+        cuspidal restriction place for one group ring entry, by
+        block_matrix.  Hecke cochains do not use it: hecke_cochain sums
+        c * action(gamma1) per block and multiplies by its coset pair's
+        matrix once, straight into the sparse columns.
         """
         m = self.rank
         block = [[0] * m for _ in range(m)]

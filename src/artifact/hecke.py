@@ -15,8 +15,13 @@ once over S' (hecke_lift), through the SL2(Z)-level homotopy and in that
 resolution's basis, with rank * psi(m) generator values.  Its
 restriction to Gamma' is again a lift (the comparison theorem; Brown,
 Cohomology of Groups, I.7 and III.5): the value on a Gamma' generator is
-a translate of one of those values, found by a coset lookup, and
-refolded once, where the cochain reads it.  The operator descends to an
+a translate of one of those values, found by a coset lookup.  The
+cochain reads it per pair of a coset t of Gamma and a representative t_i
+of Gamma': g^{-1} s g = gamma0 rep(t0) by one checked lookup in Gamma,
+and each term k of the value moves to the coset ti that the composed
+S/U permutations give rep(t0) k, with gamma1 = rep(t0) k rep(ti)^{-1}
+in Gamma, so the term's Gamma-element is gamma0 gamma1 and no term is
+looked up.  The operator descends to an
 adapted basis of the cohomology lattice through a
 CohomologyPresentation, built once per cochain complex and shared by
 every operator presented on it (hecke_operators).
@@ -36,8 +41,9 @@ preservation, integrality) are normalization independent.
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
-from .coeffmod import PolynomialModule, block_matrix, hom_complex
+from .coeffmod import PolynomialModule, hom_complex
 from .congruence import CongruenceSubgroup, generators, transversal
 from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      InfiniteIndex, NotInGroup, NotInLattice, ShapeMismatch)
@@ -128,6 +134,12 @@ class HeckeDescriptor:
         return UpperTransversal(self.m)
 
 
+def _check_index(m):
+    if not isinstance(m, int) or m < 1:
+        raise FormatError("operator index must be an int >= 1, got %r"
+                          % (m,))
+
+
 def gamma_prime_data(gamma, m, max_cosets=10 ** 6):
     """Coset data of T_m, the double coset of diag(m, 1) = g: the cosets
     of Gamma' = Gamma intersect g Gamma g^{-1} inside Gamma.
@@ -144,9 +156,7 @@ def gamma_prime_data(gamma, m, max_cosets=10 ** 6):
     FormatError when m is not an int >= 1 and InfiniteIndex when more
     than max_cosets cosets appear before the search closes.
     """
-    if not isinstance(m, int) or m < 1:
-        raise FormatError("operator index must be an int >= 1, got %r"
-                          % (m,))
+    _check_index(m)
     desc = HeckeDescriptor(gamma, m, [IDENT])
     gens = generators(gamma)
     gens = gens + [s.inverse() for s in gens]
@@ -192,11 +202,13 @@ class EquivariantChainMap:
     and extended semilinearly, f(gamma x) = phi(gamma) f(x).  A map into
     a restricted resolution is lifted into its base, the SL2(Z)-level
     resolution, through the SL2(Z)-level homotopy, and its values are
-    refolded where they are read: the boundary inclusion behind a
-    CuspidalResult's fields in the ambient basis, built on first read
-    (cuspidal_cohomology itself lifts nothing), and the Hecke chain map,
-    lifted over S' and restricted to Gamma' by the same semilinearity
-    (hecke_lift, hecke_cochain).
+    brought back to the restricted basis where they are read: the
+    boundary inclusion behind a CuspidalResult's fields in the ambient
+    basis, refolded when built on first read (cuspidal_cohomology itself
+    lifts nothing), and the Hecke chain map, lifted over S' and
+    restricted to Gamma' by the same semilinearity, whose terms the
+    cochain moves to their cosets through the composed coset
+    permutations (hecke_lift, hecke_cochain).
     The defining equations d f_n = f_{n-1} d_n (plus augmentation
     preservation in degree 0) are verified on every source generator up
     to degree_max, and a failure raises CompositionNonzero.  Raises
@@ -305,38 +317,71 @@ def hecke_cochain(gamma, n, m, module, resolution):
 
     The image cochain evaluated on the generator e_b is
     sum_i M(t_i) M(g) c(f(t_i^{-1} e_b)) over the left coset
-    representatives t_i.  t_i^{-1} e_b unfolds to y.e_beta in the
-    SL2(Z)-level resolution, and y = s y0 with s in S' and y0 a
-    representative of S' (desc.upper.lookup), so f(t_i^{-1} e_b) is
-    phi(s) times the lift's value on y0.e_beta (hecke_lift), phi(s) =
-    g^{-1} s g: no tree walk per coset.  Each translated value is refolded
-    into the resolution's basis once, here, where the cochain reads it.
-    Returns the cochain, a SparseIntMatrix; the lift is freed on return.
+    representatives t_i of Gamma'.  It is assembled per pair of a coset t
+    of Gamma in SL2(Z) and a t_i, and every generator e_b = rep(t).e_beta
+    over t shares the pair's two checked lookups: t_i^{-1} rep(t) = s y_j
+    with s in S' and y_j a representative of S' (desc.upper.lookup), and
+    phi(s) = g^{-1} s g = gamma0 rep(t0) with gamma0 in Gamma
+    (resolution.trans.lookup).  So f(t_i^{-1} e_b) is phi(s) times the
+    lift's value on y_j.e_beta (hecke_lift), with no tree walk per coset.
+    A term (k, c) of that value moves to the coset ti = table(k)[t0] of
+    the S/U coset permutations the resolution was restricted with
+    (resolution.table): rep(t0) k = gamma1 rep(ti), and gamma1 lies in
+    Gamma by their checked relations, as in restrict_resolution, so the
+    term's Gamma-element is gamma0 gamma1 (Shapiro's lemma, read per
+    term).  The block at row (beta, t) and column (b2, ti) is
+    A sum c M(gamma1), with A = M(t_i) M(g) M(gamma0) once per pair and
+    M(gamma1) once per (t0, k), and it is added straight into the sparse
+    columns.  The pairs are grouped by t0, so the M(gamma1) of one t0 are
+    held at a time.  Returns the cochain, a SparseIntMatrix; the
+    lift is freed on return.
     """
     desc, lift = hecke_lift(gamma, n, m, resolution)
-    upper = desc.upper
-    rank_n = resolution.rank(n)
-    inverses = [t.inverse() for t in desc.reps]
-    # e_b unfolds to sigma.e_beta
-    unfolded = []
-    for b in range(rank_n):
-        (beta, gre), = resolution.unfold(
-            n, {b: GroupRingElement.unit(IDENT)}).items()
-        unfolded.append((beta * len(upper), *gre.support()))
-
-    def value(i, b):
-        """f(t_i^{-1} e_b) in the resolution's basis."""
-        offset, sigma = unfolded[b]
-        j, s = upper.lookup(inverses[i] * sigma)
-        phi = desc.conjugate(s)
-        return resolution.refold({b2: gre.left_mul(phi) for b2, gre
-                                  in lift.value(n, offset + j).items()})
-    pre = [module.action(t) * module.action((m, 0, 0, 1)) for t in desc.reps]
-    return block_matrix(
-        module.rank, rank_n, rank_n,
-        ((b, b2, pre[i] * module.ring_action(gre))
-         for i in range(desc.index) for b in range(rank_n)
-         for b2, gre in value(i, b).items()))
+    upper, trans, table = desc.upper, resolution.trans, resolution.table
+    nt, npsi, r = len(trans), len(upper), module.rank
+    inverses = [rep.inverse() for rep in trans.reps]
+    lefts = [(module.action(t) * module.action((m, 0, 0, 1)), t.inverse())
+             for t in desc.reps]
+    zero = [0] * (r * r)
+    columns = [{} for _ in range(resolution.rank(n) * r)]
+    pairs = {}  # t0 -> the pairs (t, j, left, gamma0) that reach it
+    for t, rep in enumerate(trans.reps):
+        for left, inverse in lefts:
+            j, s = upper.lookup(inverse * rep)
+            t0, gamma0 = trans.lookup(desc.conjugate(s))
+            pairs.setdefault(t0, []).append((t, j, left, gamma0))
+    for t0, group in pairs.items():
+        moved = {}  # k -> (ti, the columns of M(gamma1), concatenated)
+        for t, j, left, gamma0 in group:
+            # (row block, column block) -> sum c M(gamma1), by columns
+            sums = {}
+            for beta in range(resolution.base.rank(n)):
+                for b2, gre in lift.value(n, beta * npsi + j).items():
+                    for k, c in gre.items():
+                        hit = moved.get(k)
+                        if hit is None:
+                            ti = table(k)[t0]
+                            M = module.action(trans.rep(t0) * k * inverses[ti])
+                            hit = moved[k] = (
+                                ti, [x for col in zip(*M.data) for x in col])
+                        key = beta * nt + t, b2 * nt + hit[0]
+                        acc = sums.get(key, zero)
+                        sums[key] = [a + c * x for a, x in zip(acc, hit[1])]
+            A = (left * module.action(gamma0)).data
+            for (b, col), acc in sums.items():
+                for y in range(r):
+                    # column y of the block is A times column y of the sum
+                    scol = acc[y * r:y * r + r]
+                    entries = columns[col * r + y]
+                    for row, arow in enumerate(A, b * r):
+                        v = sum(map(mul, arow, scol))
+                        if v:
+                            v += entries.get(row, 0)
+                            if v:
+                                entries[row] = v
+                            else:
+                                del entries[row]
+    return SparseIntMatrix(len(columns), len(columns), columns)
 
 
 @dataclass
@@ -469,8 +514,12 @@ def hecke_operators(gamma, n, ms, module=None, resolution=None):
     after the first lift is freed, which checks it on cocycles and
     coboundaries.  Yields one HeckeMatrix per index, in order, so a
     caller that keeps none of them holds one cochain operator at a time.
-    Each m must be an int >= 1 (FormatError otherwise).
+    Each m must be an int >= 1, and every m is checked before anything is
+    built (FormatError otherwise).
     """
+    ms = list(ms)
+    for m in ms:
+        _check_index(m)
     if module is None:
         module = PolynomialModule(0)
     if resolution is None:

@@ -1087,18 +1087,22 @@ def boundary_components(X, gamma):
 class RestrictedResolution(FreeZGResolution):
     """A resolution restricted to a finite index subgroup (restrict_resolution).
 
-    base is the resolution it was restricted from; unfold(n, chain) writes
-    a degree-n chain in base's basis, and refold(chain) writes a chain of
-    base back in this basis.  A chain map into this resolution can be
-    lifted through base's own homotopy instead of this one, which is
-    refold . base.h . unfold, and refolded once where it is read.
+    base is the resolution it was restricted from, trans the transversal
+    it was restricted along and table(g) the permutation of its cosets by
+    right multiplication with g (_coset_permutations); unfold(n, chain)
+    writes a degree-n chain in base's basis, and refold(chain) writes a
+    chain of base back in this basis.  A chain map into this resolution
+    can be lifted through base's own homotopy instead of this one, which
+    is refold . base.h . unfold, and refolded once where it is read.
     """
 
     def __init__(self, group, ranks, boundaries, homotopy, augmentation,
-                 section, base, unfold, refold):
+                 section, base, trans, table, unfold, refold):
         super().__init__(group, ranks, boundaries, homotopy, augmentation,
                          section)
         self.base = base
+        self.trans = trans
+        self.table = table
         self.unfold = unfold
         self.refold = refold
 
@@ -1114,7 +1118,8 @@ def _coset_permutations(trans):
     of checked relations and costs no further lookup.  A table is built
     once per distinct g and lists ti only: tensor_with_z reads nothing
     else, and restrict_resolution forms gam = rep(t) * g * rep(ti)^-1,
-    which lies in gamma exactly because ti is the right coset.
+    which lies in gamma exactly because ti is the right coset; so does
+    hecke_cochain for each term of its lift (RestrictedResolution.table).
     """
     nt = len(trans)
     s_perm, u_perm = ([trans.lookup(trans.rep(t) * x)[0] for t in range(nt)]
@@ -1179,8 +1184,8 @@ def restrict_resolution(resolution, gamma, trans=None):
     is ever mutated (ChainSum).  The homotopy is conjugated through the
     same unfolding, h = refold . h_G . unfold on whole chains, so the
     restricted resolution again carries d, h, augmentation and section,
-    and it exposes resolution as base, with unfold and refold
-    (RestrictedResolution).
+    and it exposes resolution as base, with trans, table, unfold and
+    refold (RestrictedResolution).
     """
     if trans is None:
         trans = transversal(gamma)
@@ -1224,8 +1229,8 @@ def restrict_resolution(resolution, gamma, trans=None):
         return refold(resolution.section(c))
 
     return RestrictedResolution(gamma, ranks, boundaries, homotopy,
-                                augmentation, section, resolution, unfold,
-                                refold)
+                                augmentation, section, resolution, trans,
+                                table, unfold, refold)
 
 
 # ---------------------------------------------------------------------------

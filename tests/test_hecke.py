@@ -12,7 +12,7 @@ from modforms_oracle import index as psi
 from artifact import exactlin, hecke
 from artifact.cli import main
 from artifact.coeffmod import CochainComplexZ, PolynomialModule, block_matrix
-from artifact.congruence import CongruenceSubgroup
+from artifact.congruence import CongruenceSubgroup, Transversal, transversal
 from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              FormatError, InfiniteIndex, NotInLattice,
                              ShapeMismatch)
@@ -102,6 +102,26 @@ def test_operator_index_must_be_positive(res11, m):
         gamma_prime_data(GAMMA0_11, m)
     with pytest.raises(FormatError, match="operator index"):
         hecke_operator(GAMMA0_11, 1, m, resolution=res11)
+
+
+def test_operator_indices_checked_before_the_resolution(monkeypatch):
+    # a bad index fails before the default resolution is restricted, so
+    # it costs no restriction over the level
+    calls = []
+    real = hecke.restrict_resolution
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hecke, "restrict_resolution", counted)
+    with pytest.raises(FormatError, match="operator index"):
+        hecke_operator(CongruenceSubgroup.gamma0(300), 1, 0)
+    assert calls == []
+    # every index, not only the first, before the first operator
+    with pytest.raises(FormatError, match="operator index"):
+        next(hecke.hecke_operators(GAMMA0_11, 1, [2, 3, 0]))
+    assert calls == []
 
 
 @pytest.mark.parametrize("level, p", [(1, 7), (11, 2), (11, 11), (38, 2),
@@ -242,32 +262,40 @@ def gamma_prime_value(res, desc, lift, n, b, t):
     return res.refold(lift.apply(n, lift.source.refold(x)))
 
 
-@pytest.mark.parametrize("group, p, weight", [
-    (GAMMA0_11, 2, 4),
-    (CongruenceSubgroup.gamma0(38), 11, 2),
-    (CongruenceSubgroup.gamma1(13), 2, 2),
+@pytest.mark.parametrize("group, p, weight, n", [
+    pytest.param(GAMMA0_11, 2, 4, 1, id="group0-2-4"),
+    pytest.param(CongruenceSubgroup.gamma0(38), 11, 2, 1, id="group1-11-2"),
+    pytest.param(CongruenceSubgroup.gamma1(13), 2, 2, 1, id="group2-2-2"),
+    pytest.param(GAMMA_6, 5, 4, 1, id="Gamma(6)-5-4"),
+    # p | N, and a composite p sharing a factor with N
+    pytest.param(GAMMA0_11, 11, 2, 1, id="Gamma0(11)-11-2"),
+    pytest.param(CongruenceSubgroup.gamma0(12), 4, 2, 1, id="Gamma0(12)-4-2"),
+    # odd module degree, -I not in the group
+    pytest.param(CongruenceSubgroup.gamma1(5), 3, 5, 1, id="Gamma1(5)-3-5"),
+    pytest.param(GAMMA0_11, 3, 4, 2, id="Gamma0(11)-3-4-degree2"),
 ])
-def test_base_lift_refolds_to_the_restricted_lift(group, p, weight):
+def test_base_lift_refolds_to_the_restricted_lift(group, p, weight, n):
     # unfold(phi(s) refold(v)) = phi(s) v, so lifting through the
     # SL2(Z)-level homotopy and refolding once gives the lift through the
     # restricted homotopy value for value
-    res = restrict_resolution(sl2z_resolution(2), group)
-    desc, lift = hecke_lift(group, 1, p, res)
+    res = restrict_resolution(sl2z_resolution(n + 1), group)
+    desc, lift = hecke_lift(group, n, p, res)
     lower = restrict_resolution(res.base, CongruenceSubgroup.gamma0(p))
     old = restricted_lift(lift, lower)
-    for n in range(2):
-        for j in range(lift.source.rank(n)):
-            assert lower.refold(lift.value(n, j)) == old.value(n, j)
-    # and the cochain is the one the lift's semilinear extension assembles
+    for k in range(n + 1):
+        for j in range(lift.source.rank(k)):
+            assert lower.refold(lift.value(k, j)) == old.value(k, j)
+    # and the cochain assembled per coset pair is the one the lift's
+    # semilinear extension gives, refolded and laid out block by block
     module = PolynomialModule(weight - 2)
-    rank = res.rank(1)
+    rank = res.rank(n)
     pre = [module.action(t) * module.action((p, 0, 0, 1)) for t in desc.reps]
     expected = block_matrix(
         module.rank, rank, rank,
         ((b, b2, pre[i] * module.ring_action(gre))
          for i, t in enumerate(desc.reps) for b in range(rank)
-         for b2, gre in gamma_prime_value(res, desc, lift, 1, b, t).items()))
-    H = hecke_operator(group, 1, p, module=module, resolution=res)
+         for b2, gre in gamma_prime_value(res, desc, lift, n, b, t).items()))
+    H = hecke_operator(group, n, p, module=module, resolution=res)
     assert H.cochain == expected
 
 
@@ -362,6 +390,26 @@ def test_upper_transversal_cosets():
         i, s = upper.lookup(y)
         assert s * upper.rep(i) == y
         assert s.b % 12 == 0
+
+
+def test_hecke_cochain_looks_up_each_coset_pair_once(monkeypatch):
+    # one checked Gamma-lookup per pair of a coset of Gamma0(38) (60) and
+    # a representative of Gamma' (psi(11) = 12); the terms of the lift
+    # read the S/U coset permutations the resolution was restricted with,
+    # and cost none
+    gamma = CongruenceSubgroup.gamma0(38)
+    res = restrict_resolution(sl2z_resolution(2), gamma)
+    calls = []
+    lookup = Transversal.lookup
+
+    def counted(self, g):
+        if self.group == gamma:
+            calls.append(g)
+        return lookup(self, g)
+    monkeypatch.setattr(Transversal, "lookup", counted)
+    hecke_cochain(gamma, 1, 11, PolynomialModule(0), res)
+    assert len(transversal(gamma)) == 60 and psi(11) == 12
+    assert len(calls) == 12 * 60
 
 
 def test_hecke_cochain_calls_no_restricted_homotopy(monkeypatch, res11):
