@@ -13,7 +13,6 @@ machine-readable error object instead of a result.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 # Only the layers every subcommand needs load here; each runner imports
 # the rest, so a run loads (and compiles) just the modules it uses.
@@ -26,81 +25,65 @@ GROUP_COMMANDS = ("index", "generators", "homology", "cohomology",
                   "hecke", "cuspidal")
 
 
-@dataclass
-class RunConfig:
-    """Validated options for one invocation.
+# the fields a subcommand does not define, and their values
+_DEFAULTS = {"kind": None, "level": None, "d": None, "ideal": None,
+             "degree": None, "weight": None, "module_degree": None,
+             "emit": "eigenvalues", "complex_path": None,
+             "do_contract": False, "depth": None}
 
-    The group is given either by kind + level (congruence subcommands) or
-    by d + ideal (quad); degree, weight, and module_degree only apply
-    where the subcommand consumes them, which the parser already enforces
-    by defining each option on those subcommands alone.  validate()
-    rejects the values and combinations the parser cannot.
+
+def _group(cfg):
+    return CongruenceSubgroup(cfg.kind, cfg.level)
+
+
+def _validate(cfg):
+    """Reject the values and combinations the parser cannot.
+
+    Degree, weight and module_degree only apply where the subcommand
+    consumes them, which the parser already enforces by defining each
+    option on those subcommands alone.
     """
-
-    subcommand: str
-    kind: str = None
-    level: int = None
-    d: int = None
-    ideal: str = None
-    degree: int = None
-    weight: int = None
-    module_degree: int = None
-    ops: list = field(default_factory=list)
-    emit: str = "eigenvalues"
-    report: list = field(default_factory=list)
-    orders: list = field(default_factory=list)
-    complex_path: str = None
-    do_contract: bool = False
-    depth: int = None
-    fmt: str = "plain"
-
-    def group(self):
-        return CongruenceSubgroup(self.kind, self.level)
-
-    def validate(self):
-        if self.subcommand in GROUP_COMMANDS:
-            if self.kind is None:
-                raise ConfigError("%s needs a group: --gamma0, --gamma1, "
-                                  "or --gamma" % self.subcommand)
-        if self.subcommand == "hecke":
-            if not self.ops:
-                raise ConfigError("hecke needs --ops")
-            if self.weight is None:
-                raise ConfigError("hecke needs --weight")
-        if self.weight is not None and self.weight < 2:
-            raise ConfigError("weight is k + 2 >= 2, got %d" % self.weight)
-        if self.subcommand == "quad":
-            known = {"norm", "prime", "index", "l-ratio", "torsion-ratio"}
-            for r in self.report:
-                if r not in known:
-                    raise ConfigError("unknown report field %r" % r)
-            repeated = _repeated(self.report)
-            if repeated is not None:
-                raise ConfigError("--report lists %s more than once"
-                                  % repeated)
-            if "torsion-ratio" in self.report and not self.orders:
-                raise ConfigError("torsion-ratio needs --orders")
-        if self.depth is not None and self.depth < 1:
-            raise ConfigError("depth must be >= 1")
-        if self.level is not None and self.level < 1:
-            flag = "--gamma" if self.kind == "principal" else "--" + self.kind
-            raise ConfigError("%s must be >= 1, got %d" % (flag, self.level))
-        for flag, v in (("--degree", self.degree),
-                        ("--module-degree", self.module_degree)):
-            if v is not None and v < 0:
-                raise ConfigError("%s must be >= 0, got %d" % (flag, v))
-        if self.ops and min(self.ops) < 1:
-            raise ConfigError("--ops entries must be >= 1, got %d"
-                              % min(self.ops))
-        repeated = _repeated(self.ops)
+    if cfg.subcommand in GROUP_COMMANDS:
+        if cfg.kind is None:
+            raise ConfigError("%s needs a group: --gamma0, --gamma1, "
+                              "or --gamma" % cfg.subcommand)
+    if cfg.subcommand == "hecke":
+        if not cfg.ops:
+            raise ConfigError("hecke needs --ops")
+        if cfg.weight is None:
+            raise ConfigError("hecke needs --weight")
+    if cfg.weight is not None and cfg.weight < 2:
+        raise ConfigError("weight is k + 2 >= 2, got %d" % cfg.weight)
+    if cfg.subcommand == "quad":
+        known = {"norm", "prime", "index", "l-ratio", "torsion-ratio"}
+        for r in cfg.report:
+            if r not in known:
+                raise ConfigError("unknown report field %r" % r)
+        repeated = _repeated(cfg.report)
         if repeated is not None:
-            raise ConfigError("--ops lists %d more than once" % repeated)
-        if self.complex_path and self.kind:
-            raise ConfigError("give either --complex or a group, not both")
-        if self.complex_path and self.depth is not None:
-            raise ConfigError("--depth truncates a group's resolution; "
-                              "a --complex file takes no --depth")
-        return self
+            raise ConfigError("--report lists %s more than once" % repeated)
+        if "torsion-ratio" in cfg.report and not cfg.orders:
+            raise ConfigError("torsion-ratio needs --orders")
+    if cfg.depth is not None and cfg.depth < 1:
+        raise ConfigError("depth must be >= 1")
+    if cfg.level is not None and cfg.level < 1:
+        flag = "--gamma" if cfg.kind == "principal" else "--" + cfg.kind
+        raise ConfigError("%s must be >= 1, got %d" % (flag, cfg.level))
+    for flag, v in (("--degree", cfg.degree),
+                    ("--module-degree", cfg.module_degree)):
+        if v is not None and v < 0:
+            raise ConfigError("%s must be >= 0, got %d" % (flag, v))
+    if cfg.ops and min(cfg.ops) < 1:
+        raise ConfigError("--ops entries must be >= 1, got %d"
+                          % min(cfg.ops))
+    repeated = _repeated(cfg.ops)
+    if repeated is not None:
+        raise ConfigError("--ops lists %d more than once" % repeated)
+    if cfg.complex_path and cfg.kind:
+        raise ConfigError("give either --complex or a group, not both")
+    if cfg.complex_path and cfg.depth is not None:
+        raise ConfigError("--depth truncates a group's resolution; "
+                          "a --complex file takes no --depth")
 
 
 def _repeated(items):
@@ -131,7 +114,7 @@ def build_parser():
                     "congruence subgroups")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json"),
-                        default="plain")
+                        default="plain", dest="fmt")
     sub = ap.add_subparsers(dest="subcommand", required=True,
                             parser_class=lambda **kw: argparse.ArgumentParser(
                                 parents=[common], **kw))
@@ -145,7 +128,7 @@ def build_parser():
     p = sub.add_parser("homology", help="integral homology H_n")
     _group_args(p)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--contract", action="store_true",
+    p.add_argument("--contract", action="store_true", dest="do_contract",
                    help="collapse the chain complex before taking homology")
     p.add_argument("--depth", type=int,
                    help="resolution length (default degree + 1)")
@@ -155,7 +138,6 @@ def build_parser():
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--weight", type=int, default=2,
                    help="module weight k + 2 (2 = trivial coefficients)")
-    p.add_argument("--depth", type=int)
 
     p = sub.add_parser("hecke", help="Hecke operators on H^n")
     _group_args(p)
@@ -174,6 +156,7 @@ def build_parser():
 
     p = sub.add_parser("dvf", help="discrete vector field on a CW complex")
     p.add_argument("--complex", type=str, metavar="FILE",
+                   dest="complex_path",
                    help="complex file (default: the bundled two-room house)")
 
     p = sub.add_parser("quad", help="quadratic integer ring reports")
@@ -188,60 +171,51 @@ def build_parser():
 
     p = sub.add_parser("contract", help="collapse a chain complex")
     _group_args(p)
-    p.add_argument("--complex", type=str, metavar="FILE")
+    p.add_argument("--complex", type=str, metavar="FILE", dest="complex_path")
     p.add_argument("--depth", type=int)
     return ap
 
 
 def config_from_args(ns):
-    kind = level = None
-    if getattr(ns, "gamma0", None) is not None:
-        kind, level = "gamma0", ns.gamma0
-    elif getattr(ns, "gamma1", None) is not None:
-        kind, level = "gamma1", ns.gamma1
-    elif getattr(ns, "gamma", None) is not None:
-        kind, level = "principal", ns.gamma
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        kind=kind,
-        level=level,
-        d=getattr(ns, "d", None),
-        ideal=getattr(ns, "ideal", None),
-        degree=getattr(ns, "degree", None),
-        weight=getattr(ns, "weight", None),
-        module_degree=getattr(ns, "module_degree", None),
-        ops=_csv_ints(ns.ops) if getattr(ns, "ops", None) else [],
-        emit=getattr(ns, "emit", "eigenvalues"),
-        report=[r.strip() for r in getattr(ns, "report", "").split(",")
-                if r.strip()],
-        orders=_csv_ints(ns.orders) if getattr(ns, "orders", None) else [],
-        complex_path=getattr(ns, "complex", None),
-        do_contract=getattr(ns, "contract", False),
-        depth=getattr(ns, "depth", None),
-        fmt=ns.format,
-    )
-    return cfg.validate()
+    """Complete a parsed namespace into the validated configuration the
+    runners read: kind and level from the group flag, --ops, --report and
+    --orders as lists, and _DEFAULTS for the fields the subcommand does
+    not define.  Raises ConfigError on what the parser cannot reject."""
+    for name, value in _DEFAULTS.items():
+        if not hasattr(ns, name):
+            setattr(ns, name, value)
+    for flag, kind in (("gamma0", "gamma0"), ("gamma1", "gamma1"),
+                       ("gamma", "principal")):
+        if getattr(ns, flag, None) is not None:
+            ns.kind, ns.level = kind, getattr(ns, flag)
+            break
+    ns.ops = _csv_ints(ns.ops) if getattr(ns, "ops", None) else []
+    ns.report = [r.strip() for r in getattr(ns, "report", "").split(",")
+                 if r.strip()]
+    ns.orders = _csv_ints(ns.orders) if getattr(ns, "orders", None) else []
+    _validate(ns)
+    return ns
 
 
 # ------------------------------------------------------------ subcommands
 
 
 def _run_index(cfg):
-    n = index(cfg.group())
-    return {"group": str(cfg.group()), "index": n}, [str(n)]
+    n = index(_group(cfg))
+    return {"group": str(_group(cfg)), "index": n}, [str(n)]
 
 
 def _run_generators(cfg):
-    gens = generators(cfg.group())
+    gens = generators(_group(cfg))
     rows = [list(g.entries()) for g in gens]
     lines = ["%d %d %d %d" % tuple(r) for r in rows]
-    return {"group": str(cfg.group()), "count": len(rows),
+    return {"group": str(_group(cfg)), "count": len(rows),
             "generators": rows}, lines
 
 
 def _group_chain_complex(cfg, depth):
     from .resolutions import sl2z_resolution, tensor_with_z
-    return tensor_with_z(sl2z_resolution(depth), cfg.group())
+    return tensor_with_z(sl2z_resolution(depth), _group(cfg))
 
 
 def _run_homology(cfg):
@@ -255,7 +229,7 @@ def _run_homology(cfg):
     if cfg.do_contract:
         C = contract(C)
     inv = chain_homology(C, n)
-    result = {"group": str(cfg.group()), "degree": n,
+    result = {"group": str(_group(cfg)), "degree": n,
               "invariants": str(inv), "torsion": list(inv.torsion),
               "free_rank": inv.free_rank, "contracted": cfg.do_contract,
               "ranks": ranks_before}
@@ -268,15 +242,12 @@ def _run_cohomology(cfg):
     from .coeffmod import PolynomialModule, cohomology, hom_complex
     from .resolutions import restrict_resolution, sl2z_resolution
     n = cfg.degree
-    depth = cfg.depth if cfg.depth is not None else n + 1
-    if depth < n + 1:
-        raise ConfigError("depth %d cannot reach degree %d" % (depth, n))
     module = PolynomialModule(cfg.weight - 2)
     # the resolution is released before the Smith form of the coboundaries
-    C = hom_complex(restrict_resolution(sl2z_resolution(depth), cfg.group()),
+    C = hom_complex(restrict_resolution(sl2z_resolution(n + 1), _group(cfg)),
                     module)
     inv = cohomology(C, n)
-    return {"group": str(cfg.group()), "degree": n, "weight": cfg.weight,
+    return {"group": str(_group(cfg)), "degree": n, "weight": cfg.weight,
             "invariants": str(inv), "torsion": list(inv.torsion),
             "free_rank": inv.free_rank}, [str(inv)]
 
@@ -285,7 +256,7 @@ def _run_hecke(cfg):
     from .coeffmod import PolynomialModule
     from .exactlin import charpoly
     from .hecke import hecke_eigenvalues, hecke_operators
-    gamma = cfg.group()
+    gamma = _group(cfg)
     n = cfg.degree
     module = PolynomialModule(cfg.weight - 2)
     results = []
@@ -321,7 +292,7 @@ def _run_cuspidal(cfg):
     from .coeffmod import PolynomialModule
     from .cuspidal import cuspidal_cohomology
     module = PolynomialModule(cfg.module_degree)
-    r = cuspidal_cohomology(cfg.group(), cfg.degree, module)
+    r = cuspidal_cohomology(_group(cfg), cfg.degree, module)
     doc = r.descriptor()
     lines = ["ambient %s" % doc["ambient"],
              "boundary %s" % doc["boundary"],
@@ -389,7 +360,7 @@ def _run_contract(cfg):
     elif cfg.kind:
         depth = cfg.depth if cfg.depth is not None else 2
         C = _group_chain_complex(cfg, depth)
-        label = str(cfg.group())
+        label = str(_group(cfg))
         # the complex is a truncation, so its top homology is an artifact
         # of cutting the resolution off and is not reported
         report_top = C.top_degree - 1
@@ -452,7 +423,7 @@ def main(argv=None):
         cfg = config_from_args(ns)
         return run(cfg)
     except ConfigError as err:
-        if ns.format == "json":
+        if ns.fmt == "json":
             doc = {"schema": SCHEMA, "subcommand": ns.subcommand,
                    "error": {"type": "ConfigError", "message": str(err)}}
             print(json.dumps(doc, sort_keys=True))

@@ -1,9 +1,11 @@
 """Congruence subgroups of SL2(Z): membership, transversals, generators.
 
 Right cosets are identified by invariants mod N: a canonical point of
-P^1(Z_N) for Gamma_0, the bottom row for Gamma_1, the full matrix for the
-principal subgroup.  Transversals come from a breadth-first search of the
-coset graph with the fixed neighbor order S, U, U^2, S^-1, U^-1.
+P^1(Z_N) for Gamma_0 (the bottom row) and for Gamma^0 (the first row:
+Gamma^0(N) g holds the first rows of g up to a unit), the bottom row for
+Gamma_1, the full matrix for the principal subgroup.  Transversals come
+from a breadth-first search of the coset graph with the fixed neighbor
+order S, U, U^2, S^-1, U^-1.
 
 Generating sets come from the action on the subdivided tree (vertices the
 cosets g<U> and g<S>, edges the cosets g{+-I}): the subgroup is the
@@ -25,12 +27,12 @@ from .sl2z import I, S, S_POWERS, U, U_POWERS
 
 @dataclass(frozen=True)
 class CongruenceSubgroup:
-    """One of Gamma(N), Gamma_1(N), Gamma_0(N)."""
+    """One of Gamma(N), Gamma_1(N), Gamma_0(N), Gamma^0(N) = {N | b}."""
     kind: str
     level: int
 
     def __post_init__(self):
-        if self.kind not in ("principal", "gamma1", "gamma0"):
+        if self.kind not in ("principal", "gamma1", "gamma0", "gamma0_upper"):
             raise FormatError("unknown subgroup kind %r" % self.kind)
         if self.level < 1:
             raise FormatError("level must be >= 1")
@@ -47,8 +49,14 @@ class CongruenceSubgroup:
     def principal(cls, n):
         return cls("principal", n)
 
+    @classmethod
+    def gamma0_upper(cls, n):
+        return cls("gamma0_upper", n)
+
     def member(self, A):
         n = self.level
+        if self.kind == "gamma0_upper":
+            return A.b % n == 0
         if A.c % n:
             return False
         if self.kind == "gamma0":
@@ -60,7 +68,8 @@ class CongruenceSubgroup:
         return A.b % n == 0
 
     def __str__(self):
-        name = {"principal": "Gamma", "gamma1": "Gamma1", "gamma0": "Gamma0"}[self.kind]
+        name = {"principal": "Gamma", "gamma1": "Gamma1", "gamma0": "Gamma0",
+                "gamma0_upper": "Gamma^0"}[self.kind]
         return "%s(%d)" % (name, self.level)
 
 
@@ -141,6 +150,9 @@ def _coset_key_fn(gamma):
     if gamma.kind == "gamma0":
         p1 = _p1_system(n)
         return lambda g: p1.canon(g.c, g.d)
+    if gamma.kind == "gamma0_upper":
+        p1 = _p1_system(n)
+        return lambda g: p1.canon(g.a, g.b)
     if gamma.kind == "gamma1":
         return lambda g: (g.c % n, g.d % n)
     return lambda g: (g.a % n, g.b % n, g.c % n, g.d % n)
@@ -350,6 +362,8 @@ def _short_expression(g, retained):
     return None
 
 
+@lru_cache(maxsize=None)
 def generators(gamma):
-    """A finite generating set of Gamma (see generator_data for details)."""
-    return generator_data(gamma).generators
+    """A finite generating set of Gamma, a tuple cached per group
+    (see generator_data for details)."""
+    return tuple(generator_data(gamma).generators)

@@ -10,8 +10,10 @@ at the cochain level of a free resolution whose contracting homotopy
 supplies the chain map, so the composite is an integer matrix on
 cochains (hecke_cochain).  The resolution is restricted from SL2(Z).
 Gamma' lies in S' = SL2(Z) intersect g SL2(Z) g^{-1} = Gamma^0(m)
-(m | b), of index psi(m) whatever the level, so the chain map is lifted
-once over S' (hecke_lift), through the SL2(Z)-level homotopy and in that
+(m | b), a congruence subgroup (CongruenceSubgroup.gamma0_upper) of
+index psi(m) whatever the level, so the chain map is lifted once over
+S' (hecke_lift), on the SL2(Z)-level resolution restricted to S' like
+to any other subgroup, through the SL2(Z)-level homotopy and in that
 resolution's basis, with rank * psi(m) generator values.  Its
 restriction to Gamma' is again a lift (the comparison theorem; Brown,
 Cohomology of Groups, I.7 and III.5): the value on a Gamma' generator is
@@ -52,9 +54,7 @@ from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
                        kernel_with_left_inverse)
 from .resolutions import (ChainSum, GroupRingElement, RestrictedResolution,
                           restrict_resolution, sl2z_resolution, sub_resolution)
-from .sl2z import I as IDENT, S, SL2ZMatrix, nearest_vertex
-
-_S_INV = S.inverse()
+from .sl2z import I as IDENT, SL2ZMatrix, nearest_vertex
 
 
 def _conjugated(m, A):
@@ -63,34 +63,6 @@ def _conjugated(m, A):
     if A.b % m:
         return None
     return SL2ZMatrix(A.a, A.b // m, m * A.c, A.d)
-
-
-class UpperTransversal:
-    """Right cosets of Gamma^0(m) = {M in SL2(Z) : m | b} in SL2(Z).
-
-    M lies in Gamma^0(m) exactly when S^-1 M S lies in Gamma0(m), so the
-    transversal is Gamma0(m)'s (congruence.transversal) conjugated by S:
-    when its lookup of S^-1 y S gives (i, gamma), having checked gamma's
-    membership, y = (S gamma S^-1)(S rep_i S^-1).  The representatives
-    are the S rep_i S^-1, identity first.  group is the tag
-    restrict_resolution gives a resolution restricted along it.
-    """
-
-    def __init__(self, m):
-        self.group = ("gamma^0", m)
-        self._lower = transversal(CongruenceSubgroup.gamma0(m))
-        self.reps = [S * r * _S_INV for r in self._lower.reps]
-
-    def __len__(self):
-        return len(self.reps)
-
-    def rep(self, i):
-        return self.reps[i]
-
-    def lookup(self, y):
-        """(i, s) with y = s * rep(i) and s in Gamma^0(m)."""
-        i, gam = self._lower.lookup(_S_INV * y * S)
-        return i, S * gam * _S_INV
 
 
 @dataclass
@@ -102,8 +74,8 @@ class HeckeDescriptor:
     identity, so Gamma is the disjoint union of the reps[i] Gamma'.
     Gamma' lies in S' = SL2(Z) intersect g SL2(Z) g^{-1} = Gamma^0(m),
     on which conjugate is defined too; S' has index psi(m) in SL2(Z)
-    whatever Gamma is, and upper is its transversal (UpperTransversal),
-    over which the chain map is lifted (hecke_lift).
+    whatever Gamma is, and upper is its transversal, over which the
+    chain map is lifted (hecke_lift).
     """
 
     group: object
@@ -128,10 +100,10 @@ class HeckeDescriptor:
             raise NotInGroup("conjugate by g is not integral")
         return conj
 
-    @cached_property
+    @property
     def upper(self):
         """The transversal of S' = Gamma^0(m)."""
-        return UpperTransversal(self.m)
+        return transversal(CongruenceSubgroup.gamma0_upper(self.m))
 
 
 def _check_index(m):
@@ -159,7 +131,7 @@ def gamma_prime_data(gamma, m, max_cosets=10 ** 6):
     _check_index(m)
     desc = HeckeDescriptor(gamma, m, [IDENT])
     gens = generators(gamma)
-    gens = gens + [s.inverse() for s in gens]
+    gens = list(gens) + [s.inverse() for s in gens]
     # keys are unique per matrix, so ties never compare SL2ZMatrix objects
     heap, seen, fresh = [], {IDENT.entries()}, [IDENT]
     while fresh:
@@ -289,7 +261,7 @@ def hecke_lift(gamma, n, m, resolution):
     (restrict_resolution).  The map is lifted once over S' = Gamma^0(m),
     which contains Gamma' for every gamma (HeckeDescriptor): its source
     is resolution.base truncated to degree n (sub_resolution) and
-    restricted to S' along desc.upper, its target is resolution.base
+    restricted to S' (restrict_resolution), its target is resolution.base
     itself, with its SL2(Z)-level homotopy, and it is semilinear over
     s -> g^{-1} s g.  It sends the source generator over the vertex
     y.rho to the generator of the same orbit over the vertex nearest
@@ -305,7 +277,7 @@ def hecke_lift(gamma, n, m, resolution):
     base, upper = resolution.base, desc.upper
     source = restrict_resolution(sub_resolution(base, [
         [(j, 1) for j in range(base.rank(k))] for k in range(n + 1)]),
-        upper.group, trans=upper)
+        upper.group)
     return desc, EquivariantChainMap(source, base, desc.conjugate,
                                      _nearest_images(m, upper, base.rank(0)),
                                      degree_max=n)

@@ -30,7 +30,7 @@ Constructions provided:
                              generators of the Borel-Serre assembly, in a
                              fixed basis;
   * restrict_resolution   -- restriction of a ZG-resolution to a finite
-                             index subgroup, along a chosen transversal:
+                             index subgroup, along its transversal:
                              gam = rep(t) * g * rep(ti)^-1, with ti from
                              the coset permutations of S and U;
   * tensor_with_z         -- the integral chain complex Z tensor_Zgamma R,
@@ -1087,13 +1087,14 @@ def boundary_components(X, gamma):
 class RestrictedResolution(FreeZGResolution):
     """A resolution restricted to a finite index subgroup (restrict_resolution).
 
-    base is the resolution it was restricted from, trans the transversal
-    it was restricted along and table(g) the permutation of its cosets by
-    right multiplication with g (_coset_permutations); unfold(n, chain)
-    writes a degree-n chain in base's basis, and refold(chain) writes a
-    chain of base back in this basis.  A chain map into this resolution
-    can be lifted through base's own homotopy instead of this one, which
-    is refold . base.h . unfold, and refolded once where it is read.
+    base is the resolution it was restricted from, trans its group's
+    transversal (congruence.transversal) and table(g) the permutation of
+    its cosets by right multiplication with g (_coset_permutations);
+    unfold(n, chain) writes a degree-n chain in base's basis, and
+    refold(chain) writes a chain of base back in this basis.  A chain map
+    into this resolution can be lifted through base's own homotopy
+    instead of this one, which is refold . base.h . unfold, and refolded
+    once where it is read.
     """
 
     def __init__(self, group, ranks, boundaries, homotopy, augmentation,
@@ -1110,12 +1111,14 @@ class RestrictedResolution(FreeZGResolution):
 def _coset_permutations(trans):
     """g -> [ti for each coset t], where gamma * rep(t) * g = gamma * rep(ti).
 
-    Right multiplication by g permutes the cosets of gamma = trans.group.
-    The permutations of S and U come from 2 * [G : gamma] checked lookups,
-    rep(t) * x = gam * rep(ti) with gam in gamma, and that of g is
-    composed from them along its reduced word (sl2z.decompose): letters
-    S, U, U^2, then the trailing power of U.  So every entry is a product
-    of checked relations and costs no further lookup.  A table is built
+    trans is the transversal of a congruence subgroup gamma = trans.group
+    (congruence.transversal), whose cosets right multiplication by g
+    permutes.  The permutations of S and U come from 2 * [G : gamma]
+    checked lookups, rep(t) * x = gam * rep(ti) with gam in gamma, and
+    that of g is composed from them along its reduced word
+    (sl2z.decompose): letters S, U, U^2, then the trailing power of U.
+    So every entry is a product of checked relations and costs no
+    further lookup.  A table is built
     once per distinct g and lists ti only: tensor_with_z reads nothing
     else, and restrict_resolution forms gam = rep(t) * g * rep(ti)^-1,
     which lies in gamma exactly because ti is the right coset; so does
@@ -1168,10 +1171,12 @@ def _spread_rows(resolution, nt, spread):
     return out
 
 
-def restrict_resolution(resolution, gamma, trans=None):
-    """View a ZG-resolution as a Z[gamma]-resolution along a transversal.
+def restrict_resolution(resolution, gamma):
+    """View a ZG-resolution as a Z[gamma]-resolution along gamma's
+    transversal (congruence.transversal).
 
-    G is SL2(Z), whose generators S and U permute the cosets of gamma.
+    G is SL2(Z), whose generators S and U permute the cosets of gamma,
+    a congruence subgroup: Gamma^0(m) for the Hecke lift's source.
     Each rank-r module restricts to rank r * [G : gamma]; the generator
     (b, t) corresponds to e_b tensored with the t-th coset representative.
     Boundary entries are rewritten through the transversal: rep(t) * g =
@@ -1187,8 +1192,7 @@ def restrict_resolution(resolution, gamma, trans=None):
     and it exposes resolution as base, with trans, table, unfold and
     refold (RestrictedResolution).
     """
-    if trans is None:
-        trans = transversal(gamma)
+    trans = transversal(gamma)
     nt = len(trans)
     top = resolution.top_degree()
     ranks = [resolution.rank(n) * nt for n in range(top + 1)]

@@ -200,7 +200,6 @@ def test_determinism(capsys):
     ("quad", "--d", "-1", "--ideal", "1+i",
      "--report", "torsion-ratio"),                      # orders missing
     ("quad", "--d", "-1", "--ideal", "1+i", "--report", "nonsense"),
-    ("cohomology", "--gamma0", "11", "--degree", "2", "--depth", "1"),
 ])
 def test_config_errors_exit_two(capsys, args):
     rc = main(list(args))
@@ -241,10 +240,11 @@ def test_out_of_range_flags_exit_two(capsys, args, flag):
      "--module-degree", "2"),
     ("quad", "--d", "-1"),
     ("cohomology", "--gamma0", "11", "--degree", "1", "--contract"),
+    ("cohomology", "--gamma0", "11", "--degree", "2", "--depth", "1"),
 ])
 def test_parser_rejects_options_off_their_subcommand(capsys, args):
     # each option exists only on the subcommands that read it, so a stray
-    # one never reaches RunConfig.validate
+    # one never reaches config_from_args's checks
     with pytest.raises(SystemExit) as exc:
         main(list(args))
     assert exc.value.code == 2

@@ -174,6 +174,26 @@ def test_lookup_random_elements(gamma):
         assert gam * tr.rep(i) == g
 
 
+@pytest.mark.parametrize("m", [1, 2, 12, 38])
+def test_gamma0_upper_cosets(m):
+    # Gamma^0(m) = {m | b}, the S' of the Hecke operator T_m: its right
+    # cosets are keyed by the first row, as Gamma0(m)'s by the bottom row
+    upper = CongruenceSubgroup.gamma0_upper(m)
+    tr = transversal(upper)
+    assert len(tr) == index(upper) == oracle_index(m)
+    assert tr.rep(0) == I
+    rng = random.Random(m)
+    for _ in range(200):
+        y = random_element(rng, rng.randrange(1, 24))
+        i, s = tr.lookup(y)
+        assert s * tr.rep(i) == y
+        assert s.b % m == 0
+    gens = generators(upper)
+    assert all(upper.member(g) for g in gens)
+    assert enumerated_index(gens) == index(upper)
+    assert str(upper) == "Gamma^0(%d)" % m
+
+
 def test_reps_pairwise_inequivalent():
     for gamma in [gamma0(6), gamma1(4), principal(3)]:
         reps = transversal(gamma).reps

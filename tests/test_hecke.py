@@ -9,7 +9,7 @@ from pathlib import Path
 
 from genhelpers import chain_add, chain_scale, chain_sub, chains_equal
 from modforms_oracle import index as psi
-from artifact import exactlin, hecke
+from artifact import congruence, exactlin, hecke
 from artifact.cli import main
 from artifact.coeffmod import CochainComplexZ, PolynomialModule, block_matrix
 from artifact.congruence import CongruenceSubgroup, Transversal, transversal
@@ -17,9 +17,9 @@ from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              FormatError, InfiniteIndex, NotInLattice,
                              ShapeMismatch)
 from artifact.exactlin import IntMatrix, charpoly, integer_roots
-from artifact.hecke import (EquivariantChainMap, UpperTransversal,
-                            gamma_prime_data, hecke_cochain,
-                            hecke_eigenvalues, hecke_lift, hecke_operator)
+from artifact.hecke import (EquivariantChainMap, gamma_prime_data,
+                            hecke_cochain, hecke_eigenvalues, hecke_lift,
+                            hecke_operator)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   RestrictedResolution, restrict_resolution,
                                   sl2z_resolution, sub_resolution)
@@ -377,19 +377,20 @@ def test_lift_size_is_rank_times_psi(monkeypatch, level, p):
                              for _ in range(base.rank(k) * psi(p))]
 
 
-def test_upper_transversal_cosets():
-    upper = UpperTransversal(12)
-    assert len(upper) == psi(12)
-    assert upper.rep(0) == I
-    rng = random.Random(12)
-    gens = [S, T, T.inverse()]
-    for _ in range(50):
-        y = I
-        for _ in range(rng.randrange(1, 12)):
-            y = y * rng.choice(gens)
-        i, s = upper.lookup(y)
-        assert s * upper.rep(i) == y
-        assert s.b % 12 == 0
+def test_generator_data_once_per_group(monkeypatch):
+    # generators is cached per group, so the Gamma' search of every index
+    # in one call reads one generator computation
+    calls = []
+    real = congruence.generator_data
+
+    def counted(gamma):
+        calls.append(gamma)
+        return real(gamma)
+    monkeypatch.setattr(congruence, "generator_data", counted)
+    congruence.generators.cache_clear()
+    list(hecke.hecke_operators(CongruenceSubgroup.gamma0(38), 1,
+                               [2, 3, 5, 7]))
+    assert calls == [CongruenceSubgroup.gamma0(38)]
 
 
 def test_hecke_cochain_looks_up_each_coset_pair_once(monkeypatch):

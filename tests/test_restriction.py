@@ -25,7 +25,6 @@ from artifact.chaincx import contract
 from artifact.cli import build_parser, config_from_args, run
 from artifact.congruence import CongruenceSubgroup, Transversal, transversal
 from artifact.errors import NotInGroup
-from artifact.hecke import gamma_prime_data
 from artifact.resolutions import (ChainSum, GroupRingElement,
                                   borel_serre_complex, cyclic_resolution,
                                   restrict_resolution, sl2z_resolution,
@@ -66,11 +65,11 @@ def ordered(chain):
     return [(k, list(v.terms.items())) for k, v in chain.items()]
 
 
-def assert_rows_match(resolution, gamma, trans):
-    W = restrict_resolution(resolution, gamma, trans=trans)
+def assert_rows_match(resolution, gamma):
+    W = restrict_resolution(resolution, gamma)
     for n in range(1, resolution.top_degree() + 1):
         got = W.boundary_rows(n)
-        want = reference_rows(resolution, trans, n)
+        want = reference_rows(resolution, transversal(gamma), n)
         assert len(got) == len(want)
         for r, (a, b) in enumerate(zip(got, want)):
             assert ordered(a) == ordered(b), (n, r)
@@ -78,33 +77,31 @@ def assert_rows_match(resolution, gamma, trans):
 
 def test_restricted_rows_gamma0_300():
     gamma = CongruenceSubgroup.gamma0(300)
-    assert_rows_match(sl2z_resolution(3), gamma, transversal(gamma))
+    assert_rows_match(sl2z_resolution(3), gamma)
 
 
 def test_restricted_rows_gamma1_12():
     gamma = CongruenceSubgroup.gamma1(12)
-    assert_rows_match(sl2z_resolution(3), gamma, transversal(gamma))
+    assert_rows_match(sl2z_resolution(3), gamma)
 
 
 def test_restricted_rows_principal_4():
     gamma = CongruenceSubgroup.principal(4)
-    assert_rows_match(sl2z_resolution(3), gamma, transversal(gamma))
+    assert_rows_match(sl2z_resolution(3), gamma)
 
 
 def test_restricted_rows_borel_serre_gamma0_11():
     gamma = CongruenceSubgroup.gamma0(11)
-    assert_rows_match(wall_resolution(borel_serre_complex(), 3), gamma,
-                      transversal(gamma))
+    assert_rows_match(wall_resolution(borel_serre_complex(), 3), gamma)
 
 
 def test_restricted_rows_hecke_subgroup():
     # the source of the Hecke chain map: the SL2(Z)-level resolution,
-    # truncated, restricted to S' = Gamma^0(2) along its transversal
-    desc = gamma_prime_data(CongruenceSubgroup.gamma0(11), 2)
+    # truncated, restricted to S' = Gamma^0(2)
     R = sl2z_resolution(2)
     truncated = sub_resolution(R, [[(j, 1) for j in range(R.rank(k))]
                                    for k in range(2)])
-    assert_rows_match(truncated, desc.upper.group, desc.upper)
+    assert_rows_match(truncated, CongruenceSubgroup.gamma0_upper(2))
 
 
 def test_shared_entries_survive_d_and_h():
@@ -265,18 +262,22 @@ def test_tensor_looks_up_each_coset_once_per_generator(monkeypatch,
     assert len(calls) == 2 * len(transversal(gamma)) == 1440
 
 
+def _restrict_along(tr, monkeypatch):
+    monkeypatch.setattr(resolutions, "transversal", lambda gamma: tr)
+    restrict_resolution(sl2z_resolution(2), tr.group)
+
+
 @pytest.mark.parametrize("construct", [
-    resolutions._coset_permutations,
-    lambda tr: restrict_resolution(sl2z_resolution(2), tr.group, trans=tr)],
-    ids=["_coset_permutations", "restrict_resolution"])
-def test_composed_coset_permutations_check_membership(construct):
+    lambda tr, monkeypatch: resolutions._coset_permutations(tr),
+    _restrict_along], ids=["_coset_permutations", "restrict_resolution"])
+def test_composed_coset_permutations_check_membership(monkeypatch, construct):
     # a representative swapped for one of another coset: some coset times
     # S lands in coset 1, and that relation's element is not in the group
     tr = copy.copy(transversal(CongruenceSubgroup.gamma0(11)))
     tr.reps = list(tr.reps)
     tr.reps[1] = tr.reps[2]
     with pytest.raises(NotInGroup):
-        construct(tr)
+        construct(tr, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
