@@ -53,7 +53,7 @@ def _validate(cfg):
         if cfg.weight is None:
             raise ConfigError("hecke needs --weight")
     if cfg.weight is not None and cfg.weight < 2:
-        raise ConfigError("weight is k + 2 >= 2, got %d" % cfg.weight)
+        raise ConfigError("--weight must be >= 2, got %d" % cfg.weight)
     if cfg.subcommand == "quad":
         known = {"norm", "prime", "index", "l-ratio", "torsion-ratio"}
         for r in cfg.report:
@@ -65,7 +65,11 @@ def _validate(cfg):
         if "torsion-ratio" in cfg.report and not cfg.orders:
             raise ConfigError("torsion-ratio needs --orders")
     if cfg.depth is not None and cfg.depth < 1:
-        raise ConfigError("depth must be >= 1")
+        raise ConfigError("--depth must be >= 1, got %d" % cfg.depth)
+    if (cfg.subcommand == "homology" and cfg.depth is not None
+            and cfg.depth <= cfg.degree):
+        raise ConfigError("--depth %d cannot reach --degree %d"
+                          % (cfg.depth, cfg.degree))
     if cfg.level is not None and cfg.level < 1:
         flag = "--gamma" if cfg.kind == "principal" else "--" + cfg.kind
         raise ConfigError("%s must be >= 1, got %d" % (flag, cfg.level))
@@ -222,8 +226,6 @@ def _run_homology(cfg):
     from .chaincx import contract, homology as chain_homology
     n = cfg.degree
     depth = cfg.depth if cfg.depth is not None else n + 1
-    if depth < n + 1:
-        raise ConfigError("depth %d cannot reach degree %d" % (depth, n))
     C = _group_chain_complex(cfg, depth)
     ranks_before = list(C.ranks)
     if cfg.do_contract:
@@ -310,7 +312,7 @@ def _run_dvf(cfg):
     V = maximal_dvf(X)
     M = critical_complex(X, V)
     hom = [str(h) for h in all_homology(M)]
-    crit = [len(level) for level in V.critical_cells(X)]
+    crit = V.critical_counts(X)
     result = {"cells": list(X.counts), "critical": crit, "homology": hom}
     lines = ["cells " + " ".join(str(c) for c in X.counts),
              "critical " + " ".join(str(c) for c in crit),

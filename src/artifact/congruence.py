@@ -130,10 +130,6 @@ class _P1System:
         d1 = (u * d) % n
         return (c1, min((t * d1) % n for t in self._units_one_mod(m)))
 
-    def point(self, c, d):
-        cc, dd = self.canon(c, d)
-        return P1Point(cc, dd)
-
 
 @lru_cache(maxsize=None)
 def _p1_system(n):
@@ -142,7 +138,7 @@ def _p1_system(n):
 
 def p1_reduce(c, d, n):
     """Canonical P1Point for (c : d) over Z_n."""
-    return _p1_system(n).point(c, d)
+    return P1Point(*_p1_system(n).canon(c, d))
 
 
 def _coset_key_fn(gamma):

@@ -310,9 +310,6 @@ class DiscreteVectorField:
     def __init__(self, arrows=()):
         self.arrows = [(int(k), int(s), int(t)) for k, s, t in arrows]
 
-    def __len__(self):
-        return len(self.arrows)
-
     def involved_cells(self):
         """Set of (dim, index) pairs taking part in some arrow."""
         cells = set()

@@ -77,9 +77,6 @@ class IntMatrix:
     def column(cls, entries):
         return cls(len(entries), 1, [[v] for v in entries])
 
-    def copy(self):
-        return IntMatrix(self.rows, self.cols, [row[:] for row in self.data])
-
     def transpose(self):
         return IntMatrix(self.cols, self.rows,
                          [[self.data[i][j] for i in range(self.rows)]
@@ -104,12 +101,6 @@ class IntMatrix:
         return (self.rows == other.rows and self.cols == other.cols
                 and self.data == other.data)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
-    def __neg__(self):
-        return IntMatrix(self.rows, self.cols, [[-v for v in row] for row in self.data])
-
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("add %dx%d to %dx%d" % (self.rows, self.cols,
@@ -117,9 +108,6 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols,
                          [[a + b for a, b in zip(r1, r2)]
                           for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -230,9 +218,6 @@ class SparseIntMatrix:
                 if v:
                     columns[j][i] = v
         return cls(M.rows, M.cols, columns)
-
-    def copy(self):
-        return SparseIntMatrix(self.rows, self.cols, [dict(c) for c in self.columns])
 
     def row_dicts(self):
         """The nonzero entries as one dict {column: entry} per row, each
@@ -366,21 +351,8 @@ class AbelianInvariants:
     torsion: list
     free_rank: int
 
-    def entries(self):
-        """Invariant-factor list with one 0 per free summand (display form)."""
-        return list(self.torsion) + [0] * self.free_rank
-
     def is_trivial(self):
         return not self.torsion and self.free_rank == 0
-
-    def order(self):
-        """Group order, or 0 if infinite."""
-        if self.free_rank:
-            return 0
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
 
     def __str__(self):
         if self.is_trivial():
@@ -705,10 +677,6 @@ def smith_normal_form(M, transforms=TRANSFORMS):
                      Vinv=None if Vi is None else IntMatrix(n, n, Vi))
 
 
-def rank(M):
-    return smith_normal_form(M, transforms=()).rank
-
-
 def kernel_with_left_inverse(M):
     """Saturated integer kernel basis Z of M with a left inverse P.
 
@@ -958,7 +926,3 @@ class QuotientLattice:
         """Indices of the nontrivial components, free first, then torsion."""
         return ([i for i, o in enumerate(self.orders) if o == 0]
                 + [i for i, o in enumerate(self.orders) if o > 1])
-
-    def invariants(self):
-        return AbelianInvariants(torsion=[o for o in self.orders if o > 1],
-                                 free_rank=self.orders.count(0))

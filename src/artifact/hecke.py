@@ -49,9 +49,8 @@ from .coeffmod import PolynomialModule, hom_complex
 from .congruence import CongruenceSubgroup, generators, transversal
 from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
                      InfiniteIndex, NotInGroup, NotInLattice, ShapeMismatch)
-from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
-                       SparseIntMatrix, charpoly, integer_roots,
-                       kernel_with_left_inverse)
+from .exactlin import (IntMatrix, QuotientLattice, SparseIntMatrix,
+                       charpoly, integer_roots, kernel_with_left_inverse)
 from .resolutions import (ChainSum, GroupRingElement, RestrictedResolution,
                           restrict_resolution, sl2z_resolution, sub_resolution)
 from .sl2z import I as IDENT, SL2ZMatrix, nearest_vertex
@@ -382,9 +381,6 @@ class HeckeMatrix:
     basis: list
     cochain: SparseIntMatrix = field(repr=False)
 
-    def rank(self):
-        return len(self.orders)
-
     def free_rank(self):
         return sum(1 for o in self.orders if o == 0)
 
@@ -393,10 +389,6 @@ class HeckeMatrix:
         r = self.free_rank()
         data = [row[:r] for row in self.matrix.data[:r]]
         return IntMatrix(r, r, data)
-
-    def invariants(self):
-        return AbelianInvariants(torsion=[o for o in self.orders if o > 1],
-                                 free_rank=self.free_rank())
 
     def compose(self, other):
         """Matrix of self applied after other, on the shared basis.

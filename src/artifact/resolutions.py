@@ -119,12 +119,6 @@ class GroupRingElement:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, g):
-        return self.terms.get(g, 0)
-
-    def support(self):
-        return list(self.terms)
-
     def augmentation(self):
         """Sum of coefficients (the image under ZG -> Z)."""
         return sum(self.terms.values())
@@ -179,16 +173,8 @@ class GroupRingElement:
             out.terms[g * other] = c
         return out
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     def __eq__(self, other):
         return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __len__(self):
-        return len(self.terms)
 
     def __repr__(self):
         return "GroupRingElement(%s)" % self.to_str()
@@ -744,9 +730,6 @@ class EquivariantCellComplex:
     def dim(self):
         return len(self.cells) - 1
 
-    def stab_powers(self, p, i):
-        return self._powers[(p, i)]
-
     def canon(self, p, i, g):
         """Canonical representative and orientation sign of the cell g.e."""
         rep, k = self._normal_forms[(p, i)](g)
@@ -1047,8 +1030,8 @@ def boundary_components(X, gamma):
     trans = transversal(gamma)
 
     def cell_id(dim, orbit, g):
-        powers = X.stab_powers(dim, orbit)
-        return (orbit, min(trans.index_of(g * p) for p in powers))
+        return (orbit, min(trans.index_of(g * p)
+                           for p in X._powers[(dim, orbit)]))
 
     verts = set()
     for i in X.boundary_orbits.get(0, []):

@@ -57,9 +57,9 @@ def test_circle_homology():
 
 def test_torus_homology():
     c = torus()
-    assert homology(c, 0).entries() == [0]
-    assert homology(c, 1).entries() == [0, 0]
-    assert homology(c, 2).entries() == [0]
+    assert str(homology(c, 0)) == "Z"
+    assert str(homology(c, 1)) == "Z^2"
+    assert str(homology(c, 2)) == "Z"
 
 
 def test_degree_out_of_range():
@@ -92,8 +92,7 @@ def test_contract_projective_plane():
         homology(c, 3)
     assert homology(c, 1).torsion == [2]
     d = contract(c)
-    assert [h.entries() for h in all_homology(d)] == \
-        [h.entries() for h in all_homology(c)]
+    assert all_homology(d) == all_homology(c)
 
 
 @pytest.mark.parametrize("pairs", [
@@ -286,7 +285,7 @@ def filtered_complex(rng):
     diffs = []
     for n in range(1, top + 1):
         dA, dB = _dense(A.boundary(n)), _dense(B.boundary(n))
-        f = dA * h[n] - h[n - 1] * dB
+        f = dA * h[n] + h[n - 1] * (dB * -1)
         stacked = ([ra + rf for ra, rf in zip(dA.data, f.data)]
                    + [[0] * A.rank(n) + rb for rb in dB.data])
         diffs.append(IntMatrix.from_rows(

@@ -222,6 +222,11 @@ def test_config_errors_exit_two(capsys, args):
     (("index", "--gamma1", "-3"), "--gamma1"),
     (("index", "--gamma", "0"), "--gamma"),
     (("homology", "--gamma0", "0", "--degree", "1"), "--gamma0"),
+    (("homology", "--gamma0", "11", "--degree", "1", "--depth", "0"),
+     "--depth"),
+    (("homology", "--gamma0", "11", "--degree", "3", "--depth", "2"),
+     "--depth"),
+    (("hecke", "--gamma0", "11", "--weight", "1", "--ops", "2"), "--weight"),
 ])
 def test_out_of_range_flags_exit_two(capsys, args, flag):
     # rejected before any computation, naming the flag, not deep in the

@@ -64,6 +64,8 @@ def test_level_eleven_weight_two_kernel():
     moved = r.restriction * r.kernel_basis
     boundaries = column_span_basis(r.boundary_complex.deltas[0])
     assert solve_echelon(boundaries, moved) is not None
+    # the lattice cuspidal_hecke_matrix checks images against is that one
+    assert r.boundary_coboundaries == boundaries
     json.dumps(r.descriptor())
 
 
@@ -198,7 +200,9 @@ def test_weight_four_level_eleven_presentation_frozen(monkeypatch):
     # matrices, orders and cocycle bases, byte for byte
     expected = (FROZEN / "cuspidal_gamma0_11_k2_t2_t3.json").read_text()
     assert json.dumps(docs, sort_keys=True) + "\n" == expected
-    # one presentation of the cuspidal quotient serves every operator
+    # one presentation of the cuspidal quotient serves every operator: the
+    # result's own, which reading it builds no second time
+    r.presentation
     assert len(built) == 1
 
 
@@ -409,6 +413,8 @@ def test_reduced_route_matches_the_ambient_fields(gamma, k, n):
 
 def test_lazy_fields_cross_check_the_reduced_invariants():
     r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
+    # nothing is built yet, so reading r.kernel_basis below runs the check
+    assert "_in_ambient_basis" not in vars(r)
     wrong = dataclasses.replace(r, cuspidal=AbelianInvariants([], 3))
     with pytest.raises(EliminationError, match="different invariants"):
         wrong.kernel_basis

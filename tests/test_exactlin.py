@@ -23,7 +23,6 @@ from artifact.exactlin import (
     integer_kernel,
     integer_roots,
     kernel_with_left_inverse,
-    rank,
     smith_normal_form,
     solve_echelon,
     _sym_div,
@@ -122,7 +121,7 @@ def test_kernel_identity_empty():
 def test_kernel_zero_full():
     k = integer_kernel(IntMatrix.zeros(2, 2))
     assert k.cols == 2
-    assert rank(k) == 2
+    assert smith_normal_form(k, transforms=()).rank == 2
 
 
 def test_homology_circle():
@@ -153,11 +152,7 @@ def test_homology_composition_nonzero():
 
 def test_abelian_invariants_display():
     inv = AbelianInvariants([2, 4], 3)
-    assert inv.entries() == [2, 4, 0, 0, 0]
     assert str(inv) == "Z/2 + Z/4 + Z^3"
-    assert AbelianInvariants([], 0).order() == 1
-    assert AbelianInvariants([2, 6], 0).order() == 12
-    assert AbelianInvariants([], 1).order() == 0
 
 
 def test_serialization_header_errors():
@@ -190,8 +185,6 @@ def test_integer_roots():
 
 def test_quotient_lattice_diag():
     q = QuotientLattice(IntMatrix.identity(2), IntMatrix.diagonal([2, 3]))
-    inv = q.invariants()
-    assert inv.torsion == [6] and inv.free_rank == 0
     assert q.orders == [1, 6] and q.presented() == [1]
     # one SNF: the adapted basis is Z U^-1, and U undoes it
     assert q.U * q.basis == IntMatrix.identity(2)
@@ -201,8 +194,6 @@ def test_quotient_lattice_with_free_part():
     # L = span{(2,0,0), (0,1,0), (0,0,1)} modulo 2(2,0,0): Z/2 + Z^2
     Z = IntMatrix.diagonal([2, 1, 1])
     q = QuotientLattice(Z, IntMatrix.from_rows([[2], [0], [0]]))
-    inv = q.invariants()
-    assert inv.torsion == [2] and inv.free_rank == 2
     assert [q.orders[i] for i in q.presented()] == [0, 0, 2]
     # adapted coordinates of a lattice vector: U times its Z-coordinates,
     # torsion reduced; the adapted basis lifts them back into the class
@@ -378,7 +369,7 @@ class TestSmithProperties:
     def test_kernel(self, m):
         k = integer_kernel(m)
         assert (m * k).is_zero()
-        assert k.cols == m.cols - rank(m)
+        assert k.cols == m.cols - smith_normal_form(m, transforms=()).rank
         if k.cols:
             # saturation: the basis extends to a basis of the ambient lattice,
             # equivalently all invariant factors are 1
@@ -439,7 +430,7 @@ class TestSmithProperties:
     @given(small_matrix(max_dim=8))
     def test_column_span_basis(self, m):
         basis = column_span_basis(m)
-        assert basis.cols == rank(m)
+        assert basis.cols == smith_normal_form(m, transforms=()).rank
         assert column_span_basis(SparseIntMatrix.of(m)) == basis
         # every original column is an integer combination of the basis
         got = solve_echelon(basis, m)
@@ -866,12 +857,6 @@ class TestSparseAgainstDense:
         # text is the dense format, both ways
         assert S.to_text() == A.to_text()
         assert SparseIntMatrix.from_text(A.to_text()) == S
-        # copies are independent
-        C = S.copy()
-        assert C == S
-        for col in C.columns:
-            col.clear()
-        assert dense(S) == A
 
     def test_empty_shapes(self):
         for r, c in ((0, 3), (3, 0), (0, 0)):
