@@ -171,10 +171,6 @@ class Transversal:
     def rep(self, i):
         return self.reps[i]
 
-    def index_of(self, g):
-        """Index of the representative of the coset Gamma*g."""
-        return self._table[self._key(g)]
-
     def lookup(self, g):
         """(index, gamma) with g = gamma * rep and gamma in Gamma."""
         i = self._table[self._key(g)]

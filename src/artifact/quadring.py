@@ -345,19 +345,17 @@ def l_ratio(d, pi_multiple=18):
     return total / (pi_multiple * math.pi)
 
 
-def torsion_ratio(orders, a, natural=False, exact=False):
+def torsion_ratio(orders, a):
     """log(product of torsion orders) / N(a).
 
     a may be an ideal or a plain positive integer standing for its norm.
     This is the quantity whose limit over prime ideals of growing norm
     the torsion growth conjecture compares against l_ratio.
 
-    By default the base-10 logarithm is truncated to its integer part
-    (digit count minus one) before dividing, which is what two-argument
-    integer-log routines in computer algebra systems return and is the
-    convention behind the frozen comparison value in the tests.  Pass
-    exact=True to keep the fractional part, or natural=True for the
-    exact natural-log ratio the limit statement itself uses.
+    The base-10 logarithm is truncated to its integer part (digit count
+    minus one) before dividing, which is what two-argument integer-log
+    routines in computer algebra systems return and is the convention
+    behind the frozen comparison value in the tests.
     """
     orders = list(orders)
     if not orders:
@@ -370,10 +368,6 @@ def torsion_ratio(orders, a, natural=False, exact=False):
     n = a.norm() if isinstance(a, QuadIdeal) else int(a)
     if n < 1:
         raise FormatError("the norm must be positive, got %r" % (n,))
-    if natural:
-        return math.log(prod) / n
-    if exact:
-        return math.log10(prod) / n
     # exact integer log for arbitrarily large products
     return (len(str(prod)) - 1) / n
 

@@ -9,9 +9,6 @@ cuspidal subspace) reduces to evaluating these maps on basis elements.
 
 Constructions provided:
 
-  * cyclic_resolution     -- the periodic resolution for a finite cyclic
-                             group, optionally twisted by the order-2
-                             character on an even cyclic group;
   * borel_serre_complex   -- the equivariant cell structure on the
                              compactified upper half plane whose quotient
                              is the compactified modular curve, with its
@@ -21,7 +18,9 @@ Constructions provided:
   * wall_resolution       -- the assembly for SL2(Z) acting on a
                              contractible cell complex with finitely many
                              orbits and finite cyclic stabilizers, each
-                             generator labelled with its cell orbit;
+                             generator labelled with its cell orbit: the
+                             one builder, gluing the cells to the periodic
+                             resolutions of their stabilizers;
   * sub_resolution        -- the rows, augmentation, homotopy and section
                              of a resolution on chosen generators (the
                              generators over a subcomplex, by Wall's
@@ -54,7 +53,6 @@ from .errors import (
     DegreeOutOfRange,
     FormatError,
     MissingHomotopy,
-    NotInGroup,
     ShapeMismatch,
     WrongDegree,
 )
@@ -67,8 +65,8 @@ class GroupRingElement:
     """A finitely supported formal Z-linear combination of group elements.
 
     The group elements only need hashable equality, multiplication and
-    inverse(); SL2ZMatrix and CyclicElement both qualify.  Sums are kept
-    with zero coefficients dropped, so is_zero is just emptiness.
+    inverse(), as SL2ZMatrix has.  Sums are kept with zero coefficients
+    dropped, so is_zero is just emptiness.
 
     Multiplication: gre * gre is the convolution product, gre * g and
     g-on-the-left via left_mul(g) translate the support, int scaling works
@@ -97,10 +95,6 @@ class GroupRingElement:
         if coeff:
             out.terms[g] = coeff
         return out
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def wrap(cls, terms):
@@ -187,44 +181,6 @@ class GroupRingElement:
         return " + ".join("%d*%s" % (c, gs) for gs, c in parts)
 
 
-class CyclicElement:
-    """An element of an abstract cyclic group of given order.
-
-    Used as the default coefficient group for cyclic_resolution when no
-    concrete matrix generator is supplied.
-    """
-
-    __slots__ = ("order", "power")
-
-    def __init__(self, order, power):
-        if order < 1:
-            raise FormatError("cyclic order must be positive, got %r" % (order,))
-        self.order = order
-        self.power = power % order
-
-    def __mul__(self, other):
-        if self.order != other.order:
-            raise NotInGroup("product of elements of cyclic groups of orders "
-                             "%d and %d" % (self.order, other.order))
-        return CyclicElement(self.order, self.power + other.power)
-
-    def inverse(self):
-        return CyclicElement(self.order, -self.power)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclicElement)
-            and self.order == other.order
-            and self.power == other.power
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.power))
-
-    def __repr__(self):
-        return "x^%d" % self.power
-
-
 # ---------------------------------------------------------------------------
 # chains: dict {generator index: GroupRingElement}
 
@@ -303,8 +259,8 @@ class FreeZGResolution:
     and calls it.  augmentation maps degree-0 chains to Z and section(c)
     produces a degree-0 chain with augmentation c.
 
-    group is an identification tag (a CongruenceSubgroup, or a tuple for
-    abstract groups); consumers compare it to detect mismatched inputs.
+    group is an identification tag, the CongruenceSubgroup resolved over;
+    consumers compare it to detect mismatched inputs.
     labels[n][j], where given (wall_resolution), names what degree-n
     generator j sits over.
     """
@@ -426,7 +382,7 @@ def sub_resolution(resolution, keep):
 
 
 # ---------------------------------------------------------------------------
-# cyclic groups
+# induced columns: ZG tensored over a finite cyclic subgroup
 
 
 def _cyclic_powers(x):
@@ -443,133 +399,43 @@ def _cyclic_powers(x):
     return powers
 
 
-def cyclic_resolution(q, twisted=False, generator=None, max_degree=12):
-    """The periodic free resolution for a cyclic group of order q.
-
-    Over Z[C_q] the trivial module has the standard period-2 resolution:
-    odd boundaries multiply by x - 1, even ones by the norm
-    1 + x + ... + x^(q-1).  With twisted=True (q must be even) the
-    resolution is of the sign module Z^- instead: odd boundaries use
-    x + 1, even ones the alternating norm sum (-1)^k x^k, and the
-    augmentation picks up the sign character.  generator may be a
-    concrete group element of order q (e.g. an SL2ZMatrix); by default an
-    abstract CyclicElement is used.
-
-    q = 1 is degenerate: the trivial group needs no resolving, so ranks
-    are (1, 0, 0, ...).
-    """
-    if q < 1:
-        raise FormatError("cyclic order must be positive")
-    if twisted and q % 2:
-        raise FormatError("the sign character needs an even cyclic group")
-    x = generator if generator is not None else CyclicElement(q, 1)
-    powers = _cyclic_powers(x)
-    if len(powers) != q:
-        raise FormatError("generator has order %d, not %d" % (len(powers), q))
-    ident = powers[0]
-    tag = ("cyclic", q, twisted, x)
-
-    if q == 1:
-        ranks = [1] + [0] * max_degree
-        boundaries = [[]] + [[] for _ in range(max_degree)]
-
-        def homotopy(n, chain):
-            return {}
-
-        def augmentation(chain):
-            return sum(c for gre in chain.values() for _, c in gre.items())
-
-        def section(c=1):
-            return {0: GroupRingElement.unit(ident, c)}
-
-        return FreeZGResolution(tag, ranks, boundaries, homotopy,
-                                augmentation, section)
-
-    def chi(k):
-        return -1 if (twisted and k % 2) else 1
-
-    odd_mult = GroupRingElement([(x, 1), (ident, 1 if twisted else -1)])
-    even_mult = GroupRingElement((powers[k], chi(k)) for k in range(q))
-
-    # Partial norm sums used by the homotopy out of even degrees:
-    # h(x^k) = sum_{i<k} x^i, with signs (-1)^(k-1-i) in the twisted case.
-    even_h = []
-    for k in range(q):
-        if twisted:
-            even_h.append(GroupRingElement(
-                (powers[i], (-1) ** (k - 1 - i)) for i in range(k)))
-        else:
-            even_h.append(GroupRingElement(
-                (powers[i], 1) for i in range(k)))
-    # Homotopy out of odd degrees: only the top power maps anywhere.
-    odd_h = [GroupRingElement.zero() for _ in range(q)]
-    odd_h[q - 1] = GroupRingElement.unit(ident, -1 if twisted else 1)
-
-    ranks = [1] * (max_degree + 1)
-    boundaries = [[]]
-    for n in range(1, max_degree + 1):
-        boundaries.append([{0: odd_mult if n % 2 else even_mult}])
-
-    index_of = {p: k for k, p in enumerate(powers)}
-
-    def homotopy(n, chain):
-        pieces = odd_h if n % 2 else even_h
-        out = ChainSum()
-        for g, c in chain.get(0, GroupRingElement.zero()).items():
-            out.add(0, ((k, e * c) for k, e in pieces[index_of[g]].items()))
-        return out.chain()
-
-    def augmentation(chain):
-        total = 0
-        for gre in chain.values():
-            for g, c in gre.items():
-                total += c * chi(index_of[g])
-        return total
-
-    def section(c=1):
-        return {0: GroupRingElement.unit(ident, c)}
-
-    return FreeZGResolution(tag, ranks, boundaries, homotopy,
-                            augmentation, section)
-
-
-# ---------------------------------------------------------------------------
-# induced columns: ZG tensored over a finite cyclic subgroup
-
-
 class _InducedColumn:
     """Computational face of ZG (x)_{ZH} (periodic resolution), H = <s> cyclic.
 
-    The induced module in each vertical degree is free of rank one over
-    ZG; the vertical boundary is right multiplication by the stabilizer
-    resolution's multiplier, and the contracting homotopy extends the
-    subgroup one termwise through canonical coset representatives
-    g = t * s^k.  The column serves vertical degrees up to max_degree:
-    mult(m) for m <= max_degree and hv(m) for m < max_degree.  The
-    subgroup homotopy has period 2, so its values on the powers s^k in
-    an even and an odd degree are tabulated once.
+    The periodic resolution of H = <s> of order q resolves Z, twisted by
+    the orientation character chi(s) = -1 when twisted: its boundary out
+    of an odd degree multiplies by s - chi(s), out of an even one by the
+    norm sum_k chi(s)^k s^k, and its contracting homotopy sends s^k to
+    sum_{i<k} chi(s)^(k-1-i) s^i out of an even degree and only s^(q-1)
+    to chi(s) . 1 out of an odd one.  q = 1 is no exception: the
+    boundaries are 0, 1, 0, 1, ...  Induced up to G, each vertical
+    degree is free of rank one over ZG; the vertical boundary is right
+    multiplication by the multiplier, and the contracting homotopy
+    extends the subgroup one termwise through canonical coset
+    representatives g = t * s^k.  Both have period 2, so each is
+    tabulated once for odd and once for even degrees.
     """
 
-    def __init__(self, s, order, twisted, max_degree):
+    def __init__(self, s, order, twisted):
         self.powers = tuple(_cyclic_powers(s))
         if len(self.powers) != order:
             raise FormatError("stabilizer generator order mismatch")
-        self.res = cyclic_resolution(order, twisted=twisted, generator=s,
-                                     max_degree=max_degree)
         self.normal_form = coset_normal_form(self.powers)
+        chi = -1 if twisted else 1
+        one = self.powers[0]
+        # mults[m % 2]: the multiplier out of degree m >= 1
+        self.mults = (GroupRingElement((p, chi ** k)
+                                       for k, p in enumerate(self.powers)),
+                      GroupRingElement([(s, 1), (one, -chi)]))
         # pieces[m % 2][k]: the terms of h_m(s^k), () when it is zero
-        self.pieces = [
-            [tuple(self.res.h(m, {0: GroupRingElement.unit(p)})
-                   .get(0, GroupRingElement.zero()).items())
-             for p in self.powers]
-            for m in range(min(2, max_degree))]
+        self.pieces = (
+            [tuple((self.powers[i], chi ** (k - 1 - i)) for i in range(k))
+             for k in range(order)],
+            [()] * (order - 1) + [((one, chi),)])
 
     def mult(self, m):
         """Right multiplier of the vertical boundary out of degree m >= 1."""
-        rows = self.res.boundary_rows(m)
-        if not rows:
-            return GroupRingElement.zero()
-        return rows[0].get(0, GroupRingElement.zero())
+        return self.mults[m % 2]
 
     def hv(self, m, gre):
         """Induced contracting homotopy, vertical degree m -> m + 1."""
@@ -709,7 +575,6 @@ class EquivariantCellComplex:
         self.cells = cells
         self.homotopy = None
         self.boundary_orbits = boundary_orbits or {}
-        self._powers = {}
         self._normal_forms = {}
         for p, orbits in enumerate(cells):
             for i, orb in enumerate(orbits):
@@ -724,7 +589,6 @@ class EquivariantCellComplex:
                     # augmentation must be invariant
                     raise FormatError("0-cell orbit %s cannot be twisted"
                                       % orb.name)
-                self._powers[(p, i)] = powers
                 self._normal_forms[(p, i)] = coset_normal_form(powers)
 
     def dim(self):
@@ -858,22 +722,17 @@ def wall_resolution(X, max_degree):
     columns, and d2 is the correction making the square zero; both are
     produced degree by degree with the column homotopies.
 
-    Each column is the periodic resolution (cyclic_resolution) of its
-    orbit's stabilizer.  The assembly preconditions on X are verified
-    first (X.verify).  The contracting homotopy needs X.homotopy; without
-    one the resolution is still built, but calling h() raises
-    MissingHomotopy.
+    Each column is the periodic resolution of its orbit's stabilizer,
+    induced up to G (_InducedColumn).  The assembly preconditions on X
+    are verified first (X.verify).  The contracting homotopy needs
+    X.homotopy; without one the resolution is still built, but calling
+    h() raises MissingHomotopy.
     """
     X.verify()
     dim = X.dim()
-    cols = {}
-    for p in range(dim + 1):
-        # columns two below a cell lift its d2 terms up to degree max_degree
-        top = max_degree + 1 if p + 2 <= dim else max_degree
-        for i, orb in enumerate(X.cells[p]):
-            cols[(p, i)] = _InducedColumn(
-                orb.stabilizer_generator, orb.stabilizer_order, orb.twisted,
-                max_degree=top)
+    cols = {(p, i): _InducedColumn(orb.stabilizer_generator,
+                                   orb.stabilizer_order, orb.twisted)
+            for p in range(dim + 1) for i, orb in enumerate(X.cells[p])}
 
     # generator tables: degree n lists (p, i) with q = n - p implied
     gens = []
@@ -1012,55 +871,6 @@ def wall_resolution(X, max_degree):
 
     return FreeZGResolution(CongruenceSubgroup.gamma0(1), ranks, boundaries,
                             homotopy, augmentation, section, labels=gens)
-
-
-# ---------------------------------------------------------------------------
-# boundary components of the quotient
-
-
-def boundary_components(X, gamma):
-    """Connected components of the quotient of X's marked boundary by gamma.
-
-    For the compactified complex this is the number of cusps of the
-    subgroup.  Works with the dimension-0 and dimension-1 boundary orbits
-    and a union-find over their gamma-orbits.
-    """
-    if not X.boundary_orbits:
-        raise FormatError("complex has no marked boundary")
-    trans = transversal(gamma)
-
-    def cell_id(dim, orbit, g):
-        return (orbit, min(trans.index_of(g * p)
-                           for p in X._powers[(dim, orbit)]))
-
-    verts = set()
-    for i in X.boundary_orbits.get(0, []):
-        for t in range(len(trans)):
-            verts.add(cell_id(0, i, trans.rep(t)))
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for j in X.boundary_orbits.get(1, []):
-        ends_words = X.cells[1][j].boundary
-        for t in range(len(trans)):
-            rep = trans.rep(t)
-            ends = []
-            for tgt, word in ends_words:
-                for g, c in word.items():
-                    ends.append(cell_id(0, tgt, rep * g))
-            for a, b in zip(ends, ends[1:]):
-                union(a, b)
-    return sum(1 for v in verts if find(v) == v)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from artifact.errors import (
 )
 from artifact.exactlin import IntMatrix, homology_of_pair
 from artifact.resolutions import (
-    cyclic_resolution,
+    FreeZGResolution,
     restrict_resolution,
     sl2z_resolution,
 )
@@ -289,7 +289,7 @@ def test_h1_free_rank_matches_eichler_shimura(level, weight):
 
 
 def test_action_mismatch_on_abstract_group():
-    R = cyclic_resolution(4, max_degree=3)
+    R = FreeZGResolution(("cyclic", 4), [1], [[]])
     with pytest.raises(ActionMismatch):
         hom_complex(R, PolynomialModule(2))
 

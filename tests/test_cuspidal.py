@@ -37,6 +37,7 @@ from artifact.resolutions import (GroupRingElement, RestrictedResolution,
                                   sub_resolution, wall_resolution)
 from artifact.sl2z import I
 from genhelpers import rank_drop_mod
+import modforms_oracle
 from modforms_oracle import dim_cusp_forms, h1_free_rank
 from test_hecke import transform_snfs
 
@@ -142,10 +143,21 @@ MODULAR_CURVES = [
     (19, 1, 2),
 ]
 
+# more curves: X_0(N) from the closed forms, then X_1(5) and X(6)
+MORE_CURVES = [(n, modforms_oracle.genus(n), modforms_oracle.cusps(n))
+               for n in (1, 2, 3, 4, 6, 9, 12, 25, 27, 39, 50)] + [
+    pytest.param(CongruenceSubgroup.gamma1(5), 0, 4, id="gamma1_5"),
+    pytest.param(CongruenceSubgroup.principal(6), 1, 12, id="gamma_6"),
+]
 
-@pytest.mark.parametrize("level, genus, cusps", MODULAR_CURVES)
+
+@pytest.mark.parametrize("level, genus, cusps", MODULAR_CURVES + MORE_CURVES)
 def test_weight_two_ranks_match_the_modular_curve(level, genus, cusps):
-    r = cuspidal_cohomology(CongruenceSubgroup.gamma0(level), 1)
+    # the command's boundary complex counts the cusps: H^1 of the
+    # boundary has one class per horocycle circle of the quotient
+    if isinstance(level, int):
+        level = CongruenceSubgroup.gamma0(level)
+    r = cuspidal_cohomology(level, 1)
     assert r.cuspidal.torsion == []
     assert r.cuspidal.free_rank == 2 * genus
     assert r.boundary.free_rank == cusps

@@ -8,8 +8,6 @@ closure, canonical ideal forms, character values against an Euler
 criterion oracle.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,11 +218,6 @@ def test_torsion_ratio_headline():
     assert abs(torsion_ratio(TORSION_41_56, a) - 0.00913432) < 1e-5
     # the same number with the norm passed directly
     assert torsion_ratio(TORSION_41_56, 4817) == torsion_ratio(TORSION_41_56, a)
-    # untruncated variants are a bit larger and base-compatible
-    ex = torsion_ratio(TORSION_41_56, a, exact=True)
-    nat = torsion_ratio(TORSION_41_56, a, natural=True)
-    assert ex > torsion_ratio(TORSION_41_56, a)
-    assert abs(nat - ex * math.log(10)) < 1e-12
 
 
 def test_torsion_ratio_edges():

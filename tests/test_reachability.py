@@ -89,7 +89,6 @@ KEPT = {
     "chaincx.FreeChainComplexZ.__eq__": "tests/test_chaincx.py",
     "congruence.CongruenceSubgroup.gamma1": "tests/test_congruence.py",
     "congruence.CongruenceSubgroup.principal": "tests/test_congruence.py",
-    "congruence.Transversal.index_of": "tests/test_congruence.py",
     "congruence.p1_reduce": "tests/test_congruence.py",
     "cuspidal.CuspidalResult._in_ambient_basis": "tests/test_cuspidal.py",
     "cuspidal.CuspidalResult.boundary_coboundaries": "tests/test_cuspidal.py",
@@ -120,27 +119,9 @@ KEPT = {
     "resolutions.CellChain.__eq__": "tests/test_sl2z.py",
     "resolutions.CellChain.__neg__": "tests/test_sl2z.py",
     "resolutions.CellChain.__sub__": "tests/test_sl2z.py",
-    "resolutions.CyclicElement.__eq__": "tests/test_resolutions.py",
-    "resolutions.CyclicElement.__hash__": "tests/test_resolutions.py",
-    "resolutions.CyclicElement.__init__": "tests/test_resolutions.py",
-    "resolutions.CyclicElement.__mul__": "tests/test_resolutions.py",
-    "resolutions.CyclicElement.inverse": "tests/test_resolutions.py",
     "resolutions.EquivariantCellComplex.boundary_chain":
         "tests/test_resolutions.py",
     "resolutions.GroupRingElement.to_str": "tests/test_resolutions.py",
-    "resolutions.boundary_components": "tests/test_resolutions.py",
-    "resolutions.boundary_components.<locals>.cell_id":
-        "tests/test_resolutions.py",
-    "resolutions.boundary_components.<locals>.find":
-        "tests/test_resolutions.py",
-    "resolutions.boundary_components.<locals>.union":
-        "tests/test_resolutions.py",
-    "resolutions.cyclic_resolution.<locals>.augmentation":
-        "tests/test_resolutions.py",
-    "resolutions.cyclic_resolution.<locals>.homotopy":
-        "tests/test_resolutions.py",
-    "resolutions.cyclic_resolution.<locals>.section":
-        "tests/test_resolutions.py",
     "resolutions.restrict_resolution.<locals>.homotopy":
         "tests/test_acceptance.py",
     "resolutions.restrict_resolution.<locals>.refold":

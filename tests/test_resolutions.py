@@ -24,19 +24,16 @@ from artifact.errors import (
     DegreeOutOfRange,
     FormatError,
     MissingHomotopy,
-    NotInGroup,
     ShapeMismatch,
     WrongDegree,
 )
 from artifact.resolutions import (
     CellOrbit,
-    CyclicElement,
     EquivariantCellComplex,
     FreeZGResolution,
     GroupRingElement,
+    _InducedColumn,
     borel_serre_complex,
-    boundary_components,
-    cyclic_resolution,
     restrict_resolution,
     sl2z_resolution,
     sub_resolution,
@@ -106,7 +103,7 @@ def test_group_ring_basic_algebra():
     a = GroupRingElement.unit(S) + GroupRingElement.unit(T, 2)
     b = GroupRingElement.unit(I, -1) + GroupRingElement.unit(U)
     assert (a + b) - b == a
-    assert a - a == GroupRingElement.zero()
+    assert a - a == GroupRingElement()
     assert (a * 0).is_zero()
     assert a.terms[T] == 2
     assert a.augmentation() == 3
@@ -138,7 +135,7 @@ def test_group_ring_str_roundtrip():
     a = GroupRingElement([(S, -2), (T, 1), (I, 7)])
     b = GroupRingElement([(I, 7), (T, 1), (S, -2)])
     assert a.to_str() == b.to_str() == "-2*[[0,-1],[1,0]] + 7*[[1,0],[0,1]] + 1*[[1,1],[0,1]]"
-    assert GroupRingElement.zero().to_str() == "0"
+    assert GroupRingElement().to_str() == "0"
 
 
 @given(st.lists(st.tuples(st.sampled_from(GENS), st.integers(-3, 3)),
@@ -151,75 +148,109 @@ def test_group_ring_augmentation_is_multiplicative(ta, tb):
     assert (a * b).augmentation() == a.augmentation() * b.augmentation()
 
 
-def test_cyclic_element_arithmetic():
-    x = CyclicElement(6, 1)
-    assert x * x.inverse() == CyclicElement(6, 0)
-    acc = CyclicElement(6, 0)
-    for _ in range(6):
-        acc = acc * x
-    assert acc == CyclicElement(6, 0)
-
-
 # ---------------------------------------------------------------------------
-# cyclic resolutions
+# stabilizer columns: the periodic resolutions in Wall's assembly
+
+# a generator of a cyclic subgroup of SL2(Z) of each order above 1
+STABILIZERS = {2: -I, 3: U * U, 4: S, 6: U}
+
+
+def point_wall(s, order, max_degree=6):
+    """Wall's assembly over one point with stabilizer <s>: the periodic
+    resolution of <s>, induced up to SL2(Z)."""
+    point = CellOrbit("pt", s, order, False, [])
+    cx = EquivariantCellComplex([[point]])
+    cx.homotopy = lambda x: cx.chain(x.dim + 1)
+    return wall_resolution(cx, max_degree)
 
 
 def test_cyclic_order_four_boundaries():
-    R = cyclic_resolution(4, max_degree=6)
-    x = CyclicElement(4, 1)
-    one = CyclicElement(4, 0)
-    assert R.ranks == [1] * 7
-    assert R.boundary_rows(1)[0][0] == GroupRingElement([(x, 1), (one, -1)])
-    norm = GroupRingElement((CyclicElement(4, k), 1) for k in range(4))
-    assert R.boundary_rows(2)[0][0] == norm
+    # over <S>, odd boundaries multiply by S - 1 and even ones by the norm
+    W = point_wall(S, 4)
+    assert W.ranks == [1] * 7
+    minus_one = GroupRingElement([(S, 1), (I, -1)])
+    norm = GroupRingElement((p, 1) for p in (I, S, -I, -S))
+    for n in range(1, 7):
+        assert W.boundary_rows(n) == [{0: minus_one if n % 2 else norm}]
 
 
 def test_cyclic_order_four_homotopy_example():
-    # d2 h1(x^3) + h0 d1(x^3) must give back x^3
-    R = cyclic_resolution(4, max_degree=4)
-    g = CyclicElement(4, 3)
-    c = {0: GroupRingElement.unit(g)}
-    lhs = chain_add(R.d(2, R.h(1, c)), R.h(0, R.d(1, c)))
+    # d2 h1(S^3) + h0 d1(S^3) must give back S^3
+    W = point_wall(S, 4, 4)
+    c = {0: GroupRingElement.unit(-S)}
+    lhs = chain_add(W.d(2, W.h(1, c)), W.h(0, W.d(1, c)))
     assert chains_equal(lhs, c)
 
 
 @pytest.mark.parametrize("q,twisted", [(2, False), (3, False), (4, False),
-                                       (5, False), (6, False), (2, True),
-                                       (4, True), (6, True)])
+                                       (6, False), (2, True), (4, True),
+                                       (6, True)])
 def test_cyclic_resolutions_contract(q, twisted):
-    R = cyclic_resolution(q, twisted=twisted, max_degree=6)
-    ident = CyclicElement(q, 0)
-    elements = [CyclicElement(q, k) for k in range(q)]
-    assert_d_squared_zero(R, ident)
-    assert_contracting(R, elements)
-    assert R.aug(R.section(5)) == 5
+    # the column's tables resolve Z over <s>, twisted by chi(s) = -1 when
+    # twisted: multipliers s - chi(s) and the norm compose to zero, and
+    # d h + h d = 1, with d h = 1 - chi(s)^k . 1 on s^k in degree 0
+    s = STABILIZERS[q]
+    col = _InducedColumn(s, q, twisted)
+    chi = -1 if twisted else 1
+    assert col.mult(1) == GroupRingElement([(s, 1), (I, -chi)])
+    assert col.mult(2) == GroupRingElement(
+        (p, chi ** k) for k, p in enumerate(col.powers))
+    assert (col.mult(1) * col.mult(2)).is_zero()
+    assert (col.mult(2) * col.mult(3)).is_zero()
+    for k, g in enumerate(col.powers):
+        x = GroupRingElement.unit(g)
+        assert col.hv(0, x) * col.mult(1) == \
+            x - GroupRingElement.unit(I, chi ** k)
+        for m in range(1, 4):
+            assert (col.hv(m, x) * col.mult(m + 1)
+                    + col.hv(m - 1, x * col.mult(m))) == x, (k, m)
+    if not twisted:
+        # a point's stabilizer cannot reverse it, so only the untwisted
+        # columns stand alone as an assembly
+        W = point_wall(s, q)
+        assert_d_squared_zero(W)
+        assert_contracting(W, col.powers)
+        assert W.aug(W.section(5)) == 5
 
 
 def test_cyclic_trivial_group_is_degenerate():
-    R = cyclic_resolution(1, max_degree=5)
-    assert R.ranks == [1, 0, 0, 0, 0, 0]
-    assert R.aug(R.section()) == 1
-    assert chain_is_zero(R.d(1, {}))
+    # a trivial stabilizer still has an exact column, boundaries 0, 1, 0,
+    # 1, ..., so a point with stabilizer <I> has the homology of a point
+    W = point_wall(I, 1)
+    one = GroupRingElement.unit(I)
+    assert [W.boundary_rows(n) for n in range(1, 7)] == [[{}], [{0: one}]] * 3
+    assert [str(h) for h in all_homology(tensor_with_z(W))] == \
+        ["Z"] + ["0"] * 6
+    assert_contracting(W, [I])
+    assert_contracting(W, [T, S * T * T], degrees=range(1, 6))
+    assert W.aug(W.section(3)) == 3
 
 
 def test_cyclic_twisted_needs_even_order():
-    with pytest.raises(FormatError):
-        cyclic_resolution(3, twisted=True)
-    with pytest.raises(FormatError):
-        cyclic_resolution(0)
+    # chi(s) = -1 is a character of <s> only when its order is even
+    vertex = CellOrbit("vertex", U, 6, False, [])
+    edge = CellOrbit("edge", U * U, 3, True,
+                     [(0, GroupRingElement([(T, 1), (I, -1)]))])
+    with pytest.raises(FormatError, match="even order"):
+        EquivariantCellComplex([[vertex], [edge]])
+    with pytest.raises(FormatError, match="order mismatch"):
+        EquivariantCellComplex([[CellOrbit("pt", I, 0, False, [])]])
 
 
 def test_cyclic_with_matrix_generator():
-    # the same periodic resolution over a concrete matrix group <S>
-    R = cyclic_resolution(4, generator=S, max_degree=5)
-    elements = [I, S, S * S, S * S * S]
-    assert_d_squared_zero(R)
-    assert_contracting(R, elements)
+    # induced up to SL2(Z), the column's homotopy runs through the coset
+    # normal form g = t * S^k; the orbit of one point is G/<S>, which is
+    # not contractible, so off <S> only degrees >= 1 contract
+    W = point_wall(S, 4, 5)
+    rng = random.Random(31)
+    assert_contracting(W, [random_matrix(rng) for _ in range(20)],
+                       degrees=range(1, 5))
 
 
 def test_cyclic_wrong_generator_order_rejected():
-    with pytest.raises(FormatError):
-        cyclic_resolution(4, generator=U)  # U has order 6
+    with pytest.raises(FormatError, match="order mismatch"):
+        # U has order 6
+        EquivariantCellComplex([[CellOrbit("pt", U, 4, False, [])]])
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +347,18 @@ def test_borel_serre_wall_contracts():
 
 
 def test_single_point_wall_degenerates_to_cyclic():
-    # one orbit of 0-cells with stabilizer <U>: the assembly must hand
-    # back the periodic resolution of the stabilizer
-    point = CellOrbit("pt", U, 6, False, [])
-    cx = EquivariantCellComplex([[point]])
-    cx.homotopy = lambda x: cx.chain(x.dim + 1)
-    W = wall_resolution(cx, 5)
-    R = cyclic_resolution(6, generator=U, max_degree=5)
-    assert W.ranks == R.ranks
+    # one orbit of 0-cells with stabilizer <U>: the assembly adds nothing
+    # to the stabilizer's column, neither rows nor homotopy terms
+    W = point_wall(U, 6, 5)
+    col = _InducedColumn(U, 6, False)
+    rng = random.Random(37)
+    elements = [random_matrix(rng) for _ in range(10)]
     for n in range(1, 6):
-        assert W.boundary_rows(n) == R.boundary_rows(n)
-    elements = [I * u for u in (I, U, U * U, U * U * U)]
-    assert_contracting(W, elements)
+        assert W.boundary_rows(n) == [{0: col.mult(n)}]
+    for n in range(5):
+        for g in elements:
+            x = GroupRingElement.unit(g)
+            assert chains_equal(W.h(n, {0: x}), {0: col.hv(n, x)}), (n, g)
 
 
 def test_wall_without_cell_homotopy_raises():
@@ -382,6 +413,21 @@ def test_cell_chain_canonicalizes():
 # boundary components (cusps)
 
 
+def boundary_components(gamma):
+    """Components of gamma's quotient of the horocycle boundary.
+
+    The horocycle generators of the Borel-Serre assembly resolve the free
+    module on the horocycle lines, so by Shapiro's lemma H_0 of Z tensored
+    over Z[gamma] with them is free on the gamma-orbits of those lines.
+    """
+    X = borel_serre_complex()
+    W = wall_resolution(X, 1)
+    B = sub_resolution(W, horocycle_keep(W, X))
+    h0 = homology(tensor_with_z(B, gamma), 0)
+    assert h0.torsion == []
+    return h0.free_rank
+
+
 @pytest.mark.parametrize("gamma,count", [
     (CongruenceSubgroup.gamma0(1), 1),
     (CongruenceSubgroup.gamma0(11), 2),
@@ -391,7 +437,7 @@ def test_cell_chain_canonicalizes():
     (CongruenceSubgroup.principal(6), 12),
 ])
 def test_boundary_component_counts(gamma, count):
-    assert boundary_components(borel_serre_complex(), gamma) == count
+    assert boundary_components(gamma) == count
 
 
 def test_boundary_components_against_divisor_formula():
@@ -401,11 +447,10 @@ def test_boundary_components_against_divisor_formula():
     def phi(n):
         return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
-    X = borel_serre_complex()
     for N in [2, 3, 4, 6, 9, 12, 25, 27]:
         expected = sum(phi(gcd(d, N // d))
                        for d in range(1, N + 1) if N % d == 0)
-        got = boundary_components(X, CongruenceSubgroup.gamma0(N))
+        got = boundary_components(CongruenceSubgroup.gamma0(N))
         assert got == expected, N
 
 
@@ -589,12 +634,8 @@ def test_borel_serre_homotopy_is_contraction_on_cells(letters):
 
 def test_invariant_checks_raise():
     # former asserts: each raises an ArtifactError, also under python -O
-    with pytest.raises(FormatError):
-        CyclicElement(0, 1)
-    with pytest.raises(NotInGroup):
-        CyclicElement(4, 1) * CyclicElement(6, 1)
     with pytest.raises(FormatError, match="finite order"):
-        cyclic_resolution(4, generator=T)
+        EquivariantCellComplex([[CellOrbit("pt", T, 4, False, [])]])
     with pytest.raises(ShapeMismatch):
         FreeZGResolution("G", [1, 1], [[]])
     with pytest.raises(ShapeMismatch):
@@ -641,10 +682,8 @@ def homotopy_case(name):
         return sl2z_resolution(3), (S, T)
     if name == "borel_serre":
         return wall_resolution(borel_serre_complex(), 3), (S, T)
-    if name.startswith("cyclic"):
-        q, twisted = (6, False) if name == "cyclic" else (4, True)
-        R = cyclic_resolution(q, twisted=twisted)
-        return R, (CyclicElement(q, 1),)
+    if name == "point":
+        return point_wall(U, 6, 3), (U, T)
     level = {"gamma0_11": CongruenceSubgroup.gamma0(11),
              "gamma_4": CongruenceSubgroup.principal(4),
              "borel_serre_gamma0_11": CongruenceSubgroup.gamma0(11)}[name]
@@ -655,7 +694,7 @@ def homotopy_case(name):
 
 @settings(deadline=None, max_examples=120)
 @given(st.sampled_from(["sl2z", "borel_serre", "gamma0_11", "gamma_4",
-                        "borel_serre_gamma0_11", "cyclic", "cyclic_twisted"]),
+                        "borel_serre_gamma0_11", "point"]),
        st.integers(0, 10 ** 9))
 def test_chain_homotopy_equals_termwise_sum(name, seed):
     # random chains, with terms a short step from an earlier one carrying

@@ -26,10 +26,9 @@ from artifact.cli import build_parser, config_from_args, run
 from artifact.congruence import CongruenceSubgroup, Transversal, transversal
 from artifact.errors import NotInGroup
 from artifact.resolutions import (ChainSum, GroupRingElement,
-                                  borel_serre_complex, cyclic_resolution,
-                                  restrict_resolution, sl2z_resolution,
-                                  sub_resolution, tensor_with_z,
-                                  wall_resolution)
+                                  borel_serre_complex, restrict_resolution,
+                                  sl2z_resolution, sub_resolution,
+                                  tensor_with_z, wall_resolution)
 from artifact.sl2z import I, S, T, U
 
 
@@ -184,8 +183,7 @@ def test_tensor_over_gamma0_11_borel_serre():
 
 def test_tensor_over_the_whole_group_sums_coefficients():
     for R in (sl2z_resolution(4),
-              wall_resolution(borel_serre_complex(), 4),
-              cyclic_resolution(6, twisted=True, max_degree=4)):
+              wall_resolution(borel_serre_complex(), 4)):
         C = tensor_with_z(R)
         assert C.ranks == R.ranks
         assert columns(C) == augmentation_columns(R)
