@@ -18,7 +18,7 @@ cell complexes in the cwdvf format instead):
 """
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (CompositionNonzero, DegreeOutOfRange, EliminationError,
                      FormatError, ShapeMismatch)
@@ -26,14 +26,11 @@ from .exactlin import (SparseIntMatrix, homology_from_forms, homology_of_pair,
                        smith_normal_form)
 
 
-@dataclass
-class CollapseStep:
+class CollapseStep(namedtuple("CollapseStep", "degree source target")):
     """One simple homotopy collapse: the removed source generator (degree
     `degree`) and target generator (degree-1), in the labelling of the
     complex the reduction started from."""
-    degree: int
-    source: int
-    target: int
+    __slots__ = ()
 
 
 class FreeChainComplexZ:

@@ -11,7 +11,6 @@ machine-readable error object instead of a result.
 """
 
 import argparse
-import json
 import sys
 
 # Only the layers every subcommand needs load here; each runner imports
@@ -393,6 +392,12 @@ _RUNNERS = {
 }
 
 
+def _print_json(doc, out=None):
+    # json loads only for the runs that write a JSON document
+    import json
+    print(json.dumps(doc, sort_keys=True), file=out)
+
+
 def run(cfg, out=None):
     """Execute a validated configuration; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -402,16 +407,15 @@ def run(cfg, out=None):
         raise
     except ArtifactError as err:
         if cfg.fmt == "json":
-            doc = {"schema": SCHEMA, "subcommand": cfg.subcommand,
-                   "error": {"type": type(err).__name__, "message": str(err)}}
-            print(json.dumps(doc, sort_keys=True), file=out)
+            _print_json({"schema": SCHEMA, "subcommand": cfg.subcommand,
+                         "error": {"type": type(err).__name__,
+                                   "message": str(err)}}, out)
         else:
             print("error %s: %s" % (type(err).__name__, err), file=sys.stderr)
         return 3
     if cfg.fmt == "json":
-        doc = {"schema": SCHEMA, "subcommand": cfg.subcommand,
-               "result": result}
-        print(json.dumps(doc, sort_keys=True), file=out)
+        _print_json({"schema": SCHEMA, "subcommand": cfg.subcommand,
+                     "result": result}, out)
     else:
         for line in lines:
             print(line, file=out)
@@ -426,9 +430,9 @@ def main(argv=None):
         return run(cfg)
     except ConfigError as err:
         if ns.fmt == "json":
-            doc = {"schema": SCHEMA, "subcommand": ns.subcommand,
-                   "error": {"type": "ConfigError", "message": str(err)}}
-            print(json.dumps(doc, sort_keys=True))
+            _print_json({"schema": SCHEMA, "subcommand": ns.subcommand,
+                         "error": {"type": "ConfigError",
+                                   "message": str(err)}})
         else:
             print("error ConfigError: %s" % err, file=sys.stderr)
         return 2

@@ -16,8 +16,7 @@ conjugate to S reverse a tree edge, and on the subdivision the action has
 no inversions, which is what the generation theorem needs.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -25,17 +24,16 @@ from .errors import EliminationError, FormatError, NotInGroup
 from .sl2z import I, S, S_POWERS, U, U_POWERS
 
 
-@dataclass(frozen=True)
-class CongruenceSubgroup:
+class CongruenceSubgroup(namedtuple("CongruenceSubgroup", "kind level")):
     """One of Gamma(N), Gamma_1(N), Gamma_0(N), Gamma^0(N) = {N | b}."""
-    kind: str
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("principal", "gamma1", "gamma0", "gamma0_upper"):
-            raise FormatError("unknown subgroup kind %r" % self.kind)
-        if self.level < 1:
+    def __new__(cls, kind, level):
+        if kind not in ("principal", "gamma1", "gamma0", "gamma0_upper"):
+            raise FormatError("unknown subgroup kind %r" % kind)
+        if level < 1:
             raise FormatError("level must be >= 1")
+        return super().__new__(cls, kind, level)
 
     @classmethod
     def gamma0(cls, n):
@@ -75,11 +73,9 @@ class CongruenceSubgroup:
 
 # ----------------------------------------------------------- P^1(Z_N)
 
-@dataclass(frozen=True)
-class P1Point:
+class P1Point(namedtuple("P1Point", "c d")):
     """Canonical representative (c : d) of a point of P^1(Z_N)."""
-    c: int
-    d: int
+    __slots__ = ()
 
     def __str__(self):
         return "(%d:%d)" % (self.c, self.d)
@@ -210,8 +206,9 @@ def index(gamma):
 
 # ----------------------------------------------------------- generators
 
-@dataclass
-class GeneratorData:
+class GeneratorData(namedtuple("GeneratorData", (
+        "generators", "dropped", "stabilizer_count", "schreier_count",
+        "vertices", "edges"))):
     """Generating set with its provenance and elimination certificates.
 
     generators: the retained generating set.
@@ -222,12 +219,7 @@ class GeneratorData:
         kind the quotient graph produced (before deduplication).
     vertices / edges: sizes of the quotient of the subdivided tree.
     """
-    generators: list
-    dropped: list
-    stabilizer_count: int
-    schreier_count: int
-    vertices: int
-    edges: int
+    __slots__ = ()
 
 
 def _canonical_pm_key(g):
@@ -317,41 +309,60 @@ def generator_data(gamma):
             seen.add(k)
             candidates.append(g)
 
-    retained = []
+    table = _WordTable()
     dropped = []
     for g in candidates:
-        expr = _short_expression(g, retained)
+        expr = table.expression(g)
         if expr is None:
-            retained.append(g)
+            table.keep(g)
         else:
             dropped.append((g, expr))
-    return GeneratorData(retained, dropped, stab_count, schreier_count,
+    return GeneratorData(table.kept, dropped, stab_count, schreier_count,
                          len(verts), len(edges_seen))
 
 
-def _short_expression(g, retained):
-    """Expression of g as a word of length <= 2 in retained gens, or None.
+class _WordTable:
+    """The words of length <= 2 in the generators kept so far.
 
-    A word [ta, tb] pairs the first table entry a for which a^-1 * g is in
-    the table with the first occurrence of a^-1 * g.
+    The table lists each kept r and then r^-1, tagged (index, 1) and
+    (index, -1); it grows with each keep, and every entry stores the
+    entries of its inverse (those of r^-1 for r, of r for r^-1).  first
+    maps the entries of each element in the table to its first tag.
     """
-    if g == I:
-        return []
-    table = []
-    for idx, r in enumerate(retained):
-        table.append((r, (idx, 1)))
-        table.append((r.inverse(), (idx, -1)))
-    first = {}
-    for a, ta in table:
-        first.setdefault(a, ta)
-    hit = first.get(g)
-    if hit is not None:
-        return [hit]
-    for a, ta in table:
-        tb = first.get(a.inverse() * g)
-        if tb is not None:
-            return [ta, tb]
-    return None
+
+    def __init__(self):
+        self.kept = []
+        self._table = []
+        self._first = {}
+
+    def keep(self, r):
+        idx = len(self.kept)
+        self.kept.append(r)
+        a, b, c, d = r.entries()
+        self._table += [((d, -b, -c, a), (idx, 1)), ((a, b, c, d), (idx, -1))]
+        self._first.setdefault((a, b, c, d), (idx, 1))
+        self._first.setdefault((d, -b, -c, a), (idx, -1))
+
+    def expression(self, g):
+        """Expression of g as a word of length <= 2 in the kept
+        generators, or None.
+
+        A word [ta, tb] pairs the first table entry a for which a^-1 * g
+        is in the table with the first occurrence of a^-1 * g.
+        """
+        if g == I:
+            return []
+        first = self._first
+        p, q, r, s = g.entries()
+        hit = first.get((p, q, r, s))
+        if hit is not None:
+            return [hit]
+        for (a, b, c, d), ta in self._table:
+            tb = first.get((a * p + b * r, a * q + b * s,
+                            c * p + d * r, c * q + d * s))
+            if tb is not None:
+                return [ta, tb]
+        return None
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,6 @@ reduced ones.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .chaincx import contract, verify_complex
@@ -41,9 +40,9 @@ from .coeffmod import (CochainComplexZ, PolynomialModule, block_matrix,
                        cohomology, hom_complex)
 from .errors import (CompositionNonzero, DegreeOutOfRange, EliminationError,
                      NotInLattice)
-from .exactlin import (AbelianInvariants, IntMatrix, QuotientLattice,
-                       SparseIntMatrix, cokernel_invariants, column_span_basis,
-                       integer_kernel, solve_echelon)
+from .exactlin import (IntMatrix, QuotientLattice, SparseIntMatrix,
+                       cokernel_invariants, column_span_basis, integer_kernel,
+                       solve_echelon)
 from .hecke import (CohomologyPresentation, EquivariantChainMap, HeckeMatrix,
                     hecke_cochain, matrix_on_quotient)
 from .resolutions import (GroupRingElement, borel_serre_complex,
@@ -178,8 +177,10 @@ def _ambient(name):
     return cached_property(lambda self: getattr(self._in_ambient_basis, name))
 
 
-@dataclass
-class CuspidalResult:
+class CuspidalResult(namedtuple("CuspidalResult", (
+        "group", "degree", "weight", "ambient", "boundary", "cuspidal",
+        "ambient_complex", "ambient_resolution", "module", "wall",
+        "horocycles"))):
     """Ambient, boundary, and cuspidal cohomology of one degree.
 
     The three invariants come from the filtered reduction.  The ambient
@@ -198,19 +199,9 @@ class CuspidalResult:
     writes in the coordinates of kernel_basis.  With boundary_complex and
     ambient_presentation (of the ambient H^n) they keep follow-up
     computations (Hecke action on the kernel, for one) in one basis.
+    Unlike the other records it declares no __slots__, so the lazy fields
+    are cached in the instance's __dict__.
     """
-
-    group: object
-    degree: int
-    weight: int
-    ambient: AbelianInvariants
-    boundary: AbelianInvariants
-    cuspidal: AbelianInvariants
-    ambient_complex: object = field(repr=False)
-    ambient_resolution: object = field(repr=False)
-    module: object = field(repr=False)
-    wall: object = field(repr=False)
-    horocycles: list = field(repr=False)
 
     @cached_property
     def _in_ambient_basis(self):

@@ -18,7 +18,7 @@ whole active block.  It tracks only the unimodular transforms its caller
 names.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappop, heappush
 from math import gcd
 
@@ -323,8 +323,8 @@ class SparseIntMatrix:
                                                           self.nonzero_count())
 
 
-@dataclass
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "d rank U V Uinv Vinv",
+                           defaults=(None,) * 4)):
     """Diagonalization U*M*V = diag(d) with unimodular U, V.
 
     d has length min(rows, cols), entries nonnegative, each dividing the
@@ -333,23 +333,16 @@ class SmithForm:
     lattice computations need both directions.  A transform the form was
     not asked to track is None.
     """
-    d: list
-    rank: int
-    U: object = None
-    V: object = None
-    Uinv: object = None
-    Vinv: object = None
+    __slots__ = ()
 
 
-@dataclass
-class AbelianInvariants:
+class AbelianInvariants(namedtuple("AbelianInvariants", "torsion free_rank")):
     """A finitely generated abelian group: torsion chain plus free rank.
 
     torsion is the list of invariant factors > 1 in divisibility order, so
     the canonical decomposition is Z/t1 + ... + Z/tk + Z^free_rank.
     """
-    torsion: list
-    free_rank: int
+    __slots__ = ()
 
     def is_trivial(self):
         return not self.torsion and self.free_rank == 0

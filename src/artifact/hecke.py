@@ -41,7 +41,7 @@ preservation, integrality) are normalization independent.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from operator import mul
 
@@ -64,8 +64,7 @@ def _conjugated(m, A):
     return SL2ZMatrix(A.a, A.b // m, m * A.c, A.d)
 
 
-@dataclass
-class HeckeDescriptor:
+class HeckeDescriptor(namedtuple("HeckeDescriptor", "group m reps")):
     """Subgroup data determining T_m, the double coset of diag(m, 1).
 
     With g = diag(m, 1), reps are left coset representatives of
@@ -76,13 +75,11 @@ class HeckeDescriptor:
     whatever Gamma is, and upper is its transversal, over which the
     chain map is lifted (hecke_lift).
     """
-
-    group: object
-    m: int
-    reps: list
+    __slots__ = ()
 
     @property
     def index(self):
+        # the index [Gamma : Gamma'], in place of the tuple method
         return len(self.reps)
 
     def member(self, A):
@@ -355,8 +352,9 @@ def hecke_cochain(gamma, n, m, module, resolution):
     return SparseIntMatrix(len(columns), len(columns), columns)
 
 
-@dataclass
-class HeckeMatrix:
+class HeckeMatrix(namedtuple("HeckeMatrix", (
+        "group", "m", "degree", "weight", "matrix", "orders", "basis",
+        "cochain"))):
     """T_m, the double coset of diag(m, 1), on an adapted basis of
     H^n(Gamma, M).
 
@@ -371,15 +369,7 @@ class HeckeMatrix:
     over all of Gamma', so cochain does not depend on the coset
     representatives gamma_prime_data picks either.
     """
-
-    group: object
-    m: int
-    degree: int
-    weight: int
-    matrix: IntMatrix
-    orders: tuple
-    basis: list
-    cochain: SparseIntMatrix = field(repr=False)
+    __slots__ = ()
 
     def free_rank(self):
         return sum(1 for o in self.orders if o == 0)
@@ -536,8 +526,8 @@ def matrix_on_quotient(cochain, quotient, coordinates):
             lifts.transpose().data)
 
 
-@dataclass
-class EigenvalueReport:
+class EigenvalueReport(namedtuple("EigenvalueReport",
+                                  "p roots residual operator")):
     """Integer spectrum of one Hecke operator on H^n modulo torsion.
 
     roots lists the integer roots of the characteristic polynomial with
@@ -545,11 +535,7 @@ class EigenvalueReport:
     integer roots, as coefficients highest degree first ((1,) when the
     polynomial splits over Z).
     """
-
-    p: int
-    roots: tuple
-    residual: tuple
-    operator: HeckeMatrix = field(repr=False)
+    __slots__ = ()
 
 
 def hecke_eigenvalues(gamma, n, ps, module=None, resolution=None):

@@ -386,7 +386,7 @@ def sub_resolution(resolution, keep):
 
 
 def _cyclic_powers(x):
-    """[x^0, x^1, ..., x^(q-1)] for x of finite order q."""
+    """(x^0, x^1, ..., x^(q-1)) for x of finite order q."""
     ident = x * x.inverse()
     powers = [ident]
     cur = x
@@ -396,7 +396,7 @@ def _cyclic_powers(x):
         if len(powers) > 10000:
             raise FormatError("element does not look finite order: no "
                               "power up to 10000 is the identity")
-    return powers
+    return tuple(powers)
 
 
 class _InducedColumn:
@@ -413,23 +413,25 @@ class _InducedColumn:
     multiplication by the multiplier, and the contracting homotopy
     extends the subgroup one termwise through canonical coset
     representatives g = t * s^k.  Both have period 2, so each is
-    tabulated once for odd and once for even degrees.
+    tabulated once for odd and once for even degrees.  powers is the
+    tuple (s^0, ..., s^(q-1)) from _cyclic_powers.
     """
 
-    def __init__(self, s, order, twisted):
-        self.powers = tuple(_cyclic_powers(s))
-        if len(self.powers) != order:
-            raise FormatError("stabilizer generator order mismatch")
-        self.normal_form = coset_normal_form(self.powers)
+    def __init__(self, powers, twisted):
+        self.powers = powers
+        self.normal_form = coset_normal_form(powers)
+        order = len(powers)
+        # s itself, which is 1 when q = 1
+        s = powers[1 % order]
         chi = -1 if twisted else 1
-        one = self.powers[0]
+        one = powers[0]
         # mults[m % 2]: the multiplier out of degree m >= 1
         self.mults = (GroupRingElement((p, chi ** k)
-                                       for k, p in enumerate(self.powers)),
+                                       for k, p in enumerate(powers)),
                       GroupRingElement([(s, 1), (one, -chi)]))
         # pieces[m % 2][k]: the terms of h_m(s^k), () when it is zero
         self.pieces = (
-            [tuple((self.powers[i], chi ** (k - 1 - i)) for i in range(k))
+            [tuple((powers[i], chi ** (k - 1 - i)) for i in range(k))
              for k in range(order)],
             [()] * (order - 1) + [((one, chi),)])
 
@@ -568,17 +570,20 @@ class EquivariantCellComplex:
     0, the base point: d h + h d = 1 - (coefficient sum) . e, with e that
     orbit's representative cell.  boundary_orbits marks a subcomplex
     (dimension -> orbit indices), used for the horocycle boundary of the
-    compactified complex.
+    compactified complex.  columns[(p, i)] is the periodic resolution of
+    orbit i's stabilizer induced up to G (_InducedColumn), built once
+    here: its coset normal form gives canon, and wall_resolution
+    assembles the columns.
     """
 
     def __init__(self, cells, boundary_orbits=None):
         self.cells = cells
         self.homotopy = None
         self.boundary_orbits = boundary_orbits or {}
-        self._normal_forms = {}
+        self.columns = {}
         for p, orbits in enumerate(cells):
             for i, orb in enumerate(orbits):
-                powers = tuple(_cyclic_powers(orb.stabilizer_generator))
+                powers = _cyclic_powers(orb.stabilizer_generator)
                 if len(powers) != orb.stabilizer_order:
                     raise FormatError("stabilizer order mismatch on %s"
                                       % orb.name)
@@ -589,14 +594,14 @@ class EquivariantCellComplex:
                     # augmentation must be invariant
                     raise FormatError("0-cell orbit %s cannot be twisted"
                                       % orb.name)
-                self._normal_forms[(p, i)] = coset_normal_form(powers)
+                self.columns[(p, i)] = _InducedColumn(powers, orb.twisted)
 
     def dim(self):
         return len(self.cells) - 1
 
     def canon(self, p, i, g):
         """Canonical representative and orientation sign of the cell g.e."""
-        rep, k = self._normal_forms[(p, i)](g)
+        rep, k = self.columns[(p, i)].normal_form(g)
         sign = -1 if (self.cells[p][i].twisted and k % 2) else 1
         return rep, sign
 
@@ -723,16 +728,14 @@ def wall_resolution(X, max_degree):
     produced degree by degree with the column homotopies.
 
     Each column is the periodic resolution of its orbit's stabilizer,
-    induced up to G (_InducedColumn).  The assembly preconditions on X
-    are verified first (X.verify).  The contracting homotopy needs
-    X.homotopy; without one the resolution is still built, but calling
-    h() raises MissingHomotopy.
+    induced up to G, which X built with its orbits (X.columns).  The
+    assembly preconditions on X are verified first (X.verify).  The
+    contracting homotopy needs X.homotopy; without one the resolution is
+    still built, but calling h() raises MissingHomotopy.
     """
     X.verify()
     dim = X.dim()
-    cols = {(p, i): _InducedColumn(orb.stabilizer_generator,
-                                   orb.stabilizer_order, orb.twisted)
-            for p in range(dim + 1) for i, orb in enumerate(X.cells[p])}
+    cols = X.columns
 
     # generator tables: degree n lists (p, i) with q = n - p implied
     gens = []

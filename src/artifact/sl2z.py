@@ -18,7 +18,7 @@ with the trailing stabilizer power after the bar.
 """
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import EliminationError, NotInGroup
@@ -150,15 +150,13 @@ def _walk_to_base(A):
     return cs, j
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
+class GeneratorWord(namedtuple("GeneratorWord", "letters u_power")):
     """A reduced word: letters from {S, U, U2} and a trailing power of U.
 
     Reduced means no S following S and no two adjacent U-type letters (a
     U^3 would be -I, which belongs in the trailing power).
     """
-    letters: tuple
-    u_power: int
+    __slots__ = ()
 
     def evaluate(self):
         g = I

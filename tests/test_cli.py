@@ -395,6 +395,37 @@ def test_cli_import_leaves_the_heavy_layers_unloaded():
         assert "artifact." + name not in loaded
 
 
+# the records are namedtuples and json loads only to write a document, so
+# a plain run leaves out dataclasses, which would pull in inspect
+STARTUP_RUNS = [
+    ["index", "--gamma0", "11"],
+    ["generators", "--gamma0", "11"],
+    ["homology", "--gamma0", "11", "--degree", "1"],
+    ["cohomology", "--gamma0", "11", "--degree", "1", "--weight", "4"],
+    ["hecke", "--gamma0", "11", "--weight", "2", "--ops", "2"],
+    ["cuspidal", "--gamma0", "11"],
+    ["generators", "--gamma0", "11", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", STARTUP_RUNS, ids=" ".join)
+def test_cli_run_loads_no_dataclasses_and_json_only_for_json(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import contextlib, io, sys\n"
+            "from artifact.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, ' '.join(m for m in ('dataclasses', 'inspect', 'json')"
+            " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, *loaded = proc.stdout.split()
+    assert exit_code == "0"
+    assert loaded == (["json"] if "json" in argv else [])
+
+
 def test_c04_contracted_homology_peak_rss_under_100_mb():
     # memory guard: the level-1000 boundaries stay sparse from tensor_with_z
     # through contract (as dense matrices this run peaked at 596 MB)

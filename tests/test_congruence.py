@@ -13,8 +13,8 @@ from artifact import congruence
 from artifact.cli import main
 from artifact.congruence import (
     CongruenceSubgroup,
+    _WordTable,
     _p1_system,
-    _short_expression,
     generator_data,
     generators,
     index,
@@ -233,16 +233,24 @@ def test_generator_data_consistency():
             assert prod == g
 
 
+def word_search(g, retained):
+    """The word table's answer for g once it has kept retained."""
+    table = _WordTable()
+    for r in retained:
+        table.keep(r)
+    return table.expression(g)
+
+
 def test_short_expression_witnesses():
     a = T
     b = S
     retained = [a, b]
-    assert _short_expression(T, retained) == [(0, 1)]
-    assert _short_expression(S.inverse(), retained) == [(1, -1)]
-    expr = _short_expression(T * S.inverse(), retained)
+    assert word_search(T, retained) == [(0, 1)]
+    assert word_search(S.inverse(), retained) == [(1, -1)]
+    expr = word_search(T * S.inverse(), retained)
     assert expr == [(0, 1), (1, -1)]
-    assert _short_expression(I, retained) == []
-    assert _short_expression(T ** 5, retained) is None
+    assert word_search(I, retained) == []
+    assert word_search(T ** 5, retained) is None
 
 
 def test_torsion_free_cases_have_no_stabilizer_generators():
@@ -338,6 +346,19 @@ def short_expression_all_pairs(g, retained):
     return None
 
 
+class AllPairsTable:
+    """The reference in place of the word table generator_data builds."""
+
+    def __init__(self):
+        self.kept = []
+
+    def keep(self, r):
+        self.kept.append(r)
+
+    def expression(self, g):
+        return short_expression_all_pairs(g, self.kept)
+
+
 TORSION = [I, -I, S, S.inverse(), U, U * U, U.inverse()]
 
 
@@ -376,7 +397,7 @@ def test_short_expression_matches_all_pairs():
         for _ in range(6):
             g = random_target(rng, retained)
             want = short_expression_all_pairs(g, retained)
-            assert _short_expression(g, retained) == want
+            assert word_search(g, retained) == want
             lengths[None if want is None else len(want)] += 1
     # every branch of the search is exercised
     assert all(lengths.values()), lengths
@@ -388,7 +409,7 @@ SWEEP = ([gamma0(n) for n in range(1, 101)] + [gamma1(n) for n in range(1, 33)]
 
 def test_generator_data_matches_all_pairs_reference(monkeypatch):
     got = [generator_data(gamma) for gamma in SWEEP]
-    monkeypatch.setattr(congruence, "_short_expression", short_expression_all_pairs)
+    monkeypatch.setattr(congruence, "_WordTable", AllPairsTable)
     for gamma, data in zip(SWEEP, got):
         # generators, dropped and the four counts
         assert data == generator_data(gamma), gamma

@@ -13,7 +13,6 @@ in the ambient basis present, over Gamma0, Gamma1 and Gamma(N).
 """
 
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -427,7 +426,7 @@ def test_lazy_fields_cross_check_the_reduced_invariants():
     r = cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
     # nothing is built yet, so reading r.kernel_basis below runs the check
     assert "_in_ambient_basis" not in vars(r)
-    wrong = dataclasses.replace(r, cuspidal=AbelianInvariants([], 3))
+    wrong = r._replace(cuspidal=AbelianInvariants([], 3))
     with pytest.raises(EliminationError, match="different invariants"):
         wrong.kernel_basis
     # the result it came from passes the same check

@@ -33,6 +33,7 @@ from artifact.resolutions import (
     FreeZGResolution,
     GroupRingElement,
     _InducedColumn,
+    _cyclic_powers,
     borel_serre_complex,
     restrict_resolution,
     sl2z_resolution,
@@ -190,7 +191,7 @@ def test_cyclic_resolutions_contract(q, twisted):
     # twisted: multipliers s - chi(s) and the norm compose to zero, and
     # d h + h d = 1, with d h = 1 - chi(s)^k . 1 on s^k in degree 0
     s = STABILIZERS[q]
-    col = _InducedColumn(s, q, twisted)
+    col = _InducedColumn(_cyclic_powers(s), twisted)
     chi = -1 if twisted else 1
     assert col.mult(1) == GroupRingElement([(s, 1), (I, -chi)])
     assert col.mult(2) == GroupRingElement(
@@ -350,7 +351,7 @@ def test_single_point_wall_degenerates_to_cyclic():
     # one orbit of 0-cells with stabilizer <U>: the assembly adds nothing
     # to the stabilizer's column, neither rows nor homotopy terms
     W = point_wall(U, 6, 5)
-    col = _InducedColumn(U, 6, False)
+    col = _InducedColumn(_cyclic_powers(U), False)
     rng = random.Random(37)
     elements = [random_matrix(rng) for _ in range(10)]
     for n in range(1, 6):
