@@ -17,23 +17,25 @@ cochains by unit collapses whose two cells lie on the same side of K
 (chaincx.contract with sides).  Each is a filtered chain homotopy
 equivalence (the basic perturbation lemma), so the reduced complex, its
 horocycle block and the projection between them give the ambient,
-boundary and cuspidal invariants on a much smaller complex.  The kernel is cut out at the cocycle-lattice level (the
-preimage of the boundary coboundaries), so its abelian invariants are
-those of a genuine subgroup of H^n; no ill-defined operations on
-invariant lists are involved.
+boundary and cuspidal invariants on a much smaller complex.  The kernel
+is cut out at the cocycle-lattice level (the preimage of the boundary
+coboundaries), so its abelian invariants are those of a genuine
+subgroup of H^n; no ill-defined operations on invariant lists are
+involved.
 
-Operators act on the unreduced ambient cochains, so CuspidalResult
-builds the kernel lattice in the ambient basis on first use: the
-boundary inclusion lifts to an equivariant chain map through the
-SL2(Z)-level contracting homotopy of the ambient assembly, its values
-are refolded into the restricted ambient basis once, where the
-restriction of cochains reads them, and the same lattice construction
-runs on the full complexes.  Its invariants are checked against the
-reduced ones.
+Operators act on the unreduced ambient cochains, so ambient_kernel
+builds the kernel lattice in the ambient basis from the same assembly:
+the boundary inclusion lifts to an equivariant chain map through the
+SL2(Z)-level contracting homotopy, its values are refolded into the
+restricted ambient basis once, where the restriction of cochains reads
+them, and the same lattice construction runs on the full complexes.
+Its invariants are checked against the reduced ones.
+cuspidal_hecke_operators presents T_m on the cuspidal quotient of that
+lattice.  The cuspidal command runs cuspidal_cohomology alone, which
+builds nothing in the ambient basis.
 """
 
 from collections import namedtuple
-from functools import cached_property
 
 from .chaincx import contract, verify_complex
 from .coeffmod import (CochainComplexZ, PolynomialModule, block_matrix,
@@ -44,7 +46,7 @@ from .exactlin import (IntMatrix, QuotientLattice, SparseIntMatrix,
                        cokernel_invariants, column_span_basis, integer_kernel,
                        solve_echelon)
 from .hecke import (CohomologyPresentation, EquivariantChainMap, HeckeMatrix,
-                    hecke_cochain, matrix_on_quotient)
+                    _check_index, hecke_cochain, matrix_on_quotient)
 from .resolutions import (GroupRingElement, borel_serre_complex,
                           restrict_resolution, sub_resolution, wall_resolution)
 from .sl2z import I
@@ -94,16 +96,17 @@ def _kernel_of_restriction(C, CB, rho, n):
 
 
 def _filtered_reduction(CA, on_boundary, n):
-    """The reduced cochain complex, its boundary block and the degree-n
-    projection onto it.
+    """H^n of CA, of its boundary and of the kernel of restriction, read
+    off the filtered reduction of CA.
 
     on_boundary[k][c] tells whether degree-k coordinate c of CA lies on a
     horocycle generator.  CA is contracted with those sides, so the
-    reduced coordinates off the boundary still span a subcomplex K', and
-    the boundary block of each reduced coboundary presents the quotient.
-    Raises CompositionNonzero when the reduced coboundaries do not
-    compose to zero, or when one takes a coordinate of K' out of K'
-    (then the projection is no cochain map).
+    reduced coordinates off the boundary still span a subcomplex K', the
+    boundary block of each reduced coboundary presents the quotient, and
+    restriction is the projection onto the boundary coordinates.  Raises
+    CompositionNonzero when the reduced coboundaries do not compose to
+    zero, or when one takes a coordinate of K' out of K' (then the
+    projection is no cochain map).
     """
     # cochain degree k is chain degree top - k
     side = on_boundary[::-1]
@@ -130,100 +133,39 @@ def _filtered_reduction(CA, on_boundary, n):
            for k, d in enumerate(C.deltas)):
         raise CompositionNonzero(
             "restriction does not commute with the coboundaries")
-    return C, CB, proj[n]
+    return _kernel_of_restriction(C, CB, proj[n], n)[1]
 
 
-# the kernel lattice in the ambient basis, and what it was built on
-_AmbientKernel = namedtuple("_AmbientKernel", (
-    "restriction", "restriction_next", "boundary_complex", "kernel_basis",
-    "kernel_relations", "ambient_presentation"))
-
-
-def _ambient_kernel(result):
-    """The kernel lattice of a CuspidalResult in its ambient basis.
-
-    Restricts the horocycle generators of the stored assembly to the
-    group, lifts their inclusion to a chain map through the SL2(Z)-level
-    contracting homotopy, pulls cochains back along it in degrees n and
-    n + 1, and cuts the kernel out of the full ambient complex.  The chain
-    map is verified on all generators, the restriction is checked to
-    commute with the coboundaries (CompositionNonzero), and the
-    invariants are checked against the result's (EliminationError).
-    """
-    n, module, W = result.degree, result.module, result.wall
-    boundary = restrict_resolution(sub_resolution(W, result.horocycles),
-                                   result.group)
-    incl = EquivariantChainMap(
-        boundary, W, lambda g: g,
-        [W.section(boundary.aug({j: GroupRingElement.unit(I)}))
-         for j in range(boundary.rank(0))], degree_max=n + 1)
-    CA = result.ambient_complex
-    CB = hom_complex(boundary, module)
-    rho, rho_next = (_pullback_matrix(incl, k, result.ambient_resolution,
-                                      module) for k in (n, n + 1))
-    if CB.deltas[n] * rho != rho_next * CA.deltas[n]:
-        raise CompositionNonzero(
-            "restriction does not commute with the coboundaries")
-    pres, invariants, kernel_basis, relations = _kernel_of_restriction(
-        CA, CB, rho, n)
-    if invariants != (result.ambient, result.boundary, result.cuspidal):
-        raise EliminationError("the ambient complex and its filtered "
-                               "reduction give different invariants")
-    return _AmbientKernel(rho, rho_next, CB, kernel_basis, relations, pres)
-
-
-def _ambient(name):
-    """A CuspidalResult field read off its _AmbientKernel."""
-    return cached_property(lambda self: getattr(self._in_ambient_basis, name))
+def _assemble(gamma, n, module):
+    """One assembly for both routes: the Wall assembly W of the
+    compactified complex up to degree n + 1, its horocycle generators per
+    degree, W restricted to gamma, its cochains CA with the module, and
+    per degree whether each coordinate of CA lies on a horocycle
+    generator.  Raises DegreeOutOfRange for n < 0."""
+    if n < 0:
+        raise DegreeOutOfRange("degree must be >= 0, got %d" % n)
+    X = borel_serre_complex()
+    W = wall_resolution(X, n + 1)
+    horocycles = [[(j, 1) for j, (p, i) in enumerate(labels)
+                   if i in X.boundary_orbits.get(p, ())]
+                  for labels in W.labels]
+    ambient = restrict_resolution(W, gamma)
+    CA = hom_complex(ambient, module)
+    # coordinate (b * nt + t) * m + i lies on base generator b
+    width = ambient.rank(0) // W.rank(0) * module.rank
+    on_boundary = []
+    for k, keep in enumerate(horocycles):
+        marked = {j for j, _ in keep}
+        on_boundary.append([b in marked for b in range(W.rank(k))
+                            for _ in range(width)])
+    return W, horocycles, ambient, CA, on_boundary
 
 
 class CuspidalResult(namedtuple("CuspidalResult", (
-        "group", "degree", "weight", "ambient", "boundary", "cuspidal",
-        "ambient_complex", "ambient_resolution", "module", "wall",
-        "horocycles"))):
-    """Ambient, boundary, and cuspidal cohomology of one degree.
-
-    The three invariants come from the filtered reduction.  The ambient
-    complex and resolution, the module and the Wall assembly with its
-    horocycle generators ride along, and the fields in the ambient basis
-    are built from them on first read, all at once (_ambient_kernel), with
-    their invariants checked against the reduced ones.  restriction is
-    the sparse cochain-level matrix of the pullback along the boundary
-    inclusion (rows: boundary cochain coordinates, columns: ambient
-    ones), and restriction_next the same one degree up, so the chain-map
-    identity delta_boundary . restriction = restriction_next .
-    delta_ambient can be checked as a matrix identity.  kernel_basis
-    columns, in column echelon form, are ambient cocycles spanning the
-    preimage lattice of the boundary coboundaries; cuspidal is that
-    lattice modulo the ambient coboundaries, which kernel_relations
-    writes in the coordinates of kernel_basis.  With boundary_complex and
-    ambient_presentation (of the ambient H^n) they keep follow-up
-    computations (Hecke action on the kernel, for one) in one basis.
-    Unlike the other records it declares no __slots__, so the lazy fields
-    are cached in the instance's __dict__.
-    """
-
-    @cached_property
-    def _in_ambient_basis(self):
-        return _ambient_kernel(self)
-
-    restriction = _ambient("restriction")
-    restriction_next = _ambient("restriction_next")
-    boundary_complex = _ambient("boundary_complex")
-    kernel_basis = _ambient("kernel_basis")
-    kernel_relations = _ambient("kernel_relations")
-    ambient_presentation = _ambient("ambient_presentation")
-
-    @cached_property
-    def presentation(self):
-        """The cuspidal quotient on kernel_basis, shared by all operators."""
-        return QuotientLattice(self.kernel_basis, self.kernel_relations)
-
-    @cached_property
-    def boundary_coboundaries(self):
-        """Echelon basis of the degree-n boundary coboundaries, which every
-        operator's image of the kernel must restrict into."""
-        return column_span_basis(self.boundary_complex.delta(self.degree - 1))
+        "group", "degree", "weight", "ambient", "boundary", "cuspidal"))):
+    """Ambient, boundary, and cuspidal cohomology of one degree, as
+    abelian invariants of the filtered reduction."""
+    __slots__ = ()
 
     def descriptor(self):
         """JSON-friendly summary (invariants as strings)."""
@@ -249,55 +191,105 @@ def cuspidal_cohomology(gamma, n, module=None):
     intersected with the preimage of the boundary coboundaries.  The
     reduced coboundaries are checked to compose to zero and to keep the
     coordinates off the boundary among themselves, and the coboundaries
-    to be cocycles in the kernel lattice.  The fields in the ambient
-    basis are left to the result, which builds them on first read.
+    to be cocycles in the kernel lattice.  Nothing in the ambient basis
+    is built (ambient_kernel).
     """
     if module is None:
         module = PolynomialModule(0)
-    if n < 0:
-        raise DegreeOutOfRange("degree must be >= 0, got %d" % n)
-    X = borel_serre_complex()
-    W = wall_resolution(X, n + 1)
-    horocycles = [[(j, 1) for j, (p, i) in enumerate(labels)
-                   if i in X.boundary_orbits.get(p, ())]
-                  for labels in W.labels]
-    ambient = restrict_resolution(W, gamma)
-    CA = hom_complex(ambient, module)
-    # coordinate (b * nt + t) * m + i lies on base generator b
-    width = ambient.rank(0) // W.rank(0) * module.rank
-    on_boundary = []
-    for k, keep in enumerate(horocycles):
-        marked = {j for j, _ in keep}
-        on_boundary.append([b in marked for b in range(W.rank(k))
-                            for _ in range(width)])
-    C, CB, rho = _filtered_reduction(CA, on_boundary, n)
-    _, invariants, _, _ = _kernel_of_restriction(C, CB, rho, n)
-    return CuspidalResult(gamma, n, module.k + 2, *invariants, CA, ambient,
-                          module, W, horocycles)
+    _, _, _, CA, on_boundary = _assemble(gamma, n, module)
+    return CuspidalResult(gamma, n, module.k + 2,
+                          *_filtered_reduction(CA, on_boundary, n))
 
 
-def cuspidal_hecke_matrix(result, m):
-    """T_m, the double coset of diag(m, 1), pushed down to the cuspidal
-    quotient.
+class AmbientKernel(namedtuple("AmbientKernel", (
+        "resolution", "complex", "restriction", "restriction_next",
+        "boundary_complex", "kernel_basis", "kernel_relations",
+        "presentation"))):
+    """The kernel of restriction to the boundary in the ambient basis.
 
-    Lifts the operator to cochains of the ambient resolution the result
-    was computed with, checks it on the ambient cocycles and coboundaries
-    (the result's ambient presentation), checks that images of kernel
-    cocycles restrict to boundary coboundaries, and presents the induced
-    map on the cuspidal invariants in the same free-first coordinates the
-    full cohomology operators use.  The preservation check and the
-    kernel_basis coordinates of images are both solve_echelon triangular
-    solves.
+    resolution is the ambient assembly restricted to the group and
+    complex its cochains.  restriction is the sparse cochain-level matrix
+    of the pullback along the boundary inclusion (rows: boundary cochain
+    coordinates, columns: ambient ones), and restriction_next the same
+    one degree up, so the chain-map identity delta_boundary . restriction
+    = restriction_next . delta_ambient is a matrix identity;
+    boundary_complex is the boundary's cochain complex.  kernel_basis
+    columns, in column echelon form, are ambient cocycles spanning the
+    preimage lattice of the boundary coboundaries; the cuspidal part is
+    that lattice modulo the ambient coboundaries, which kernel_relations
+    writes in the coordinates of kernel_basis.  presentation is the
+    CohomologyPresentation of the ambient H^n.
     """
-    n = result.degree
-    cochain = hecke_cochain(result.group, n, m, result.module,
-                            result.ambient_resolution)
-    result.ambient_presentation.check(cochain)
-    moved = result.restriction * (cochain * result.kernel_basis)
-    if solve_echelon(result.boundary_coboundaries, moved) is None:
-        raise NotInLattice("operator does not preserve the cuspidal kernel")
-    matrix, orders, basis = matrix_on_quotient(
-        cochain, result.presentation,
-        lambda V: solve_echelon(result.kernel_basis, V))
-    return HeckeMatrix(result.group, m, n, result.weight, matrix, orders,
-                       basis, cochain)
+    __slots__ = ()
+
+
+def ambient_kernel(gamma, n, module=None):
+    """The kernel lattice of H^n(gamma, module) -> H^n(boundary) in the
+    ambient basis, which operators on the unreduced cochains act on.
+
+    Restricts the horocycle generators of one assembly to the group,
+    lifts their inclusion to a chain map through the SL2(Z)-level
+    contracting homotopy, pulls cochains back along it in degrees n and
+    n + 1, and cuts the kernel out of the full ambient complex.  The chain
+    map is verified on all generators, the restriction is checked to
+    commute with the coboundaries (CompositionNonzero), and the
+    invariants are checked against those of the filtered reduction of the
+    same assembly (EliminationError).
+    """
+    if module is None:
+        module = PolynomialModule(0)
+    W, horocycles, ambient, CA, on_boundary = _assemble(gamma, n, module)
+    reduced = _filtered_reduction(CA, on_boundary, n)
+    boundary = restrict_resolution(sub_resolution(W, horocycles), gamma)
+    incl = EquivariantChainMap(
+        boundary, W, lambda g: g,
+        [W.section(boundary.aug({j: GroupRingElement.unit(I)}))
+         for j in range(boundary.rank(0))], degree_max=n + 1)
+    CB = hom_complex(boundary, module)
+    rho, rho_next = (_pullback_matrix(incl, k, ambient, module)
+                     for k in (n, n + 1))
+    if CB.deltas[n] * rho != rho_next * CA.deltas[n]:
+        raise CompositionNonzero(
+            "restriction does not commute with the coboundaries")
+    pres, invariants, kernel_basis, relations = _kernel_of_restriction(
+        CA, CB, rho, n)
+    if invariants != reduced:
+        raise EliminationError("the ambient complex and its filtered "
+                               "reduction give different invariants")
+    return AmbientKernel(ambient, CA, rho, rho_next, CB, kernel_basis,
+                         relations, pres)
+
+
+def cuspidal_hecke_operators(gamma, n, ms, module=None):
+    """The operators T_m, the double coset of diag(m, 1), on the cuspidal
+    quotient of H^n(gamma, module), for the indices m in ms.
+
+    Every m is checked first, as hecke_operators checks it (FormatError),
+    so a bad index fails before anything is assembled.  Then one
+    ambient_kernel, one echelon basis of the boundary coboundaries and
+    one cuspidal QuotientLattice serve every operator.  Each is lifted to
+    the ambient cochains (hecke_cochain), checked on the ambient cocycles
+    and coboundaries, and its images of kernel cocycles are checked to
+    restrict to boundary coboundaries (NotInLattice); both that check and
+    the kernel_basis coordinates of the images are solve_echelon
+    triangular solves.  Yields one HeckeMatrix per index, in order, in the
+    free-first coordinates the full cohomology operators use.
+    """
+    ms = list(ms)
+    for m in ms:
+        _check_index(m)
+    if module is None:
+        module = PolynomialModule(0)
+    a = ambient_kernel(gamma, n, module)
+    boundary_coboundaries = column_span_basis(a.boundary_complex.delta(n - 1))
+    quotient = QuotientLattice(a.kernel_basis, a.kernel_relations)
+    for m in ms:
+        cochain = hecke_cochain(gamma, n, m, module, a.resolution)
+        a.presentation.check(cochain)
+        moved = a.restriction * (cochain * a.kernel_basis)
+        if solve_echelon(boundary_coboundaries, moved) is None:
+            raise NotInLattice("operator does not preserve the cuspidal kernel")
+        matrix, orders, basis = matrix_on_quotient(
+            cochain, quotient, lambda V: solve_echelon(a.kernel_basis, V))
+        yield HeckeMatrix(gamma, m, n, module.k + 2, matrix, orders, basis,
+                          cochain)

@@ -108,7 +108,11 @@ def _check_index(m):
                           % (m,))
 
 
-def gamma_prime_data(gamma, m, max_cosets=10 ** 6):
+# the most cosets of Gamma' in Gamma the search takes before it gives up
+MAX_COSETS = 10 ** 6
+
+
+def gamma_prime_data(gamma, m):
     """Coset data of T_m, the double coset of diag(m, 1) = g: the cosets
     of Gamma' = Gamma intersect g Gamma g^{-1} inside Gamma.
 
@@ -122,7 +126,7 @@ def gamma_prime_data(gamma, m, max_cosets=10 ** 6):
     the chain map does not see them, since it is lifted over S' and
     its values on Gamma' generators are translates (hecke_cochain).  Raises
     FormatError when m is not an int >= 1 and InfiniteIndex when more
-    than max_cosets cosets appear before the search closes.
+    than MAX_COSETS cosets appear before the search closes.
     """
     _check_index(m)
     desc = HeckeDescriptor(gamma, m, [IDENT])
@@ -144,9 +148,9 @@ def gamma_prime_data(gamma, m, max_cosets=10 ** 6):
             xi = x.inverse()
             if any(desc.member(xi * r) for r in desc.reps):
                 continue
-            if len(desc.reps) >= max_cosets:
+            if len(desc.reps) >= MAX_COSETS:
                 raise InfiniteIndex("more than %d cosets of Gamma' in Gamma"
-                                    % max_cosets)
+                                    % MAX_COSETS)
             desc.reps.append(x)
             fresh.append(x)
             break
@@ -171,8 +175,8 @@ class EquivariantChainMap:
     a restricted resolution is lifted into its base, the SL2(Z)-level
     resolution, through the SL2(Z)-level homotopy, and its values are
     brought back to the restricted basis where they are read: the
-    boundary inclusion behind a CuspidalResult's fields in the ambient
-    basis, refolded when built on first read (cuspidal_cohomology itself
+    boundary inclusion behind the cuspidal kernel lattice in the ambient
+    basis, refolded once (cuspidal.ambient_kernel; cuspidal_cohomology
     lifts nothing), and the Hecke chain map, lifted over S' and
     restricted to Gamma' by the same semilinearity, whose terms the
     cochain moves to their cosets through the composed coset

@@ -87,9 +87,10 @@ def test_gamma6_t5_index_six():
     assert desc.index == 6
 
 
-def test_infinite_index_bound_trips():
-    with pytest.raises(InfiniteIndex):
-        gamma_prime_data(GAMMA0_11, 2, max_cosets=2)
+def test_infinite_index_bound_trips(monkeypatch):
+    monkeypatch.setattr(hecke, "MAX_COSETS", 2)
+    with pytest.raises(InfiniteIndex, match="more than 2 cosets"):
+        gamma_prime_data(GAMMA0_11, 2)
 
 
 @pytest.mark.parametrize("m", [0, -1, (2, 0, 0, 1)])

@@ -90,12 +90,9 @@ KEPT = {
     "congruence.CongruenceSubgroup.gamma1": "tests/test_congruence.py",
     "congruence.CongruenceSubgroup.principal": "tests/test_congruence.py",
     "congruence.p1_reduce": "tests/test_congruence.py",
-    "cuspidal.CuspidalResult._in_ambient_basis": "tests/test_cuspidal.py",
-    "cuspidal.CuspidalResult.boundary_coboundaries": "tests/test_cuspidal.py",
-    "cuspidal.CuspidalResult.presentation": "tests/test_cuspidal.py",
-    "cuspidal._ambient_kernel": "tests/test_cuspidal.py",
     "cuspidal._pullback_matrix": "tests/test_cuspidal.py",
-    "cuspidal.cuspidal_hecke_matrix": "tests/test_cuspidal.py",
+    "cuspidal.ambient_kernel": "tests/test_cuspidal.py",
+    "cuspidal.cuspidal_hecke_operators": "tests/test_cuspidal.py",
     "cwdvf.RegularCWComplex.to_text": "tests/test_cwdvf.py",
     "exactlin.IntMatrix.__add__": "tests/test_chaincx.py",
     "exactlin.IntMatrix.apply": "tests/test_exactlin.py",
