@@ -151,9 +151,10 @@ def contract(C, pairs=None, side=None):
     single integers, each packing (fill, source, target) in that order; an
     entry popped with a stale fill-in goes back with its current one, and
     one that is collapsed or no longer a unit is dropped.  A collapse at
-    degree n can create new unit entries only at degree n itself (higher
-    degrees just lose a column, lower ones a row), so one ascending pass
-    is complete and the result has no unit entries at all.  The collapse
+    degree n can create new unit entries only at degree n: d_{n-1} loses
+    a row, and d_{n+1} is copied from C only when the loop reaches it,
+    less the generators collapsed at degree n.  So one ascending pass is
+    complete and the result has no unit entries at all.  The collapse
     trace is recorded on the result in the original generator labelling.
 
     Filtered: side[n][g] labels degree-n generator g, and the greedy
@@ -170,21 +171,22 @@ def contract(C, pairs=None, side=None):
     Prescribed pairs: given (degree, source, target) triples in that
     labelling, exactly those pairs are collapsed, in order, by the same
     elimination step; EliminationError if an entry is absent or not a unit.
+    Pairs may mix degrees, so every degree is copied before the first.
     """
     top = C.top_degree
-    # mutable copy of the columns: bnd[n][src][tgt] = coeff, cob[n][tgt] =
-    # sources; a generator is alive while it is a key of these dicts
-    bnd = {}
-    cob = {}
-    for n in range(1, top + 1):
-        d = C.boundary(n)
-        bnd[n] = {s: dict(col) for s, col in enumerate(d.columns)}
-        cn = {t: set() for t in range(d.rows)}
-        for s, col in enumerate(d.columns):
-            for t in col:
-                cn[t].add(s)
-        cob[n] = cn
-    trace = []
+    # copies: bnd[n][src][tgt] = coeff, whose keys are the alive sources
+    # (d_0's those of degree 0); cob[n][tgt] = sources while n is loaded
+    bnd, cob, trace = {0: dict.fromkeys(range(C.rank(0)), {})}, {}, []
+
+    def load(n):
+        """Copy d_n, less the targets collapsed below, and its column sets."""
+        alive = bnd[n - 1]
+        rows = bnd[n] = {s: {t: v for t, v in col.items() if t in alive}
+                         for s, col in enumerate(C.boundary(n).columns)}
+        cols = cob[n] = {t: set() for t in alive}
+        for s, row in rows.items():
+            for t in row:
+                cols[t].add(s)
 
     def collapse(n, a, b):
         """Remove source a and target b; returns the sources it changed."""
@@ -220,72 +222,70 @@ def contract(C, pairs=None, side=None):
                                        "left an entry in its column"
                                        % (a, b, n))
 
-        # delete a (degree n) and b (degree n-1)
+        # delete a and b, from d_{n+1} and d_{n-1} too, and from the
+        # column sets of those degrees while they are loaded
         for t in rows.pop(a):
             cols[t].discard(a)
         del cols[b]
-        if n + 1 <= top:
-            # higher boundary just loses the target coordinate a
-            for c in cob[n + 1].pop(a, ()):  # pragma: no branch
-                bnd[n + 1][c].pop(a, None)
-        if n - 1 >= 1:
-            # lower boundary loses the source row b
-            for t in bnd[n - 1].pop(b, {}):
+        if n + 1 in cob:
+            for c in cob[n + 1].pop(a):
+                bnd[n + 1][c].pop(a)
+        for t in bnd[n - 1].pop(b):
+            if n - 1 in cob:
                 cob[n - 1][t].discard(b)
         trace.append(CollapseStep(n, a, b))
         return touched
 
-    if pairs is not None:
-        for n, a, b in pairs:
-            collapse(n, a, b)
-    else:
-        if side is None:
-            # unfiltered: every generator carries the same label
-            side = [[0] * r for r in C.ranks]
-        heappop, heappush = heapq.heappop, heapq.heappush
-        for n in range(1, top + 1):
-            rows, cols, up, down = bnd[n], cob[n], side[n], side[n - 1]
-            # the key (fill * R + s) * R + t orders as the tuple
-            # (fill, s, t), since every source s and target t is below R
-            R = max(C.rank(n), C.rank(n - 1), 1)
-            RR = R * R
-            heap, touched = [], rows
-            while True:
-                # queue the unit entries of the touched sources (at first
-                # all of them) whose source and target carry the same
-                # label, by fill-in
-                for s in touched:
-                    row = rows[s]
-                    k = (len(row) - 1) * RR
-                    sR = s * R
-                    for t, v in row.items():
-                        if (v == 1 or v == -1) and up[s] == down[t]:
-                            heappush(heap, k * (len(cols[t]) - 1) + sR + t)
-                # pop until an entry that is still a unit, at the fill-in
-                # it was queued with, is collapsed; a collapsed source is
-                # no key of rows, and a collapsed target is in no row
-                while heap:
-                    key = heappop(heap)
-                    fill, ab = divmod(key, RR)
-                    a, b = divmod(ab, R)
-                    row = rows.get(a)
-                    if row is None:
-                        continue
-                    v = row.get(b, 0)
-                    if v != 1 and v != -1:
-                        continue
-                    current = (len(row) - 1) * (len(cols[b]) - 1)
-                    if current != fill:
-                        heappush(heap, key + (current - fill) * RR)
-                        continue
-                    touched = collapse(n, a, b)
-                    break
-                else:
-                    break
+    if side is None:
+        side = [[0] * r for r in C.ranks]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    for n in range(1, top + 1):
+        load(n)
+        if pairs is not None:
+            continue
+        rows, cols, up, down = bnd[n], cob[n], side[n], side[n - 1]
+        # the key (fill * R + s) * R + t orders as the tuple
+        # (fill, s, t), since every source s and target t is below R
+        R = max(C.rank(n), C.rank(n - 1), 1)
+        RR = R * R
+        heap, touched = [], rows
+        while True:
+            # queue the unit entries of the touched sources (at first all of
+            # them) whose source and target carry the same label, by fill-in
+            for s in touched:
+                row = rows[s]
+                k = (len(row) - 1) * RR
+                sR = s * R
+                for t, v in row.items():
+                    if (v == 1 or v == -1) and up[s] == down[t]:
+                        heappush(heap, k * (len(cols[t]) - 1) + sR + t)
+            # pop until an entry that is still a unit, at the fill-in
+            # it was queued with, is collapsed; a collapsed source is
+            # no key of rows, and a collapsed target is in no row
+            while heap:
+                key = heappop(heap)
+                fill, ab = divmod(key, RR)
+                a, b = divmod(ab, R)
+                row = rows.get(a)
+                if row is None:
+                    continue
+                v = row.get(b, 0)
+                if v != 1 and v != -1:
+                    continue
+                current = (len(row) - 1) * (len(cols[b]) - 1)
+                if current != fill:
+                    heappush(heap, key + (current - fill) * RR)
+                    continue
+                touched = collapse(n, a, b)
+                break
+            else:
+                break
+        del cob[n], cols
+    for n, a, b in pairs or ():
+        collapse(n, a, b)
 
     # rebuild matrices over the survivors
-    alive = [sorted(cob[1]) if top else range(C.rank(0))]
-    alive += [sorted(bnd[n]) for n in range(1, top + 1)]
+    alive = [sorted(bnd[n]) for n in range(top + 1)]
     ranks = [len(gens) for gens in alive]
     diffs = []
     for n in range(1, top + 1):

@@ -1,8 +1,10 @@
 """Tests for chain complexes and simple homotopy collapse reduction."""
 
+import copy
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -129,6 +131,34 @@ def test_greedy_trace_replayed_as_pairs(seed):
     assert again == d and again.trace == d.trace
 
 
+def test_prescribed_pairs_may_descend():
+    # the pair in degree 2 takes edge 0 away before degree 1 is reduced,
+    # so degree 1 must be loaded before the first pair
+    c = FreeChainComplexZ([1, 2, 1], [IntMatrix.from_rows([[1, 1]]),
+                                      IntMatrix.from_rows([[1], [-1]])])
+    d = contract(c, pairs=[(2, 0, 0), (1, 1, 0)])
+    assert d.ranks == [0, 0, 0]
+    assert d.trace == [CollapseStep(2, 0, 0), CollapseStep(1, 1, 0)]
+    with pytest.raises(EliminationError):
+        contract(c, pairs=[(2, 0, 0), (1, 0, 0)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_contract_leaves_its_input_untouched(seed):
+    # the greedy loop copies a degree of C only after the collapses below
+    # it, so every strategy must read C without editing it
+    rng = random.Random(seed)
+    c, _ = random_complex(rng)
+    before = copy.deepcopy([d.columns for d in c.diffs])
+    greedy = contract(c)
+    contract(c, side=[[rng.randint(0, 1) for _ in range(r)]
+                      for r in c.ranks])
+    contract(c, pairs=[(s.degree, s.source, s.target)
+                       for s in greedy.trace])
+    assert [d.columns for d in c.diffs] == before
+
+
 def test_contract_gamma0_300_unchanged():
     # the homology-l300 benchmark shape; ranks, collapse count and the
     # digests of the contracted complex and its trace as the greedy loop
@@ -144,6 +174,23 @@ def test_contract_gamma0_300_unchanged():
         "178b5355e8680a72e189e4cb8f5f81bc8a79d7a17257d09b0f3200264d4bca31"
     assert hashlib.sha256(steps.encode()).hexdigest() == \
         "f93edb4bb83415bf8a1a577473ca9c3ac8999e5ae81f7f3d6dcd4179f9286eb3"
+
+
+def test_contract_working_set_below_its_input():
+    # degrees are copied one at a time, so the traced peak that contract
+    # adds on the homology-l300 complex stays below the complex itself
+    res = restrict_resolution(sl2z_resolution(6),
+                              CongruenceSubgroup.gamma0(300))
+    tracemalloc.start()
+    try:
+        c = tensor_with_z(res)
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        contract(c)
+        extra = tracemalloc.get_traced_memory()[1] - size
+    finally:
+        tracemalloc.stop()
+    assert extra < size
 
 
 def test_text_roundtrip():
