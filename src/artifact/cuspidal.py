@@ -18,18 +18,17 @@ cochains by unit collapses whose two cells lie on the same side of K
 equivalence (the basic perturbation lemma), so the reduced complex, its
 horocycle block and the projection between them give the ambient,
 boundary and cuspidal invariants on a much smaller complex.  The kernel
-is cut out at the cocycle-lattice level (the preimage of the boundary
-coboundaries), so its abelian invariants are those of a genuine
-subgroup of H^n; no ill-defined operations on invariant lists are
-involved.
+of restriction is read off the long exact sequence of the pair, by two
+Smith forms without transforms, so its abelian invariants are those of
+a genuine subgroup of H^n; no operations on invariant lists are involved.
 
 Operators act on the unreduced ambient cochains, so ambient_kernel
 builds the kernel lattice in the ambient basis from the same assembly:
 the boundary inclusion lifts to an equivariant chain map through the
 SL2(Z)-level contracting homotopy, its values are refolded into the
 restricted ambient basis once, where the restriction of cochains reads
-them, and the same lattice construction runs on the full complexes.
-Its invariants are checked against the reduced ones.
+them, and the kernel lattice is cut out of the full complexes.  Its
+invariants are checked against the reduced ones.
 cuspidal_hecke_operators presents T_m on the cuspidal quotient of that
 lattice.  The cuspidal command runs cuspidal_cohomology alone, which
 builds nothing in the ambient basis.
@@ -43,8 +42,8 @@ from .coeffmod import (CochainComplexZ, PolynomialModule, block_matrix,
 from .errors import (CompositionNonzero, DegreeOutOfRange, EliminationError,
                      NotInLattice)
 from .exactlin import (IntMatrix, QuotientLattice, SparseIntMatrix,
-                       cokernel_invariants, column_span_basis, integer_kernel,
-                       solve_echelon)
+                       cokernel_invariants, column_span_basis,
+                       homology_of_pair, integer_kernel, solve_echelon)
 from .hecke import (CohomologyPresentation, EquivariantChainMap, HeckeMatrix,
                     _check_index, hecke_cochain, matrix_on_quotient)
 from .resolutions import (GroupRingElement, borel_serre_complex,
@@ -68,31 +67,12 @@ def _pullback_matrix(chain_map, k, ambient, module):
                              chain_map.value(k, j)).items()))
 
 
-def _kernel_of_restriction(C, CB, rho, n):
-    """H^n of C, of CB and of the kernel of the restriction rho: C -> CB.
-
-    Returns the CohomologyPresentation of C, the invariants (of C, of CB,
-    of the kernel), the kernel lattice basis in column echelon form, and
-    the coboundaries of C in its coordinates.  Raises NotInLattice when
-    the coboundaries do not lie in the kernel lattice.
-    """
-    # invariants are taken in the coordinates of the cocycle lattice Z,
-    # where the ambient coboundaries become the relations
-    pres = CohomologyPresentation(C, n)
-    Z = pres.Z
-    # v = Z u lies in the kernel lattice iff rho v is a boundary
-    # coboundary, i.e. (u, -w) solves the stacked system below; ambient
-    # coboundaries always qualify, so the lattice presents the kernel
-    K = integer_kernel((rho * Z).hstack(CB.delta(n - 1)))
-    U = IntMatrix(Z.cols, K.cols, [list(K.data[i]) for i in range(Z.cols)])
-    kernel_basis = column_span_basis(Z * U)
-    relations = solve_echelon(kernel_basis, pres.delta_in)
-    if relations is None:
-        raise NotInLattice(
-            "relations not in the span of the kernel lattice")
-    invariants = (cokernel_invariants(pres.relations), cohomology(CB, n),
-                  cokernel_invariants(relations))
-    return pres, invariants, kernel_basis, relations
+def _projection(sides, on):
+    """The projection onto the coordinates g with sides[g] == on, which
+    keep their order; its transpose is the inclusion."""
+    at = {g: i for i, g in enumerate(g for g, s in enumerate(sides) if s == on)}
+    return SparseIntMatrix(len(at), len(sides), [{at[g]: 1} if g in at else {}
+                                                 for g in range(len(sides))])
 
 
 def _filtered_reduction(CA, on_boundary, n):
@@ -102,11 +82,14 @@ def _filtered_reduction(CA, on_boundary, n):
     on_boundary[k][c] tells whether degree-k coordinate c of CA lies on a
     horocycle generator.  CA is contracted with those sides, so the
     reduced coordinates off the boundary still span a subcomplex K', the
-    boundary block of each reduced coboundary presents the quotient, and
-    restriction is the projection onto the boundary coordinates.  Raises
-    CompositionNonzero when the reduced coboundaries do not compose to
-    zero, or when one takes a coordinate of K' out of K' (then the
-    projection is no cochain map).
+    boundary block of each reduced coboundary presents the quotient CB,
+    and restriction rho is the projection onto the boundary coordinates.
+    A class with rho z = delta w is that of z - delta(w lifted by zeros),
+    a cocycle of K', so ker rho* = Z^n(K') / delta(K'^(n-1) + the
+    zero-lifts of Z^(n-1)(CB)).  Raises CompositionNonzero when the
+    reduced coboundaries, or delta on K' and those relations, do not
+    compose to zero, or when a coboundary takes a coordinate of K' out of
+    K' (then the projection is no cochain map).
     """
     # cochain degree k is chain degree top - k
     side = on_boundary[::-1]
@@ -119,13 +102,7 @@ def _filtered_reduction(CA, on_boundary, n):
     kept = [[s for g, s in enumerate(sides) if g not in out]
             for sides, out in zip(side, gone)][::-1]
     C = CochainComplexZ(D.ranks[::-1], D.diffs[::-1])
-    # the projections onto the boundary coordinates, numbered in order
-    proj = []
-    for sides in kept:
-        at = {g: i for i, g in enumerate(g for g, s in enumerate(sides) if s)}
-        proj.append(SparseIntMatrix(len(at), len(sides),
-                                    [{at[g]: 1} if g in at else {}
-                                     for g in range(len(sides))]))
+    proj = [_projection(sides, True) for sides in kept]
     CB = CochainComplexZ([p.rows for p in proj],
                          [proj[k + 1] * d * proj[k].transpose()
                           for k, d in enumerate(C.deltas)])
@@ -133,7 +110,16 @@ def _filtered_reduction(CA, on_boundary, n):
            for k, d in enumerate(C.deltas)):
         raise CompositionNonzero(
             "restriction does not commute with the coboundaries")
-    return _kernel_of_restriction(C, CB, proj[n], n)[1]
+    # K'^(n-1) beside the zero-lifts of a basis of Z^(n-1)(CB), none for n = 0
+    below = kept[n - 1] if n else []
+    lifts = _projection(below, True).transpose() * SparseIntMatrix.of(
+        integer_kernel(CB.delta(n - 1)))
+    spans = _projection(below, False).transpose().columns + lifts.columns
+    interior = _projection(kept[n], False)
+    d_in = interior * C.delta(n - 1) * SparseIntMatrix(len(below), len(spans),
+                                                       spans)
+    return (cohomology(C, n), cohomology(CB, n),
+            homology_of_pair(C.deltas[n] * interior.transpose(), d_in))
 
 
 def _assemble(gamma, n, module):
@@ -187,12 +173,11 @@ def cuspidal_cohomology(gamma, n, module=None):
     it to gamma and takes its cochains, marks each coordinate by whether
     its generator lies over the horocycle boundary, and contracts with
     those sides.  On the reduced complex, restriction is the projection
-    onto the boundary coordinates, and the degree-n cocycle lattice is
-    intersected with the preimage of the boundary coboundaries.  The
-    reduced coboundaries are checked to compose to zero and to keep the
-    coordinates off the boundary among themselves, and the coboundaries
-    to be cocycles in the kernel lattice.  Nothing in the ambient basis
-    is built (ambient_kernel).
+    onto the boundary coordinates, and the long exact sequence of the
+    pair gives its kernel.  The reduced coboundaries are checked to
+    compose to zero and to keep the coordinates off the boundary among
+    themselves, and the kernel's relations to be cocycles.  Nothing in
+    the ambient basis is built (ambient_kernel).
     """
     if module is None:
         module = PolynomialModule(0)
@@ -230,11 +215,11 @@ def ambient_kernel(gamma, n, module=None):
     Restricts the horocycle generators of one assembly to the group,
     lifts their inclusion to a chain map through the SL2(Z)-level
     contracting homotopy, pulls cochains back along it in degrees n and
-    n + 1, and cuts the kernel out of the full ambient complex.  The chain
-    map is verified on all generators, the restriction is checked to
-    commute with the coboundaries (CompositionNonzero), and the
-    invariants are checked against those of the filtered reduction of the
-    same assembly (EliminationError).
+    n + 1, and cuts the kernel lattice out of the full ambient complex.
+    The chain map is verified on all generators, the restriction is
+    checked to commute with the coboundaries (CompositionNonzero), the
+    coboundaries to lie in the lattice (NotInLattice), and the invariants
+    against those of the filtered reduction (EliminationError).
     """
     if module is None:
         module = PolynomialModule(0)
@@ -251,9 +236,23 @@ def ambient_kernel(gamma, n, module=None):
     if CB.deltas[n] * rho != rho_next * CA.deltas[n]:
         raise CompositionNonzero(
             "restriction does not commute with the coboundaries")
-    pres, invariants, kernel_basis, relations = _kernel_of_restriction(
-        CA, CB, rho, n)
-    if invariants != reduced:
+    # invariants are taken in the coordinates of the cocycle lattice Z,
+    # where the ambient coboundaries become the relations
+    pres = CohomologyPresentation(CA, n)
+    Z = pres.Z
+    # v = Z u lies in the kernel lattice iff rho v is a boundary
+    # coboundary, i.e. (u, -w) is in the kernel of [rho Z | delta_B];
+    # ambient coboundaries always qualify, so the lattice presents the kernel
+    stacked = SparseIntMatrix.of(rho * Z).columns + CB.delta(n - 1).columns
+    K = integer_kernel(SparseIntMatrix(rho.rows, len(stacked), stacked))
+    U = IntMatrix(Z.cols, K.cols, [list(K.data[i]) for i in range(Z.cols)])
+    kernel_basis = column_span_basis(Z * U)
+    relations = solve_echelon(kernel_basis, pres.delta_in)
+    if relations is None:
+        raise NotInLattice(
+            "relations not in the span of the kernel lattice")
+    if (cokernel_invariants(pres.relations), cohomology(CB, n),
+            cokernel_invariants(relations)) != reduced:
         raise EliminationError("the ambient complex and its filtered "
                                "reduction give different invariants")
     return AmbientKernel(ambient, CA, rho, rho_next, CB, kernel_basis,

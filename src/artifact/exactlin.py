@@ -141,16 +141,6 @@ class IntMatrix:
                                 % (self.rows, self.cols, len(vector)))
         return [sum(a * x for a, x in zip(row, vector) if a) for row in self.data]
 
-    def hstack(self, other):
-        """[self | other]; other may be sparse, the result is dense."""
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack with different row counts")
-        data = [r + [0] * other.cols for r in self.data]
-        for row, entries in zip(data, other.row_dicts()):
-            for j, v in entries.items():
-                row[self.cols + j] = v
-        return IntMatrix(self.rows, self.cols + other.cols, data)
-
     def take_columns(self, indices):
         return IntMatrix(self.rows, len(indices),
                          [[row[j] for j in indices] for row in self.data])

@@ -399,15 +399,28 @@ def test_reduced_coboundaries_must_compose_to_zero(capsys, monkeypatch):
     assert "is nonzero" in capsys.readouterr().err
 
 
-def test_kernel_lattice_missing_relations_raises(capsys, monkeypatch):
-    # a kernel basis of index 2^rank no longer contains the coboundaries
+def test_kernel_lattice_missing_relations_raises(monkeypatch):
+    # a kernel basis of index 2^rank no longer contains the coboundaries;
+    # only the ambient basis has a kernel lattice
     span_basis = cuspidal.column_span_basis
     monkeypatch.setattr(cuspidal, "column_span_basis",
                         lambda M: span_basis(M) * 2)
     with pytest.raises(NotInLattice, match="span of the kernel lattice"):
-        cuspidal_cohomology(CongruenceSubgroup.gamma0(11), 1)
-    assert main(["cuspidal", "--gamma0", "11"]) == 3
-    assert "span of the kernel lattice" in capsys.readouterr().err
+        ambient_kernel(CongruenceSubgroup.gamma0(11), 1)
+
+
+def test_lifted_boundary_non_cocycles_exit_three(capsys, monkeypatch):
+    # every boundary cochain passed off as a cocycle: the coboundaries of
+    # their zero-lifts, off the boundary, are no cocycles of K', so the
+    # pair's relations do not compose to zero with its outgoing map
+    monkeypatch.setattr(cuspidal, "integer_kernel",
+                        lambda M: IntMatrix.identity(M.cols))
+    with pytest.raises(CompositionNonzero,
+                       match="boundary maps do not compose to zero"):
+        cuspidal_cohomology(CongruenceSubgroup.gamma0(17), 1,
+                            PolynomialModule(2))
+    assert main(["cuspidal", "--gamma0", "17", "--module-degree", "2"]) == 3
+    assert "boundary maps do not compose to zero" in capsys.readouterr().err
 
 
 def test_ambient_checks_run_on_every_operator(monkeypatch):
@@ -446,6 +459,7 @@ ROUTES = [
     (CongruenceSubgroup.gamma0(1), 0, 1),
     (CongruenceSubgroup.gamma0(11), 0, 0),
     (CongruenceSubgroup.gamma0(11), 0, 2),
+    (CongruenceSubgroup.gamma0(11), 0, 3),
     (CongruenceSubgroup.gamma0(14), 0, 1),
     (CongruenceSubgroup.gamma0(17), 2, 1),
     (CongruenceSubgroup.gamma0(13), 4, 1),
@@ -486,9 +500,12 @@ def test_ambient_kernel_cross_checks_the_reduced_invariants(monkeypatch):
 
 def test_cli_builds_nothing_in_the_ambient_basis(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        pytest.fail("the cuspidal command built an ambient-basis field")
+        pytest.fail("the cuspidal command built an ambient-basis field "
+                    "or a kernel lattice")
 
-    for name in ("EquivariantChainMap", "_pullback_matrix", "ambient_kernel"):
+    for name in ("EquivariantChainMap", "_pullback_matrix", "ambient_kernel",
+                 "CohomologyPresentation", "column_span_basis",
+                 "solve_echelon", "cokernel_invariants"):
         monkeypatch.setattr(cuspidal, name, refuse)
     assert main(["cuspidal", "--gamma0", "17", "--module-degree", "2"]) == 0
     assert capsys.readouterr().out.splitlines() == [

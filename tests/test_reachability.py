@@ -101,6 +101,9 @@ KEPT = {
     "exactlin.IntMatrix.diagonal": "tests/test_exactlin.py",
     "exactlin.IntMatrix.from_rows": "tests/test_exactlin.py",
     "exactlin.IntMatrix.is_zero": "tests/test_exactlin.py",
+    "exactlin.cokernel_invariants": "tests/test_cuspidal.py",
+    "exactlin.column_span_basis": "tests/test_cuspidal.py",
+    "exactlin.solve_echelon": "tests/test_cuspidal.py",
     "hecke.HeckeMatrix.compose": "tests/test_hecke.py",
     "quadring.QuadIdeal.__eq__": "tests/test_quadring.py",
     "quadring.QuadIdeal.__hash__": "tests/test_quadring.py",
