@@ -35,19 +35,12 @@ from .sl2z import SL2ZMatrix
 
 
 def _entries(gamma):
-    """The four integer entries of a 2x2 matrix in any accepted form."""
+    """The four integer entries of an SL2ZMatrix or a 4-tuple (a, b, c, d)."""
     if isinstance(gamma, SL2ZMatrix):
         return (gamma.a, gamma.b, gamma.c, gamma.d)
-    if isinstance(gamma, (tuple, list)):
-        if len(gamma) == 4:
-            a, b, c, d = gamma
-        elif len(gamma) == 2 and all(isinstance(row, (tuple, list))
-                                     and len(row) == 2 for row in gamma):
-            (a, b), (c, d) = gamma
-        else:
-            raise FormatError("expected a 2x2 integer matrix")
-        if all(isinstance(v, int) for v in (a, b, c, d)):
-            return (a, b, c, d)
+    if (isinstance(gamma, (tuple, list)) and len(gamma) == 4
+            and all(isinstance(v, int) for v in gamma)):
+        return tuple(gamma)
     raise FormatError("expected a 2x2 integer matrix, got %r" % (gamma,))
 
 
@@ -74,9 +67,8 @@ def _action_matrix(entries, k):
 def action_matrix(gamma, k):
     """Matrix of gamma on degree-k forms, in the monomial basis.
 
-    Accepts an SL2ZMatrix, a 4-tuple (a, b, c, d) or a nested pair of
-    rows.  The returned matrix is cached and shared: treat it as
-    read-only.
+    Accepts an SL2ZMatrix or a 4-tuple (a, b, c, d).  The returned
+    matrix is cached and shared: treat it as read-only.
     """
     if k < 0:
         raise FormatError("form degree must be nonnegative")

@@ -73,14 +73,6 @@ class CongruenceSubgroup(namedtuple("CongruenceSubgroup", "kind level")):
 
 # ----------------------------------------------------------- P^1(Z_N)
 
-class P1Point(namedtuple("P1Point", "c d")):
-    """Canonical representative (c : d) of a point of P^1(Z_N)."""
-    __slots__ = ()
-
-    def __str__(self):
-        return "(%d:%d)" % (self.c, self.d)
-
-
 class _P1System:
     """Canonicalization of P^1(Z_N) points.
 
@@ -130,11 +122,6 @@ class _P1System:
 @lru_cache(maxsize=None)
 def _p1_system(n):
     return _P1System(n)
-
-
-def p1_reduce(c, d, n):
-    """Canonical P1Point for (c : d) over Z_n."""
-    return P1Point(*_p1_system(n).canon(c, d))
 
 
 def _coset_key_fn(gamma):

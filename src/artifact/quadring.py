@@ -4,7 +4,10 @@ Elements of the ring of integers of Q(sqrt(d)) are stored as a + b*omega
 where omega is sqrt(d) for d = 2, 3 mod 4 and (1 + sqrt(d))/2 for
 d = 1 mod 4, so the ring is exactly Z + Z*omega.  Ideals are handled as
 rank-2 sublattices of Z + Z*omega in a canonical row normal form, which
-reduces norm, membership, and sums of ideals to integer linear algebra.
+reduces norm, membership, and sums of ideals to integer linear algebra:
+the form is exactlin's column echelon basis of the generating pairs with
+its signs fixed.  Primality and the Gamma0 index read the factorization
+of the norm, found by one trial-division routine.
 The module also evaluates the quadratic character of the field and the
 L-value ratio that the torsion growth of congruence subgroup
 abelianizations is conjectured to approach.
@@ -14,6 +17,7 @@ import math
 import re
 
 from .errors import EliminationError, FormatError, MixedField, ZeroIdeal
+from .exactlin import IntMatrix, column_span_basis
 
 
 def _squarefree(d):
@@ -144,35 +148,19 @@ def _hnf_rows(rows):
 
     rows is a list of (x, y) integer pairs.  Returns ((p, q), (0, s)) with
     p, s > 0 and 0 <= q < s; this form is unique for the lattice spanned,
-    which is what makes ideal equality a plain tuple comparison.
+    which is what makes ideal equality a plain tuple comparison.  The
+    pairs are the columns of a 2 x k matrix whose column echelon basis
+    (p, q), (0, s) then only needs its signs and q fixed.
     """
-    rows = [list(r) for r in rows if r[0] or r[1]]
-    # clear the first column down to a single pivot by a gcd cascade
-    piv = None
-    rest = []
-    for r in rows:
-        if r[0] == 0:
-            rest.append(r)
-            continue
-        if piv is None:
-            piv = r
-            continue
-        while r[0]:
-            t = piv[0] // r[0]
-            piv[0] -= t * r[0]
-            piv[1] -= t * r[1]
-            piv, r = r, piv
-        rest.append(r)
-    if piv is None:
+    M = IntMatrix(2, len(rows), [[x for x, _ in rows], [y for _, y in rows]])
+    B = column_span_basis(M)
+    if B.cols < 2:
         raise EliminationError("lattice has rank < 2")
-    if piv[0] < 0:
-        piv = [-piv[0], -piv[1]]
-    s = 0
-    for r in rest:
-        s = math.gcd(s, r[1])
-    if s == 0:
-        raise EliminationError("lattice has rank < 2")
-    return (piv[0], piv[1] % s), (0, s)
+    (p, _), (q, s) = B.data
+    if p < 0:
+        p, q = -p, -q
+    s = abs(s)
+    return (p, q % s), (0, s)
 
 
 class QuadIdeal:
@@ -221,18 +209,13 @@ class QuadIdeal:
 
     def is_prime(self):
         """Prime ideals have prime norm, or norm p^2 with p inert."""
-        n = self.norm()
-        if n == 1:
+        f = _factor(self.norm())
+        if len(f) != 1:
             return False
-        if _is_prime_int(n):
-            return True
-        p = _integer_sqrt(n)
-        if p is None or not _is_prime_int(p):
-            return False
+        (p, e), = f.items()
         # norm p^2 is prime only for the inert rational prime (p)
-        if self.basis != ((p, 0), (0, p)):
-            return False
-        return quad_character(self.d, p) == -1
+        return e == 1 or (e == 2 and self.basis == ((p, 0), (0, p))
+                          and quad_character(self.d, p) == -1)
 
     def __eq__(self, other):
         if not isinstance(other, QuadIdeal):
@@ -247,22 +230,21 @@ class QuadIdeal:
         return "QuadIdeal(d=%d, <%d+%dw, %dw>)" % (self.d, p, q, s)
 
 
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
+def _factor(n):
+    """{prime: exponent} of an integer n >= 1 by trial division.
+
+    The primes come out in ascending order.
+    """
+    out = {}
+    f = 2
     while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _integer_sqrt(n):
-    r = math.isqrt(n)
-    return r if r * r == n else None
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def ideal_from_generators(gens):
@@ -346,9 +328,8 @@ def l_ratio(d, pi_multiple=18):
 
 
 def torsion_ratio(orders, a):
-    """log(product of torsion orders) / N(a).
+    """log(product of torsion orders) / N(a) for an ideal a.
 
-    a may be an ideal or a plain positive integer standing for its norm.
     This is the quantity whose limit over prime ideals of growing norm
     the torsion growth conjecture compares against l_ratio.
 
@@ -365,11 +346,8 @@ def torsion_ratio(orders, a):
         if o < 1:
             raise FormatError("torsion orders are positive, got %r" % (o,))
         prod *= o
-    n = a.norm() if isinstance(a, QuadIdeal) else int(a)
-    if n < 1:
-        raise FormatError("the norm must be positive, got %r" % (n,))
     # exact integer log for arbitrarily large products
-    return (len(str(prod)) - 1) / n
+    return (len(str(prod)) - 1) / a.norm()
 
 
 def gamma0_index(a):
@@ -381,24 +359,16 @@ def gamma0_index(a):
     prime (l) of norm l^2; ramified, one prime of norm l; split, as many
     primes of norm l as divide a, which is log_l N(a + lO).
     """
-    n = a.norm()
-    out, rest, ell = n, n, 2
-    while rest > 1:
-        if ell * ell > rest:
-            ell = rest
-        if rest % ell == 0:
-            while rest % ell == 0:
-                rest //= ell
-            chi = quad_character(a.d, ell)
-            if chi == -1:
-                norms = [ell * ell]
-            elif chi == 0:
-                norms = [ell]
-            else:
-                gcd = ideal_from_generators(a.generators()
-                                            + [QuadInt(ell, 0, a.d)])
-                norms = [ell] * (1 if gcd.norm() == ell else 2)
-            for q in norms:
-                out = out // q * (q + 1)
-        ell += 1
+    out = a.norm()
+    for ell in _factor(out):
+        chi = quad_character(a.d, ell)
+        if chi == -1:
+            norms = [ell * ell]
+        elif chi == 0:
+            norms = [ell]
+        else:
+            gcd = ideal_from_generators(a.generators() + [QuadInt(ell, 0, a.d)])
+            norms = [ell] * (1 if gcd.norm() == ell else 2)
+        for q in norms:
+            out = out // q * (q + 1)
     return out

@@ -188,16 +188,10 @@ _LETTER = {"S": S, "U": U, "U2": U * U}
 def decompose(A):
     """Reduced word for A: evaluate(decompose(A)) == A.
 
-    Accepts an SL2ZMatrix or a 4-sequence (a, b, c, d); raises NotInGroup
-    when the determinant is not 1.  The S/U-letter prefix walks the tree
-    from the base vertex out to A<U>; the trailing U-power corrects inside
-    the vertex stabilizer.
+    A is an SL2ZMatrix.  The S/U-letter prefix walks the tree from the
+    base vertex out to A<U>; the trailing U-power corrects inside the
+    vertex stabilizer.
     """
-    if not isinstance(A, SL2ZMatrix):
-        a, b, c, d = A
-        if a * d - b * c != 1:
-            raise NotInGroup("determinant %d is not 1" % (a * d - b * c))
-        A = _mk(a, b, c, d)
     cs, j = _walk_to_base(A)
     # A = U^j * (S U^{c_m}) (S U^{c_{m-1}}) ... (S U^{c_1}); fold the central
     # -I = U^3 part of U^j and the innermost U^{c_1} into the trailing power

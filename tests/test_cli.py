@@ -183,6 +183,24 @@ def test_quad_report(capsys):
     assert json.loads(out)["result"]["index"] == 4818
 
 
+@pytest.mark.parametrize("d, ideal, norm, prime, index", [
+    (5, "11", 121, False, 144),
+    (5, "4+1i", 19, True, 20),
+    (-3, "7", 49, False, 64),
+    (-7, "2", 4, False, 9),
+    (13, "3", 9, False, 16),
+    (-1, "3", 9, True, 10),
+    (-1, "2+1i", 5, True, 6),
+    (-5, "6", 36, False, 96),
+    (2, "7", 49, False, 64),
+])
+def test_quad_norm_prime_index(capsys, d, ideal, norm, prime, index):
+    rc, out, _ = run_cli(capsys, "quad", "--d", str(d), "--ideal", ideal,
+                         "--report", "norm,prime,index")
+    assert rc == 0
+    assert out == "norm %d\nprime %s\nindex %d\n" % (norm, prime, index)
+
+
 def test_determinism(capsys):
     args = ("hecke", "--gamma0", "11", "--weight", "2", "--ops", "2,3",
             "--format", "json")

@@ -79,7 +79,7 @@ def test_action_accepts_plain_matrices():
     a = action_matrix((1, 1, 0, 1), 3)
     b = action_matrix(T, 3)
     assert a == b
-    assert action_matrix([[1, 0], [0, 2]], 1).data == [[2, 0], [0, 1]]
+    assert action_matrix((1, 0, 0, 2), 1).data == [[2, 0], [0, 1]]
 
 
 def test_action_rejects_garbage():

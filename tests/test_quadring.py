@@ -8,12 +8,15 @@ closure, canonical ideal forms, character values against an Euler
 criterion oracle.
 """
 
+from math import gcd
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import quadring
-from artifact.errors import FormatError, MixedField, ZeroIdeal
+from artifact.errors import EliminationError, FormatError, MixedField, ZeroIdeal
 from artifact.quadring import (QuadIdeal, QuadInt, gamma0_index,
                                ideal_from_generators, l_ratio, parse_quad,
                                quad_character, torsion_ratio)
@@ -30,9 +33,9 @@ def gaussian(a, b):
     return QuadInt(a, b, -1)
 
 
-def _orbit_count(a):
-    """#P^1(O/a) by brute force, the oracle for gamma0_index: unimodular
-    pairs of residues modulo a, counted up to scaling by units."""
+def _residues(a):
+    """The residues of O/a as pairs (x, y) with 0 <= x < p, 0 <= y < s,
+    zero first, and their product."""
     d = a.d
     (p, q), (_, s) = a.basis
 
@@ -41,12 +44,20 @@ def _orbit_count(a):
         t = w.a // p
         return w.a - t * p, (w.b - t * q) % s
 
+    return [(x, y) for x in range(p) for y in range(s)], mul
+
+
+def _orbit_count(a):
+    """#P^1(O/a) by brute force, the oracle for gamma0_index: unimodular
+    pairs of residues modulo a, counted up to scaling by units."""
+    d = a.d
+    elements, mul = _residues(a)
+
     def unimodular(*residues):
         gens = [QuadInt(*r, d) for r in residues if r != (0, 0)]
         return bool(gens) and ideal_from_generators(
             gens + a.generators()).norm() == 1
 
-    elements = [(x, y) for x in range(p) for y in range(s)]
     units = [u for u in elements if unimodular(u)]
     seen = set()
     count = 0
@@ -107,6 +118,16 @@ def test_index_matches_orbit_count(d):
     # have class number 2), against the brute-force count of P^1(O/a)
     for a in all_ideals(d, 30):
         assert gamma0_index(a) == _orbit_count(a), a
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -6, -7, -15, 2, 5, 10, 13])
+def test_is_prime_matches_zero_divisor_oracle(d):
+    # a nonzero finite ring is a domain exactly when its ideal is prime
+    for a in all_ideals(d, 30):
+        elements, mul = _residues(a)
+        nonzero = elements[1:]
+        domain = all(mul(u, v) != (0, 0) for u in nonzero for v in nonzero)
+        assert a.is_prime() == domain, a
 
 
 def test_index_of_thirty():
@@ -216,13 +237,12 @@ def test_l_ratio_for_the_gaussian_field():
 def test_torsion_ratio_headline():
     a = ideal_from_generators([gaussian(41, 56)])
     assert abs(torsion_ratio(TORSION_41_56, a) - 0.00913432) < 1e-5
-    # the same number with the norm passed directly
-    assert torsion_ratio(TORSION_41_56, 4817) == torsion_ratio(TORSION_41_56, a)
 
 
 def test_torsion_ratio_edges():
-    assert torsion_ratio([1], 5) == 0.0
-    assert torsion_ratio([10], 1) == 1.0
+    unit = ideal_from_generators([gaussian(1, 0)])
+    assert torsion_ratio([1], ideal_from_generators([gaussian(2, 1)])) == 0.0
+    assert torsion_ratio([10], unit) == 1.0
 
 
 def test_conjugation_conventions():
@@ -267,14 +287,14 @@ def test_zero_ideal_rejected():
 
 def test_invalid_input_raises_format_error():
     # former asserts: each raises, also under python -O
+    norm5 = ideal_from_generators([gaussian(2, 1)])
     bad = [lambda: QuadInt(1, 0, 4),                      # d not square-free
            lambda: QuadInt(1, 0, 1),
            lambda: quad_character(12, 5),
            lambda: quad_character(-1, 0),
            lambda: l_ratio(5),                            # d must be negative
-           lambda: torsion_ratio([], 5),
-           lambda: torsion_ratio([2, 0], 5),
-           lambda: torsion_ratio([2], 0),
+           lambda: torsion_ratio([], norm5),
+           lambda: torsion_ratio([2, 0], norm5),
            lambda: QuadIdeal(-1, ((2, 3), (0, 2))),       # q >= s
            lambda: QuadIdeal(-1, ((2, 0), (0, 1)))]       # i * i = -1 outside
     for call in bad:
@@ -343,3 +363,46 @@ def test_ideals_are_omega_modules(a, b, c, e, d):
     for g in gens:
         if not g.is_zero():
             assert ideal.member(g)
+
+
+def test_factor_matches_sympy():
+    for n in range(1, 5001):
+        got = quadring._factor(n)
+        assert got == sympy.factorint(n), n
+        assert list(got) == sorted(got)
+    for n in (2 ** 21, 3 ** 13, 1000003, 1000003 ** 2, 1009 * 1013,
+              1000003 * 1000033, 2 * 999983):
+        assert quadring._factor(n) == sympy.factorint(n), n
+
+
+pairs = st.lists(st.tuples(small, small), min_size=1, max_size=4)
+# (i, j, t): add t times pair j to pair i, or swap them when t = 0;
+# negate pair i when i = j
+moves = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                           st.integers(-5, 5)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs, moves)
+def test_normal_form_is_a_lattice_invariant(rows, ops):
+    minors = 0
+    for i, (x1, y1) in enumerate(rows):
+        for x2, y2 in rows[i + 1:]:
+            minors = gcd(minors, x1 * y2 - x2 * y1)
+    if minors == 0:
+        with pytest.raises(EliminationError):
+            quadring._hnf_rows(rows)
+        return
+    form = quadring._hnf_rows(rows)
+    (p, _), (_, s) = form
+    assert p * s == minors
+    mixed = [list(r) for r in rows]
+    for i, j, t in ops:
+        i, j = i % len(mixed), j % len(mixed)
+        if i == j:
+            mixed[i] = [-x for x in mixed[i]]
+        elif t == 0:
+            mixed[i], mixed[j] = mixed[j], mixed[i]
+        else:
+            mixed[i] = [x + t * y for x, y in zip(mixed[i], mixed[j])]
+    assert quadring._hnf_rows(mixed) == form

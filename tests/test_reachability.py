@@ -89,7 +89,6 @@ KEPT = {
     "chaincx.FreeChainComplexZ.__eq__": "tests/test_chaincx.py",
     "congruence.CongruenceSubgroup.gamma1": "tests/test_congruence.py",
     "congruence.CongruenceSubgroup.principal": "tests/test_congruence.py",
-    "congruence.p1_reduce": "tests/test_congruence.py",
     "cuspidal._pullback_matrix": "tests/test_cuspidal.py",
     "cuspidal.ambient_kernel": "tests/test_cuspidal.py",
     "cuspidal.cuspidal_hecke_operators": "tests/test_cuspidal.py",
@@ -102,7 +101,6 @@ KEPT = {
     "exactlin.IntMatrix.from_rows": "tests/test_exactlin.py",
     "exactlin.IntMatrix.is_zero": "tests/test_exactlin.py",
     "exactlin.cokernel_invariants": "tests/test_cuspidal.py",
-    "exactlin.column_span_basis": "tests/test_cuspidal.py",
     "exactlin.solve_echelon": "tests/test_cuspidal.py",
     "hecke.HeckeMatrix.compose": "tests/test_hecke.py",
     "quadring.QuadIdeal.__eq__": "tests/test_quadring.py",

@@ -98,8 +98,6 @@ def test_group_constants():
 def test_determinant_enforced():
     with pytest.raises(NotInGroup):
         SL2ZMatrix(1, 0, 0, 2)
-    with pytest.raises(NotInGroup):
-        decompose((2, 0, 0, 1))
 
 
 def test_matrix_str_roundtrip():
