@@ -100,9 +100,10 @@ class PolynomialModule:
 
         This is the module-action block that the coboundaries and the
         cuspidal restriction place for one group ring entry, by
-        block_matrix.  Hecke cochains do not use it: hecke_cochain sums
-        c * action(gamma1) per block and multiplies by its coset pair's
-        matrix once, straight into the sparse columns.
+        block_matrix.  Hecke cochains do not use it: hecke_cochain takes
+        c * action(y^-1 g k) once per term of its lift, sums those per
+        block in untwisted coset coordinates and conjugates each block
+        by the actions of its two coset representatives.
         """
         m = self.rank
         block = [[0] * m for _ in range(m)]

@@ -31,7 +31,8 @@ them, and the kernel lattice is cut out of the full complexes.  Its
 invariants are checked against the reduced ones.
 cuspidal_hecke_operators presents T_m on the cuspidal quotient of that
 lattice.  The cuspidal command runs cuspidal_cohomology alone, which
-builds nothing in the ambient basis.
+builds nothing in the ambient basis; only ambient_kernel and
+cuspidal_hecke_operators import the hecke module.
 """
 
 from collections import namedtuple
@@ -44,8 +45,6 @@ from .errors import (CompositionNonzero, DegreeOutOfRange, EliminationError,
 from .exactlin import (IntMatrix, QuotientLattice, SparseIntMatrix,
                        cokernel_invariants, column_span_basis,
                        homology_of_pair, integer_kernel, solve_echelon)
-from .hecke import (CohomologyPresentation, EquivariantChainMap, HeckeMatrix,
-                    _check_index, hecke_cochain, matrix_on_quotient)
 from .resolutions import (GroupRingElement, borel_serre_complex,
                           restrict_resolution, sub_resolution, wall_resolution)
 from .sl2z import I
@@ -221,6 +220,7 @@ def ambient_kernel(gamma, n, module=None):
     coboundaries to lie in the lattice (NotInLattice), and the invariants
     against those of the filtered reduction (EliminationError).
     """
+    from .hecke import CohomologyPresentation, EquivariantChainMap
     if module is None:
         module = PolynomialModule(0)
     W, horocycles, ambient, CA, on_boundary = _assemble(gamma, n, module)
@@ -274,6 +274,8 @@ def cuspidal_hecke_operators(gamma, n, ms, module=None):
     triangular solves.  Yields one HeckeMatrix per index, in order, in the
     free-first coordinates the full cohomology operators use.
     """
+    from .hecke import (HeckeMatrix, _check_index, hecke_cochain,
+                        matrix_on_quotient)
     ms = list(ms)
     for m in ms:
         _check_index(m)

@@ -22,9 +22,12 @@ cochain reads it per pair of a coset t of Gamma and a representative t_i
 of Gamma': g^{-1} s g = gamma0 rep(t0) by one checked lookup in Gamma,
 and each term k of the value moves to the coset ti that the composed
 S/U permutations give rep(t0) k, with gamma1 = rep(t0) k rep(ti)^{-1}
-in Gamma, so the term's Gamma-element is gamma0 gamma1 and no term is
-looked up.  The operator descends to an
-adapted basis of the cohomology lattice through a
+in Gamma.  With y the representative of S' for which t_i^{-1} rep(t)
+lies in S' y, t_i g gamma0 gamma1 = rep(t) y^{-1} g k rep(ti)^{-1}, so
+the cochain is D T~ D^{-1} with D block diagonal in the M(rep(t)) and
+T~ a sum of the matrices M(y^{-1} g k), one per term of the lift: no
+term builds a group element or is looked up.  The operator descends to
+an adapted basis of the cohomology lattice through a
 CohomologyPresentation, built once per cochain complex and shared by
 every operator presented on it (hecke_operators).
 
@@ -293,66 +296,102 @@ def hecke_cochain(gamma, n, m, module, resolution):
     of Gamma in SL2(Z) and a t_i, and every generator e_b = rep(t).e_beta
     over t shares the pair's two checked lookups: t_i^{-1} rep(t) = s y_j
     with s in S' and y_j a representative of S' (desc.upper.lookup), and
-    phi(s) = g^{-1} s g = gamma0 rep(t0) with gamma0 in Gamma
-    (resolution.trans.lookup).  So f(t_i^{-1} e_b) is phi(s) times the
+    g^{-1} s g = gamma0 rep(t0) with gamma0 in Gamma
+    (resolution.trans.lookup).  So f(t_i^{-1} e_b) is g^{-1} s g times the
     lift's value on y_j.e_beta (hecke_lift), with no tree walk per coset.
     A term (k, c) of that value moves to the coset ti = table(k)[t0] of
     the S/U coset permutations the resolution was restricted with
-    (resolution.table): rep(t0) k = gamma1 rep(ti), and gamma1 lies in
-    Gamma by their checked relations, as in restrict_resolution, so the
-    term's Gamma-element is gamma0 gamma1 (Shapiro's lemma, read per
-    term).  The block at row (beta, t) and column (b2, ti) is
-    A sum c M(gamma1), with A = M(t_i) M(g) M(gamma0) once per pair and
-    M(gamma1) once per (t0, k), and it is added straight into the sparse
-    columns.  The pairs are grouped by t0, so the M(gamma1) of one t0 are
-    held at a time.  Returns the cochain, a SparseIntMatrix; the
-    lift is freed on return.
+    (resolution.table), where rep(t0) k = gamma1 rep(ti) with gamma1 in
+    Gamma (Shapiro's lemma), and the term's matrix is
+    M(t_i g gamma0 gamma1).  Since t_i s = rep(t) y_j^{-1},
+
+        t_i g gamma0 gamma1 = rep(t) (y_j^{-1} g k) rep(ti)^{-1},
+
+    so the operator is T = D T~ D^{-1}, with D block diagonal with blocks
+    M(rep(t)) and T~ holding at row (beta, t) and column (b2, ti) the sum
+    of c M(y_j^{-1} g k) over the pairs and terms that reach it.  That
+    middle factor depends on the term alone: it is formed once per term of
+    the lift's value on each y_j, and no per-term group element is built.
+    T~ is accumulated over the pairs, then each nonzero block X becomes
+    L X R with L = M(rep(t)) and R = M(rep(ti))^{-1}, both read once per
+    coset; a block whose L and R are the identity is copied as it is,
+    which is every block in weight 2.  The product is read off packed
+    integers: with beta = (1, 2^w, ..., 2^(w(r-1))), the rows of L X R
+    packed in slots of w bits are L X (R beta), two matrix-vector
+    products, and no slot overflows, since every entry is at most
+    r^2 max|L| max|X| max|R| < 2^(w-1) in absolute value.  Returns the
+    cochain, a SparseIntMatrix; the lift is freed on return.
     """
     desc, lift = hecke_lift(gamma, n, m, resolution)
     upper, trans, table = desc.upper, resolution.trans, resolution.table
     nt, npsi, r = len(trans), len(upper), module.rank
-    inverses = [rep.inverse() for rep in trans.reps]
-    lefts = [(module.action(t) * module.action((m, 0, 0, 1)), t.inverse())
-             for t in desc.reps]
-    zero = [0] * (r * r)
-    columns = [{} for _ in range(resolution.rank(n) * r)]
-    pairs = {}  # t0 -> the pairs (t, j, left, gamma0) that reach it
+    ncols = resolution.rank(n)
+    # terms[j]: per term (k, c) of the lift's value on y_j.e_beta at b2,
+    # (row offset, column offset, coset permutation of k,
+    # c M(y_j^{-1} g k) by columns); sizes[j] sums their largest |entries|
+    terms, sizes = [], []
+    for j, y in enumerate(upper.reps):
+        yi = y.inverse()
+        own = []
+        for beta in range(resolution.base.rank(n)):
+            for b2, gre in lift.value(n, beta * npsi + j).items():
+                for k, c in gre.items():
+                    M = module.action((m * yi.a * k.a + yi.b * k.c,
+                                       m * yi.a * k.b + yi.b * k.d,
+                                       m * yi.c * k.a + yi.d * k.c,
+                                       m * yi.c * k.b + yi.d * k.d))
+                    own.append((beta * nt, b2 * nt, table(k),
+                                [c * x for col in zip(*M.data) for x in col]))
+        terms.append(own)
+        sizes.append(sum(max(map(abs, block)) for *_, block in own))
+    twisted = {}  # row block * ncols + column block -> block of T~, by columns
+    bound = 0     # at least every |entry| of T~
+    inverses = [t.inverse() for t in desc.reps]
     for t, rep in enumerate(trans.reps):
-        for left, inverse in lefts:
+        for inverse in inverses:
             j, s = upper.lookup(inverse * rep)
-            t0, gamma0 = trans.lookup(desc.conjugate(s))
-            pairs.setdefault(t0, []).append((t, j, left, gamma0))
-    for t0, group in pairs.items():
-        moved = {}  # k -> (ti, the columns of M(gamma1), concatenated)
-        for t, j, left, gamma0 in group:
-            # (row block, column block) -> sum c M(gamma1), by columns
-            sums = {}
-            for beta in range(resolution.base.rank(n)):
-                for b2, gre in lift.value(n, beta * npsi + j).items():
-                    for k, c in gre.items():
-                        hit = moved.get(k)
-                        if hit is None:
-                            ti = table(k)[t0]
-                            M = module.action(trans.rep(t0) * k * inverses[ti])
-                            hit = moved[k] = (
-                                ti, [x for col in zip(*M.data) for x in col])
-                        key = beta * nt + t, b2 * nt + hit[0]
-                        acc = sums.get(key, zero)
-                        sums[key] = [a + c * x for a, x in zip(acc, hit[1])]
-            A = (left * module.action(gamma0)).data
-            for (b, col), acc in sums.items():
-                for y in range(r):
-                    # column y of the block is A times column y of the sum
-                    scol = acc[y * r:y * r + r]
-                    entries = columns[col * r + y]
-                    for row, arow in enumerate(A, b * r):
-                        v = sum(map(mul, arow, scol))
-                        if v:
-                            v += entries.get(row, 0)
-                            if v:
-                                entries[row] = v
-                            else:
-                                del entries[row]
+            t0 = trans.lookup(desc.conjugate(s))[0]
+            bound += sizes[j]
+            for row, col, tab, block in terms[j]:
+                key = (row + t) * ncols + col + tab[t0]
+                acc = twisted.get(key)
+                twisted[key] = block if acc is None else [
+                    a + x for a, x in zip(acc, block)]
+    lefts = [module.action(rep).data for rep in trans.reps]
+    rights = [module.action(rep.inverse()).data for rep in trans.reps]
+    for blocks in lefts, rights:
+        bound *= max(abs(x) for block in blocks for row in block for x in row)
+    # bytes per slot: 2^(8 width - 1) > r^2 max|L| max|X| max|R|
+    width = (r * r * bound).bit_length() // 8 + 1
+    shift, cuts = 8 * width, range(0, r * width, width)
+    half = 1 << (shift - 1)
+    offset = sum(half << (shift * y) for y in range(r))
+    identity = IntMatrix.identity(r).data
+    rhos = [[sum(x << (shift * y) for y, x in enumerate(row)) for row in R]
+            for R in rights]
+    columns = [{} for _ in range(ncols * r)]
+    for key, block in twisted.items():
+        row, col = divmod(key, ncols)
+        L, R = lefts[row % nt], rights[col % nt]
+        if L == identity and R == identity:
+            for y in range(r):
+                entries = columns[col * r + y]
+                for i, v in enumerate(block[y * r:y * r + r], row * r):
+                    if v:
+                        entries[i] = v
+            continue
+        # the rows of L X R, packed: L (X (R beta))
+        rho = rhos[col % nt]
+        packed = [sum(map(mul, block[x::r], rho)) for x in range(r)]
+        cols = columns[col * r:col * r + r]
+        for i, p in enumerate((sum(map(mul, Lrow, packed)) for Lrow in L),
+                              row * r):
+            # slot y holds entry (i, y) plus half, so no slot borrows
+            buf = (p + offset).to_bytes(r * width, "little")
+            for entries, c in zip(cols, cuts):
+                v = int.from_bytes(buf[c:c + width], "little") - half
+                if v:
+                    entries[i] = v
     return SparseIntMatrix(len(columns), len(columns), columns)
 
 

@@ -279,13 +279,17 @@ def quad_character(d, n):
     The modulus is the field discriminant D = d for d = 1 mod 4 and 4d
     otherwise; the value is 0 on primes dividing D, and +1/-1 according
     to whether the prime splits or stays inert.  Computed by the
-    reciprocity cascade, no factoring involved.
+    reciprocity cascade (_kronecker), no factoring involved.
     """
     if not _squarefree(d):
         raise FormatError("d must be square-free and not 0 or 1, got %r" % (d,))
     if n < 1:
         raise FormatError("the character is evaluated at n >= 1, got %r" % (n,))
-    D = d if d % 4 == 1 else 4 * d
+    return _kronecker(d if d % 4 == 1 else 4 * d, n)
+
+
+def _kronecker(D, n):
+    """The Kronecker symbol (D / n) for n >= 1, unchecked."""
     a, m = D, n
     s = 1
     while m % 2 == 0:
@@ -312,7 +316,9 @@ def l_ratio(d, pi_multiple=18):
 
     Character sums over any interval are bounded by the period |D| (full
     periods cancel), so by partial summation the tail after M terms is at
-    most |D|/M^2; M is chosen to push that below 1e-8.
+    most |D|/M^2; M is chosen to push that below 1e-8.  d is checked once,
+    and the terms are quad_character's values through the unchecked
+    _kronecker.
     """
     if not (d < 0 and _squarefree(d)):
         raise FormatError("l_ratio needs a negative square-free d, got %r"
@@ -321,7 +327,7 @@ def l_ratio(d, pi_multiple=18):
     M = max(20000, math.isqrt(int(abs(D) / 1e-8)) + 1)
     total = 0.0
     for n in range(1, M + 1):
-        c = quad_character(d, n)
+        c = _kronecker(D, n)
         if c:
             total += c / (n * n)
     return total / (pi_multiple * math.pi)

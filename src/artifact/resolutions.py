@@ -915,10 +915,11 @@ def _coset_permutations(trans):
     (sl2z.decompose): letters S, U, U^2, then the trailing power of U.
     So every entry is a product of checked relations and costs no
     further lookup.  A table is built
-    once per distinct g and lists ti only: tensor_with_z reads nothing
-    else, and restrict_resolution forms gam = rep(t) * g * rep(ti)^-1,
-    which lies in gamma exactly because ti is the right coset; so does
-    hecke_cochain for each term of its lift (RestrictedResolution.table).
+    once per distinct g and lists ti only: tensor_with_z and
+    hecke_cochain, which places each term of its lift in coset ti
+    (RestrictedResolution.table), read nothing else, and
+    restrict_resolution forms gam = rep(t) * g * rep(ti)^-1, which lies
+    in gamma exactly because ti is the right coset.
     """
     nt = len(trans)
     s_perm, u_perm = ([trans.lookup(trans.rep(t) * x)[0] for t in range(nt)]

@@ -413,6 +413,23 @@ def test_cli_import_leaves_the_heavy_layers_unloaded():
         assert "artifact." + name not in loaded
 
 
+def test_cuspidal_run_leaves_hecke_unloaded():
+    # only ambient_kernel and cuspidal_hecke_operators import hecke, and
+    # the cuspidal command calls neither
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import contextlib, io, sys\n"
+            "from artifact.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, 'artifact.hecke' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "cuspidal", "--gamma0",
+                           "17", "--module-degree", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 # the records are namedtuples and json loads only to write a document, so
 # a plain run leaves out dataclasses, which would pull in inspect
 STARTUP_RUNS = [

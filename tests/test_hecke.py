@@ -8,6 +8,7 @@ import pytest
 from pathlib import Path
 
 from genhelpers import chain_add, chain_scale, chain_sub, chains_equal
+from hecke_reference import reference_cochain
 from modforms_oracle import index as psi
 from artifact import congruence, exactlin, hecke
 from artifact.cli import main
@@ -423,6 +424,28 @@ def test_hecke_cochain_calls_no_restricted_homotopy(monkeypatch, res11):
     monkeypatch.setattr(RestrictedResolution, "h", refuse)
     cochain = hecke_cochain(GAMMA0_11, 1, 2, PolynomialModule(0), res11)
     assert cochain.rows == cochain.cols == res11.rank(1)
+
+
+@pytest.mark.parametrize("gamma, ms", [
+    (CongruenceSubgroup.gamma0(1), (2, 3)),
+    (CongruenceSubgroup.gamma0(12), (2, 3, 5)),
+    (CongruenceSubgroup.gamma0(38), (2,)),
+    (CongruenceSubgroup.gamma1(5), (2, 5)),
+    (CongruenceSubgroup.principal(3), (2, 3)),
+    (CongruenceSubgroup.principal(4), (2, 3)),
+], ids=str)
+def test_hecke_cochain_matches_the_per_term_assembly(gamma, ms):
+    # T = D T~ D^-1 against the per-(t0, k) assembly it replaced, entry for
+    # entry, in cochain degrees 0-2 and module degrees 0-4, with indices
+    # that divide the level among them; odd module degrees on Gamma1(5),
+    # which does not contain -1, send -1 through the packed conjugation
+    res = restrict_resolution(sl2z_resolution(2), gamma)
+    for n in range(3):
+        for k in range(5):
+            module = PolynomialModule(k)
+            for m in ms:
+                assert (hecke_cochain(gamma, n, m, module, res)
+                        == reference_cochain(gamma, n, m, module, res)), (n, k, m)
 
 
 # ---------------------------------------------------------------------------

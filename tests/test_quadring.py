@@ -8,7 +8,7 @@ closure, canonical ideal forms, character values against an Euler
 criterion oracle.
 """
 
-from math import gcd
+from math import gcd, isqrt, pi
 
 import pytest
 import sympy
@@ -232,6 +232,31 @@ def test_l_ratio_for_the_gaussian_field():
     assert abs(val - 0.0161957) < 5e-4
     # and the 6 pi normalization is exactly three times larger
     assert abs(l_ratio(-1, pi_multiple=6) - 3 * val) < 1e-12
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
+def test_l_ratio_sums_the_checked_character(d):
+    # l_ratio checks d once and sums the unchecked symbol; the sum is the
+    # one over quad_character, term for term, to the last bit
+    D = d if d % 4 == 1 else 4 * d
+    M = max(20000, isqrt(int(abs(D) / 1e-8)) + 1)
+    total = 0.0
+    for n in range(1, M + 1):
+        c = quad_character(d, n)
+        if c:
+            total += c / (n * n)
+    assert l_ratio(d) == total / (18 * pi)
+
+
+def test_l_ratio_value_at_minus_163_unchanged():
+    assert l_ratio(-163) == 0.011713562120621161
+
+
+@pytest.mark.parametrize("d", [5, 1, 0, -4, -12, -18])
+def test_l_ratio_rejects_d(d):
+    # positive, 0, 1 or not square-free
+    with pytest.raises(FormatError):
+        l_ratio(d)
 
 
 def test_torsion_ratio_headline():
