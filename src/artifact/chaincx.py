@@ -33,6 +33,13 @@ class CollapseStep(namedtuple("CollapseStep", "degree source target")):
     __slots__ = ()
 
 
+class Transfer(namedtuple("Transfer", "source target f g")):
+    """Chain maps between a complex and its contraction (transfer): f[n]
+    maps degree n of source to degree n of target and g[n] back, as
+    SparseIntMatrix, with f g = 1 and g f chain homotopic to 1."""
+    __slots__ = ()
+
+
 class FreeChainComplexZ:
     """A chain complex of finitely generated free Z-modules.
 
@@ -141,39 +148,9 @@ def all_homology(C):
             for n in range(C.top_degree + 1)]
 
 
-def contract(C, pairs=None, side=None):
-    """Reduce by simple homotopy collapses; homology is preserved.
-
-    Greedy strategy: degrees are processed bottom up and exhausted one at a
-    time; within a degree the unit entry with least fill-in
-    (nnz(row)-1)*(nnz(col)-1) is collapsed first, ties going to the least
-    source, then the least target.  The candidates wait on a heap of
-    single integers, each packing (fill, source, target) in that order; an
-    entry popped with a stale fill-in goes back with its current one, and
-    one that is collapsed or no longer a unit is dropped.  A collapse at
-    degree n can create new unit entries only at degree n: d_{n-1} loses
-    a row, and d_{n+1} is copied from C only when the loop reaches it,
-    less the generators collapsed at degree n.  So one ascending pass is
-    complete and the result has no unit entries at all.  The collapse
-    trace is recorded on the result in the original generator labelling.
-
-    Filtered: side[n][g] labels degree-n generator g, and the greedy
-    strategy collapses a unit entry only when its source and target carry
-    the same label (so unit entries across labels may remain).  A collapse
-    of (a, b) adds multiples of the boundary of a to the sources hitting b;
-    if the generators of one label span a subcomplex, b is in it whenever
-    such a source is, and then so is a.  So the survivors of that label
-    still span a subcomplex, and the collapse is a filtered chain homotopy
-    equivalence (the basic perturbation lemma): the subcomplex and the
-    quotient keep their homology too.  Without side every generator
-    carries the same label, so both strategies run one loop.
-
-    Prescribed pairs: given (degree, source, target) triples in that
-    labelling, exactly those pairs are collapsed, in order, by the same
-    elimination step; EliminationError if an entry is absent or not a unit.
-    Pairs may mix degrees, so every degree is copied before the first.
-    """
-    top = C.top_degree
+def _eliminator(C):
+    """The working copy of C that contract and transfer collapse, and its
+    elimination step: (bnd, cob, trace, load, collapse)."""
     # copies: bnd[n][src][tgt] = coeff, whose keys are the alive sources
     # (d_0's those of degree 0); cob[n][tgt] = sources while n is loaded
     bnd, cob, trace = {0: dict.fromkeys(range(C.rank(0)), {})}, {}, []
@@ -236,6 +213,43 @@ def contract(C, pairs=None, side=None):
         trace.append(CollapseStep(n, a, b))
         return touched
 
+    return bnd, cob, trace, load, collapse
+
+
+def contract(C, pairs=None, side=None):
+    """Reduce by simple homotopy collapses; homology is preserved.
+
+    Greedy strategy: degrees are processed bottom up and exhausted one at a
+    time; within a degree the unit entry with least fill-in
+    (nnz(row)-1)*(nnz(col)-1) is collapsed first, ties going to the least
+    source, then the least target.  The candidates wait on a heap of
+    single integers, each packing (fill, source, target) in that order; an
+    entry popped with a stale fill-in goes back with its current one, and
+    one that is collapsed or no longer a unit is dropped.  A collapse at
+    degree n can create new unit entries only at degree n: d_{n-1} loses
+    a row, and d_{n+1} is copied from C only when the loop reaches it,
+    less the generators collapsed at degree n.  So one ascending pass is
+    complete and the result has no unit entries at all.  The collapse
+    trace is recorded on the result in the original generator labelling.
+
+    Filtered: side[n][g] labels degree-n generator g, and the greedy
+    strategy collapses a unit entry only when its source and target carry
+    the same label (so unit entries across labels may remain).  A collapse
+    of (a, b) adds multiples of the boundary of a to the sources hitting b;
+    if the generators of one label span a subcomplex, b is in it whenever
+    such a source is, and then so is a.  So the survivors of that label
+    still span a subcomplex, and the collapse is a filtered chain homotopy
+    equivalence (the basic perturbation lemma): the subcomplex and the
+    quotient keep their homology too.  Without side every generator
+    carries the same label, so both strategies run one loop.
+
+    Prescribed pairs: given (degree, source, target) triples in that
+    labelling, exactly those pairs are collapsed, in order, by the same
+    elimination step; EliminationError if an entry is absent or not a unit.
+    Pairs may mix degrees, so every degree is copied before the first.
+    """
+    top = C.top_degree
+    bnd, cob, trace, load, collapse = _eliminator(C)
     if side is None:
         side = [[0] * r for r in C.ranks]
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -294,3 +308,79 @@ def contract(C, pairs=None, side=None):
             ranks[n - 1], ranks[n],
             [{tgt[t]: v for t, v in bnd[n][s].items()} for s in alive[n]]))
     return FreeChainComplexZ(ranks, diffs, trace=trace)
+
+
+def transfer(C, D):
+    """The transfer maps f: C -> D and g: D -> C of a contraction.
+
+    D is contract(C) with any pairs or side, or C itself, whose transfer
+    is the identity.  The trace of D is replayed on C by contract's own
+    elimination step, and at each pair (a, b) of degree n, with
+    d(a) = eps b + r, the replay records r and the column of b, the
+    coefficients lambda(s) of b in d(s).  One collapse is a homotopy
+    equivalence (Gaussian elimination; the basic perturbation lemma) with
+
+        f(a) = 0,  f(b) = -eps r,  g(s) = s - eps lambda(s) a,
+
+    both the identity on every other generator, and g f - 1 = d h + h d
+    for h(b) = -eps a.  The composites are read off the records: f by
+    substituting the images of the targets in reverse order, g by
+    correcting each generator with the lifts of the sources collapsed
+    against it, in order.  Both are checked to be chain maps in every
+    degree, and f g to be the identity (CompositionNonzero, as is a trace
+    that leaves other ranks than D's); a pair of the trace without a unit
+    entry raises EliminationError.  Returns a Transfer.
+    """
+    bnd, cob, _, load, collapse = _eliminator(C)
+    top = C.top_degree
+    for n in range(1, top + 1):
+        load(n)
+    steps = []
+    for n, a, b in ([] if D is C else D.trace):
+        rows = bnd.get(n, {})
+        r = rows.get(a, {})
+        # collapse raises unless d(a) hits b; then the row of a has left
+        # the working copy, and r may be edited
+        column = {s: rows[s][b] for s in cob[n][b]} if b in r else None
+        collapse(n, a, b)
+        steps.append((n, a, b, r.pop(b), r, column))
+    alive = [sorted(bnd[n]) for n in range(top + 1)]
+    if D.ranks != [len(gens) for gens in alive]:
+        raise CompositionNonzero("the trace of D does not replay on C")
+    image = [{x: {i: 1} for i, x in enumerate(gens)} for gens in alive]
+    for n, a, b, eps, r, _ in reversed(steps):
+        image[n][a] = {}
+        acc = {}
+        for t, v in r.items():
+            for i, w in image[n - 1][t].items():
+                acc[i] = acc.get(i, 0) - eps * v * w
+        image[n - 1][b] = {i: w for i, w in acc.items() if w}
+    lift = [{} for _ in alive]      # source -> g of the collapses before it
+    pending = [{} for _ in alive]   # generator -> [(eps lambda, source)]
+
+    def lifted(n, x):
+        acc = {x: 1}
+        for c, a in pending[n].pop(x, ()):
+            for k, w in lift[n][a].items():
+                acc[k] = acc.get(k, 0) - c * w
+        return {k: w for k, w in acc.items() if w}
+
+    for n, a, b, eps, _, column in steps:
+        lift[n][a] = lifted(n, a)
+        for s, lam in column.items():
+            if s != a:
+                pending[n].setdefault(s, []).append((eps * lam, a))
+    f = [SparseIntMatrix(len(gens), C.rank(n),
+                         [image[n][x] for x in range(C.rank(n))])
+         for n, gens in enumerate(alive)]
+    g = [SparseIntMatrix(C.rank(n), len(gens), [lifted(n, x) for x in gens])
+         for n, gens in enumerate(alive)]
+    for n, gens in enumerate(alive):
+        if (f[n] * g[n]).columns != [{i: 1} for i in range(len(gens))]:
+            raise CompositionNonzero("f g is not the identity in degree %d"
+                                     % n)
+        if n and (D.boundary(n) * f[n] != f[n - 1] * C.boundary(n)
+                  or C.boundary(n) * g[n] != g[n - 1] * D.boundary(n)):
+            raise CompositionNonzero("the transfer maps are not chain maps "
+                                     "in degree %d" % n)
+    return Transfer(C, D, f, g)

@@ -255,8 +255,7 @@ def _run_cohomology(cfg):
 
 def _run_hecke(cfg):
     from .coeffmod import PolynomialModule
-    from .exactlin import charpoly
-    from .hecke import hecke_eigenvalues, hecke_operators
+    from .hecke import hecke_charpolys, hecke_eigenvalues, hecke_operators
     gamma = _group(cfg)
     n = cfg.degree
     module = PolynomialModule(cfg.weight - 2)
@@ -271,20 +270,19 @@ def _run_hecke(cfg):
                             "residual": list(rep.residual)})
             lines.append("T%d {%s}" % (rep.p,
                                        ", ".join(str(r) for r in ordered)))
-    else:
+    elif cfg.emit == "matrix":
         ops = hecke_operators(gamma, n, cfg.ops, module=module)
         for p, T in zip(cfg.ops, ops):
-            if cfg.emit == "matrix":
-                results.append({"p": p, "orders": list(T.orders),
-                                "matrix": [list(r) for r in T.matrix.data]})
-                lines.append("T%d orders %s" % (p, list(T.orders)))
-                lines.extend("  " + " ".join(str(x) for x in row)
-                             for row in T.matrix.data)
-            else:
-                # charpoly of the free block: torsion has no spectrum over Q
-                poly = charpoly(T.free_block())
-                results.append({"p": p, "charpoly": poly})
-                lines.append("T%d %s" % (p, " ".join(str(c) for c in poly)))
+            results.append({"p": p, "orders": list(T.orders),
+                            "matrix": [list(r) for r in T.matrix.data]})
+            lines.append("T%d orders %s" % (p, list(T.orders)))
+            lines.extend("  " + " ".join(str(x) for x in row)
+                         for row in T.matrix.data)
+    else:
+        polys = hecke_charpolys(gamma, n, cfg.ops, module=module)
+        for p, poly in zip(cfg.ops, polys):
+            results.append({"p": p, "charpoly": poly})
+            lines.append("T%d %s" % (p, " ".join(str(c) for c in poly)))
     return {"group": str(gamma), "degree": n, "weight": cfg.weight,
             "emit": cfg.emit, "operators": results}, lines
 

@@ -152,6 +152,14 @@ class CochainComplexZ:
             return self.ranks[k] if 0 <= k < len(self.ranks) else 0
         return SparseIntMatrix(rank(n + 1), rank(n))
 
+    def truncation(self, n):
+        """C^(n-1) -> C^n -> C^(n+1) as a chain complex: degree 0 is
+        C^(n+1), degree 1 is C^n and degree 2 is C^(n-1), with boundaries
+        delta_n and delta_(n-1)."""
+        out, into = self.delta(n), self.delta(n - 1)
+        return FreeChainComplexZ([out.rows, self.ranks[n], into.cols],
+                                 [out, into])
+
     def as_chain_complex(self):
         """The same maps with the grading reversed (degree n -> top - n)."""
         return FreeChainComplexZ(list(reversed(self.ranks)),
@@ -218,8 +226,8 @@ def _spot_check_squares(C):
 def cohomology(C, n):
     """Abelian invariants of H^n of a CochainComplexZ.
 
-    Only C^(n-1) -> C^n -> C^(n+1) matters, taken as a chain complex with
-    boundaries delta_n and delta_(n-1).  Its d.d = 0 check runs on the
+    Only C^(n-1) -> C^n -> C^(n+1) matters, taken as a chain complex
+    (CochainComplexZ.truncation).  Its d.d = 0 check runs on the
     maps as given (CompositionNonzero), then contract cuts it down by unit
     collapses, which are chain homotopy equivalences, and the Smith forms
     run on what is left.  The top degree is computed against a zero
@@ -230,8 +238,7 @@ def cohomology(C, n):
     top = C.top_degree()
     if not 0 <= n <= top:
         raise DegreeOutOfRange("degree %d outside 0..%d" % (n, top))
-    out, into = C.delta(n), C.delta(n - 1)
-    K = FreeChainComplexZ([out.rows, C.ranks[n], into.cols], [out, into])
+    K = C.truncation(n)
     verify_complex(K)
     K = contract(K)
     return homology_of_pair(K.boundary(1), K.boundary(2))

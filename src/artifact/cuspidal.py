@@ -37,7 +37,7 @@ cuspidal_hecke_operators import the hecke module.
 
 from collections import namedtuple
 
-from .chaincx import contract, verify_complex
+from .chaincx import contract, transfer, verify_complex
 from .coeffmod import (CochainComplexZ, PolynomialModule, block_matrix,
                        cohomology, hom_complex)
 from .errors import (CompositionNonzero, DegreeOutOfRange, EliminationError,
@@ -202,7 +202,8 @@ class AmbientKernel(namedtuple("AmbientKernel", (
     preimage lattice of the boundary coboundaries; the cuspidal part is
     that lattice modulo the ambient coboundaries, which kernel_relations
     writes in the coordinates of kernel_basis.  presentation is the
-    CohomologyPresentation of the ambient H^n.
+    CohomologyPresentation of the ambient H^n on the ambient cochains
+    themselves (the identity transfer), whose basis kernel_basis uses.
     """
     __slots__ = ()
 
@@ -238,7 +239,8 @@ def ambient_kernel(gamma, n, module=None):
             "restriction does not commute with the coboundaries")
     # invariants are taken in the coordinates of the cocycle lattice Z,
     # where the ambient coboundaries become the relations
-    pres = CohomologyPresentation(CA, n)
+    K = CA.truncation(n)
+    pres = CohomologyPresentation(transfer(K, K))
     Z = pres.Z
     # v = Z u lies in the kernel lattice iff rho v is a boundary
     # coboundary, i.e. (u, -w) is in the kernel of [rho Z | delta_B];

@@ -29,7 +29,17 @@ T~ a sum of the matrices M(y^{-1} g k), one per term of the lift: no
 term builds a group element or is looked up.  The operator descends to
 an adapted basis of the cohomology lattice through a
 CohomologyPresentation, built once per cochain complex and shared by
-every operator presented on it (hecke_operators).
+every operator presented on it.  The presentation sits on a transfer
+f: C -> C', g: C' -> C from the truncation C^(n-1) -> C^n -> C^(n+1)
+(chaincx.transfer), and T is presented as f T g on C'.  The outputs that
+do not depend on a basis, the eigenvalues (hecke_eigenvalues) and the
+characteristic polynomials (hecke_charpolys), take C' to be the
+contraction of the truncation, a chain homotopy equivalence (Gaussian
+elimination; the basic perturbation lemma), so their Smith forms run on
+the reduced cochains.  The matrices and bases (hecke_operators, and
+--emit matrix through it) depend on the basis of the lattice they are
+presented on, so they keep C' = C, the identity transfer, on which they
+were recorded.
 
 Normalization: every entry point names the operator by its index m, and
 T_m is the double coset of diag(m, 1), the primitive integral matrix at
@@ -48,6 +58,7 @@ from collections import namedtuple
 from functools import cached_property
 from operator import mul
 
+from .chaincx import contract, transfer
 from .coeffmod import PolynomialModule, hom_complex
 from .congruence import CongruenceSubgroup, generators, transversal
 from .errors import (CompositionNonzero, DegreeOutOfRange, FormatError,
@@ -456,24 +467,34 @@ class HeckeMatrix(namedtuple("HeckeMatrix", (
 
 
 class CohomologyPresentation:
-    """H^n of a cochain complex on its cocycle lattice, for cochain operators.
+    """H^n of a cochain complex on a cocycle lattice, for cochain operators.
 
-    One Smith form of delta_n gives a saturated basis Z of the degree-n
-    cocycles with a left inverse P, which maps a cocycle to its
-    coordinates in Z; the coboundaries become the relations P delta_{n-1},
-    checked to be cocycles (Z P is the identity on span Z, so that is
-    Z relations == delta_{n-1}).  The quotient, a second Smith form, is
-    built on first use.  Every operator presented on one complex shares
-    them, so the matrices act on one basis.  The cocycle check of each
-    operator (check) reads a sparse copy of Z, also built on first use.
+    maps, a chaincx.Transfer (chaincx.transfer), runs from K, the truncation
+    C^(n-1) -> C^n -> C^(n+1) of the cochain complex taken as a chain
+    complex (CochainComplexZ.truncation), to the complex C' that H^n is
+    presented on: the contraction of K, or K itself, whose transfer is
+    the identity and gives the unreduced presentation.  One Smith form of
+    delta'_n, the coboundary of C' out of degree n, gives a saturated
+    basis Z of the degree-n cocycles of C' with a left inverse P, which
+    maps a cocycle to its coordinates in Z; the coboundaries become the
+    relations P delta'_(n-1), checked to be cocycles (Z P is the identity
+    on span Z, so that is Z relations == delta'_(n-1)).  The quotient, a
+    second Smith form, is built on first use.  Every operator presented
+    on one complex shares them, so the matrices act on one basis.  An
+    operator T on the cochains of C is presented as f T g on C', checked
+    on the cocycles and coboundaries of C (check), and its basis vectors
+    are lifted back to cocycles of C through g (present).  The contracted
+    presentation gives the same group on a different basis, so only the
+    outputs that do not depend on a basis may use it.
     """
 
-    def __init__(self, C, n):
-        self.delta_out = C.delta(n)
-        self.delta_in = C.delta(n - 1)
-        self.Z, self.P = kernel_with_left_inverse(self.delta_out)
-        self.relations = self.P * self.delta_in
-        if self.Z * self.relations != self.delta_in:
+    def __init__(self, maps):
+        K, D = maps.source, maps.target
+        self.delta_out, self.delta_in = K.boundary(1), K.boundary(2)
+        self.f, self.g = maps.f[1], maps.g[1]
+        self.Z, self.P = kernel_with_left_inverse(D.boundary(1))
+        self.relations = self.P * D.boundary(2)
+        if self.Z * self.relations != D.boundary(2):
             raise CompositionNonzero("coboundaries are not cocycles")
 
     @cached_property
@@ -485,35 +506,35 @@ class CohomologyPresentation:
         return SparseIntMatrix.of(self.Z)
 
     def check(self, cochain):
-        """Raise unless the cochain operator maps every cocycle to a cocycle
-        (CompositionNonzero) and every coboundary to a coboundary
-        (NotInLattice)."""
-        if not (self.delta_out * (cochain * self.sparse_Z)).is_zero():
+        """Raise unless the cochain operator T maps every cocycle to a
+        cocycle (CompositionNonzero) and every coboundary to a coboundary
+        (NotInLattice); returns f T g, the operator on C'.
+
+        The cocycles of C are g Z + delta_(n-1) C^(n-1), so the first
+        check is delta_n T [g Z | delta_(n-1)] = 0.  A cocycle of C is a
+        coboundary exactly when its image under f is one in C', whose
+        coordinates P are then a relation.
+        """
+        moved = cochain * self.g
+        bounded = cochain * self.delta_in
+        if not ((self.delta_out * (moved * self.sparse_Z)).is_zero()
+                and (self.delta_out * bounded).is_zero()):
             raise CompositionNonzero("image of a cocycle is not a cocycle")
-        # an image cocycle is a coboundary exactly when its coordinates
-        # are a relation
-        if not self.quotient.is_relation(self.P * (cochain * self.delta_in)):
+        if not self.quotient.is_relation(self.P * (self.f * bounded)):
             raise NotInLattice("image of a coboundary is not a coboundary")
+        return self.f * moved
+
+    def present(self, cochain):
+        """(matrix, orders, basis) of a cochain operator on H^n, checked
+        first (check); basis[i] is a cocycle of C (matrix_on_quotient)."""
+        matrix, orders, basis = matrix_on_quotient(
+            self.check(cochain), self.quotient, lambda V: self.P * V)
+        return matrix, orders, [self.g.apply(v) for v in basis]
 
 
-def hecke_operators(gamma, n, ms, module=None, resolution=None):
-    """The operators T_m on H^n(gamma, module), for the indices m in ms,
-    T_m the double coset of diag(m, 1).
-
-    module defaults to the trivial module (weight 2).  resolution, when
-    given, must be restricted to gamma from a resolution over SL2(Z)
-    (restrict_resolution), carry a contracting homotopy, and have top
-    degree at least n + 1; passing the same resolution across calls keeps
-    the cohomology basis identical, so returned matrices compose and
-    compare directly.  Each operator is lifted to cochains
-    (hecke_cochain), with d f = f d verified on every generator of its
-    lift over S', and presented on one CohomologyPresentation, built
-    after the first lift is freed, which checks it on cocycles and
-    coboundaries.  Yields one HeckeMatrix per index, in order, so a
-    caller that keeps none of them holds one cochain operator at a time.
-    Each m must be an int >= 1, and every m is checked before anything is
-    built (FormatError otherwise).
-    """
+def _presented(gamma, n, ms, module, resolution, contracted):
+    """T_m on H^n for the m in ms, on the contracted or the unreduced
+    CohomologyPresentation; the body of hecke_operators."""
     ms = list(ms)
     for m in ms:
         _check_index(m)
@@ -529,13 +550,36 @@ def hecke_operators(gamma, n, ms, module=None, resolution=None):
     for m in ms:
         cochain = hecke_cochain(gamma, n, m, module, resolution)
         if presentation is None:
+            K = hom_complex(resolution, module).truncation(n)
             presentation = CohomologyPresentation(
-                hom_complex(resolution, module), n)
-        presentation.check(cochain)
-        matrix, orders, basis = matrix_on_quotient(
-            cochain, presentation.quotient, lambda V: presentation.P * V)
+                transfer(K, contract(K) if contracted else K))
+        matrix, orders, basis = presentation.present(cochain)
         yield HeckeMatrix(gamma, m, n, module.k + 2, matrix, orders,
                           basis, cochain)
+
+
+def hecke_operators(gamma, n, ms, module=None, resolution=None):
+    """The operators T_m on H^n(gamma, module), for the indices m in ms,
+    T_m the double coset of diag(m, 1).
+
+    module defaults to the trivial module (weight 2).  resolution, when
+    given, must be restricted to gamma from a resolution over SL2(Z)
+    (restrict_resolution), carry a contracting homotopy, and have top
+    degree at least n + 1; passing the same resolution across calls keeps
+    the cohomology basis identical, so returned matrices compose and
+    compare directly.  Each operator is lifted to cochains
+    (hecke_cochain), with d f = f d verified on every generator of its
+    lift over S', and presented on one unreduced CohomologyPresentation,
+    built after the first lift is freed, which checks it on cocycles and
+    coboundaries.  The matrices and bases depend on the basis of the full
+    cochain complex, which is why this route, --emit matrix and the
+    cuspidal operators do not contract it; hecke_eigenvalues and
+    hecke_charpolys do.  Yields one HeckeMatrix per index, in order, so a
+    caller that keeps none of them holds one cochain operator at a time.
+    Each m must be an int >= 1, and every m is checked before anything is
+    built (FormatError otherwise).
+    """
+    return _presented(gamma, n, ms, module, resolution, contracted=False)
 
 
 def hecke_operator(gamma, n, m, module=None, resolution=None):
@@ -584,16 +628,32 @@ class EigenvalueReport(namedtuple("EigenvalueReport",
 def hecke_eigenvalues(gamma, n, ps, module=None, resolution=None):
     """Eigenvalue reports of T_p on H^n(gamma, module), keyed by p in ps.
 
-    All operators are presented on one shared resolution and presentation
-    (hecke_operators), so the underlying matrices act on the same basis.
+    The spectrum does not depend on a basis, so the operators are
+    presented on C', the contraction of the truncation
+    C^(n-1) -> C^n -> C^(n+1), as f T g through the transfer maps of the
+    contraction (CohomologyPresentation): the Smith forms run on C'
+    instead of the full cochains.  All of them share one resolution and
+    presentation, so the underlying matrices act on the same basis, and
+    each report's operator has its basis lifted to cocycles of the full
+    complex.
     """
     ps = list(ps)
     # the reports keep every operator, and the presentation is released
     # before the characteristic polynomials are taken
-    ops = list(hecke_operators(gamma, n, ps, module, resolution))
+    ops = list(_presented(gamma, n, ps, module, resolution, contracted=True))
     out = {}
     for p, op in zip(ps, ops):
         roots, residual = integer_roots(charpoly(op.free_block()))
         out[p] = EigenvalueReport(p, tuple(roots), tuple(residual), op)
     return out
 
+
+def hecke_charpolys(gamma, n, ms, module=None, resolution=None):
+    """Characteristic polynomials of T_m on H^n(gamma, module) modulo
+    torsion, for the m in ms, in order, highest degree first.
+
+    Presented on the contraction like hecke_eigenvalues; torsion has no
+    spectrum over Q, so only the free block counts.
+    """
+    for op in _presented(gamma, n, ms, module, resolution, contracted=True):
+        yield charpoly(op.free_block())

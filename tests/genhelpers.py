@@ -8,14 +8,16 @@ homology, so the result is a nontrivial random complex with an oracle.
 
 Also here: sums, scalings and comparisons of group-ring chains
 ({generator index: GroupRingElement}), for the resolution identities the
-tests check; and ranks modulo primes, an oracle for torsion that shares
-no code with the Smith form.
+tests check; ranks modulo primes, an oracle for torsion that shares
+no code with the Smith form; and the transfer maps of a sequence of
+collapses composed one collapse at a time, the reference for
+chaincx.transfer.
 """
 
 from collections import defaultdict
 
 from artifact.chaincx import FreeChainComplexZ, verify_complex
-from artifact.exactlin import AbelianInvariants, IntMatrix
+from artifact.exactlin import AbelianInvariants, IntMatrix, SparseIntMatrix
 from artifact.resolutions import ChainSum
 
 
@@ -227,3 +229,64 @@ def rank_drop_mod(M, p):
     rank over Q is taken as the rank modulo LARGE_PRIME, a prime far above
     every entry."""
     return rank_mod(M, LARGE_PRIME) - rank_mod(M, p)
+
+
+def _add_into(acc, vec, c):
+    """acc += c * vec, for sparse vectors {index: entry}, zeros dropped."""
+    for k, v in vec.items():
+        w = acc.get(k, 0) + c * v
+        if w:
+            acc[k] = w
+        else:
+            acc.pop(k, None)
+
+
+def reference_transfer(C, trace):
+    """f: C -> D, g: D -> C and a homotopy h with g f - 1 = d h + h d, for
+    the contraction D of C by the collapses of trace, in order.
+
+    Written from one collapse of (a, b) in degree n, with d(a) = eps b + r
+    and lambda(s) the coefficient of b in d(s): f(a) = 0, f(b) = -eps r,
+    g(s) = s - eps lambda(s) a and h(b) = -eps a, each the identity (h
+    zero) elsewhere.  The composites are updated after every collapse,
+    F <- f F, G <- G g and H <- H + G h F, while the boundaries are
+    eliminated alongside in plain dicts.  Returns (f, g, h), one
+    SparseIntMatrix per degree; h[n] maps degree n to degree n + 1.
+    """
+    top = C.top_degree
+    d = [None] + [{s: dict(col) for s, col in enumerate(C.boundary(n).columns)}
+                  for n in range(1, top + 1)]
+    F = [{x: {x: 1} for x in range(r)} for r in C.ranks]
+    G = [{x: {x: 1} for x in range(r)} for r in C.ranks]
+    H = [{x: {} for x in range(r)} for r in C.ranks]
+    for n, a, b in trace:
+        col_a = d[n][a]
+        eps = col_a[b]
+        r = {t: v for t, v in col_a.items() if t != b}
+        lam = {s: col[b] for s, col in d[n].items() if s != a and b in col}
+        for x, img in F[n - 1].items():
+            c = img.pop(b, 0)
+            if c:
+                _add_into(H[n - 1][x], G[n][a], -eps * c)
+                _add_into(img, r, -eps * c)
+        for img in F[n].values():
+            img.pop(a, None)
+        for s, c in lam.items():
+            _add_into(G[n][s], G[n][a], -eps * c)
+            _add_into(d[n][s], col_a, -eps * c)
+        del G[n][a], G[n - 1][b], d[n][a]
+        if n < top:
+            for col in d[n + 1].values():
+                col.pop(a, None)
+        if n > 1:
+            del d[n - 1][b]
+    alive = [sorted(g) for g in G]
+    index = [{x: i for i, x in enumerate(gens)} for gens in alive]
+    f = [SparseIntMatrix(len(alive[n]), r, [
+        {index[n][t]: v for t, v in F[n][x].items()} for x in range(r)])
+        for n, r in enumerate(C.ranks)]
+    g = [SparseIntMatrix(r, len(alive[n]), [G[n][x] for x in alive[n]])
+         for n, r in enumerate(C.ranks)]
+    h = [SparseIntMatrix(C.rank(n + 1), r, [H[n][x] for x in range(r)])
+         for n, r in enumerate(C.ranks)]
+    return f, g, h

@@ -17,16 +17,18 @@ from artifact.chaincx import (
     all_homology,
     contract,
     homology,
+    transfer,
     verify_complex,
 )
+from artifact.coeffmod import PolynomialModule, hom_complex
 from artifact.congruence import CongruenceSubgroup
 from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              EliminationError, FormatError)
-from artifact.exactlin import IntMatrix
+from artifact.exactlin import IntMatrix, SparseIntMatrix
 from artifact.resolutions import (restrict_resolution, sl2z_resolution,
                                   tensor_with_z)
 
-from genhelpers import random_complex
+from genhelpers import random_complex, reference_transfer
 
 FROZEN = Path(__file__).resolve().parent / "frozen" / "chaincx_fixtures.json"
 
@@ -392,3 +394,91 @@ def test_one_side_contracts_as_without_sides():
         plain = contract(c)
         d = contract(c, side=[[0] * r for r in c.ranks])
         assert d == plain and d.trace == plain.trace
+
+
+# ---------------------------------------------------------------------------
+# the transfer maps of a contraction
+
+
+def _sum(*terms):
+    """The columns of a sum of (coefficient, SparseIntMatrix) terms of one
+    shape, zeros dropped."""
+    out = [{} for _ in range(terms[0][1].cols)]
+    for c, M in terms:
+        for acc, col in zip(out, M.columns):
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) + c * v
+    return [{i: v for i, v in col.items() if v} for col in out]
+
+
+def _identity(r):
+    return SparseIntMatrix(r, r, [{i: 1} for i in range(r)])
+
+
+def check_transfer(C, D):
+    """transfer(C, D) against the maps composed one collapse at a time:
+    both chain maps in every degree, f g = 1, and g f - 1 = d h + h d
+    with the composed homotopy h."""
+    t = transfer(C, D)
+    f, g, h = reference_transfer(C, D.trace)
+    assert (t.source, t.target, t.f, t.g) == (C, D, f, g)
+    for n in range(C.top_degree + 1):
+        assert f[n] * g[n] == _identity(D.rank(n))
+        if n:
+            assert D.boundary(n) * f[n] == f[n - 1] * C.boundary(n)
+            assert C.boundary(n) * g[n] == g[n - 1] * D.boundary(n)
+        homotopy = [(1, C.boundary(n + 1) * h[n])]
+        if n:
+            homotopy.append((1, h[n - 1] * C.boundary(n)))
+        assert _sum((1, g[n] * f[n]), (-1, _identity(C.rank(n)))) == \
+            _sum(*homotopy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_transfer_of_random_contractions(seed):
+    c, _ = random_complex(random.Random(seed))
+    check_transfer(c, contract(c))
+    # the complex itself is its own contraction by no collapse
+    t = transfer(c, c)
+    assert t.f == t.g == [_identity(r) for r in c.ranks]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_transfer_of_filtered_contractions(seed):
+    c, side, _, _ = filtered_complex(random.Random(seed))
+    check_transfer(c, contract(c, side=side))
+
+
+def test_transfer_of_descending_pairs():
+    # a pair in degree 2 before one in degree 1, as prescribed pairs allow
+    c = FreeChainComplexZ([1, 2, 1], [IntMatrix.from_rows([[1, 1]]),
+                                      IntMatrix.from_rows([[1], [-1]])])
+    check_transfer(c, contract(c, pairs=[(2, 0, 0), (1, 1, 0)]))
+
+
+def test_transfer_of_the_gamma0_64_weight_6_truncation():
+    # the truncation the cohomology-l64-w6 benchmark contracts
+    K = hom_complex(restrict_resolution(sl2z_resolution(2),
+                                        CongruenceSubgroup.gamma0(64)),
+                    PolynomialModule(4)).truncation(1)
+    D = contract(K)
+    assert (K.ranks, D.ranks) == ([960, 960, 480], [564, 88, 4])
+    check_transfer(K, D)
+
+
+def test_transfer_refuses_a_complex_the_trace_does_not_give():
+    c, _ = random_complex(random.Random(20261022), expansions=6)
+    d = contract(c)
+    assert d.trace and not all(m.is_zero() for m in d.diffs)
+    doubled = FreeChainComplexZ(d.ranks, [m * 2 for m in d.diffs],
+                                trace=d.trace)
+    with pytest.raises(CompositionNonzero, match="chain maps"):
+        transfer(c, doubled)
+    fewer = FreeChainComplexZ(d.ranks, d.diffs, trace=d.trace[:-1])
+    with pytest.raises(CompositionNonzero, match="does not replay"):
+        transfer(c, fewer)
+    with pytest.raises(EliminationError):
+        transfer(c, FreeChainComplexZ(d.ranks, d.diffs,
+                                      trace=d.trace + d.trace[-1:]))

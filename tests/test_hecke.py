@@ -10,17 +10,18 @@ from pathlib import Path
 from genhelpers import chain_add, chain_scale, chain_sub, chains_equal
 from hecke_reference import reference_cochain
 from modforms_oracle import index as psi
-from artifact import congruence, exactlin, hecke
+from artifact import chaincx, congruence, exactlin, hecke
 from artifact.cli import main
 from artifact.coeffmod import CochainComplexZ, PolynomialModule, block_matrix
 from artifact.congruence import CongruenceSubgroup, Transversal, transversal
 from artifact.errors import (CompositionNonzero, DegreeOutOfRange,
                              FormatError, InfiniteIndex, NotInLattice,
                              ShapeMismatch)
-from artifact.exactlin import IntMatrix, charpoly, integer_roots
+from artifact.exactlin import (IntMatrix, SparseIntMatrix, charpoly,
+                               integer_roots)
 from artifact.hecke import (EquivariantChainMap, gamma_prime_data,
-                            hecke_cochain, hecke_eigenvalues, hecke_lift,
-                            hecke_operator)
+                            hecke_charpolys, hecke_cochain, hecke_eigenvalues,
+                            hecke_lift, hecke_operator, hecke_operators)
 from artifact.resolutions import (FreeZGResolution, GroupRingElement,
                                   RestrictedResolution, restrict_resolution,
                                   sl2z_resolution, sub_resolution)
@@ -652,6 +653,127 @@ def test_cocycles_not_preserved_exit_three(capsys, monkeypatch):
     assert doc["subcommand"] == "hecke"
     assert doc["error"] == {"type": "CompositionNonzero",
                             "message": "image of a cocycle is not a cocycle"}
+
+
+def test_coboundaries_not_preserved_raise_on_the_contraction(res11,
+                                                             monkeypatch):
+    # the thinned coboundaries of test_coboundaries_not_preserved_raise,
+    # through the presentation on the contraction
+    real = hecke.hom_complex
+
+    def thinned(resolution, module):
+        C = real(resolution, module)
+        D = IntMatrix.diagonal([1] + [0] * (C.ranks[0] - 1))
+        return CochainComplexZ(C.ranks, [C.deltas[0] * D] + C.deltas[1:])
+
+    monkeypatch.setattr(hecke, "hom_complex", thinned)
+    with pytest.raises(NotInLattice, match="coboundary"):
+        hecke_eigenvalues(GAMMA0_11, 1, [2], module=PolynomialModule(2),
+                          resolution=res11)
+    with pytest.raises(NotInLattice, match="coboundary"):
+        next(hecke_charpolys(GAMMA0_11, 1, [2], module=PolynomialModule(2),
+                             resolution=res11))
+
+
+@pytest.mark.parametrize("emit", ["eigenvalues", "charpoly"])
+def test_cocycles_not_preserved_on_the_contraction_exit_three(
+        capsys, monkeypatch, emit):
+    # every cochain of the contraction passed off as a cocycle, as in
+    # test_cocycles_not_preserved_exit_three: the same exit and document
+    def all_cochains(M):
+        return IntMatrix.identity(M.cols), IntMatrix.identity(M.cols)
+
+    monkeypatch.setattr(hecke, "kernel_with_left_inverse", all_cochains)
+    rc = main(["hecke", "--gamma0", "11", "--weight", "2", "--ops", "2",
+               "--emit", emit, "--format", "json"])
+    assert rc == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["subcommand"] == "hecke"
+    assert doc["error"] == {"type": "CompositionNonzero",
+                            "message": "image of a cocycle is not a cocycle"}
+
+
+def test_wrong_transfer_entry_raises(res11, monkeypatch):
+    # g with one entry off lifts a cocycle of the contraction to a cochain
+    # that is no cocycle, and the operator's image of it is none either
+    real = chaincx.transfer
+
+    def off_by_one(C, D):
+        t = real(C, D)
+        g = t.g[1]
+        columns = [dict(col) for col in g.columns]
+        columns[0][0] = columns[0].get(0, 0) + 1
+        return t._replace(g=[t.g[0], SparseIntMatrix(g.rows, g.cols, columns),
+                             t.g[2]])
+
+    monkeypatch.setattr(hecke, "transfer", off_by_one)
+    with pytest.raises(CompositionNonzero, match="cocycle"):
+        hecke_eigenvalues(GAMMA0_11, 1, [2], resolution=res11)
+
+
+# ---------------------------------------------------------------------------
+# basis-free outputs on the contraction
+
+
+@pytest.mark.parametrize("group, weight, ps", [
+    pytest.param(GAMMA0_11, 2, [2, 3, 11], id="Gamma0(11)-w2"),
+    pytest.param(GAMMA0_11, 4, [2, 3], id="Gamma0(11)-w4"),
+    pytest.param(GAMMA0_11, 6, [2], id="Gamma0(11)-w6"),
+    pytest.param(CongruenceSubgroup.gamma0(23), 2, [2, 3], id="Gamma0(23)"),
+    pytest.param(CongruenceSubgroup.gamma0(37), 2, [2, 3], id="Gamma0(37)"),
+    pytest.param(CongruenceSubgroup.gamma0(38), 2, [2, 3], id="Gamma0(38)"),
+    pytest.param(CongruenceSubgroup.gamma0(50), 4, [3], id="Gamma0(50)-w4"),
+    pytest.param(CongruenceSubgroup.gamma1(13), 2, [2], id="Gamma1(13)"),
+    pytest.param(CongruenceSubgroup.gamma1(5), 4, [2, 3], id="Gamma1(5)-w4"),
+    pytest.param(CongruenceSubgroup.principal(4), 3, [3, 5], id="Gamma(4)-w3"),
+    pytest.param(GAMMA_6, 4, [5], id="Gamma(6)-w4"),
+])
+def test_contracted_spectra_match_the_unreduced_presentation(group, weight,
+                                                             ps):
+    # eigenvalues, residuals and characteristic polynomials of f T g on
+    # the contraction are those of T on the full cochains, in degrees 0-2
+    module = PolynomialModule(weight - 2)
+    res = restrict_resolution(sl2z_resolution(3), group)
+    for n in range(3):
+        reports = hecke_eigenvalues(group, n, ps, module, res)
+        polys = list(hecke_charpolys(group, n, ps, module, res))
+        for p, poly, op in zip(ps, polys,
+                               hecke_operators(group, n, ps, module, res)):
+            want = charpoly(op.free_block())
+            roots, residual = integer_roots(want)
+            rep = reports[p]
+            assert (rep.roots, rep.residual) == (tuple(roots),
+                                                 tuple(residual)), (n, p)
+            assert poly == charpoly(rep.operator.free_block()) == want
+            assert rep.operator.orders == op.orders
+
+
+def test_contracted_basis_lifts_to_cocycles(res11):
+    # the reports' basis vectors, lifted through g, are cocycles of the
+    # full complex, and T moves them as the presented matrix says:
+    # T v_j - sum_i M_ij v_i is a coboundary (weight 4, torsion Z/2)
+    from artifact.exactlin import column_span_basis, solve_echelon
+    module = PolynomialModule(2)
+    C = hecke.hom_complex(res11, module)
+    op = hecke_eigenvalues(GAMMA0_11, 1, [2], module, res11)[2].operator
+    assert op.orders == (0,) * 6 + (2,)
+    boundaries = column_span_basis(C.deltas[0])
+    for j, v in enumerate(op.basis):
+        assert not any(C.deltas[1].apply(v))
+        w = op.cochain.apply(v)
+        for row, u in zip(op.matrix.data, op.basis):
+            w = [x - row[j] * y for x, y in zip(w, u)]
+        assert solve_echelon(boundaries, IntMatrix.column(w)) is not None
+
+
+def test_basis_free_outputs_frozen(capsys):
+    # recorded before these outputs moved to the contraction; both carry
+    # torsion in H^1
+    frozen = json.loads((FROZEN / "hecke_basis_free.json").read_text())
+    assert len(frozen) == 2
+    for argv, want in frozen.items():
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == want, argv
 
 
 # ---------------------------------------------------------------------------
